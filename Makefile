@@ -4,6 +4,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Port the smoke target's remote-backend leg listens on (localhost only).
 SMOKE_PORT ?= 7351
 
+# The paper-experiment entry points `make smoke` runs (python -m repro.experiments.<name>).
+EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
+    baseline_comparison ablation_increment ablation_reserve
+
 .PHONY: test doctest bench bench-smoke smoke chaos equivalence check
 
 ## tier-1: full unit/property/integration suite plus quick benchmarks
@@ -22,7 +26,9 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SCALE=test $(PYTHON) -m pytest benchmarks -q
 
-## scenario CLI + quickstart example smoke runs (docs/examples can't rot);
+## scenario CLI, quickstart example and paper-experiment smoke runs
+## (docs/examples/drivers can't rot: every `repro.experiments` driver's
+## `main()` runs once);
 ## the runs persist into the result store — market and one baseline, so the
 ## mechanism comparison verbs have two mechanisms to diff — and `results
 ## show` / `compare-mechanisms` read it back (CI uploads the store file as a
@@ -43,6 +49,9 @@ smoke:
 	$(PYTHON) -m repro results show paper-reference --mechanism market
 	$(PYTHON) -m repro compare-mechanisms paper-reference
 	$(PYTHON) examples/quickstart.py
+	for driver in $(EXPERIMENT_DRIVERS); do \
+	    $(PYTHON) -m repro.experiments.$$driver > /dev/null || exit 1; \
+	done
 	$(PYTHON) -m repro worker --connect 127.0.0.1:$(SMOKE_PORT) --id smoke-w1 --retry 60 &
 	$(PYTHON) -m repro worker --connect 127.0.0.1:$(SMOKE_PORT) --id smoke-w2 --retry 60 &
 	$(PYTHON) -m repro sweep smoke --mechanism all --backend remote \

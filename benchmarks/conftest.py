@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import PAPER_SCALE, TEST_SCALE, ExperimentConfig
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 
 #: How many entries a ``BENCH_*.json`` history keeps (the oldest roll off).
 MAX_BENCH_ENTRIES = 5
@@ -64,11 +64,11 @@ def pytest_configure(config: pytest.Config) -> None:
 
 
 @pytest.fixture(scope="session")
-def bench_config() -> ExperimentConfig:
-    """The experiment scale used by all benchmarks."""
+def bench_config() -> ScenarioSpec:
+    """The catalog scenario used by all benchmarks."""
     if os.environ.get("REPRO_BENCH_SCALE", "paper").lower() == "test":
-        return TEST_SCALE
-    return PAPER_SCALE
+        return get_scenario("smoke")
+    return get_scenario("paper-reference")
 
 
 def print_section(title: str) -> None:

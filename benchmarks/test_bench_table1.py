@@ -25,4 +25,6 @@ def test_table1_bid_premiums(benchmark, bench_config):
         assert 0.15 <= row.settled_fraction <= 1.0
         assert row.mean_premium >= 0.0
     assert result.trend["median_last"] < result.trend["median_first"]
-    assert result.trend["median_ratio_last_to_first"] < 0.6
+    if bench_config.name == "paper-reference":
+        # A marked fall needs the paper's six auctions; smoke runs three.
+        assert result.trend["median_ratio_last_to_first"] < 0.6

@@ -37,8 +37,7 @@ def main() -> None:
     )
     print("Strategy mix:", strategy_counts(scenario.agents))
 
-    sim = MarketEconomySimulation(scenario, drift_scale=spec.drift_scale)
-    history = sim.run(spec.auctions)
+    history = MarketEconomySimulation.from_spec(scenario, spec).run(spec.auctions)
 
     print()
     print(render_premium_table(history.premium_rows()))

@@ -52,11 +52,6 @@ class ExchangeResult:
     settlement: Settlement
     constraints: ConstraintReport
     operator_supply: np.ndarray
-    #: Shard partition / worker facts when the sharded engine ran (else None).
-    shard_stats: dict[str, object] | None = None
-    #: Delta-kernel facts (rows re-evaluated per round, retirements) when the
-    #: incremental engine ran (else None).  Diagnostic only, never canonical.
-    incremental_stats: dict[str, object] | None = None
 
     @property
     def final_prices(self) -> PriceTable:
@@ -224,8 +219,6 @@ class CombinatorialExchange:
             settlement=settlement,
             constraints=constraints,
             operator_supply=supply,
-            shard_stats=auction.shard_stats,
-            incremental_stats=auction.incremental_stats,
         )
 
     def preliminary_prices(self, bids: Sequence[Bid]) -> PriceTable:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agents.base import MarketView
-from repro.agents.population import PopulationSpec, build_population
-from repro.cluster.fleet_gen import FleetSpec, generate_fleet
+from repro.agents.population import PopulationSpec
 from repro.cluster.resources import ResourceType
 from repro.core.clock_auction import AscendingClockAuction, AuctionConfig, ConvergenceError
 from repro.core.increment import (
@@ -28,7 +26,7 @@ from repro.core.increment import (
     default_increment,
 )
 from repro.core.reserve import PAPER_PHI_1, ReservePricer
-from repro.market.services import default_catalog
+from repro.experiments import first_auction_bids
 
 
 @dataclass(frozen=True)
@@ -55,26 +53,6 @@ class IncrementAblationResult:
         raise KeyError(policy_prefix)
 
 
-def _reference_auction(seed: int, cluster_count: int, team_count: int):
-    fleet = generate_fleet(FleetSpec(cluster_count=cluster_count, machines_range=(20, 80)), seed=seed)
-    catalog = default_catalog()
-    agents = build_population(fleet, PopulationSpec(team_count=team_count), catalog=catalog, seed=seed)
-    index = fleet.pool_index
-    view = MarketView(
-        index=index,
-        displayed_prices={p.name: p.unit_cost for p in index},
-        fixed_prices=dict(fleet.fixed_prices),
-        auction_number=1,
-        topology=fleet.topology,
-    )
-    bids = []
-    for agent in agents:
-        bids.extend(agent.prepare_bids(view))
-    reserve = ReservePricer(weighting=PAPER_PHI_1).reserve_prices(index)
-    supply = index.available() * 0.9
-    return index, bids, reserve, supply
-
-
 def run_ablation_increment(
     *,
     cluster_count: int = 12,
@@ -83,7 +61,9 @@ def run_ablation_increment(
     max_rounds: int = 3000,
 ) -> IncrementAblationResult:
     """Run the reference auction under each increment policy."""
-    index, bids, reserve, supply = _reference_auction(seed, cluster_count, team_count)
+    index, bids = first_auction_bids(cluster_count, PopulationSpec(team_count=team_count), seed=seed)
+    reserve = ReservePricer(weighting=PAPER_PHI_1).reserve_prices(index)
+    supply = index.available() * 0.9
     capacities = index.capacities()
     policies: list[IncrementPolicy] = [
         AdditiveIncrement(alpha=0.001),

@@ -20,9 +20,8 @@ from repro.core.reserve import (
     FlatWeight,
     WeightingFunction,
 )
-from repro.experiments.config import ExperimentConfig, PAPER_SCALE
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
-from repro.simulation.scenario import build_scenario
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,9 @@ class ReserveAblationResult:
         raise KeyError(weighting_prefix)
 
 
-def _run_once(config: ExperimentConfig, weighting: WeightingFunction, label: str) -> ReserveAblationRow:
-    scenario = build_scenario(replace(config.scenario_config(), weighting=weighting))
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=config.drift_scale, preliminary_runs=config.preliminary_runs
-    )
-    period = sim.run_one_auction()
+def _run_once(spec: ScenarioSpec, weighting: WeightingFunction, label: str) -> ReserveAblationRow:
+    spec = replace(spec, config=replace(spec.config, weighting=weighting))
+    period = MarketEconomySimulation.from_spec(spec.build(), spec).run_one_auction()
     migration = migration_summary(period.trades)
     ratios = period.price_ratios
     congested = [row.max_ratio() for row in ratios if row.mean_utilization > 0.75]
@@ -77,13 +73,13 @@ def _run_once(config: ExperimentConfig, weighting: WeightingFunction, label: str
     )
 
 
-def run_ablation_reserve(config: ExperimentConfig = PAPER_SCALE) -> ReserveAblationResult:
+def run_ablation_reserve(spec: ScenarioSpec = get_scenario("paper-reference")) -> ReserveAblationResult:
     """Run one auction under flat reserves and under each Figure 2 curve."""
     rows = [
-        _run_once(config, FlatWeight(1.0), "flat(cost only)"),
-        _run_once(config, PAPER_PHI_1, "phi1 exp(2(x-0.5))"),
-        _run_once(config, PAPER_PHI_2, "phi2 exp(x-0.5)"),
-        _run_once(config, PAPER_PHI_3, "phi3 1/(1.5-x)"),
+        _run_once(spec, FlatWeight(1.0), "flat(cost only)"),
+        _run_once(spec, PAPER_PHI_1, "phi1 exp(2(x-0.5))"),
+        _run_once(spec, PAPER_PHI_2, "phi2 exp(x-0.5)"),
+        _run_once(spec, PAPER_PHI_3, "phi3 1/(1.5-x)"),
     ]
     return ReserveAblationResult(rows=tuple(rows))
 

@@ -28,10 +28,9 @@ from repro.baselines.comparison import (
     market_outcome_from_quota_delta,
     requests_from_demands,
 )
-from repro.experiments.config import ExperimentConfig, PAPER_SCALE
 from repro.mechanisms.baseline import one_shot_outcomes
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
-from repro.simulation.scenario import build_scenario
 from repro.simulation.workload import demands_from_agents, priorities_from_agents
 
 
@@ -50,17 +49,17 @@ class BaselineComparisonResult:
 
 
 def run_baseline_comparison(
-    config: ExperimentConfig = PAPER_SCALE, *, market_auctions: int | None = None
+    spec: ScenarioSpec = get_scenario("paper-reference"), *, market_auctions: int | None = None
 ) -> BaselineComparisonResult:
     """Compare the market against the three traditional allocation baselines.
 
     The baselines are one-shot policies; the market is given
-    ``market_auctions`` periodic auctions (default: the config's auction
+    ``market_auctions`` periodic auctions (default: the spec's auction
     count) because teams that lose one auction learn and return with better
     bids — that iteration *is* the mechanism.  The market's provisioning is
     then the cumulative quota acquired across those auctions.
     """
-    scenario = build_scenario(config.scenario_config())
+    scenario = spec.build()
     index = scenario.pool_index
     demands = demands_from_agents(scenario.agents, index)
     priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
@@ -69,10 +68,9 @@ def run_baseline_comparison(
     outcomes = one_shot_outcomes(scenario, requests)
 
     initial_holdings = scenario.platform.quotas.snapshot()
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=config.drift_scale, preliminary_runs=config.preliminary_runs
+    history = MarketEconomySimulation.from_spec(scenario, spec).run(
+        market_auctions if market_auctions is not None else spec.auctions
     )
-    history = sim.run(market_auctions if market_auctions is not None else config.auctions)
     final_holdings = scenario.platform.quotas.snapshot()
     market_outcome = market_outcome_from_quota_delta(index, requests, initial_holdings, final_holdings)
     outcomes.append(market_outcome)

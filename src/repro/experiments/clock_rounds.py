@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agents.base import MarketView
-from repro.agents.population import PopulationSpec, build_population
-from repro.cluster.fleet_gen import FleetSpec, generate_fleet
+from repro.agents.population import PopulationSpec
 from repro.core.clock_auction import AscendingClockAuction, AuctionConfig, AuctionOutcome
 from repro.core.increment import default_increment
 from repro.core.reserve import PAPER_PHI_1, ReservePricer
-from repro.market.services import default_catalog
+from repro.experiments import first_auction_bids
 
 
 @dataclass(frozen=True)
@@ -49,22 +47,7 @@ def run_clock_rounds(
     record_bidder_demands: bool = False,
 ) -> ClockRoundsResult:
     """Run the reference clock auction with full round tracing."""
-    fleet = generate_fleet(FleetSpec(cluster_count=cluster_count, machines_range=(20, 80)), seed=seed)
-    catalog = default_catalog()
-    agents = build_population(
-        fleet, PopulationSpec(team_count=team_count), catalog=catalog, seed=seed
-    )
-    index = fleet.pool_index
-    view = MarketView(
-        index=index,
-        displayed_prices={p.name: p.unit_cost for p in index},
-        fixed_prices=dict(fleet.fixed_prices),
-        auction_number=1,
-        topology=fleet.topology,
-    )
-    bids = []
-    for agent in agents:
-        bids.extend(agent.prepare_bids(view))
+    index, bids = first_auction_bids(cluster_count, PopulationSpec(team_count=team_count), seed=seed)
     reserve = ReservePricer(weighting=PAPER_PHI_1).reserve_prices(index)
     auction = AscendingClockAuction(
         index,

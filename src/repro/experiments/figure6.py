@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 from repro.analysis.price_ratio import (
     PriceRatioRow,
-    price_ratio_table,
     ratio_utilization_correlation,
     sort_rows_for_figure6,
 )
-from repro.experiments.config import ExperimentConfig, PAPER_SCALE
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
-from repro.simulation.scenario import build_scenario
 
 
 @dataclass(frozen=True)
@@ -41,18 +39,10 @@ class Figure6Result:
         return [row for row in self.rows if row.mean_utilization < threshold]
 
 
-def run_figure6(config: ExperimentConfig = PAPER_SCALE) -> Figure6Result:
+def run_figure6(spec: ScenarioSpec = get_scenario("paper-reference")) -> Figure6Result:
     """Run one full auction over a synthetic fleet and compute the price ratios."""
-    scenario = build_scenario(config.scenario_config())
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=config.drift_scale, preliminary_runs=config.preliminary_runs
-    )
-    period = sim.run_one_auction()
-    rows = sort_rows_for_figure6(
-        price_ratio_table(
-            period.settlement.index, period.record.prices, scenario.platform.fixed_prices
-        )
-    )
+    period = MarketEconomySimulation.from_spec(spec.build(), spec).run_one_auction()
+    rows = sort_rows_for_figure6(period.price_ratios)
     return Figure6Result(
         rows=tuple(rows),
         correlation_with_utilization=ratio_utilization_correlation(rows),

@@ -17,9 +17,8 @@ from repro.analysis.utilization_stats import (
     figure7_boxplots,
     migration_summary,
 )
-from repro.experiments.config import ExperimentConfig, PAPER_SCALE
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
-from repro.simulation.scenario import build_scenario
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,11 @@ class Figure7Result:
         )
 
 
-def run_figure7(config: ExperimentConfig = PAPER_SCALE, *, auctions: int = 1) -> Figure7Result:
+def run_figure7(
+    spec: ScenarioSpec = get_scenario("paper-reference"), *, auctions: int = 1
+) -> Figure7Result:
     """Run ``auctions`` auction periods and pool the settled trades."""
-    scenario = build_scenario(config.scenario_config())
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=config.drift_scale, preliminary_runs=config.preliminary_runs
-    )
-    history = sim.run(auctions)
+    history = MarketEconomySimulation.from_spec(spec.build(), spec).run(auctions)
     trades = history.all_trades()
     return Figure7Result(
         boxplots=figure7_boxplots(history.settlements()),

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agents.population import PopulationSpec, build_population
-from repro.cluster.fleet_gen import FleetSpec, generate_fleet
+from repro.agents.population import PopulationSpec
 from repro.core.exchange import CombinatorialExchange
 from repro.core.increment import default_increment
-from repro.market.services import default_catalog
-from repro.agents.base import MarketView
+from repro.experiments import first_auction_bids
 
 
 @dataclass(frozen=True)
@@ -66,24 +64,9 @@ class ScalingResult:
 
 
 def _one_auction(bidders: int, clusters: int, *, seed: int) -> ScalingPoint:
-    fleet = generate_fleet(
-        FleetSpec(cluster_count=clusters, machines_range=(20, 80)), seed=seed
+    index, bids = first_auction_bids(
+        clusters, PopulationSpec(team_count=bidders, budget_per_team=1e6), seed=seed
     )
-    catalog = default_catalog()
-    agents = build_population(
-        fleet, PopulationSpec(team_count=bidders, budget_per_team=1e6), catalog=catalog, seed=seed
-    )
-    index = fleet.pool_index
-    view = MarketView(
-        index=index,
-        displayed_prices={p.name: p.unit_cost for p in index},
-        fixed_prices=dict(fleet.fixed_prices),
-        auction_number=1,
-        topology=fleet.topology,
-    )
-    bids = []
-    for agent in agents:
-        bids.extend(agent.prepare_bids(view))
     exchange = CombinatorialExchange(
         index, increment=default_increment(index.capacities()), strict_validation=False
     )

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.premium import PremiumStats, premium_trend
-from repro.experiments.config import ExperimentConfig, PAPER_SCALE
+from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import EconomyHistory, MarketEconomySimulation
-from repro.simulation.scenario import build_scenario
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,14 @@ class Table1Result:
         return self.rows[-count:]
 
 
-def run_table1(config: ExperimentConfig = PAPER_SCALE, *, auctions: int | None = None) -> Table1Result:
+def run_table1(
+    spec: ScenarioSpec = get_scenario("paper-reference"), *, auctions: int | None = None
+) -> Table1Result:
     """Run a multi-auction economy and compute the premium statistics per auction."""
-    scenario = build_scenario(config.scenario_config())
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=config.drift_scale, preliminary_runs=config.preliminary_runs
+    scenario = spec.build()
+    history = MarketEconomySimulation.from_spec(scenario, spec).run(
+        auctions if auctions is not None else spec.auctions
     )
-    history = sim.run(auctions if auctions is not None else config.auctions)
     rows = tuple(history.premium_rows())
     return Table1Result(rows=rows, trend=premium_trend(list(rows)), history=history)
 

@@ -37,10 +37,5 @@ class MarketMechanism:
         from repro.simulation.economy import MarketEconomySimulation
         from repro.simulation.runner import ScenarioRunResult
 
-        sim = MarketEconomySimulation(
-            scenario,
-            drift_scale=spec.drift_scale,
-            preliminary_runs=spec.preliminary_runs,
-        )
-        history = sim.run(spec.auctions)
+        history = MarketEconomySimulation.from_spec(scenario, spec).run(spec.auctions)
         return ScenarioRunResult.from_history(spec, scenario, history)

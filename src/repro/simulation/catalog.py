@@ -243,8 +243,8 @@ def default_sweep_names() -> list[str]:
 
 #: The paper's experimental market: "around 100 bidders and 100 system-level
 #: resources" (Section III-C-4) — 34 clusters x 3 resource dimensions = 102
-#: pools, 100 teams, six periodic auctions.  This spec is also the source of
-#: truth for :data:`repro.experiments.config.PAPER_SCALE`.
+#: pools, 100 teams, six periodic auctions.  The default scenario of the
+#: experiment drivers in :mod:`repro.experiments`.
 PAPER_REFERENCE = register_scenario(
     ScenarioSpec(
         name="paper-reference",
@@ -402,8 +402,7 @@ register_scenario(
     )
 )
 
-#: The reduced scale the unit tests and CI smoke runs use; also the source of
-#: truth for :data:`repro.experiments.config.TEST_SCALE`.
+#: The reduced scale the unit tests and CI smoke runs use.
 SMOKE = register_scenario(
     ScenarioSpec(
         name="smoke",

@@ -12,7 +12,7 @@ shrinking premiums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from repro.simulation.workload import (
     organic_drift,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.catalog import ScenarioSpec
+
 
 @dataclass
 class AuctionPeriodResult:
@@ -56,13 +59,6 @@ class AuctionPeriodResult:
     #: the pool-level shortage/surplus side is derived from
     #: ``utilization_after`` by the runner).
     allocation: AllocationMetrics
-    #: Shard partition / worker facts from the sharded auction engine
-    #: (``None`` for scalar/batch runs).  Diagnostic only — never part of
-    #: the canonical report.
-    shard_stats: dict[str, object] | None = None
-    #: Delta-kernel facts from the incremental auction engine (``None`` for
-    #: other engines).  Diagnostic only — never part of the canonical report.
-    incremental_stats: dict[str, object] | None = None
 
     @property
     def settlement(self) -> Settlement:
@@ -141,6 +137,15 @@ class MarketEconomySimulation:
         self._initial_index = scenario.pool_index
         self._initial_holdings = scenario.platform.quotas.snapshot()
 
+    @classmethod
+    def from_spec(cls, scenario: Scenario, spec: "ScenarioSpec") -> "MarketEconomySimulation":
+        """The simulation of ``scenario`` with ``spec``'s run knobs applied.
+
+        ``scenario`` is normally ``spec.build()``; it is taken separately so
+        callers can inspect the freshly built economy before the first auction.
+        """
+        return cls(scenario, drift_scale=spec.drift_scale, preliminary_runs=spec.preliminary_runs)
+
     # -- single-period mechanics ----------------------------------------------------------
     def _market_view(self) -> MarketView:
         platform = self.scenario.platform
@@ -173,7 +178,6 @@ class MarketEconomySimulation:
             platform.index, demands_from_agents(self.scenario.agents, platform.index)
         )
 
-        self.engine.phase(f"auction-{self._auction_counter}:bids")
         platform.open_bid_window()
         self._refresh_agent_state()
         view = self._market_view()
@@ -187,14 +191,8 @@ class MarketEconomySimulation:
                     continue
         for _ in range(self.preliminary_runs):
             platform.run_preliminary()
-        # With the sharded engine, finalize_auction overlaps each shard's
-        # settlement with the remaining shards' price discovery (the
-        # exchange's on_shard pipeline); the phase markers bracket it so the
-        # engine trace shows the discovery window per epoch.
-        self.engine.phase(f"auction-{self._auction_counter}:discovery")
         record = platform.finalize_auction()
         settlement = record.result.settlement
-        self.engine.phase(f"auction-{self._auction_counter}:settled")
 
         # Feed settlements back to the agents (learning across auctions).
         # Grouped once up front: a per-agent scan of the line list is
@@ -236,8 +234,6 @@ class MarketEconomySimulation:
             utilization_after=updated_index.utilizations().copy(),
             migration=migration_summary(trades),
             allocation=allocation,
-            shard_stats=record.result.shard_stats,
-            incremental_stats=record.result.incremental_stats,
         )
         self.history.periods.append(period)
         return period
@@ -272,16 +268,3 @@ class MarketEconomySimulation:
         self.engine.run()
         return self.history
 
-
-def run_economy(
-    scenario: Scenario,
-    *,
-    auctions: int = 6,
-    drift_scale: float = 0.015,
-    preliminary_runs: int = 0,
-) -> EconomyHistory:
-    """Convenience wrapper: build the simulation and run ``auctions`` periods."""
-    sim = MarketEconomySimulation(
-        scenario, drift_scale=drift_scale, preliminary_runs=preliminary_runs
-    )
-    return sim.run(auctions)

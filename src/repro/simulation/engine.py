@@ -118,15 +118,6 @@ class SimulationEngine:
         """Cancel a scheduled event by handle (no-op if it already ran)."""
         self._cancelled.add(handle)
 
-    def phase(self, name: str) -> None:
-        """Record a ``phase:<name>`` marker in the trace at the current time.
-
-        Lets a long-running event callback expose its internal pipeline — bid
-        ingestion, per-shard price discovery overlapped with settlement,
-        finalization — to trace-based tests without scheduling extra events.
-        """
-        self.trace.append((self._now, f"phase:{name}"))
-
     # -- execution ------------------------------------------------------------------------
     def step(self) -> Event | None:
         """Execute the next pending event; returns it, or ``None`` if the queue is empty."""

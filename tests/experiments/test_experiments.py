@@ -12,27 +12,21 @@ from repro.experiments.ablation_increment import run_ablation_increment
 from repro.experiments.ablation_reserve import run_ablation_reserve
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.clock_rounds import run_clock_rounds
-from repro.experiments.config import TEST_SCALE, ExperimentConfig
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.scaling import run_scaling
 from repro.experiments.table1 import run_table1
+from repro.simulation.catalog import get_scenario
+from repro.simulation.runner import _round_list, run_scenario
+
+SMOKE = get_scenario("smoke")
 
 
-class TestConfig:
-    def test_scenario_config_carries_scale(self):
-        config = ExperimentConfig(cluster_count=5, team_count=9, seed=1)
-        scenario_config = config.scenario_config()
-        assert scenario_config.fleet.cluster_count == 5
-        assert scenario_config.population.team_count == 9
-        assert scenario_config.seed == 1
-
-    def test_overrides(self):
-        from repro.core.reserve import FlatWeight
-
-        scenario_config = TEST_SCALE.scenario_config(weighting=FlatWeight(1.0))
-        assert isinstance(scenario_config.weighting, FlatWeight)
+class TestOnePipeline:
+    def test_drivers_and_runner_run_the_same_market(self):
+        rows = run_table1(SMOKE).rows
+        assert _round_list(row.median_premium for row in rows) == run_scenario(SMOKE).median_premium
 
 
 class TestFigure2:
@@ -52,8 +46,8 @@ class TestFigure2:
 
 class TestFigure6:
     def test_price_ratios_track_utilization(self):
-        result = run_figure6(TEST_SCALE)
-        assert len(result.rows) == TEST_SCALE.cluster_count
+        result = run_figure6(SMOKE)
+        assert len(result.rows) == SMOKE.config.fleet.cluster_count
         assert result.correlation_with_utilization > 0.3
         ratios = [row.cpu_ratio for row in result.rows]
         assert min(ratios) < 1.0 < max(ratios)
@@ -63,7 +57,7 @@ class TestFigure6:
 
 class TestFigure7:
     def test_bids_in_idle_pools_offers_in_congested_pools(self):
-        result = run_figure7(TEST_SCALE)
+        result = run_figure7(SMOKE)
         assert result.migration["bid_count"] > 0
         if result.migration["offer_count"] > 0:
             assert result.migration["median_offer_percentile"] > result.migration["median_bid_percentile"]
@@ -73,7 +67,7 @@ class TestFigure7:
 
 class TestTable1:
     def test_premiums_decline_over_auctions(self):
-        result = run_table1(TEST_SCALE, auctions=3)
+        result = run_table1(SMOKE, auctions=3)
         assert len(result.rows) == 3
         assert result.trend["median_last"] <= result.trend["median_first"]
         assert result.last_rows(2) == result.rows[-2:]
@@ -87,8 +81,7 @@ class TestScaling:
             bidder_counts=(10, 20), cluster_counts=(4, 8), reference_bidders=20, reference_clusters=8
         )
         assert len(result.points) >= 3
-        reference = result.point(20, 24)
-        assert reference.seconds < 30.0
+        assert result.point(20, 24).rounds > 0
         assert np.isfinite(result.bidder_exponent)
         assert np.isfinite(result.pool_exponent)
         with pytest.raises(KeyError):
@@ -109,7 +102,7 @@ class TestClockRounds:
 
 class TestBaselineComparison:
     def test_market_balances_utilization_better(self):
-        result = run_baseline_comparison(TEST_SCALE, market_auctions=2)
+        result = run_baseline_comparison(SMOKE, market_auctions=2)
         assert set(result.metrics) == {
             "fixed_price_fcfs", "proportional_share", "priority", "lottery", "market",
         }
@@ -130,7 +123,7 @@ class TestAblations:
         assert proportional.disk_to_cpu_ratio_skew <= naive.disk_to_cpu_ratio_skew
 
     def test_reserve_ablation_steers_demand(self):
-        result = run_ablation_reserve(TEST_SCALE)
+        result = run_ablation_reserve(SMOKE)
         assert len(result.rows) == 4
         flat = result.row("flat")
         phi1 = result.row("phi1")

@@ -1,7 +1,5 @@
 """Tests for the scenario catalog: registry integrity, presets, overrides."""
 
-import dataclasses
-
 import pytest
 
 from repro.agents.population import PopulationSpec
@@ -107,44 +105,6 @@ class TestScenarioSpec:
         summary = get_scenario("paper-reference").summary()
         assert json.loads(json.dumps(summary)) == summary
         assert summary["teams"] == 100
-
-
-class TestExperimentConfigBridge:
-    def test_paper_scale_is_paper_reference(self):
-        from repro.experiments.config import PAPER_SCALE
-
-        assert PAPER_SCALE.scenario_config() == get_scenario("paper-reference").config
-
-    def test_test_scale_is_smoke(self):
-        from repro.experiments.config import TEST_SCALE
-
-        assert TEST_SCALE.scenario_config() == get_scenario("smoke").config
-        assert TEST_SCALE.auctions == get_scenario("smoke").auctions
-
-    def test_from_scenario_accepts_spec_objects(self):
-        from repro.experiments.config import ExperimentConfig
-
-        spec = get_scenario("congested-fleet")
-        config = ExperimentConfig.from_scenario(spec)
-        assert config.cluster_count == spec.config.fleet.cluster_count
-        # base carries knobs the scale fields cannot express
-        assert config.scenario_config().fleet.utilization_range == (0.70, 0.97)
-
-    def test_replace_on_derived_config_takes_effect(self):
-        from repro.experiments.config import PAPER_SCALE
-
-        scaled = dataclasses.replace(PAPER_SCALE, team_count=10, cluster_count=5)
-        config = scaled.scenario_config()
-        assert config.population.team_count == 10
-        assert config.fleet.cluster_count == 5
-
-    def test_ad_hoc_config_still_builds_without_base(self):
-        from repro.experiments.config import ExperimentConfig
-
-        config = ExperimentConfig(cluster_count=3, team_count=5, seed=1)
-        scenario_config = config.scenario_config()
-        assert scenario_config.fleet.cluster_count == 3
-        assert scenario_config.population.team_count == 5
 
 
 class TestMechanismField:

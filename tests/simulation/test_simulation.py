@@ -1,11 +1,14 @@
 """Unit and integration tests for the discrete-event engine, workload helpers, scenario, and economy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.agents.population import PopulationSpec
 from repro.cluster.fleet_gen import FleetSpec
-from repro.simulation.economy import MarketEconomySimulation, run_economy
+from repro.simulation.catalog import get_scenario
+from repro.simulation.economy import MarketEconomySimulation
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenario import ScenarioConfig, build_scenario, small_scenario
 from repro.simulation.workload import (
@@ -210,10 +213,12 @@ class TestEconomySimulation:
         hist, _ = history
         assert len(hist.all_trades()) >= sum(len(p.trades) for p in hist.periods[:1])
 
-    def test_run_economy_helper(self):
-        scenario = small_scenario(seed=6, team_count=15, cluster_count=5)
-        hist = run_economy(scenario, auctions=2)
-        assert len(hist) == 2
+    def test_from_spec_applies_the_run_knobs(self):
+        spec = get_scenario("smoke").with_overrides(auctions=2, drift_scale=0.03)
+        spec = dataclasses.replace(spec, preliminary_runs=1)
+        sim = MarketEconomySimulation.from_spec(spec.build(), spec)
+        assert (sim.drift_scale, sim.preliminary_runs) == (0.03, 1)
+        assert len(sim.run(spec.auctions)) == 2
 
     def test_invalid_parameters(self):
         scenario = small_scenario(seed=7, team_count=5, cluster_count=4)
