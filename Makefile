@@ -70,15 +70,12 @@ chaos:
 	$(PYTHON) -m pytest tests/exec/test_chaos.py tests/exec/test_queue.py \
 	    tests/exec/test_control.py tests/property/test_property_queue.py -q
 
-## differential-equivalence harness: scalar vs batch vs incremental vs
-## sharded demand engines must produce byte-identical canonical reports and
-## round traces on every non-stress catalog preset (plus the sharding and
-## incremental-kernel property suites) — engine drift fails the build here,
-## not just in the benchmarks
+## differential-equivalence harness: the scalar and batch demand engines
+## must produce byte-identical canonical reports and round traces on every
+## non-stress catalog preset — engine drift fails the build here, not just
+## in the benchmarks
 equivalence:
-	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py \
-	    tests/property/test_property_sharding.py \
-	    tests/property/test_property_incremental.py -q
+	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py -q
 
 ## everything CI runs
 check: test doctest chaos equivalence smoke

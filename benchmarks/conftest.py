@@ -56,13 +56,6 @@ def record_bench_entry(path: Path, *, merge: bool = False, **payload) -> None:
     path.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def pytest_configure(config: pytest.Config) -> None:
-    config.addinivalue_line(
-        "markers",
-        "slow: long-running stress benchmarks (deselect with -m 'not slow')",
-    )
-
-
 @pytest.fixture(scope="session")
 def bench_config() -> ScenarioSpec:
     """The catalog scenario used by all benchmarks."""

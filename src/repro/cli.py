@@ -273,7 +273,7 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--auctions", type=int, default=None, metavar="N",
                      help="override the scenario's auction count")
     cmd.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
-    cmd.add_argument("--engine", choices=("auto", "scalar", "batch", "incremental", "sharded"),
+    cmd.add_argument("--engine", choices=("auto", "scalar", "batch"),
                      default=None, help="override the demand-collection engine")
     cmd.add_argument("--mechanism", default=None, metavar="M",
                      help="allocation mechanism(s): a name, a comma list, or 'all' "

@@ -34,7 +34,6 @@ from repro.core.reserve import (
 from repro.core.batch import (
     BatchDemandEngine,
     BatchResponse,
-    IncrementalDemandState,
     sum_demand_rows,
 )
 from repro.core.clock_auction import (
@@ -90,7 +89,6 @@ __all__ = [
     "BATCH_AUTO_THRESHOLD",
     "BatchDemandEngine",
     "BatchResponse",
-    "IncrementalDemandState",
     "ConvergenceError",
     "ENGINES",
     "sum_demand_rows",

@@ -25,48 +25,16 @@ demand — so :class:`~repro.core.clock_auction.AscendingClockAuction` can swap
 it in underneath the existing round-trace contract (``AuctionRound`` /
 ``AuctionOutcome``) without any caller noticing anything but speed.
 
-Beyond the one-shot evaluation this module is also the substrate of the
-*sharded* engine (``engine="sharded"`` in
-:class:`~repro.core.clock_auction.AuctionConfig`): :func:`plan_shards`
-partitions the pool index into independent shards — groups of pools that no
-bid couples across — straight from the stacked bid matrix, and
-:meth:`BatchDemandEngine.restrict` carves a per-shard row view of the stacked
-arrays so each shard's price discovery runs on its own (smaller) batch
-engine.  See ``docs/sharding.md`` for the merge semantics.
-
-The third layer is the *incremental* kernel (``engine="incremental"``):
-:meth:`BatchDemandEngine.incremental` opens an
-:class:`IncrementalDemandState` that exploits round-to-round sparsity.  The
-clock only raises prices on over-demanded pools, so late rounds move a
-shrinking subset of the price vector; the state keeps a CSR-style
-pool → bundle-row inverted index and per-row cost accumulators, and
-:meth:`IncrementalDemandState.respond_delta` re-evaluates only the rows that
-reference a pool whose price actually moved.  Bidders that are pure buyers
-(all bundle quantities non-negative) are *retired* the round they drop out —
-their bundle costs are monotone non-decreasing along the clock's ascending
-price path, so they can never re-enter and their rows are permanently
-excluded from future deltas.  Sellers and traders (any negative quantity)
-are never retired: their costs can fall as prices rise, so they may re-enter
-and must be re-evaluated whenever one of their pools moves.  See
-``docs/engines.md`` for the engine matrix and the full soundness argument.
-
 Numerical-identity notes
 ------------------------
 
 * Demand *totals* are accumulated with :func:`sum_demand_rows`
   (``np.add.reduce`` over axis 0), which is bit-identical to the scalar
   path's sequential ``total += quantities`` accumulation for IEEE floats.
-  Because a bid's bundle rows are structurally zero outside the pools it
-  references (and structural zeros stay exactly ``+0.0`` under any finite
-  price), a shard's per-pool total is bit-identical to the full stacked
-  sum restricted to the shard's pools — the property the sharded engine's
-  trace merge rests on.
 * Bundle *costs* come from one stacked matrix-vector product instead of one
   small product per bidder; BLAS may order the per-row dot products'
   partial sums differently, so costs can differ from the scalar path in the
-  last few ULPs.  The same qualification applies between the full stacked
-  matrix and a shard's row subset (gemv partial-sum order depends on the
-  row count).  This only matters when a bundle cost sits within ~1e-15
+  last few ULPs.  This only matters when a bundle cost sits within ~1e-15
   (relative) of another bundle's cost or of the bidder's limit — knife-edge
   ties that the equivalence test suite shows do not occur for generic
   instances.
@@ -82,33 +50,6 @@ import numpy as np
 from repro.cluster.pools import PoolIndex
 from repro.core.bids import Bid
 from repro.core.proxy import DROPOUT_SLACK
-
-
-def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate the index ranges ``[starts[i], starts[i] + counts[i])``.
-
-    Vectorized equivalent of ``np.concatenate([np.arange(s, s + c) ...])``
-    without a Python-level loop: the workhorse behind both
-    :meth:`BatchDemandEngine.restrict` (gathering each selected bid's
-    contiguous row range) and the incremental kernel (gathering the bundle
-    rows of a set of bidders).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> _gather_ranges(np.array([5, 0]), np.array([2, 3])).tolist()
-    [5, 6, 0, 1, 2]
-    >>> _gather_ranges(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).size
-    0
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    counts = np.asarray(counts, dtype=np.intp)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.intp)
-    ends = np.cumsum(counts)
-    local = np.arange(total, dtype=np.intp) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + local
 
 
 def sum_demand_rows(rows: np.ndarray) -> np.ndarray:
@@ -140,55 +81,6 @@ def sum_demand_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 0:
         return np.zeros(rows.shape[1], dtype=float)
     return np.add.reduce(rows, axis=0)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A partition of pools (and the bids over them) into independent shards.
-
-    Two pools belong to the same shard exactly when some bid references both
-    (any bundle of a bid couples *all* pools the bid touches, because the XOR
-    set is evaluated jointly against one limit).  Pools no bid references —
-    plus bids whose bundles are all-zero — are collected into one trailing
-    *leftover* shard, which trivially clears in a single round.
-
-    Attributes
-    ----------
-    pool_groups:
-        Pool positions per shard, each sorted ascending; together they cover
-        every pool exactly once.
-    bid_groups:
-        Bid positions (submission order) per shard, aligned with
-        ``pool_groups``; together they cover every bid exactly once.
-    """
-
-    pool_groups: tuple[tuple[int, ...], ...]
-    bid_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards, including a trailing leftover shard if any."""
-        return len(self.pool_groups)
-
-    @property
-    def effective_shards(self) -> int:
-        """Number of shards that actually carry bids.
-
-        The sharded engine only pays its orchestration overhead when at least
-        two shards have price discovery to do; below that it falls back to
-        the plain batch loop.
-        """
-        return sum(1 for group in self.bid_groups if group)
-
-    def describe(self) -> dict[str, object]:
-        """Scalar facts for logs and stats: shard count and size spread."""
-        sizes = sorted((len(g) for g in self.bid_groups), reverse=True)
-        return {
-            "shards": self.shard_count,
-            "effective_shards": self.effective_shards,
-            "largest_shard_bids": sizes[0] if sizes else 0,
-            "pool_groups": [len(g) for g in self.pool_groups],
-        }
 
 
 @dataclass(frozen=True)
@@ -232,42 +124,6 @@ class BatchResponse:
     def demand_map(self) -> dict[str, np.ndarray]:
         """Per-bidder demand vectors keyed by bidder id (round-trace form)."""
         return {name: self.quantities[i] for i, name in enumerate(self.bidders)}
-
-
-@dataclass(frozen=True)
-class _DeltaLayout:
-    """Inverted indexes the incremental kernel needs, built once per engine.
-
-    All three structures are derived purely from the *structural* sparsity of
-    the stacked bundle matrix (which entries are nonzero), never from prices,
-    so they stay valid for the engine's whole lifetime.
-
-    Attributes
-    ----------
-    col_indptr / col_rows:
-        CSR-over-columns (i.e. CSC) view of the bundle matrix: bundle rows
-        referencing pool ``c`` are ``col_rows[col_indptr[c]:col_indptr[c+1]]``,
-        ascending.  A price move on pool ``c`` can only change the costs of
-        exactly these rows.
-    pool_bidder_indptr / pool_bidders:
-        The same inversion one level up: bidders whose *bid* references pool
-        ``c`` (any bundle row nonzero there) are
-        ``pool_bidders[pool_bidder_indptr[c]:pool_bidder_indptr[c+1]]``,
-        ascending.  Only these bidders can contribute a nonzero demand to
-        pool ``c``'s total, which is what lets the running total be patched
-        per pool by re-accumulating just this subsequence.
-    buyer_mask:
-        ``True`` for bidders whose every bundle quantity is non-negative
-        (pure buyers).  Only these may be permanently retired on drop-out:
-        their bundle costs are monotone non-decreasing along the clock's
-        ascending price path.  Sellers/traders can re-enter and never retire.
-    """
-
-    col_indptr: np.ndarray
-    col_rows: np.ndarray
-    pool_bidder_indptr: np.ndarray
-    pool_bidders: np.ndarray
-    buyer_mask: np.ndarray
 
 
 class BatchDemandEngine:
@@ -321,24 +177,16 @@ class BatchDemandEngine:
             self._matrix = np.vstack([bid.bundles.matrix for bid in bids]).astype(float, copy=False)
             counts = np.array([len(bid.bundles) for bid in bids], dtype=np.intp)
         self._limits = np.array([bid.limit for bid in bids], dtype=float)
-        self._init_layout(counts)
-
-    def _init_layout(self, counts: np.ndarray) -> None:
-        """Derive the segment bookkeeping from per-bidder bundle counts."""
-        n = len(self.bidders)
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
+        #: First bundle row of each bidder's segment.
         self._starts = offsets[:-1]
-        self._offsets = offsets
         k = int(offsets[-1])
         self._k = k
         #: Global row number of every bundle row (argmin tie-break helper).
         self._row_ids = np.arange(k, dtype=np.intp)
         #: Which bidder each bundle row belongs to.
         self._segment_ids = np.repeat(np.arange(n, dtype=np.intp), counts)
-        #: Lazily built inverted indexes for the incremental kernel
-        #: (see :meth:`_ensure_delta_layout`).
-        self._delta_layout: _DeltaLayout | None = None
 
     def __len__(self) -> int:
         return len(self.bidders)
@@ -357,126 +205,6 @@ class BatchDemandEngine:
     def limits(self) -> np.ndarray:
         """Per-bidder willingness-to-pay limits ``pi_u``."""
         return self._limits
-
-    def restrict(self, positions: Sequence[int]) -> "BatchDemandEngine":
-        """A new engine over the given bid positions (submission-order subset).
-
-        The stacked matrix rows of the selected bids are gathered into a
-        contiguous copy over the *full* pool axis, so the restricted engine
-        answers the same full-length price vectors as its parent — which is
-        what lets a shard's responses slot bitwise into the global trace
-        (structural zeros outside the shard's pools contribute exact ``+0.0``
-        to every cost and total).
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from repro.cluster.pools import demo_pool_index
-        >>> from repro.core.bids import Bid
-        >>> index = demo_pool_index()
-        >>> bids = [Bid.buy(f"t{i}", index, [{"a/cpu": 5}], max_payment=50.0) for i in range(3)]
-        >>> sub = BatchDemandEngine(index, bids).restrict([2, 0])
-        >>> sub.bidders
-        ('t2', 't0')
-        >>> sub.matrix.shape
-        (2, 4)
-        """
-        positions = np.asarray(positions, dtype=np.intp)
-        sub = object.__new__(BatchDemandEngine)
-        sub.index = self.index
-        sub.bidders = tuple(self.bidders[int(i)] for i in positions)
-        sub._limits = self._limits[positions]
-        counts = self._offsets[positions + 1] - self._offsets[positions]
-        rows = _gather_ranges(self._starts[positions], counts)
-        if rows.size:
-            sub._matrix = np.ascontiguousarray(self._matrix[rows])
-        else:
-            sub._matrix = np.zeros((0, len(self.index)), dtype=float)
-        sub._init_layout(counts)
-        return sub
-
-    def plan_shards(self) -> ShardPlan:
-        """Partition pools and bids into independent shards (see :class:`ShardPlan`).
-
-        Union-find over pool positions: every bid unions together all pools
-        any of its bundles references.  Shards are ordered by their smallest
-        pool position; unreferenced pools and all-zero bids form one trailing
-        leftover shard.
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from repro.cluster.pools import demo_pool_index
-        >>> from repro.core.bids import Bid
-        >>> index = demo_pool_index()   # pools: a/cpu a/ram b/cpu b/ram
-        >>> bids = [Bid.buy("a", index, [{"a/cpu": 1, "a/ram": 2}], max_payment=9.0),
-        ...         Bid.buy("b", index, [{"b/cpu": 1}], max_payment=9.0)]
-        >>> plan = BatchDemandEngine(index, bids).plan_shards()
-        >>> plan.pool_groups
-        ((0, 1), (2,), (3,))
-        >>> plan.bid_groups
-        ((0,), (1,), ())
-        """
-        r = len(self.index)
-        n = len(self.bidders)
-        parent = list(range(r))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return
-            # Attach the larger root under the smaller so every component's
-            # root is its smallest pool position (deterministic ordering).
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-        nz_rows, nz_cols = np.nonzero(self._matrix)
-        seg = self._segment_ids
-        #: First referenced pool of each bid; -1 for all-zero bids.
-        anchor = np.full(n, -1, dtype=np.intp)
-        current_bid = -1
-        current_anchor = -1
-        for row, col in zip(nz_rows.tolist(), nz_cols.tolist()):
-            bid = int(seg[row])
-            if bid != current_bid:
-                current_bid = bid
-                current_anchor = col
-                anchor[bid] = col
-            else:
-                union(current_anchor, col)
-
-        referenced = np.zeros(r, dtype=bool)
-        referenced[nz_cols] = True
-        pool_by_root: dict[int, list[int]] = {}
-        leftover_pools: list[int] = []
-        for p in range(r):
-            if referenced[find(p)] or referenced[p]:
-                pool_by_root.setdefault(find(p), []).append(p)
-            else:
-                leftover_pools.append(p)
-        roots = sorted(pool_by_root)
-        shard_of_root = {root: i for i, root in enumerate(roots)}
-        bid_by_shard: list[list[int]] = [[] for _ in roots]
-        leftover_bids: list[int] = []
-        for b in range(n):
-            if anchor[b] < 0:
-                leftover_bids.append(b)
-            else:
-                bid_by_shard[shard_of_root[find(int(anchor[b]))]].append(b)
-        pool_groups = [tuple(pool_by_root[root]) for root in roots]
-        bid_groups = [tuple(group) for group in bid_by_shard]
-        if leftover_pools or leftover_bids:
-            pool_groups.append(tuple(leftover_pools))
-            bid_groups.append(tuple(leftover_bids))
-        return ShardPlan(pool_groups=tuple(pool_groups), bid_groups=tuple(bid_groups))
 
     def respond_all(self, prices: np.ndarray) -> BatchResponse:
         """Evaluate ``G_u(p)`` for every bidder at once.
@@ -521,401 +249,3 @@ class BatchDemandEngine:
             costs=chosen_costs,
             active=active,
         )
-
-    def aggregate_demand(self, prices: np.ndarray) -> np.ndarray:
-        """Total demand ``z(p) = sum_u G_u(p)``; batched twin of
-        :func:`repro.core.proxy.aggregate_demand`."""
-        return self.respond_all(prices).total
-
-    def dropout_price_scales(self, prices: np.ndarray, *, max_scale: float = 1e6) -> np.ndarray:
-        """Per-bidder scalar ``s`` such that bidder ``u`` drops out at ``s * p``.
-
-        Vectorized twin of
-        :meth:`repro.core.proxy.BidderProxy.dropout_price_scale`: meaningful
-        for pure buyers (whose costs grow linearly in the price scale);
-        bidders that never drop out along the ray report ``max_scale``.
-        """
-        prices = np.asarray(prices, dtype=float)
-        if len(self.bidders) == 0:
-            return np.zeros(0, dtype=float)
-        costs = self._matrix @ prices
-        cheapest = np.minimum.reduceat(costs, self._starts)
-        scales = np.full(len(self.bidders), float(max_scale))
-        positive = cheapest > 0.0
-        scales[positive] = np.minimum(max_scale, self._limits[positive] / cheapest[positive])
-        return scales
-
-    # -- incremental kernel ---------------------------------------------------
-    def _ensure_delta_layout(self) -> _DeltaLayout:
-        """Build (once) the inverted indexes of :class:`_DeltaLayout`."""
-        if self._delta_layout is not None:
-            return self._delta_layout
-        n = len(self.bidders)
-        r = len(self.index)
-        nz_rows, nz_cols = np.nonzero(self._matrix)
-        # CSC: stable sort by column keeps rows ascending within each column.
-        order = np.argsort(nz_cols, kind="stable")
-        col_rows = nz_rows[order]
-        col_indptr = np.zeros(r + 1, dtype=np.intp)
-        np.cumsum(np.bincount(nz_cols, minlength=r), out=col_indptr[1:])
-        # Pool -> referencing bidders: dedup (column, bidder) pairs.  The
-        # encoded keys are already sorted (columns ascending; within a column
-        # rows — hence segment ids — ascending), so dedup is one comparison.
-        keys = nz_cols[order] * n + self._segment_ids[col_rows]
-        if keys.size:
-            keep = np.concatenate(([True], keys[1:] != keys[:-1]))
-            keys = keys[keep]
-        pool_bidders = keys % max(n, 1)
-        pool_bidder_indptr = np.zeros(r + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // max(n, 1), minlength=r), out=pool_bidder_indptr[1:])
-        if self._k:
-            buyer_mask = np.logical_and.reduceat(
-                np.all(self._matrix >= 0.0, axis=1), self._starts
-            )
-        else:
-            buyer_mask = np.zeros(n, dtype=bool)
-        self._delta_layout = _DeltaLayout(
-            col_indptr=col_indptr,
-            col_rows=col_rows,
-            pool_bidder_indptr=pool_bidder_indptr,
-            pool_bidders=pool_bidders.astype(np.intp, copy=False),
-            buyer_mask=buyer_mask,
-        )
-        return self._delta_layout
-
-    def incremental(self) -> "IncrementalDemandState":
-        """Open a delta-driven evaluation state over this engine's bids.
-
-        The returned :class:`IncrementalDemandState` answers a *monotone*
-        sequence of price announcements (the clock only raises prices) by
-        re-evaluating only the bundle rows that reference a pool whose price
-        actually moved, while producing exactly the decisions
-        :meth:`respond_all` would.  Each state is one clock run; open a fresh
-        state to restart from the reserve prices.
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from repro.cluster.pools import demo_pool_index
-        >>> from repro.core.bids import Bid
-        >>> index = demo_pool_index()   # pools: a/cpu a/ram b/cpu b/ram
-        >>> bids = [
-        ...     Bid.buy("a", index, [{"a/cpu": 10}], max_payment=25.0),
-        ...     Bid.buy("b", index, [{"b/cpu": 5}], max_payment=1e6),
-        ... ]
-        >>> engine = BatchDemandEngine(index, bids)
-        >>> state = engine.incremental()
-        >>> p = np.ones(len(index))
-        >>> state.advance(p); state.rows_evaluated        # round 0: all rows
-        [2]
-        >>> p2 = p.copy(); p2[0] = 3.0                    # only a/cpu moves
-        >>> state.advance(p2); state.rows_evaluated[-1]   # only team a's row
-        1
-        >>> bool(state.active[0])                         # 30 > 25: dropped
-        False
-        >>> state.retired_count                           # pure buyer: retired
-        1
-        >>> p3 = p2.copy(); p3[0] = 9.0
-        >>> state.advance(p3); state.rows_evaluated[-1]   # row is retired now
-        0
-        """
-        return IncrementalDemandState(self)
-
-
-class IncrementalDemandState:
-    """Delta-driven round evaluation over a :class:`BatchDemandEngine`.
-
-    Maintains, across a monotone (non-decreasing) price sequence:
-
-    * per-bundle-row cost accumulators, refreshed only for rows touching
-      pools whose prices moved (via the CSC pool -> row index);
-    * each bidder's cheapest bundle / drop-out flag / demand row, recomputed
-      only for bidders owning a touched row, with the identical segmented
-      reductions, tie-break, and ``DROPOUT_SLACK`` rule as
-      :meth:`BatchDemandEngine.respond_all`;
-    * the market-wide total-demand vector as a *running sum*, patched per
-      changed pool instead of re-reduced over all bidders;
-    * a permanent retired set: pure buyers that drop out can never re-enter
-      under ascending prices, so their rows leave the active set for good.
-
-    The state's round sequence is bit-identical to calling ``respond_all``
-    afresh each round (see the numerical-identity notes in the module
-    docstring for the one ULP qualification on bundle costs, shared with the
-    sharded engine).  ``quantities``/``total`` expose live internal buffers
-    that later ``advance`` calls mutate in place — callers that record them
-    must copy (:meth:`demand_map` does).
-    """
-
-    def __init__(self, engine: BatchDemandEngine):
-        self.engine = engine
-        self._layout = engine._ensure_delta_layout()
-        n = len(engine.bidders)
-        r = len(engine.index)
-        k = engine._k
-        self._prices: np.ndarray | None = None
-        self._costs = np.zeros(k, dtype=float)
-        self._cheapest = np.zeros(n, dtype=float)
-        self._chosen_rows = np.zeros(n, dtype=np.intp)
-        self._active = np.zeros(n, dtype=bool)
-        self._quantities = np.zeros((n, r), dtype=float)
-        self._total = np.zeros(r, dtype=float)
-        self._active_count = 0
-        self._retired = np.zeros(n, dtype=bool)
-        self._live_rows = np.ones(k, dtype=bool)
-        # Scratch masks for duplicate-free touched-row / affected-bidder
-        # collection (a linear scan beats ``np.unique``'s sort by ~40x at
-        # stress scale).
-        self._row_scratch = np.zeros(k, dtype=bool)
-        self._bidder_scratch = np.zeros(n, dtype=bool)
-        #: Number of bundle rows re-evaluated per round (round 0 = all rows).
-        self.rows_evaluated: list[int] = []
-
-    # -- read side (live buffers: do not mutate) ------------------------------
-    @property
-    def round_count(self) -> int:
-        """Number of price announcements evaluated so far."""
-        return len(self.rows_evaluated)
-
-    @property
-    def total(self) -> np.ndarray:
-        """The running total demand ``sum_u G_u(p)`` (borrowed buffer)."""
-        return self._total
-
-    @property
-    def quantities(self) -> np.ndarray:
-        """Per-bidder ``(n, R)`` demand rows at the last prices (borrowed)."""
-        return self._quantities
-
-    @property
-    def active(self) -> np.ndarray:
-        """Per-bidder drop-out mask at the last prices (borrowed)."""
-        return self._active
-
-    @property
-    def active_count(self) -> int:
-        """Number of bidders still demanding a bundle at the last prices."""
-        return self._active_count
-
-    @property
-    def retired_count(self) -> int:
-        """Number of bidders permanently retired (dropped-out pure buyers)."""
-        return int(np.count_nonzero(self._retired))
-
-    def demand_map(self) -> dict[str, np.ndarray]:
-        """Caller-owned per-bidder demand copies (round-trace form)."""
-        return {
-            name: self._quantities[i].copy()
-            for i, name in enumerate(self.engine.bidders)
-        }
-
-    def stats(self) -> dict[str, object]:
-        """Diagnostic facts about the delta run (never canonical output)."""
-        k = self.engine._k
-        later = self.rows_evaluated[1:]
-        return {
-            "bundle_rows": k,
-            "rounds": len(self.rows_evaluated),
-            "rows_evaluated": list(self.rows_evaluated),
-            "retired_bidders": self.retired_count,
-            "live_rows": int(np.count_nonzero(self._live_rows)),
-            "mean_rows_fraction_after_first": (
-                float(np.mean(later)) / k if (k and later) else 0.0
-            ),
-        }
-
-    # -- write side -----------------------------------------------------------
-    def advance(self, prices: np.ndarray, moved_mask: np.ndarray | None = None) -> None:
-        """Evaluate the next price announcement of the clock.
-
-        The first call performs one full evaluation (identical operations to
-        :meth:`BatchDemandEngine.respond_all`); every later call re-evaluates
-        only live bundle rows touching pools whose prices moved.
-
-        Parameters
-        ----------
-        prices:
-            The announced price vector; must be component-wise >= the
-            previous announcement (the clock never lowers a price).
-        moved_mask:
-            Optional caller hint: boolean mask of pools whose prices *may*
-            have moved.  Validated against the actual price changes — a mask
-            missing a moved pool raises ``ValueError`` — then intersected
-            with the pools that really moved, so a conservative (all-true)
-            hint costs nothing.
-        """
-        eng = self.engine
-        prices = np.asarray(prices, dtype=float)
-        if prices.shape != (len(eng.index),):
-            raise ValueError(
-                f"prices have shape {prices.shape}, expected ({len(eng.index)},)"
-            )
-        if self._prices is None:
-            self._full_eval(prices)
-        else:
-            if np.any(prices < self._prices):
-                raise ValueError(
-                    "incremental state requires non-decreasing prices; "
-                    "open a fresh state to restart the clock"
-                )
-            moved = prices != self._prices
-            if moved_mask is not None:
-                moved_mask = np.asarray(moved_mask, dtype=bool)
-                if moved_mask.shape != moved.shape:
-                    raise ValueError("moved_mask has the wrong shape")
-                if np.any(moved & ~moved_mask):
-                    raise ValueError("moved_mask misses pools whose prices changed")
-            self._delta_eval(prices, moved)
-        self._prices = prices.copy()
-
-    def respond_delta(
-        self, prices: np.ndarray, moved_mask: np.ndarray | None = None
-    ) -> BatchResponse:
-        """``advance`` then snapshot the round as a :class:`BatchResponse`.
-
-        The response's ``quantities``/``total``/``active`` arrays are the
-        state's live buffers (borrowed, mutated by the next ``advance``);
-        ``bundle_indices`` and ``costs`` are fresh.
-        """
-        self.advance(prices, moved_mask)
-        eng = self.engine
-        dropped = ~self._active
-        chosen_costs = (
-            self._costs[self._chosen_rows].copy()
-            if eng._k
-            else np.zeros(0, dtype=float)
-        )
-        chosen_costs[dropped] = 0.0
-        bundle_indices = np.where(self._active, self._chosen_rows - eng._starts, -1)
-        return BatchResponse(
-            bidders=eng.bidders,
-            quantities=self._quantities,
-            total=self._total,
-            bundle_indices=bundle_indices,
-            costs=chosen_costs,
-            active=self._active,
-        )
-
-    # -- internals ------------------------------------------------------------
-    def _full_eval(self, prices: np.ndarray) -> None:
-        """Round 0: the exact operation sequence of ``respond_all``."""
-        eng = self.engine
-        self.rows_evaluated.append(eng._k)
-        if len(eng.bidders) == 0:
-            return
-        costs = eng._matrix @ prices
-        cheapest = np.minimum.reduceat(costs, eng._starts)
-        active = cheapest <= eng._limits + DROPOUT_SLACK
-        candidates = np.where(costs == cheapest[eng._segment_ids], eng._row_ids, eng._k)
-        chosen_rows = np.minimum.reduceat(candidates, eng._starts)
-        quantities = eng._matrix[chosen_rows]
-        quantities[~active] = 0.0
-        self._costs = costs
-        self._cheapest = cheapest
-        self._chosen_rows = chosen_rows
-        self._active = active
-        self._quantities = quantities
-        self._total = sum_demand_rows(quantities)
-        self._active_count = int(np.count_nonzero(active))
-        self._retire(np.flatnonzero(~active))
-
-    def _delta_eval(self, prices: np.ndarray, moved: np.ndarray) -> None:
-        """Re-evaluate only live rows touching moved pools; patch the total."""
-        eng = self.engine
-        layout = self._layout
-        moved_cols = np.flatnonzero(moved)
-        if moved_cols.size == 0 or eng._k == 0:
-            self.rows_evaluated.append(0)
-            return
-        counts = layout.col_indptr[moved_cols + 1] - layout.col_indptr[moved_cols]
-        hit = layout.col_rows[_gather_ranges(layout.col_indptr[moved_cols], counts)]
-        row_mask = self._row_scratch
-        row_mask[:] = False
-        row_mask[hit] = True
-        row_mask &= self._live_rows
-        touched = np.flatnonzero(row_mask)
-        self.rows_evaluated.append(int(touched.size))
-        if touched.size == 0:
-            return
-        if 3 * touched.size >= eng._k:
-            # Dense round: one contiguous gemv over the whole matrix beats
-            # the row gather, and reproduces ``respond_all``'s costs exactly
-            # (an untouched row holds zeros in every moved pool, so its dot
-            # product is bitwise unchanged by the new prices).
-            self._costs = eng._matrix @ prices
-        else:
-            self._costs[touched] = eng._matrix[touched] @ prices
-        bidder_mask = self._bidder_scratch
-        bidder_mask[:] = False
-        bidder_mask[eng._segment_ids[touched]] = True
-        affected = np.flatnonzero(bidder_mask)
-        # Re-run the full-width segmented reductions (cheap contiguous scans,
-        # identical per-segment operations to ``respond_all``) and restrict
-        # the write-back to affected bidders: every other live bidder's
-        # inputs are unchanged, so its outputs are reproduced identically,
-        # and a retired buyer's frozen costs already sat above its limit
-        # when it dropped — ascending prices keep it out.
-        cheapest_all = np.minimum.reduceat(self._costs, eng._starts)
-        candidates = np.where(
-            self._costs == cheapest_all[eng._segment_ids], eng._row_ids, eng._k
-        )
-        chosen_all = np.minimum.reduceat(candidates, eng._starts)
-        cheapest = cheapest_all[affected]
-        chosen = chosen_all[affected]
-        active = cheapest <= eng._limits[affected] + DROPOUT_SLACK
-        changed = (active != self._active[affected]) | (
-            active & (chosen != self._chosen_rows[affected])
-        )
-        self._cheapest[affected] = cheapest
-        self._chosen_rows[affected] = chosen
-        self._active[affected] = active
-        changed_idx = affected[changed]
-        if changed_idx.size:
-            old_rows = self._quantities[changed_idx]
-            new_rows = eng._matrix[chosen[changed]]
-            new_rows[~active[changed]] = 0.0
-            self._quantities[changed_idx] = new_rows
-            self._patch_total(old_rows, new_rows)
-        self._active_count = int(np.count_nonzero(self._active))
-        self._retire(affected[~active])
-
-    def _patch_total(self, old_rows: np.ndarray, new_rows: np.ndarray) -> None:
-        """Re-derive the running total on exactly the pools whose value moved.
-
-        Each changed pool's entry is re-accumulated sequentially over the
-        bidders whose bids reference that pool (everyone else's entry is a
-        structural ``+0.0``, which leaves partial sums bitwise unchanged), so
-        either branch below reproduces ``np.add.reduce(quantities, axis=0)``
-        bit-for-bit — the choice is purely a cost call.  The one exception is
-        a single-pool index, where NumPy's axis-0 reduction over an ``(n, 1)``
-        array pairs up terms instead of accumulating sequentially; there the
-        full re-reduction (the identical operation) is always used.
-        """
-        eng = self.engine
-        layout = self._layout
-        r = len(eng.index)
-        n = len(eng.bidders)
-        diff_cols = np.flatnonzero(np.any(old_rows != new_rows, axis=0))
-        if diff_cols.size == 0:
-            return
-        starts = layout.pool_bidder_indptr[diff_cols]
-        ref_counts = layout.pool_bidder_indptr[diff_cols + 1] - starts
-        if r == 1 or 2 * int(ref_counts.sum()) >= n * r:
-            self._total = sum_demand_rows(self._quantities)
-            return
-        for c, s, e in zip(
-            diff_cols.tolist(), starts.tolist(), (starts + ref_counts).tolist()
-        ):
-            column = self._quantities[layout.pool_bidders[s:e], c]
-            self._total[c] = np.add.accumulate(column)[-1] if column.size else 0.0
-
-    def _retire(self, dropped: np.ndarray) -> None:
-        """Permanently retire dropped-out pure buyers and their rows."""
-        if dropped.size == 0:
-            return
-        eng = self.engine
-        newly = dropped[self._layout.buyer_mask[dropped] & ~self._retired[dropped]]
-        if newly.size == 0:
-            return
-        self._retired[newly] = True
-        counts = eng._offsets[newly + 1] - eng._offsets[newly]
-        self._live_rows[_gather_ranges(eng._starts[newly], counts)] = False

@@ -16,52 +16,31 @@ Key properties implemented/verified here:
 * the full round-by-round trace (prices, excess demand, active bidders) is
   recorded for analysis and for the Figure 1 / Algorithm 1 reproduction.
 
-Demand collection runs on one of four interchangeable engines selected by
+Demand collection runs on one of two interchangeable engines selected by
 :attr:`AuctionConfig.engine`: the scalar per-proxy loop (the reference
-implementation); the vectorized :class:`repro.core.batch.BatchDemandEngine`,
-which evaluates all bidders as dense matrix operations and scales to tens of
-thousands of bidders; the *incremental* engine
-(:class:`repro.core.batch.IncrementalDemandState`), which exploits the
-clock's monotone prices to re-evaluate each round only the bundle rows
-touching pools whose prices moved and to permanently retire dropped-out
-buyers; and the *sharded* engine, which partitions the pool index into
-independent shards (pools no bid couples across, discovered from the stacked
-bid matrix), runs price discovery per shard on restricted engines — each
-using the same delta collection, optionally on worker threads — and merges
-the per-shard round traces back into the canonical global round sequence.
-All engines honor the same round-trace contract and produce identical
+implementation) and the vectorized
+:class:`repro.core.batch.BatchDemandEngine`, which evaluates all bidders as
+dense matrix operations and scales to tens of thousands of bidders.  Both
+honor the same round-trace contract and produce identical
 :class:`AuctionRound` / :class:`AuctionOutcome` objects; ``docs/engines.md``
-has the full matrix and ``docs/sharding.md`` spells out why the sharded
-merge is exact.
+compares them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
-from repro.core.batch import (
-    BatchDemandEngine,
-    BatchResponse,
-    IncrementalDemandState,
-    ShardPlan,
-)
+from repro.core.batch import BatchDemandEngine, BatchResponse
 from repro.core.bids import Bid, BidderClass, classify_bidder
 from repro.core.increment import IncrementPolicy, default_increment
 from repro.core.proxy import BidderProxy
 
 #: Valid values of :attr:`AuctionConfig.engine`.
-ENGINES = ("auto", "scalar", "batch", "incremental", "sharded")
-
-#: Below this many bid-carrying shards the sharded engine falls back to the
-#: plain batch loop: with at most one shard doing price discovery there is
-#: nothing to run independently, only orchestration overhead to pay.
-SHARD_MIN_EFFECTIVE = 2
+ENGINES = ("auto", "scalar", "batch")
 
 #: With ``engine="auto"``, auctions with at least this many bidders use the
 #: vectorized batch engine; smaller ones stay on the scalar path, whose
@@ -70,7 +49,31 @@ BATCH_AUTO_THRESHOLD = 32
 
 
 class ConvergenceError(RuntimeError):
-    """The clock auction failed to clear within the configured round limit."""
+    """The clock auction failed to clear within the configured round limit.
+
+    The message's first line says why the clock gave up and its second names
+    the pools still over-demanded; the attributes carry the evidence from the
+    last round the clock ran.  Both have defaults, so ``cls(*err.args)``
+    rebuilds the error and pickling keeps them.
+
+    Attributes
+    ----------
+    excess_demand:
+        The last round's excess-demand vector ``z(t)``, or ``None``.
+    over_demanded:
+        Names of the pools whose excess demand was still positive.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        excess_demand: np.ndarray | None = None,
+        over_demanded: Sequence[str] = (),
+    ):
+        super().__init__(message)
+        self.excess_demand = excess_demand
+        self.over_demanded = tuple(over_demanded)
 
 
 @dataclass(frozen=True)
@@ -93,21 +96,10 @@ class AuctionConfig:
     engine:
         Which demand-collection path to use per round: ``"scalar"`` walks the
         per-bidder proxies, ``"batch"`` evaluates all bidders as dense matrix
-        operations (:class:`repro.core.batch.BatchDemandEngine`),
-        ``"incremental"`` re-evaluates each round only the bundle rows
-        touching pools whose prices moved and retires dropped-out buyers
-        permanently (:class:`repro.core.batch.IncrementalDemandState`),
-        ``"sharded"`` runs price discovery per independent pool shard —
-        each shard collecting incrementally — and merges the traces (falling
-        back to batch when fewer than :data:`SHARD_MIN_EFFECTIVE` shards
-        carry bids), and ``"auto"`` (default) picks batch once the auction
-        has at least :data:`BATCH_AUTO_THRESHOLD` bidders.  All engines
-        produce identical round traces.
-    shard_workers:
-        Worker threads for the sharded engine's per-shard price discovery
-        (``None`` = one per CPU, capped at the shard count).  Any value
-        produces the same bytes: threads only change wall-clock, never the
-        merge order.
+        operations (:class:`repro.core.batch.BatchDemandEngine`), and
+        ``"auto"`` (default) picks batch once the auction has at least
+        :data:`BATCH_AUTO_THRESHOLD` bidders.  Both engines produce identical
+        round traces.
 
     Examples
     --------
@@ -116,7 +108,7 @@ class AuctionConfig:
     >>> AuctionConfig(engine="turbo")
     Traceback (most recent call last):
         ...
-    ValueError: engine must be one of ('auto', 'scalar', 'batch', 'incremental', 'sharded'), got 'turbo'
+    ValueError: engine must be one of ('auto', 'scalar', 'batch'), got 'turbo'
     """
 
     max_rounds: int = 10_000
@@ -124,7 +116,6 @@ class AuctionConfig:
     stall_rounds: int = 50
     record_bidder_demands: bool = False
     engine: str = "auto"
-    shard_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -135,8 +126,6 @@ class AuctionConfig:
             raise ValueError("stall_rounds must be >= 1")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 (or None for one per CPU)")
 
 
 @dataclass(frozen=True)
@@ -188,74 +177,6 @@ class AuctionOutcome:
         return [r.active_bidders for r in self.rounds]
 
 
-@dataclass(frozen=True)
-class ShardOutcome:
-    """One shard's completed price discovery, handed to ``on_shard`` callbacks.
-
-    Emitted by the sharded engine as each shard reaches its fixed point —
-    while other shards may still be iterating — so downstream stages
-    (settlement, ingestion of the next window) can overlap with the remaining
-    discovery.  ``provisional_prices`` is a full-length price vector whose
-    entries on this shard's pools are the shard's fixed-point prices and
-    whose other entries are the reserve prices; because every bid in the
-    shard is structurally zero outside the shard's pools, settling the
-    shard's bids at this vector is bit-identical to settling them at the
-    final global prices — *unless* the global stop truncates the shard's
-    trace early (a knife-edge case the caller must re-check against
-    :attr:`AuctionOutcome.final_prices`).
-    """
-
-    shard_index: int
-    bid_positions: tuple[int, ...]
-    pool_positions: tuple[int, ...]
-    provisional_prices: np.ndarray
-    local_rounds: int
-
-
-@dataclass
-class _ShardRound:
-    """One local round of one shard (shard-width arrays only)."""
-
-    prices: np.ndarray
-    excess: np.ndarray
-    active: int
-    cleared: bool
-    moved: bool
-    quantities: np.ndarray | None = None
-
-
-@dataclass
-class _ShardTrace:
-    """A shard's full local trace up to its dynamics fixed point."""
-
-    shard_index: int
-    pools: np.ndarray
-    bid_positions: tuple[int, ...]
-    engine: BatchDemandEngine
-    rounds: list[_ShardRound]
-    #: Per-bidder quantity rows of the *last* local round (kept even when
-    #: ``record_bidder_demands`` is off, for the merged final demands).
-    final_quantities: np.ndarray
-
-    def quantities_at(self, local_round: int) -> np.ndarray:
-        """The shard's per-bidder quantity rows at one local round.
-
-        Served from the recorded trace when available; otherwise (trace
-        recorded without ``record_bidder_demands`` and the global stop
-        truncated this shard) recomputed by re-announcing that round's
-        prices, which is deterministic and bit-identical to what the shard
-        computed in-loop.
-        """
-        round_state = self.rounds[local_round]
-        if round_state.quantities is not None:
-            return round_state.quantities
-        if local_round == len(self.rounds) - 1:
-            return self.final_quantities
-        prices = np.zeros(self.engine.matrix.shape[1], dtype=float)
-        prices[self.pools] = round_state.prices
-        return self.engine.respond_all(prices).quantities
-
-
 class AscendingClockAuction:
     """Runs Algorithm 1 over a set of sealed bids.
 
@@ -297,21 +218,6 @@ class AscendingClockAuction:
     >>> outcome = auction.run()
     >>> outcome.converged, outcome.round_count
     (True, 1)
-
-    Decoupled bids shard cleanly (``a/*`` and ``b/*`` pools never share a bid):
-
-    >>> bids = [Bid.buy("u1", index, [{"a/cpu": 10}], max_payment=1e6),
-    ...         Bid.buy("u2", index, [{"b/cpu": 10}], max_payment=1e6)]
-    >>> sharded = AscendingClockAuction(
-    ...     index, bids,
-    ...     reserve_prices=np.ones(len(index)),
-    ...     supply=np.full(len(index), 50.0),
-    ...     config=AuctionConfig(engine="sharded"),
-    ... )
-    >>> sharded.run().converged
-    True
-    >>> sharded.shard_plan.effective_shards
-    2
     """
 
     def __init__(
@@ -358,32 +264,6 @@ class AscendingClockAuction:
         #: The last :class:`BatchResponse` collected (batch engine only);
         #: backs :meth:`_last_demand_map` without re-materialising demands.
         self._last_batch_response: BatchResponse | None = None
-        #: The delta-evaluation state of the current incremental run; a fresh
-        #: one is opened per ``run`` (the kernel requires monotone prices).
-        self._inc_state: IncrementalDemandState | None = None
-        #: The shard partition planned by the sharded engine (set by ``run``).
-        self.shard_plan: ShardPlan | None = None
-        #: ``True`` when ``engine="sharded"`` found fewer than
-        #: :data:`SHARD_MIN_EFFECTIVE` bid-carrying shards and ran the plain
-        #: batch loop instead.
-        self.sharded_fallback: bool = False
-        #: Optional callback the sharded engine invokes with a
-        #: :class:`ShardOutcome` as each shard finishes price discovery —
-        #: lets callers overlap settlement of shard ``k`` with discovery of
-        #: shard ``k+1``.  Never invoked on the fallback path.
-        self.on_shard: Callable[[ShardOutcome], None] | None = None
-        #: Facts about the last sharded run (shard sizes, workers, local
-        #: round counts); ``None`` until a sharded ``run`` executes.
-        self.shard_stats: dict[str, object] | None = None
-
-    @property
-    def incremental_stats(self) -> dict[str, object] | None:
-        """Delta-kernel facts (rows re-evaluated per round, retirements) from
-        the last incremental run; ``None`` for other engines.  Diagnostic
-        only — never part of the canonical report."""
-        if self._inc_state is None:
-            return None
-        return self._inc_state.stats()
 
     # -- analysis helpers -----------------------------------------------------
     def bidder_classes(self) -> dict[str, BidderClass]:
@@ -394,23 +274,21 @@ class AscendingClockAuction:
         """True if any bid mixes demands and offers (convergence not guaranteed)."""
         return any(cls is BidderClass.TRADER for cls in self.bidder_classes().values())
 
+
     # -- core loop --------------------------------------------------------------
     def _collect(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
         """One 'collect bids' step: total demand and the active-bidder count.
 
-        Dispatches to the scalar proxy loop, the vectorized batch engine, or
-        the incremental delta kernel according to the resolved :attr:`engine`;
-        all return the same values.  (The sharded engine's fallback path also
-        lands here, on batch.)  Per-bidder demand maps are *not* materialised
-        here — at stress scale a 100k-entry dict per round is pure overhead
-        when nobody records it; callers that need the individual demands
-        (round recording, the cleared round's final demands) ask
+        Dispatches to the scalar proxy loop or the vectorized batch engine
+        according to the resolved :attr:`engine`; both return the same
+        values.  Per-bidder demand maps are *not* materialised here — at
+        stress scale a 100k-entry dict per round is pure overhead when nobody
+        records it; callers that need the individual demands (round
+        recording, the cleared round's final demands) ask
         :meth:`_last_demand_map` afterwards.
         """
         if self.engine == "scalar":
             return self._collect_scalar(prices)
-        if self.engine == "incremental":
-            return self._collect_incremental(prices)
         return self._collect_batch(prices)
 
     def _collect_scalar(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
@@ -432,15 +310,6 @@ class AscendingClockAuction:
         self._last_batch_response = response
         return response.total, response.active_count
 
-    def _collect_incremental(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
-        """Delta path: re-evaluate only rows touching pools whose price moved."""
-        if self._inc_state is None:
-            if self._batch is None:
-                self._batch = BatchDemandEngine(self.index, self.bids)
-            self._inc_state = self._batch.incremental()
-        self._inc_state.advance(prices)
-        return self._inc_state.total, self._inc_state.active_count
-
     def _last_demand_map(self) -> dict[str, np.ndarray]:
         """Per-bidder demand snapshots from the most recent :meth:`_collect`.
 
@@ -449,8 +318,7 @@ class AscendingClockAuction:
         so round recording can store them without defensive copies.  The
         scalar path hands out the fresh arrays its proxies built for this
         round; the batch path hands out views into this round's response
-        (every round builds new response arrays); the incremental path copies
-        out of its live buffers (which the next round mutates in place).
+        (every round builds new response arrays).
         """
         if self.engine == "scalar":
             return {
@@ -458,9 +326,6 @@ class AscendingClockAuction:
                 for proxy in self.proxies
                 if proxy.last_decision is not None
             }
-        if self.engine == "incremental":
-            assert self._inc_state is not None
-            return self._inc_state.demand_map()
         assert self._last_batch_response is not None
         return self._last_batch_response.demand_map()
 
@@ -468,6 +333,15 @@ class AscendingClockAuction:
         """Clearing test: every pool's excess demand is <= tolerance (scaled)."""
         scale = np.maximum(self.index.capacities(), 1.0)
         return bool(np.all(excess <= self.config.tolerance * scale + self.config.tolerance))
+
+    def _convergence_error(self, reason: str, excess: np.ndarray) -> ConvergenceError:
+        """A :class:`ConvergenceError` carrying the last round's excess demand."""
+        over = [self.index.names[i] for i in np.flatnonzero(excess > 0)]
+        return ConvergenceError(
+            f"{reason}\nover-demanded pools: {', '.join(over)}",
+            excess_demand=excess.copy(),
+            over_demanded=over,
+        )
 
     def run(self) -> AuctionOutcome:
         """Execute the ascending clock auction and return its outcome.
@@ -479,19 +353,10 @@ class AscendingClockAuction:
             ``config.max_rounds`` (possible when traders are present,
             Section III-C-3).
         """
-        if self.engine == "sharded":
-            return self._run_sharded()
-        return self._run_rounds()
-
-    def _run_rounds(self) -> AuctionOutcome:
-        """The sequential clock loop (scalar, batch, and incremental engines)."""
         cfg = self.config
         prices = self.reserve_prices.copy()
         rounds: list[AuctionRound] = []
         stalled = 0
-        # Each run restarts the clock at the reserve prices, so the previous
-        # run's delta state (which requires monotone prices) cannot carry over.
-        self._inc_state = None
 
         for t in range(cfg.max_rounds):
             total_demand, active = self._collect(prices)
@@ -530,213 +395,16 @@ class AscendingClockAuction:
             if float(step.max(initial=0.0)) <= 0.0:
                 stalled += 1
                 if stalled >= cfg.stall_rounds:
-                    raise ConvergenceError(
-                        "clock auction stalled: excess demand persists but prices are no longer moving"
+                    raise self._convergence_error(
+                        "clock auction stalled: excess demand persists but prices are no longer moving",
+                        excess,
                     )
             else:
                 stalled = 0
             prices = prices + step
 
-        raise ConvergenceError(
+        raise self._convergence_error(
             f"clock auction did not clear within {cfg.max_rounds} rounds "
-            f"(traders present: {self.has_traders()})"
-        )
-
-    # -- sharded engine ---------------------------------------------------------
-    def _discover_shard(
-        self, shard_index: int, pools: Sequence[int], bid_positions: Sequence[int]
-    ) -> _ShardTrace:
-        """Run one shard's price discovery to its dynamics fixed point.
-
-        The shard iterates the same collect/clear-test/increment dynamics as
-        the global loop, restricted to its own pools and bids, until the
-        masked price step is identically zero — at which point the shard's
-        state can never change again, so its trace extends to any later
-        global round by repetition of the last local round.  Stopping at the
-        *fixed point* rather than at the first cleared round matters: the
-        global loop keeps raising any pool with strictly positive excess
-        demand, even inside the clearing tolerance, and the merge must
-        reproduce that bit-for-bit.
-        """
-        assert self._batch is not None
-        cfg = self.config
-        pools_arr = np.asarray(pools, dtype=np.intp)
-        sub = self._batch.restrict(bid_positions)
-        # Delta collection inside the shard: prices are monotone within the
-        # shard's own clock exactly as in the global loop, so the restricted
-        # engine's incremental state re-evaluates only the rows touching
-        # pools this shard actually moved (off-shard pools never move here).
-        state = sub.incremental()
-        # Full-length working vector: shard pools evolve, the rest sit at the
-        # reserve prices.  Every bid in the shard is structurally zero outside
-        # the shard's pools, so the off-shard entries never influence costs.
-        prices = self.reserve_prices.copy()
-        supply_s = self.supply[pools_arr]
-        scale_s = np.maximum(self.index.capacities(), 1.0)[pools_arr]
-        tol = cfg.tolerance
-        rounds: list[_ShardRound] = []
-        for _ in range(cfg.max_rounds):
-            state.advance(prices)
-            excess_s = state.total[pools_arr] - supply_s
-            cleared = bool(np.all(excess_s <= tol * scale_s + tol))
-            excess_full = np.zeros(len(self.index), dtype=float)
-            excess_full[pools_arr] = excess_s
-            step_full = np.asarray(self.increment.increment(excess_full, prices), dtype=float)
-            step_s = step_full[pools_arr]
-            if np.any(step_s < 0) or not np.all(np.isfinite(step_s)):
-                raise ValueError(
-                    f"increment policy {self.increment.describe()} returned an invalid step"
-                )
-            step_s = np.where(excess_s > 0, step_s, 0.0)
-            moved = float(step_s.max(initial=0.0)) > 0.0
-            rounds.append(
-                _ShardRound(
-                    prices=prices[pools_arr].copy(),
-                    excess=excess_s,
-                    active=state.active_count,
-                    cleared=cleared,
-                    moved=moved,
-                    # The state's buffers mutate in place next round, so the
-                    # recorded trace takes a snapshot.
-                    quantities=state.quantities.copy() if cfg.record_bidder_demands else None,
-                )
-            )
-            if not moved:
-                break
-            prices[pools_arr] = prices[pools_arr] + step_s
-        # The loop is over: the state's buffers are final and safe to borrow.
-        final_quantities = state.quantities
-        return _ShardTrace(
-            shard_index=shard_index,
-            pools=pools_arr,
-            bid_positions=tuple(int(b) for b in bid_positions),
-            engine=sub,
-            rounds=rounds,
-            final_quantities=final_quantities,
-        )
-
-    def _run_sharded(self) -> AuctionOutcome:
-        """Per-shard price discovery on worker threads, merged to the global trace.
-
-        Plans the shard partition from the stacked bid matrix, runs each
-        shard's clock independently (the numpy work releases the GIL, so the
-        shards genuinely overlap), then replays the global round sequence —
-        round ``t`` of the merged trace is each shard's local round
-        ``min(t, T_s - 1)``, the stop/stall logic re-runs on the merged
-        flags — producing the same :class:`AuctionOutcome` bytes as the
-        batch engine.  Falls back to the plain batch loop (setting
-        :attr:`sharded_fallback`) when fewer than
-        :data:`SHARD_MIN_EFFECTIVE` shards carry bids.
-        """
-        cfg = self.config
-        if self._batch is None:
-            self._batch = BatchDemandEngine(self.index, self.bids)
-        plan = self._batch.plan_shards()
-        self.shard_plan = plan
-        if plan.effective_shards < SHARD_MIN_EFFECTIVE:
-            self.sharded_fallback = True
-            self.shard_stats = {**plan.describe(), "workers": 0, "fallback": True}
-            return self._run_rounds()
-        workers = cfg.shard_workers or min(os.cpu_count() or 1, plan.shard_count)
-        self.shard_stats = {**plan.describe(), "workers": workers, "fallback": False}
-
-        traces: list[_ShardTrace | None] = [None] * plan.shard_count
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._discover_shard, i, plan.pool_groups[i], plan.bid_groups[i])
-                for i in range(plan.shard_count)
-            ]
-            for future in as_completed(futures):
-                trace = future.result()
-                traces[trace.shard_index] = trace
-                if self.on_shard is not None and trace.bid_positions:
-                    provisional = self.reserve_prices.copy()
-                    provisional[trace.pools] = trace.rounds[-1].prices
-                    self.on_shard(
-                        ShardOutcome(
-                            shard_index=trace.shard_index,
-                            bid_positions=trace.bid_positions,
-                            pool_positions=tuple(int(p) for p in trace.pools),
-                            provisional_prices=provisional,
-                            local_rounds=len(trace.rounds),
-                        )
-                    )
-        done = [trace for trace in traces if trace is not None]
-        self.shard_stats["local_rounds"] = [len(trace.rounds) for trace in done]
-        return self._merge_shard_traces(done)
-
-    def _merge_shard_traces(self, traces: list[_ShardTrace]) -> AuctionOutcome:
-        """Replay the global round sequence from the per-shard fixed-point traces."""
-        cfg = self.config
-        r = len(self.index)
-        # Submission-order source of each bid's demand row: (shard, local row).
-        demand_sources: list[tuple[_ShardTrace, int]] = [None] * len(self.bids)  # type: ignore[list-item]
-        for trace in traces:
-            for local, position in enumerate(trace.bid_positions):
-                demand_sources[position] = (trace, local)
-
-        rounds: list[AuctionRound] = []
-        stalled = 0
-        for t in range(cfg.max_rounds):
-            prices_t = np.empty(r, dtype=float)
-            excess_t = np.empty(r, dtype=float)
-            active = 0
-            all_cleared = True
-            any_moved = False
-            for trace in traces:
-                local = min(t, len(trace.rounds) - 1)
-                state = trace.rounds[local]
-                prices_t[trace.pools] = state.prices
-                excess_t[trace.pools] = state.excess
-                active += state.active
-                all_cleared = all_cleared and state.cleared
-                any_moved = any_moved or state.moved
-            demands_t: dict[str, np.ndarray] | None = None
-            if cfg.record_bidder_demands:
-                demands_t = {}
-                for position, bid in enumerate(self.bids):
-                    trace, local_row = demand_sources[position]
-                    state = trace.rounds[min(t, len(trace.rounds) - 1)]
-                    demands_t[bid.bidder] = state.quantities[local_row].copy()
-            rounds.append(
-                AuctionRound(
-                    round_index=t,
-                    prices=prices_t,
-                    excess_demand=excess_t,
-                    active_bidders=active,
-                    bidder_demands=demands_t,
-                )
-            )
-            if all_cleared:
-                final_rows = {
-                    id(trace): trace.quantities_at(min(t, len(trace.rounds) - 1))
-                    for trace in traces
-                }
-                final_demands = {
-                    bid.bidder: final_rows[id(demand_sources[position][0])][
-                        demand_sources[position][1]
-                    ]
-                    for position, bid in enumerate(self.bids)
-                }
-                return AuctionOutcome(
-                    index=self.index,
-                    converged=True,
-                    final_prices=prices_t,
-                    final_demands=final_demands,
-                    excess_demand=excess_t,
-                    rounds=rounds,
-                    reserve_prices=self.reserve_prices.copy(),
-                )
-            if not any_moved:
-                stalled += 1
-                if stalled >= cfg.stall_rounds:
-                    raise ConvergenceError(
-                        "clock auction stalled: excess demand persists but prices are no longer moving"
-                    )
-            else:
-                stalled = 0
-
-        raise ConvergenceError(
-            f"clock auction did not clear within {cfg.max_rounds} rounds "
-            f"(traders present: {self.has_traders()})"
+            f"(traders present: {self.has_traders()})",
+            excess,
         )

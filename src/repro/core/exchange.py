@@ -12,28 +12,21 @@ SYSTEM constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
 from repro.core.bids import Bid, validate_bid
-from repro.core.clock_auction import (
-    AscendingClockAuction,
-    AuctionConfig,
-    AuctionOutcome,
-    ShardOutcome,
-)
+from repro.core.clock_auction import AscendingClockAuction, AuctionConfig, AuctionOutcome
 from repro.core.increment import IncrementPolicy, default_increment
 from repro.core.prices import PriceTable, price_ratios
 from repro.core.reserve import PAPER_PHI_1, ReservePricer, WeightingFunction
 from repro.core.settlement import (
     ConstraintReport,
     Settlement,
-    SettlementLine,
     settle,
-    settle_bid,
     verify_system_constraints,
 )
 
@@ -176,41 +169,8 @@ class CombinatorialExchange:
             increment=self.increment,
             config=self.auction_config,
         )
-        # Pipelined settlement: with the sharded engine, settle each shard's
-        # bids the moment its price discovery finishes — the shard's
-        # provisional prices already agree with the final prices on every
-        # pool the shard's bids reference (bids are structurally zero
-        # elsewhere), so the lines come out bit-identical to settling at the
-        # end.  The one exception — the global stop froze a shard before its
-        # own fixed point — is caught below and those shards re-settle.
-        shard_lines: dict[int, SettlementLine] = {}
-        shards_seen: list[ShardOutcome] = []
-        if auction.engine == "sharded":
-
-            def _settle_shard(shard: ShardOutcome) -> None:
-                shards_seen.append(shard)
-                for position in shard.bid_positions:
-                    shard_lines[position] = settle_bid(
-                        self.index, accepted[position], shard.provisional_prices
-                    )
-
-            auction.on_shard = _settle_shard
         outcome = auction.run()
-        if shards_seen and len(shard_lines) == len(accepted):
-            final = outcome.final_prices
-            for shard in shards_seen:
-                pools = list(shard.pool_positions)
-                if not np.array_equal(shard.provisional_prices[pools], final[pools]):
-                    for position in shard.bid_positions:
-                        shard_lines[position] = settle_bid(self.index, accepted[position], final)
-            settlement = Settlement(
-                index=self.index,
-                prices=final.copy(),
-                lines=[shard_lines[i] for i in range(len(accepted))],
-                supply=supply.copy(),
-            )
-        else:
-            settlement = settle(self.index, accepted, outcome.final_prices, supply=supply)
+        settlement = settle(self.index, accepted, outcome.final_prices, supply=supply)
         constraints = verify_system_constraints(settlement, accepted)
         return ExchangeResult(
             index=self.index,

@@ -108,42 +108,3 @@ class BidderProxy:
         if not decision.active or decision.bundle_index is None:
             return None
         return self.bid.bundles.bundle(decision.bundle_index)
-
-    def dropout_price_scale(self, prices: np.ndarray, *, max_scale: float = 1e6) -> float:
-        """Scalar ``s`` such that the proxy drops out at prices ``s * p``.
-
-        Only meaningful for pure buyers (whose bundle costs grow linearly in
-        the price scale); used by diagnostics to bound the number of rounds a
-        clock auction can take.  Returns ``max_scale`` if the bidder never
-        drops out along this ray (e.g. sellers, whose costs decrease).
-        """
-        prices = np.asarray(prices, dtype=float)
-        costs = self.bid.bundles.costs(prices)
-        cheapest = float(np.min(costs))
-        if cheapest <= 0.0:
-            return float(max_scale)
-        return float(min(max_scale, self.bid.limit / cheapest))
-
-
-def aggregate_demand(proxies: list[BidderProxy], prices: np.ndarray) -> np.ndarray:
-    """Excess demand ``z(p) = sum_u G_u(p)`` across all proxies.
-
-    The vectorized equivalent over many bidders is
-    :meth:`repro.core.batch.BatchDemandEngine.aggregate_demand`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> from repro.core.bids import Bid
-    >>> index = demo_pool_index()
-    >>> proxies = [BidderProxy(Bid.buy(f"t{i}", index, [{"a/cpu": 10}], max_payment=100.0))
-    ...            for i in range(3)]
-    >>> aggregate_demand(proxies, np.ones(len(index))).tolist()
-    [30.0, 0.0, 0.0, 0.0]
-    """
-    prices = np.asarray(prices, dtype=float)
-    total = np.zeros_like(prices)
-    for proxy in proxies:
-        total += proxy.respond(prices).quantities
-    return total

@@ -158,41 +158,21 @@ def settle(
     supply_vec = (
         np.zeros(len(index), dtype=float) if supply is None else np.asarray(supply, dtype=float)
     )
-    lines = [settle_bid(index, bid, prices) for bid in bids]
+    lines = []
+    for bid in bids:
+        decision = BidderProxy(bid).respond(prices)
+        won = bool(decision.active and np.any(np.abs(decision.quantities) > 0))
+        lines.append(
+            SettlementLine(
+                bidder=bid.bidder,
+                won=won,
+                allocation=decision.quantities if won else np.zeros(len(index)),
+                payment=decision.cost if won else 0.0,
+                limit=bid.limit,
+                bundle_index=decision.bundle_index if won else None,
+            )
+        )
     return Settlement(index=index, prices=prices.copy(), lines=lines, supply=supply_vec.copy())
-
-
-def settle_bid(index: PoolIndex, bid: Bid, prices: np.ndarray) -> SettlementLine:
-    """Settle a single bid at the given uniform unit prices.
-
-    One line of :func:`settle`, exposed on its own so the exchange can settle
-    a shard's bids as soon as that shard's price discovery finishes (the
-    sharded engine's ``on_shard`` pipeline) instead of waiting for the whole
-    auction.  A bid is structurally zero outside the pools it references, so
-    settling it at any price vector that agrees with the final prices on
-    those pools produces the identical line.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> from repro.core.bids import Bid
-    >>> index = demo_pool_index()
-    >>> bid = Bid.buy("rich", index, [{"a/cpu": 10}], max_payment=100.0)
-    >>> line = settle_bid(index, bid, np.array([5.0, 0.0, 0.0, 0.0]))
-    >>> line.won, line.payment
-    (True, 50.0)
-    """
-    decision = BidderProxy(bid).respond(prices)
-    won = bool(decision.active and np.any(np.abs(decision.quantities) > 0))
-    return SettlementLine(
-        bidder=bid.bidder,
-        won=won,
-        allocation=decision.quantities if won else np.zeros(len(index)),
-        payment=decision.cost if won else 0.0,
-        limit=bid.limit,
-        bundle_index=decision.bundle_index if won else None,
-    )
 
 
 def settle_outcome(bids: Sequence[Bid], outcome: AuctionOutcome, *, supply: np.ndarray | None = None) -> Settlement:

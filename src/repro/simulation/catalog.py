@@ -24,12 +24,12 @@ Catalog presets
                           payers, deep budgets.
 ``idle-fleet-migration``  Mostly idle fleet and relocator-heavy teams; load
                           should drain out of the few busy clusters.
-``10k-bidder-stress``     10 000 bidders on the incremental demand engine —
-                          the smoke-tier stress scale (tagged ``stress``;
+``10k-bidder-stress``     10 000 bidders on the batch demand engine — the
+                          smoke-tier stress scale (tagged ``stress``;
                           excluded from the default sweep).
-``100k-bidder-stress``    100 000 bidders on the sharded demand engine — the
-                          full stress scale the benchmarks track (tagged
-                          ``stress``; excluded from the default sweep).
+``100k-bidder-stress``    100 000 home-cluster bidders on the batch demand
+                          engine — the full stress scale (tagged ``stress``;
+                          excluded from the default sweep).
 ``smoke``                 The reduced scale used by unit tests and CI smoke
                           runs.
 ========================  ======================================================
@@ -358,7 +358,7 @@ register_scenario(
 register_scenario(
     ScenarioSpec(
         name="10k-bidder-stress",
-        description="10 000 bidders on the incremental engine (smoke-tier stress scale)",
+        description="10 000 bidders on the batch engine (smoke-tier stress scale)",
         config=ScenarioConfig(
             fleet=FleetSpec(cluster_count=34, machines_range=(100, 400)),
             population=PopulationSpec(
@@ -366,7 +366,7 @@ register_scenario(
                 budget_per_team=20_000.0,
                 demand_scale=0.001,
             ),
-            auction_engine="incremental",
+            auction_engine="incremental",  # runs batch; see build_scenario
             seed=2009,
         ),
         auctions=2,
@@ -375,12 +375,11 @@ register_scenario(
 )
 
 #: The full stress scale: 100k bidders whose strategies stay in their home
-#: cluster, so the bid matrix decomposes into one independent shard per
-#: cluster and the sharded engine's per-shard price discovery pays off.
+#: cluster, so no bid couples two clusters' pools.
 register_scenario(
     ScenarioSpec(
         name="100k-bidder-stress",
-        description="100 000 bidders on the sharded engine (full stress scale)",
+        description="100 000 home-cluster bidders on the batch engine (full stress scale)",
         config=ScenarioConfig(
             fleet=FleetSpec(cluster_count=34, machines_range=(100, 400)),
             population=PopulationSpec(
@@ -394,7 +393,7 @@ register_scenario(
                     "seller": 0.15,
                 },
             ),
-            auction_engine="sharded",
+            auction_engine="sharded",  # runs batch; see build_scenario
             seed=2009,
         ),
         auctions=1,

@@ -95,23 +95,6 @@ class TestBatchResponse:
         np.testing.assert_array_equal(response.quantities[1], np.zeros(len(pool_index)))
         assert response.active_count == 1
 
-    def test_dropout_price_scales_match_proxy(self, pool_index, rng):
-        bids = mixed_bids(pool_index, rng)
-        engine = BatchDemandEngine(pool_index, bids)
-        prices = unit_reserve(pool_index)
-        scales = engine.dropout_price_scales(prices)
-        for i, bid in enumerate(bids):
-            assert scales[i] == pytest.approx(BidderProxy(bid).dropout_price_scale(prices))
-
-    def test_aggregate_demand_matches_scalar(self, pool_index, rng):
-        from repro.core.proxy import aggregate_demand
-
-        bids = mixed_bids(pool_index, rng)
-        prices = unit_reserve(pool_index, 2.5)
-        engine = BatchDemandEngine(pool_index, bids)
-        proxies = [BidderProxy(b) for b in bids]
-        np.testing.assert_allclose(engine.aggregate_demand(prices), aggregate_demand(proxies, prices))
-
     def test_bundle_rows_and_len(self, pool_index):
         bids = [
             Bid.buy("a", pool_index, [{"alpha/cpu": 1}, {"beta/cpu": 1}], max_payment=10.0),
@@ -126,8 +109,11 @@ class TestBatchResponse:
 
 class TestEngineSelection:
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            AuctionConfig(engine="turbo")
+        # "incremental" and "sharded" are retired labels that only
+        # build_scenario still accepts (it maps them to batch).
+        for engine in ("turbo", "incremental", "sharded"):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                AuctionConfig(engine=engine)
 
     def test_explicit_engines_respected(self, pool_index):
         bids = [Bid.buy("t", pool_index, [{"alpha/cpu": 1}], max_payment=10.0)]
@@ -149,6 +135,6 @@ class TestEngineSelection:
         assert AscendingClockAuction(pool_index, large, reserve_prices=reserve).engine == "batch"
 
 
-# NOTE: the scalar/batch trace-equivalence tests that used to live here moved
-# to tests/core/test_engine_equivalence.py, which runs the same harness across
-# all three engines (scalar, batch, sharded) and over every catalog preset.
+# NOTE: the scalar/batch trace-equivalence tests live in
+# tests/core/test_engine_equivalence.py, which runs them over hand-built
+# populations and every catalog preset.

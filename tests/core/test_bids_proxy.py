@@ -11,7 +11,7 @@ from repro.core.bids import (
     validate_bid,
 )
 from repro.core.bundles import BundleSet
-from repro.core.proxy import BidderProxy, aggregate_demand
+from repro.core.proxy import BidderProxy
 
 
 class TestBidConstruction:
@@ -141,23 +141,3 @@ class TestBidderProxy:
         assert proxy.last_decision is None
         proxy.respond(np.zeros(len(pool_index)))
         assert proxy.last_decision is not None
-
-    def test_dropout_price_scale_for_buyer(self, pool_index):
-        bid = Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=100.0)
-        proxy = BidderProxy(bid)
-        prices = np.zeros(len(pool_index))
-        prices[pool_index.index_of("alpha/cpu")] = 1.0
-        scale = proxy.dropout_price_scale(prices)
-        assert scale == pytest.approx(10.0)
-        # at exactly scale*prices the bidder is on the margin; just above it drops out
-        assert not proxy.respond(prices * (scale * 1.01)).active
-
-    def test_aggregate_demand_sums_proxies(self, pool_index):
-        bids = [
-            Bid.buy("a", pool_index, [{"alpha/cpu": 10}], max_payment=1e6),
-            Bid.buy("b", pool_index, [{"alpha/cpu": 5}], max_payment=1e6),
-            Bid.sell("c", pool_index, [{"alpha/cpu": 4}], min_revenue=0.0),
-        ]
-        proxies = [BidderProxy(b) for b in bids]
-        total = aggregate_demand(proxies, np.ones(len(pool_index)))
-        assert total[pool_index.index_of("alpha/cpu")] == pytest.approx(11.0)

@@ -1,28 +1,26 @@
-"""Differential-equivalence harness across the four demand engines.
+"""Differential-equivalence harness for the two demand engines.
 
 The repo's correctness story for every scaling change is "same bytes": the
-scalar proxy loop is the reference implementation, and the batch,
-incremental, and sharded engines must reproduce its canonical reports and
-full round traces exactly.  This module is that guarantee as a reusable,
-parametrised harness:
+scalar proxy loop is the reference implementation, and the batch engine
+must reproduce its canonical reports and full round traces exactly.  This
+module is that guarantee as a reusable, parametrised harness:
 
 * :func:`assert_engines_equivalent` runs one catalog preset end to end on
-  scalar, batch, incremental, and sharded and asserts byte-identical
-  canonical reports plus bitwise-identical per-auction round traces — it is
-  applied to every non-stress preset below and is what ``make equivalence``
-  runs in CI;
+  scalar and batch and asserts byte-identical canonical reports plus
+  bitwise-identical per-auction round traces — it is applied to every
+  non-stress preset below and is what ``make equivalence`` runs in CI;
 * :class:`TestAuctionTraceEquivalence` is the auction-level harness (single
-  auctions, hand-built populations) that used to live in
-  ``test_batch_engine.py`` as scalar-vs-batch pairwise checks, now covering
-  all four engines;
+  auctions, hand-built populations);
 * :class:`TestDemandRecordOwnership` pins the ownership contract behind the
   copy-free round recording: recorded demand arrays are caller-owned
   snapshots that later rounds never mutate;
-* regression tests pin the round-0 drop-out demand recording and
-  :class:`ConvergenceError` parity across engines.
+* regression tests pin the round-0 drop-out demand recording,
+  :class:`ConvergenceError` parity and evidence across engines, and the two
+  retired engine labels the stress presets still carry.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ from repro.simulation.catalog import default_sweep_names, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
 from repro.simulation.runner import ScenarioRunResult
 
-ENGINES = ("scalar", "batch", "incremental", "sharded")
+ENGINES = ("scalar", "batch")
 
 
 def unit_reserve(pool_index, value=1.0):
@@ -121,25 +119,23 @@ def assert_engines_equivalent(spec):
     demands) are compared bitwise.
     """
     reference_payload, reference_outcomes = run_spec_with_traces(spec, "scalar")
-    reference_bytes = json.dumps(reference_payload, sort_keys=True)
-    for engine in ("batch", "incremental", "sharded"):
-        payload, outcomes = run_spec_with_traces(spec, engine)
-        assert json.dumps(payload, sort_keys=True) == reference_bytes, (
-            f"{spec.name}: canonical report differs between scalar and {engine}"
-        )
-        assert len(outcomes) == len(reference_outcomes)
-        for ref, got in zip(reference_outcomes, outcomes):
-            assert_outcomes_identical(ref, got)
+    payload, outcomes = run_spec_with_traces(spec, "batch")
+    assert json.dumps(payload, sort_keys=True) == json.dumps(reference_payload, sort_keys=True), (
+        f"{spec.name}: canonical report differs between scalar and batch"
+    )
+    assert len(outcomes) == len(reference_outcomes)
+    for ref, got in zip(reference_outcomes, outcomes):
+        assert_outcomes_identical(ref, got)
 
 
 @pytest.mark.parametrize("name", default_sweep_names())
 def test_preset_equivalent_across_engines(name):
-    """Every non-stress catalog preset clears identically on all four engines."""
+    """Every non-stress catalog preset clears identically on both engines."""
     assert_engines_equivalent(get_scenario(name))
 
 
 class TestAuctionTraceEquivalence:
-    """Single-auction harness: hand-built populations, all four engines."""
+    """Single-auction harness: hand-built populations, both engines."""
 
     def run_all(self, pool_index, bids, **kwargs):
         outcomes = {}
@@ -155,8 +151,7 @@ class TestAuctionTraceEquivalence:
         return outcomes
 
     def assert_identical(self, outcomes):
-        for engine in ("batch", "incremental", "sharded"):
-            assert_outcomes_identical(outcomes["scalar"], outcomes[engine])
+        assert_outcomes_identical(outcomes["scalar"], outcomes["batch"])
 
     def test_competing_buyers(self, pool_index):
         bids = [
@@ -182,10 +177,9 @@ class TestAuctionTraceEquivalence:
         ]
         self.assert_identical(self.run_all(pool_index, bids))
 
-    def test_shardable_population(self, pool_index):
-        # Bids that never couple alpha/* with beta/* pools: the sharded
-        # engine genuinely partitions here (no fallback) and must still
-        # reproduce the other engines' bytes.
+    def test_decoupled_population(self, pool_index):
+        # Bids that never couple alpha/* with beta/* pools: two clocks that
+        # clear independently inside one auction.
         bids = []
         for i in range(10):
             cluster = "alpha" if i % 2 == 0 else "beta"
@@ -204,8 +198,8 @@ class TestAuctionTraceEquivalence:
 class TestDemandRecordOwnership:
     """The ownership contract behind copy-free round recording.
 
-    ``_collect`` no longer materialises per-bidder demand dicts, and
-    ``_run_rounds`` no longer defensively copies what it records: the arrays
+    ``_collect`` does not materialise per-bidder demand dicts, and ``run``
+    does not defensively copy what it records: the arrays
     ``_last_demand_map`` hands out are caller-owned snapshots.  These tests
     pin that contract — if an engine ever starts handing out views into
     buffers it later mutates in place, the early rounds' records would
@@ -270,7 +264,7 @@ class TestRoundZeroDropoutDemands:
     ``AuctionRound.bidder_demands`` (under ``record_bidder_demands``) must
     contain *every* bidder in every round — including bidders whose proxy
     drops out at the reserve prices, whose recorded demand is the zero
-    vector — identically on all four engines.
+    vector — identically on both engines.
     """
 
     def test_round_zero_exit_recorded_by_every_engine(self, pool_index):
@@ -297,8 +291,7 @@ class TestRoundZeroDropoutDemands:
             assert not first.bidder_demands["out"].any(), engine
             for round_state in outcome.rounds:
                 assert set(round_state.bidder_demands) == {"rich", "out", "rich2"}, engine
-        for engine in ("batch", "incremental", "sharded"):
-            assert_outcomes_identical(outcomes["scalar"], outcomes[engine])
+        assert_outcomes_identical(outcomes["scalar"], outcomes["batch"])
 
 
 class TestConvergenceErrorParity:
@@ -336,10 +329,31 @@ class TestConvergenceErrorParity:
         assert len(set(messages.values())) == 1, messages
         assert "did not clear within 5 rounds" in messages["scalar"]
 
-    def test_max_rounds_parity_with_real_shards(self, pool_index):
-        # Decoupled insatiable buyers: the sharded engine genuinely
-        # partitions (no fallback) and its merge loop must raise the same
-        # error as the sequential engines.
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_error_names_the_over_demanded_pools(self, pool_index, engine):
+        auction = AscendingClockAuction(
+            pool_index,
+            self.circular_traders(pool_index),
+            reserve_prices=unit_reserve(pool_index),
+            config=AuctionConfig(engine=engine, max_rounds=5, stall_rounds=1000),
+        )
+        with pytest.raises(ConvergenceError) as excinfo:
+            auction.run()
+        error = excinfo.value
+        # ping and pong cancel out; the load's 50 units of alpha/cpu remain.
+        assert error.over_demanded == ("alpha/cpu",)
+        assert error.excess_demand[pool_index.index_of("alpha/cpu")] == 50.0
+        assert str(error).splitlines()[1] == "over-demanded pools: alpha/cpu"
+        # The process and remote backends ship exceptions pickled, and
+        # unpickling calls cls(*args).
+        assert str(ConvergenceError(*error.args)) == str(error)
+        clone = pickle.loads(pickle.dumps(error))
+        assert str(clone) == str(error)
+        assert clone.over_demanded == error.over_demanded
+        assert clone.excess_demand.tobytes() == error.excess_demand.tobytes()
+
+    def test_max_rounds_parity_decoupled(self, pool_index):
+        # Insatiable buyers on two clusters no bid couples.
         bids = [
             Bid.buy("alpha-hog", pool_index, [{"alpha/cpu": 50}], max_payment=1e12),
             Bid.buy("beta-hog", pool_index, [{"beta/cpu": 50}], max_payment=1e12),
@@ -355,12 +369,10 @@ class TestConvergenceErrorParity:
             with pytest.raises(ConvergenceError) as excinfo:
                 auction.run()
             messages[engine] = str(excinfo.value)
-            if engine == "sharded":
-                assert auction.sharded_fallback is False
         assert len(set(messages.values())) == 1, messages
         assert "did not clear within 5 rounds" in messages["scalar"]
 
-    def test_stall_parity_with_real_shards(self, pool_index):
+    def test_stall_parity_decoupled(self, pool_index):
         class FrozenIncrement:
             """A pathological policy whose prices never move."""
 
@@ -386,5 +398,22 @@ class TestConvergenceErrorParity:
             with pytest.raises(ConvergenceError) as excinfo:
                 auction.run()
             messages[engine] = str(excinfo.value)
+            assert excinfo.value.over_demanded == ("alpha/cpu", "beta/cpu"), engine
         assert len(set(messages.values())) == 1, messages
         assert "stalled" in messages["scalar"]
+
+
+@pytest.mark.parametrize("label", ["incremental", "sharded"])
+def test_retired_engine_label_reports_match_batch(label):
+    """The stress presets' retired engine labels run the batch engine.
+
+    ``run_spec_with_traces`` drops the ``engine`` field after checking it,
+    so the rest of the canonical report must be byte-identical to batch's.
+    """
+    spec = get_scenario("smoke")
+    batch_payload, batch_outcomes = run_spec_with_traces(spec, "batch")
+    retired_payload, retired_outcomes = run_spec_with_traces(spec, label)
+    assert json.dumps(retired_payload, sort_keys=True) == json.dumps(batch_payload, sort_keys=True)
+    assert len(retired_outcomes) == len(batch_outcomes)
+    for ref, got in zip(batch_outcomes, retired_outcomes):
+        assert_outcomes_identical(ref, got)

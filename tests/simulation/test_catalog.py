@@ -70,6 +70,8 @@ class TestScenarioSpec:
 
     def test_stress_scenario_uses_incremental_engine(self):
         spec = get_scenario("10k-bidder-stress")
+        # A retired label, kept because bench/pins.json hashes this preset's
+        # report; build_scenario runs it on the batch engine.
         assert spec.config.auction_engine == "incremental"
         assert spec.config.population.team_count == 10_000
         assert "stress" in spec.tags
