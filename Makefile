@@ -18,9 +18,11 @@ test:
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro/core src/repro/bidlang src/repro/cluster src/repro/simulation src/repro/results src/repro/mechanisms src/repro/exec src/repro/agents src/repro/cli.py -q
 
-## paper-scale benchmarks (regenerates the paper's tables/figures)
+## paper-scale benchmarks (regenerates the paper's tables/figures) and
+## records the headline timings into the BENCH_*.json trajectories (a plain
+## pytest run records nothing)
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	REPRO_BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks -q
 
 ## reduced-scale benchmark smoke check
 bench-smoke:

@@ -8,7 +8,9 @@ scale for quick smoke checks.
 Measurements land in the ``BENCH_*.json`` trajectory files at the repository
 root through :func:`record_bench_entry`, which enforces one entry per day and
 caps each file at :data:`MAX_BENCH_ENTRIES` entries so the trajectories stop
-churning the diffs of every PR.
+churning the diffs of every PR.  It records only when ``REPRO_BENCH_RECORD=1``
+(``make bench`` sets it): the tier-1 suite collects these modules too and
+must leave tracked files untouched.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from repro.simulation.catalog import ScenarioSpec, get_scenario
 #: How many entries a ``BENCH_*.json`` history keeps (the oldest roll off).
 MAX_BENCH_ENTRIES = 5
 
+#: Environment variable that turns trajectory recording on when set to ``1``.
+RECORD_ENV = "REPRO_BENCH_RECORD"
+
 
 def record_bench_entry(path: Path, *, merge: bool = False, **payload) -> None:
     """Record one measurement into a ``BENCH_*.json`` trajectory file.
@@ -33,8 +38,11 @@ def record_bench_entry(path: Path, *, merge: bool = False, **payload) -> None:
     entry (``merge=False``, the default) or updates its keys in place
     (``merge=True`` — for modules whose several tests share one file and
     must not clobber each other's keys).  The history is trimmed to the last
-    :data:`MAX_BENCH_ENTRIES` entries on every write.
+    :data:`MAX_BENCH_ENTRIES` entries on every write.  Without
+    ``REPRO_BENCH_RECORD=1`` in the environment nothing is written.
     """
+    if os.environ.get(RECORD_ENV) != "1":
+        return
     path = Path(path)
     history = []
     if path.exists():

@@ -56,20 +56,22 @@ def settled_trades(
     index = settlement.index
     if percentiles is None:
         percentiles = snapshot_pools(index).percentiles
+    names = index.names
     trades: list[SettledTrade] = []
     for line in settlement.winners:
         for i in np.flatnonzero(np.abs(line.allocation) > tol):
             pool = index.pools[int(i)]
+            name = names[i]
             quantity = float(line.allocation[i])
             trades.append(
                 SettledTrade(
                     bidder=line.bidder,
-                    pool=pool.name,
+                    pool=name,
                     cluster=pool.cluster,
                     rtype=pool.rtype,
                     side="bid" if quantity > 0 else "offer",
                     quantity=abs(quantity),
-                    utilization_percentile=float(percentiles[pool.name]),
+                    utilization_percentile=float(percentiles[name]),
                     utilization_fraction=pool.utilization,
                 )
             )

@@ -8,6 +8,7 @@ excess demand as flat numpy vectors of length ``R`` (the number of pools).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,10 +45,10 @@ class ResourcePool:
     utilization: float
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError(f"pool capacity must be non-negative, got {self.capacity}")
-        if self.unit_cost < 0:
-            raise ValueError(f"pool unit cost must be non-negative, got {self.unit_cost}")
+        for field_name, value in (("capacity", self.capacity), ("unit_cost", self.unit_cost)):
+            # ``nan < 0`` is False, so test finiteness explicitly.
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"pool {field_name} must be finite and non-negative, got {value}")
         if not (0.0 <= self.utilization <= 1.0):
             raise ValueError(f"pool utilization must lie in [0, 1], got {self.utilization}")
 
@@ -78,17 +79,27 @@ class PoolIndex:
     The index is ordered and immutable once built.  Bundles, prices, reserve
     prices, and excess-demand vectors are all numpy arrays of length
     ``len(index)`` whose ``i``-th entry refers to ``index.pools[i]``.
+
+    The pools are frozen, so the names, the name lookup, the cluster order
+    and the vector views are derived once, when the index is built.  The
+    market asks for them per bid and per request, and each accessor hands
+    out a fresh copy the caller owns.
     """
 
     def __init__(self, pools: Sequence[ResourcePool]):
         if not pools:
             raise ValueError("PoolIndex requires at least one pool")
-        names = [pool.name for pool in pools]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate pool names: {dupes}")
         self._pools: tuple[ResourcePool, ...] = tuple(pools)
-        self._by_name: dict[str, int] = {pool.name: i for i, pool in enumerate(self._pools)}
+        self._names: tuple[str, ...] = tuple(pool.name for pool in self._pools)
+        self._by_name: dict[str, int] = {name: i for i, name in enumerate(self._names)}
+        if len(self._by_name) != len(self._names):
+            dupes = sorted({n for n in self._names if self._names.count(n) > 1})
+            raise ValueError(f"duplicate pool names: {dupes}")
+        self._clusters: tuple[str, ...] = tuple(dict.fromkeys(pool.cluster for pool in self._pools))
+        self._capacities = np.array([pool.capacity for pool in self._pools], dtype=float)
+        self._unit_costs = np.array([pool.unit_cost for pool in self._pools], dtype=float)
+        self._utilizations = np.array([pool.utilization for pool in self._pools], dtype=float)
+        self._available = np.array([pool.available for pool in self._pools], dtype=float)
 
     # -- basic accessors -------------------------------------------------------
     @property
@@ -99,7 +110,7 @@ class PoolIndex:
     @property
     def names(self) -> list[str]:
         """Pool names in index order."""
-        return [pool.name for pool in self._pools]
+        return list(self._names)
 
     def __len__(self) -> int:
         return len(self._pools)
@@ -128,28 +139,24 @@ class PoolIndex:
 
     def clusters(self) -> list[str]:
         """Cluster names present in the index, in first-appearance order."""
-        seen: list[str] = []
-        for pool in self._pools:
-            if pool.cluster not in seen:
-                seen.append(pool.cluster)
-        return seen
+        return list(self._clusters)
 
     # -- vector views ----------------------------------------------------------
     def capacities(self) -> np.ndarray:
         """Vector of pool capacities."""
-        return np.array([pool.capacity for pool in self._pools], dtype=float)
+        return self._capacities.copy()
 
     def unit_costs(self) -> np.ndarray:
         """Vector of operator unit costs c(r)."""
-        return np.array([pool.unit_cost for pool in self._pools], dtype=float)
+        return self._unit_costs.copy()
 
     def utilizations(self) -> np.ndarray:
         """Vector of pre-auction utilizations psi(r)."""
-        return np.array([pool.utilization for pool in self._pools], dtype=float)
+        return self._utilizations.copy()
 
     def available(self) -> np.ndarray:
         """Vector of unused capacity per pool."""
-        return np.array([pool.available for pool in self._pools], dtype=float)
+        return self._available.copy()
 
     # -- vector construction -----------------------------------------------------
     def vector(self, quantities: Mapping[str, float]) -> np.ndarray:
@@ -182,23 +189,27 @@ class PoolIndex:
         """Invert :meth:`vector`: the non-zero entries of ``vec`` keyed by pool name."""
         if vec.shape != (len(self._pools),):
             raise ValueError(f"vector has shape {vec.shape}, expected ({len(self._pools)},)")
-        return {
-            self._pools[i].name: float(vec[i])
-            for i in range(len(self._pools))
-            if abs(vec[i]) > tol
-        }
+        return {self._names[i]: float(vec[i]) for i in np.flatnonzero(np.abs(vec) > tol)}
 
     # -- replacement -------------------------------------------------------------
     def with_utilizations(self, utilizations: Mapping[str, float] | np.ndarray) -> "PoolIndex":
-        """Return a new index with updated utilizations (same pools, same order)."""
+        """Return a new index with updated utilizations (same pools, same order).
+
+        A mapping may name any subset of the pools; naming a pool the index
+        does not hold raises ``KeyError``.
+        """
         if isinstance(utilizations, np.ndarray):
             if utilizations.shape != (len(self._pools),):
                 raise ValueError("utilization vector has wrong length")
-            values = {pool.name: float(utilizations[i]) for i, pool in enumerate(self._pools)}
+            values = {name: float(utilizations[i]) for i, name in enumerate(self._names)}
         else:
             values = dict(utilizations)
+            unknown = sorted(set(values) - self._by_name.keys())
+            if unknown:
+                raise KeyError(f"unknown pools {unknown}; known pools: {sorted(self._by_name)[:5]}...")
         new_pools = [
-            pool.with_utilization(values.get(pool.name, pool.utilization)) for pool in self._pools
+            pool.with_utilization(values.get(name, pool.utilization))
+            for name, pool in zip(self._names, self._pools)
         ]
         return PoolIndex(new_pools)
 

@@ -163,7 +163,7 @@ class BatchDemandEngine:
         self.index = index
         bids = list(bids)
         for bid in bids:
-            if bid.index.names != index.names:
+            if bid.index is not index and bid.index.names != index.names:
                 raise ValueError(
                     f"bid from {bid.bidder!r} is defined over a different pool index"
                 )

@@ -233,7 +233,7 @@ class AscendingClockAuction:
         self.index = index
         self.bids = list(bids)
         for bid in self.bids:
-            if bid.index.names != index.names:
+            if bid.index is not index and bid.index.names != index.names:
                 raise ValueError(
                     f"bid from {bid.bidder!r} is defined over a different pool index"
                 )

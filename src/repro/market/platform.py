@@ -232,10 +232,8 @@ class TradingPlatform:
         # Sellers must hold the quota they offer.
         max_offer = bid.bundles.max_offer()
         if np.any(max_offer > 0):
-            offered = {
-                self.index.pools[i].name: float(max_offer[i])
-                for i in np.flatnonzero(max_offer > 0)
-            }
+            names = self.index.names
+            offered = {names[i]: float(max_offer[i]) for i in np.flatnonzero(max_offer > 0)}
             if not self.quotas.can_offer(bid.bidder, offered):
                 raise ValueError(f"{bid.bidder} offers quota it does not hold: {offered}")
         return self.order_book.submit(bid)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.pools import PoolIndex, ResourcePool, pools_from_topology
 from repro.cluster.resources import ResourceType, cpu_ram_disk
 from repro.cluster.topology import FleetTopology
+from tests.conftest import build_pool_index
 
 
 def make_pool(cluster="c0", rtype=ResourceType.CPU, capacity=100.0, cost=10.0, util=0.5):
@@ -31,6 +34,12 @@ class TestResourcePool:
             make_pool(capacity=-1)
         with pytest.raises(ValueError):
             make_pool(cost=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kwarg, field", [("capacity", "capacity"), ("cost", "unit_cost")])
+    def test_non_finite_capacity_or_cost_rejected(self, kwarg, field, value):
+        with pytest.raises(ValueError, match=rf"{field}.*{value}"):
+            make_pool(**{kwarg: value})
 
     def test_with_utilization_clips_to_unit_interval(self):
         pool = make_pool(util=0.5)
@@ -105,6 +114,10 @@ class TestPoolIndex:
         # untouched pools keep their utilization
         assert updated.pool("beta/cpu").utilization == pool_index.pool("beta/cpu").utilization
 
+    def test_with_utilizations_unknown_pool_rejected(self, pool_index):
+        with pytest.raises(KeyError, match="typo/cpu"):
+            pool_index.with_utilizations({"alpha/cpu": 0.2, "typo/cpu": 0.9})
+
     def test_with_utilizations_array(self, pool_index):
         arr = np.full(len(pool_index), 0.42)
         updated = pool_index.with_utilizations(arr)
@@ -113,6 +126,83 @@ class TestPoolIndex:
     def test_with_utilizations_wrong_length_rejected(self, pool_index):
         with pytest.raises(ValueError):
             pool_index.with_utilizations(np.zeros(2))
+
+
+def describe_reference(index, vec, tol=1e-12):
+    """Reference per-element loop that the vectorised ``PoolIndex.describe`` must match."""
+    return {
+        index.pools[i].name: float(vec[i])
+        for i in range(len(index))
+        if abs(vec[i]) > tol
+    }
+
+
+#: A module-level index, so hypothesis draws need no function-scoped fixture.
+DESCRIBE_INDEX = build_pool_index({"alpha": 0.9, "beta": 0.3, "gamma": 0.5})
+
+
+def edge_values(tol):
+    """Values on and around the ``describe`` threshold, plus the non-finite ones."""
+    above = float(np.nextafter(tol, np.inf))
+    return [tol, -tol, above, -above, 0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+
+
+def edge_inputs(tol):
+    """Every edge value at least once, cycled over the index."""
+    n = len(DESCRIBE_INDEX)
+    return np.array((edge_values(tol) * n)[:n]), tol
+
+
+@st.composite
+def describe_inputs(draw):
+    tol = draw(st.sampled_from([1e-12, 0.0, 1.0]))
+    values = st.one_of(st.sampled_from(edge_values(tol)), st.floats())
+    n = len(DESCRIBE_INDEX)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n))), tol
+
+
+class TestDerivedDataIsCallerOwned:
+    """The index derives its names, clusters and vectors once and hands out copies."""
+
+    def test_mutating_names_leaves_the_index_intact(self, pool_index):
+        expected = list(pool_index.names)
+        names = pool_index.names
+        names[0] = "mutated"
+        names.append("extra")
+        assert pool_index.names == expected
+        assert pool_index.index_of(expected[0]) == 0
+
+    def test_mutating_clusters_leaves_the_index_intact(self, pool_index):
+        clusters = pool_index.clusters()
+        clusters.clear()
+        assert pool_index.clusters() == ["alpha", "beta"]
+
+    @pytest.mark.parametrize(
+        "view, attr",
+        [("capacities", "capacity"), ("unit_costs", "unit_cost"),
+         ("utilizations", "utilization"), ("available", "available")],
+    )
+    def test_vector_views_are_caller_owned_copies(self, pool_index, view, attr):
+        expected = [getattr(pool, attr) for pool in pool_index.pools]
+        vec = getattr(pool_index, view)()
+        assert vec.tolist() == expected
+        vec[:] = -1.0
+        assert getattr(pool_index, view)().tolist() == expected
+
+    def test_clusters_follow_first_appearance_with_interleaved_pools(self):
+        pools = [make_pool("b"), make_pool("a"), make_pool("b", rtype=ResourceType.RAM)]
+        assert PoolIndex(pools).clusters() == ["b", "a"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=describe_inputs())
+    @example(inputs=edge_inputs(1e-12))
+    @example(inputs=edge_inputs(0.0))
+    @example(inputs=edge_inputs(0.5))
+    def test_describe_matches_the_reference_loop(self, inputs):
+        vec, tol = inputs
+        got = DESCRIBE_INDEX.describe(vec, tol=tol)
+        assert list(got.items()) == list(describe_reference(DESCRIBE_INDEX, vec, tol).items())
+        assert all(type(value) is float for value in got.values())
 
 
 class TestPoolsFromTopology:

@@ -58,6 +58,20 @@ class TestBatchResponse:
         with pytest.raises(ValueError):
             BatchDemandEngine(pool_index, [bid])
 
+    def test_accepts_bids_over_equal_but_distinct_index(self, pool_index, rng):
+        other = pool_index.with_utilizations(np.full(len(pool_index), 0.5))
+        assert other is not pool_index and other.names == pool_index.names
+        bids = mixed_bids(pool_index, rng)
+        foreign = [
+            Bid(bidder=b.bidder, bundles=BundleSet(other, list(b.bundles.matrix)), limit=b.limit)
+            for b in bids
+        ]
+        prices = unit_reserve(pool_index, 3.0)
+        expected = BatchDemandEngine(pool_index, bids).respond_all(prices)
+        response = BatchDemandEngine(pool_index, foreign).respond_all(prices)
+        np.testing.assert_array_equal(response.active, expected.active)
+        np.testing.assert_array_equal(response.total, expected.total)
+
     def test_matches_proxy_decisions(self, pool_index, rng):
         bids = mixed_bids(pool_index, rng)
         engine = BatchDemandEngine(pool_index, bids)

@@ -42,6 +42,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AscendingClockAuction(pool_index, [bid], reserve_prices=zero_reserve(pool_index))
 
+    def test_accepts_bid_over_equal_but_distinct_index(self, pool_index):
+        # The same pools at other utilizations: a distinct index object with
+        # the same pool names, so the bid is admitted and prices identically.
+        other = pool_index.with_utilizations(np.full(len(pool_index), 0.5))
+        assert other is not pool_index and other.names == pool_index.names
+        kwargs = dict(reserve_prices=unit_reserve(pool_index), supply=np.full(len(pool_index), 5.0))
+        foreign = AscendingClockAuction(
+            pool_index, [Bid.buy("t", other, [{"alpha/cpu": 10}], max_payment=100.0)], **kwargs
+        ).run()
+        native = AscendingClockAuction(
+            pool_index, [Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=100.0)], **kwargs
+        ).run()
+        assert foreign.converged
+        np.testing.assert_array_equal(foreign.final_prices, native.final_prices)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AuctionConfig(max_rounds=0)
