@@ -23,8 +23,8 @@ def test_market_vs_traditional_allocation(benchmark, bench_config):
     print("utilization balance around the first market auction:", {k: round(v, 4) for k, v in result.balance.items()})
 
     market = result.market()
-    fixed = result.baseline("fixed_price_fcfs")
-    proportional = result.baseline("proportional_share")
+    fixed = result.baseline("fixed-price")
+    proportional = result.baseline("proportional")
     priority = result.baseline("priority")
 
     # The paper's qualitative claims: the market evens out utilization across

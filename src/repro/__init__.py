@@ -15,10 +15,12 @@ The public API is organised in layers:
 * :mod:`repro.market` — the trading platform (accounts, service catalog, order
   book, market summary, periodic auction rounds);
 * :mod:`repro.agents` — engineering-team agents with evolving bidding strategies;
-* :mod:`repro.baselines` — traditional (non-market) allocation mechanisms;
 * :mod:`repro.simulation` — the multi-auction economy simulation;
+* :mod:`repro.mechanisms` — the market and the traditional (non-market)
+  allocation policies it is compared against, behind one registry;
 * :mod:`repro.analysis` — metrics (bid premium, settlement stats, utilization
-  percentiles of settled trades, price ratios);
+  percentiles of settled trades, price ratios, shortages and surpluses of
+  allocation outcomes);
 * :mod:`repro.experiments` — drivers that regenerate every table and figure in
   the paper's evaluation section.
 """

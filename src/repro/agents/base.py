@@ -3,7 +3,7 @@
 A :class:`TeamAgent` owns a demand profile (what the team needs to run), a
 bidding strategy (how it converts that need plus the current market view into
 sealed bids), and a learning model that adjusts its limit-price margin from
-one auction to the next.  The simulation engine calls
+one auction to the next.  The economy simulation calls
 :meth:`TeamAgent.prepare_bids` each auction and feeds back the team's
 settlement via :meth:`TeamAgent.observe_settlement`.
 """

@@ -7,6 +7,8 @@
   trades split by side and resource dimension (Figure 7);
 * :mod:`repro.analysis.settlement_stats` — shortage/surplus/utilization-balance
   comparisons and per-strategy winner breakdowns;
+* :mod:`repro.analysis.allocation` — quota requests, allocation outcomes, and
+  the shortage/surplus metrics shared by the market and the baseline policies;
 * :mod:`repro.analysis.reports` — plain-text rendering of the above.
 """
 

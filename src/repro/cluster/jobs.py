@@ -43,11 +43,12 @@ class Job:
     tasks:
         Number of identical tasks; total footprint is ``demand * tasks``.
     priority:
-        Larger values are more important; used by the priority baseline
-        allocator for preemption ordering.
+        Larger values are more important; the scheduler's
+        :meth:`~repro.cluster.scheduler.BinPackingScheduler.preempt_below`
+        evicts jobs ranked below a cut-off.
     duration:
-        Nominal runtime in abstract time units (used by the discrete-event
-        simulation when jobs churn between auctions).
+        Nominal runtime in abstract time units.  Carried along when a job is
+        split into tasks; nothing in the library reads it.
     mobile:
         Whether the owning team has engineered the job to run in any cluster
         (``True``) or whether it is pinned to its current cluster by data

@@ -135,9 +135,8 @@ class BinPackingScheduler:
     def preempt_below(self, cluster: Cluster, priority: int) -> list[Job]:
         """Evict every job with priority strictly below ``priority``.
 
-        Used by the priority baseline allocator to model the traditional
-        "more important jobs preempt lower-ranked tasks" policy the paper
-        contrasts against.
+        Models the traditional "more important jobs preempt lower-ranked
+        tasks" policy the paper contrasts against.
         """
         evicted: list[Job] = []
         for machine in cluster.machines:

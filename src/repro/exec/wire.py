@@ -238,8 +238,18 @@ def encode_spec_b64(spec) -> str:
 
 
 def decode_spec_b64(payload: str):
-    """Invert :func:`encode_spec_b64`.  Trusted input only (pickle)."""
-    return pickle.loads(base64.b64decode(payload.encode("ascii")))
+    """Invert :func:`encode_spec_b64`.  Trusted input only (pickle).
+
+    A payload that does not decode or unpickle raises :class:`WireError`,
+    so a worker treats a corrupt job frame like any other broken frame.
+    """
+    # Corrupt pickle bytes can raise almost any exception type: pickle
+    # documents AttributeError, EOFError, ImportError and IndexError besides
+    # UnpicklingError, and bad base64 raises binascii.Error.
+    try:
+        return pickle.loads(base64.b64decode(payload.encode("ascii")))
+    except Exception as error:
+        raise WireError(f"undecodable job spec: {error}") from error
 
 
 def result_to_wire(result: "ScenarioRunResult") -> dict:

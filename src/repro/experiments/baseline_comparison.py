@@ -4,13 +4,14 @@ The paper's motivation (Section I) is that manual quota policies produce
 "uneven utilization, significant shortages and surpluses in certain resource
 pools"; its conclusion claims the market produced "significant improvements in
 overall utilization".  This experiment quantifies that on a common workload:
-the same per-team demands are run through the fixed-price FCFS, proportional
-share, and priority baselines and through the market, and the shortage /
-surplus / balance metrics are compared.
+the same per-team demands are run through the four baseline policies
+(fixed-price, priority, proportional and lottery) and through the market, and
+the shortage / surplus / balance metrics are compared.
 
 This module is a thin one-shot wrapper over the allocation-mechanism layer
-(:mod:`repro.mechanisms`): the baseline policies come from the mechanism
-registry's allocators, applied once against the scenario's initial fleet.
+(:mod:`repro.mechanisms`): each registered baseline policy is applied once
+against the scenario's initial fleet (see
+:func:`~repro.mechanisms.baseline.one_shot_outcomes`).
 For the longitudinal version of the same comparison — every mechanism driven
 through per-epoch trajectories, persisted with provenance, and compared with
 replicate statistics — run ``python -m repro sweep --mechanism all`` followed
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.settlement_stats import utilization_balance_improvement
-from repro.baselines.comparison import (
+from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
     market_outcome_from_quota_delta,
     requests_from_demands,
 )
+from repro.analysis.settlement_stats import utilization_balance_improvement
 from repro.mechanisms.baseline import one_shot_outcomes
 from repro.simulation.catalog import ScenarioSpec, get_scenario
 from repro.simulation.economy import MarketEconomySimulation
@@ -51,7 +52,7 @@ class BaselineComparisonResult:
 def run_baseline_comparison(
     spec: ScenarioSpec = get_scenario("paper-reference"), *, market_auctions: int | None = None
 ) -> BaselineComparisonResult:
-    """Compare the market against the three traditional allocation baselines.
+    """Compare the market against the four traditional allocation baselines.
 
     The baselines are one-shot policies; the market is given
     ``market_auctions`` periodic auctions (default: the spec's auction

@@ -36,9 +36,8 @@ from repro.mechanisms.base import (
     resolve_mechanisms,
 )
 from repro.mechanisms.baseline import (
-    BASELINE_ALLOCATORS,
+    BASELINE_MECHANISMS,
     BaselineEconomySimulation,
-    BaselineHistory,
     BaselineMechanism,
     BaselinePeriodResult,
     one_shot_outcomes,
@@ -46,43 +45,15 @@ from repro.mechanisms.baseline import (
 )
 from repro.mechanisms.market import MarketMechanism
 
-register_mechanism(MarketMechanism())
-register_mechanism(
-    BaselineMechanism(
-        "fixed-price",
-        "first-come-first-served grants at posted fixed prices",
-        BASELINE_ALLOCATORS["fixed-price"],
-    )
-)
-register_mechanism(
-    BaselineMechanism(
-        "priority",
-        "operator-assigned priorities served highest first",
-        BASELINE_ALLOCATORS["priority"],
-    )
-)
-register_mechanism(
-    BaselineMechanism(
-        "proportional",
-        "equal fractional shares of oversubscribed pools",
-        BASELINE_ALLOCATORS["proportional"],
-    )
-)
-register_mechanism(
-    BaselineMechanism(
-        "lottery",
-        "budget-weighted random service order (lottery scheduling)",
-        BASELINE_ALLOCATORS["lottery"],
-    )
-)
+for _mechanism in (MarketMechanism(), *BASELINE_MECHANISMS):
+    register_mechanism(_mechanism)
 
 __all__ = [
     "DEFAULT_MECHANISM",
     "MECHANISMS",
     "AllocationMechanism",
-    "BASELINE_ALLOCATORS",
+    "BASELINE_MECHANISMS",
     "BaselineEconomySimulation",
-    "BaselineHistory",
     "BaselineMechanism",
     "BaselinePeriodResult",
     "MarketMechanism",

@@ -1,13 +1,32 @@
 """Traditional allocation policies as first-class mechanisms.
 
 The paper motivates the market by contrast with manual quota setting (Section
-I): fixed-price first-come-first-served grants, operator-assigned priorities,
-and equal proportional shares.  :mod:`repro.baselines` implements those
-policies as *one-shot* allocators; this module drives them through the same
-longitudinal structure as the market economy so every catalog scenario can run
-under either kind of mechanism and produce directly comparable trajectories.
+I): "The operator either grants each user an equal share of the system or,
+more likely, decides that certain jobs / users are 'more important' than
+others ... These inefficiencies are manifested through uneven utilization,
+significant shortages and surpluses in certain resource pools."  Each such
+policy is one row of :data:`BASELINE_MECHANISMS` — its registry name, its
+description and its allocation rule:
 
-Per epoch, a :class:`BaselineEconomySimulation`:
+* ``fixed-price`` — first-come-first-served grants at the posted fixed price
+  until each pool runs out.  No price signal steers anyone away from
+  congested pools, so popular clusters run out while unpopular ones sit idle;
+* ``priority`` — requests served in operator-assigned priority order, arrival
+  order breaking ties.  Low priorities in congested pools get nothing;
+* ``proportional`` — every request on an oversubscribed pool is scaled by the
+  pool's supply/demand ratio.  Nobody is turned away, but nobody in a
+  congested pool gets what it needs;
+* ``lottery`` — a budget-weighted lottery decides the service order
+  (Waldspurger-style lottery scheduling, tickets = budget dollars).  Nobody
+  is *systematically* starved, but there is still no price signal.
+
+Fixed-price, priority and lottery share one grant loop
+(:func:`serve_in_order`) and differ only in the order they serve requests.
+
+A :class:`BaselineEconomySimulation` drives a policy through the same
+longitudinal structure as the market economy, so every catalog scenario can
+run under either kind of mechanism and produce directly comparable
+trajectories.  Per epoch it:
 
 1. re-reads every team's current demand (profiles grow between epochs exactly
    as they do for market agents);
@@ -22,13 +41,13 @@ Per epoch, a :class:`BaselineEconomySimulation`:
    over more resources (Figure 6);
 3. projects the new grants onto pool utilizations and applies the same organic
    drift model the market simulation uses;
-4. records both measurement families of :mod:`repro.baselines.comparison`:
+4. records both measurement families of :mod:`repro.analysis.allocation`:
    the cumulative team-level coverage (everything granted so far against the
-   epoch's demand, via :func:`~repro.baselines.comparison.allocation_metrics`
+   epoch's demand, via :func:`~repro.analysis.allocation.allocation_metrics`
    — the same measurement applied to the market's cumulative quota delta) and
    the pool-level imbalance (capacity overcommitted past safe headroom /
    stranded idle, via
-   :func:`~repro.baselines.comparison.utilization_imbalance`).
+   :func:`~repro.analysis.allocation.utilization_imbalance`).
 
 What baselines *cannot* do is exactly what the trajectories expose: there is
 no price signal steering demand out of congested home clusters, so grants
@@ -45,21 +64,20 @@ market runs (see ``benchmarks/test_bench_mechanisms.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.baselines.comparison import (
+from repro.analysis.allocation import (
     AllocationMetrics,
+    AllocationOutcome,
+    QuotaRequest,
     allocation_metrics,
     utilization_imbalance,
 )
-from repro.baselines.fixed_price import FixedPriceAllocator
-from repro.baselines.lottery import LotteryAllocator
-from repro.baselines.priority import PriorityAllocator
-from repro.baselines.proportional import ProportionalShareAllocator
-from repro.baselines.requests import AllocationOutcome, QuotaRequest
+from repro.cluster.pools import PoolIndex
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import (
     apply_settlement_to_utilization,
@@ -75,13 +93,82 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Allocation smaller than this does not count as a settled trade.
 _TRADE_TOL = 1e-9
 
-#: The one-shot allocator behind each baseline mechanism name.
-BASELINE_ALLOCATORS: dict[str, Callable[[], object]] = {
-    "fixed-price": FixedPriceAllocator,
-    "priority": PriorityAllocator,
-    "proportional": ProportionalShareAllocator,
-    "lottery": LotteryAllocator,
-}
+#: One grant: the request served, what it wanted and what it was granted.
+Grant = tuple[QuotaRequest, np.ndarray, np.ndarray]
+
+
+# -- the policies ------------------------------------------------------------------------
+
+
+def serve_in_order(
+    index: PoolIndex,
+    requests: Sequence[QuotaRequest],
+    rng: np.random.Generator | None,
+    *,
+    order: Callable[[Sequence[QuotaRequest], np.random.Generator | None], Iterable[int]],
+) -> Iterator[Grant]:
+    """Serve ``requests`` one at a time, in the order ``order(requests, rng)``.
+
+    Each request is granted what it wants of what its pools still have, so
+    the requests served late in a congested pool get the leftovers or nothing.
+    """
+    remaining = index.available().copy()
+    for i in order(requests, rng):
+        request = requests[i]
+        wanted = request.vector(index)
+        granted = np.minimum(wanted, remaining)
+        remaining = remaining - granted
+        yield request, wanted, granted
+
+
+def arrival_order(requests: Sequence[QuotaRequest], rng) -> Iterable[int]:
+    """First come, first served."""
+    return range(len(requests))
+
+
+def priority_order(requests: Sequence[QuotaRequest], rng) -> Iterable[int]:
+    """Highest operator priority first; arrival order breaks ties."""
+    return sorted(range(len(requests)), key=lambda i: (-requests[i].priority, i))
+
+
+def lottery_order(requests: Sequence[QuotaRequest], rng: np.random.Generator) -> Iterable[int]:
+    """A budget-weighted random order: the lottery's draw.
+
+    Efraimidis–Spirakis weighted sampling without replacement: each request
+    gets the key ``u ** (1 / weight)`` for one uniform draw ``u``, and
+    requests are served by descending key.  A request's ``weight`` is its
+    team's remaining budget (tickets); zero-weight requests always sort last.
+    An empty request list draws nothing.
+
+    >>> rich = QuotaRequest(team="rich", quantities={"a/cpu": 15.0}, weight=1e9)
+    >>> poor = QuotaRequest(team="poor", quantities={"a/cpu": 15.0}, weight=1e-9)
+    >>> [int(i) for i in lottery_order([poor, rich], np.random.default_rng(1))]
+    [1, 0]
+    """
+    if not requests:
+        return []
+    weights = np.array([request.weight for request in requests], dtype=float)
+    draws = rng.random(len(requests))
+    with np.errstate(divide="ignore"):
+        keys = np.where(weights > 0.0, draws ** (1.0 / weights), -1.0)
+    return np.argsort(-keys, kind="stable")
+
+
+def proportional_grants(
+    index: PoolIndex, requests: Sequence[QuotaRequest], rng
+) -> Iterator[Grant]:
+    """Grant each team ``min(1, available/demand)`` of its request per pool."""
+    vectors = [request.vector(index) for request in requests]
+    total_demand = np.zeros(len(index))
+    for vec in vectors:
+        total_demand += vec
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(total_demand > 0, np.minimum(1.0, index.available() / total_demand), 1.0)
+    for request, wanted in zip(requests, vectors):
+        yield request, wanted, wanted * scale
+
+
+# -- the mechanism shell -----------------------------------------------------------------
 
 
 def zero_migration_summary() -> dict[str, float]:
@@ -108,36 +195,19 @@ class BaselinePeriodResult:
     revenue: float
     #: Number of (team, pool) grants made this epoch.
     grant_count: int
-    #: Fraction of all cost-weighted demand covered by cumulative holdings.
-    grant_rate: float
     #: Pool utilizations after grants and organic drift were applied.
     utilization_after: np.ndarray
     #: Cost-weighted capacity overcommitted / stranded after this epoch (the
     #: paper's pool-level "shortages and surpluses"; see
-    #: :func:`repro.baselines.comparison.utilization_imbalance`).
+    #: :func:`repro.analysis.allocation.utilization_imbalance`).
     shortage_cost: float
     surplus_cost: float
     #: Cumulative team-level coverage vs this epoch's demand.
     allocation: AllocationMetrics
 
 
-@dataclass
-class BaselineHistory:
-    """The full record of a multi-epoch baseline run."""
-
-    policy: str
-    periods: list[BaselinePeriodResult] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.periods)
-
-    def allocation_series(self) -> list[AllocationMetrics]:
-        """Cumulative shortage/surplus/satisfaction metrics per epoch."""
-        return [period.allocation for period in self.periods]
-
-
 class BaselineEconomySimulation:
-    """Drive a one-shot allocation policy through periodic epochs.
+    """Drive a baseline policy through periodic epochs.
 
     The longitudinal shell mirrors :class:`~repro.simulation.economy.MarketEconomySimulation`:
     demand grows, utilization drifts, and each epoch re-evaluates the policy
@@ -148,18 +218,16 @@ class BaselineEconomySimulation:
     def __init__(
         self,
         scenario: Scenario,
-        allocator,
+        mechanism: BaselineMechanism,
         *,
-        policy: str,
         drift_scale: float = 0.015,
     ):
         if drift_scale < 0:
             raise ValueError("drift_scale must be non-negative")
         self.scenario = scenario
-        self.allocator = allocator
-        self.policy = policy
+        self.mechanism = mechanism
         self.drift_scale = drift_scale
-        self.history = BaselineHistory(policy=policy)
+        self.periods: list[BaselinePeriodResult] = []
         self._initial_index = scenario.pool_index
         #: Cumulative granted quota per team (vectors over the pool index).
         self._holdings: dict[str, np.ndarray] = {}
@@ -171,12 +239,12 @@ class BaselineEconomySimulation:
         # teams by perceived importance, not per epoch.  Uses the scenario RNG
         # so a fixed seed fixes the whole run.
         self._priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
-        # Stochastic allocators (the lottery) derive their stream from the
-        # scenario RNG the same way, so a fixed seed fixes every draw.  The
-        # hook is conditional: deterministic policies consume nothing and
-        # their trajectories stay bit-identical to pre-lottery builds.
-        if hasattr(allocator, "reseed"):
-            allocator.reseed(scenario.rng)
+        # A policy that draws (the lottery) takes its own stream from the
+        # scenario RNG, so a fixed seed fixes every draw.  The others take
+        # nothing from it, and the drift model draws next.
+        self._rng = (
+            np.random.default_rng(int(scenario.rng.integers(2**63))) if mechanism.draws else None
+        )
         # Demand is re-derived analytically each epoch instead of re-running
         # the covering-bundle translation: covering bundles are linear in the
         # requested quantity and a profile's growth is one multiplicative
@@ -251,7 +319,7 @@ class BaselineEconomySimulation:
         mechanism has still never put to use" — the same yardstick the market
         simulation applies to its cumulative quota delta.
         """
-        outcome = AllocationOutcome(index=self._initial_index, policy=self.policy)
+        outcome = AllocationOutcome(index=self._initial_index, policy=self.mechanism.name)
         for team, demand in demands.items():
             outcome.record(team, demand, self._held(team))
         for team, held in self._holdings.items():
@@ -263,11 +331,11 @@ class BaselineEconomySimulation:
         """Run a single allocation epoch and record its statistics."""
         scenario = self.scenario
         index = scenario.pool_index
-        demands = self._epoch_demands(len(self.history.periods) + 1)
+        demands = self._epoch_demands(len(self.periods) + 1)
         fixed_prices = self._fixed_prices
 
-        epoch_outcome = self.allocator.allocate(
-            index, self._residual_requests(demands, fixed_prices)
+        epoch_outcome = self.mechanism.allocate(
+            index, self._residual_requests(demands, fixed_prices), self._rng
         )
         epoch_granted = epoch_outcome.total_granted()
         grant_count = 0
@@ -289,34 +357,55 @@ class BaselineEconomySimulation:
 
         shortage, surplus = utilization_imbalance(self._initial_index, updated.utilizations())
         period = BaselinePeriodResult(
-            epoch=len(self.history.periods) + 1,
+            epoch=len(self.periods) + 1,
             revenue=revenue,
             grant_count=grant_count,
-            grant_rate=metrics.grant_rate,
             utilization_after=updated.utilizations().copy(),
             shortage_cost=shortage,
             surplus_cost=surplus,
             allocation=metrics,
         )
-        self.history.periods.append(period)
+        self.periods.append(period)
         return period
 
-    def run(self, epochs: int) -> BaselineHistory:
-        """Run ``epochs`` allocation epochs."""
+    def run(self, epochs: int) -> list[BaselinePeriodResult]:
+        """Run ``epochs`` allocation epochs; returns every period so far."""
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
         for _ in range(epochs):
             self.run_one_epoch()
-        return self.history
+        return self.periods
 
 
+@dataclass(frozen=True)
 class BaselineMechanism:
-    """One traditional policy wrapped behind the mechanism contract."""
+    """One traditional policy behind the mechanism contract (a :data:`BASELINE_MECHANISMS` row)."""
 
-    def __init__(self, name: str, description: str, allocator_factory: Callable[[], object]):
-        self.name = name
-        self.description = description
-        self.allocator_factory = allocator_factory
+    #: Registry name; also the ``policy`` label of every outcome it produces.
+    name: str
+    description: str
+    #: ``grants(index, requests, rng)``: the policy's grants in service order.
+    grants: Callable[
+        [PoolIndex, Sequence[QuotaRequest], np.random.Generator | None], Iterable[Grant]
+    ]
+    #: Whether ``grants`` draws from ``rng``.  Only such a policy takes a
+    #: stream from the scenario RNG (see :class:`BaselineEconomySimulation`).
+    draws: bool = False
+
+    def allocate(
+        self,
+        index: PoolIndex,
+        requests: Sequence[QuotaRequest],
+        rng: np.random.Generator | None = None,
+    ) -> AllocationOutcome:
+        """Run the policy once against ``index``'s available capacity.
+
+        ``rng`` feeds a policy that draws (the lottery); the others ignore it.
+        """
+        outcome = AllocationOutcome(index=index, policy=self.name)
+        for request, wanted, granted in self.grants(index, requests, rng):
+            outcome.record(request.team, wanted, granted)
+        return outcome
 
     def run(self, spec: "ScenarioSpec") -> "ScenarioRunResult":
         return self.simulate(spec.build(), spec)
@@ -330,14 +419,9 @@ class BaselineMechanism:
         """
         from repro.simulation.runner import ScenarioRunResult, _round, _round_list
 
-        sim = BaselineEconomySimulation(
-            scenario,
-            self.allocator_factory(),
-            policy=self.name,
-            drift_scale=spec.drift_scale,
-        )
-        history = sim.run(spec.auctions)
-        periods = history.periods
+        periods = BaselineEconomySimulation(
+            scenario, self, drift_scale=spec.drift_scale
+        ).run(spec.auctions)
         mean_fixed_price = float(np.mean(list(scenario.platform.fixed_prices.values())))
         return ScenarioRunResult(
             scenario=spec.name,
@@ -350,7 +434,7 @@ class BaselineMechanism:
             # Every grant happens at the posted fixed price: premium == 1.0.
             median_premium=[1.0] * len(periods),
             mean_premium=[1.0] * len(periods),
-            settled_fraction=_round_list(p.grant_rate for p in periods),
+            settled_fraction=_round_list(p.allocation.grant_rate for p in periods),
             # No price discovery: zero clock rounds per epoch.
             clearing_rounds=[0] * len(periods),
             mean_clearing_price=[_round(mean_fixed_price)] * len(periods),
@@ -372,13 +456,44 @@ class BaselineMechanism:
         )
 
 
+#: The baseline policies, one row each; :mod:`repro.mechanisms` registers them.
+BASELINE_MECHANISMS: tuple[BaselineMechanism, ...] = (
+    BaselineMechanism(
+        "fixed-price",
+        "first-come-first-served grants at posted fixed prices",
+        partial(serve_in_order, order=arrival_order),
+    ),
+    BaselineMechanism(
+        "priority",
+        "operator-assigned priorities served highest first",
+        partial(serve_in_order, order=priority_order),
+    ),
+    BaselineMechanism(
+        "proportional",
+        "equal fractional shares of oversubscribed pools",
+        proportional_grants,
+    ),
+    BaselineMechanism(
+        "lottery",
+        "budget-weighted random service order (lottery scheduling)",
+        partial(serve_in_order, order=lottery_order),
+        draws=True,
+    ),
+)
+
+
 def one_shot_outcomes(
     scenario: Scenario, requests: Sequence[QuotaRequest]
 ) -> list[AllocationOutcome]:
     """Run every baseline policy once against a scenario's current fleet.
 
-    The single-epoch view used by ``experiments/baseline_comparison.py``:
-    equivalent to each baseline mechanism's first epoch.
+    The single-epoch view used by ``experiments/baseline_comparison.py``.  It
+    is *not* a mechanism's first epoch: ``requests`` carry no budget cap and
+    usually equal lottery weights, and the lottery draws from
+    ``default_rng(0)`` instead of a stream taken from the scenario RNG.
     """
     index = scenario.pool_index
-    return [factory().allocate(index, requests) for factory in BASELINE_ALLOCATORS.values()]
+    return [
+        mechanism.allocate(index, requests, np.random.default_rng(0))
+        for mechanism in BASELINE_MECHANISMS
+    ]

@@ -134,8 +134,8 @@ METRICS: dict[str, MetricDef] = {
             "Settled (bidder, pool) trades pooled across auctions",
             lambda r: float(r.trade_count),
         ),
-        # The market-vs-baseline comparison scalars (absorbed from
-        # ``baselines/comparison.py``): cumulative provisioning after the last
+        # The market-vs-baseline comparison scalars (measured by
+        # ``analysis/allocation.py``): cumulative provisioning after the last
         # epoch, judged against that epoch's demand.  These are what
         # ``results compare --across mechanisms`` reproduces the paper's
         # Table-1-style shortage/surplus claim from.

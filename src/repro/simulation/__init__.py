@@ -1,11 +1,11 @@
 """Multi-auction economy simulation.
 
 The paper ran "six, experimental auctions over the course of several months".
-This package simulates that longitudinal process: a discrete-event engine
-drives periodic auction events and organic utilization drift between them,
-scenario builders assemble a synthetic fleet plus an agent population plus a
-trading platform, and :class:`~repro.simulation.economy.MarketEconomySimulation`
-runs the whole thing and records per-auction statistics for the analysis layer.
+This package simulates that longitudinal process: scenario builders assemble
+a synthetic fleet plus an agent population plus a trading platform, and
+:class:`~repro.simulation.economy.MarketEconomySimulation` runs periodic
+auctions, each after a spell of organic utilization drift, and records
+per-auction statistics for the analysis layer.
 
 On top of that sits the scenario subsystem: the
 :mod:`~repro.simulation.catalog` of named, declarative
@@ -14,7 +14,6 @@ On top of that sits the scenario subsystem: the
 scenarios out across a process pool (also exposed as ``python -m repro``).
 """
 
-from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.workload import demands_from_agents, priorities_from_agents, organic_drift
 from repro.simulation.scenario import ScenarioConfig, Scenario, build_scenario
 from repro.simulation.economy import (
@@ -38,8 +37,6 @@ from repro.simulation.runner import (
 )
 
 __all__ = [
-    "Event",
-    "SimulationEngine",
     "demands_from_agents",
     "priorities_from_agents",
     "organic_drift",

@@ -17,18 +17,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.agents.base import MarketView
-from repro.analysis.premium import PremiumStats, premium_stats
-from repro.analysis.price_ratio import PriceRatioRow, price_ratio_table
-from repro.analysis.utilization_stats import SettledTrade, migration_summary, settled_trades
-from repro.baselines.comparison import (
+from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
     market_outcome_from_quota_delta,
     requests_from_demands,
 )
+from repro.analysis.premium import PremiumStats, premium_stats
+from repro.analysis.price_ratio import PriceRatioRow, price_ratio_table
+from repro.analysis.utilization_stats import SettledTrade, migration_summary, settled_trades
 from repro.core.settlement import Settlement
 from repro.market.platform import AuctionRecord
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import (
     apply_settlement_to_utilization,
@@ -55,7 +54,7 @@ class AuctionPeriodResult:
     #: Team-level coverage of the market's *cumulative* provisioning (quota
     #: acquired since the simulation started) against the demand current at
     #: this epoch — the satisfied-fraction side of the paper's
-    #: market-vs-baseline comparison (see :mod:`repro.baselines.comparison`;
+    #: market-vs-baseline comparison (see :mod:`repro.analysis.allocation`;
     #: the pool-level shortage/surplus side is derived from
     #: ``utilization_after`` by the runner).
     allocation: AllocationMetrics
@@ -113,21 +112,16 @@ class MarketEconomySimulation:
         self,
         scenario: Scenario,
         *,
-        auction_period: float = 30.0,
         drift_scale: float = 0.015,
         move_out_fraction: float = 0.9,
         preliminary_runs: int = 0,
     ):
-        if auction_period <= 0:
-            raise ValueError("auction_period must be positive")
         if preliminary_runs < 0:
             raise ValueError("preliminary_runs must be non-negative")
         self.scenario = scenario
-        self.auction_period = auction_period
         self.drift_scale = drift_scale
         self.move_out_fraction = move_out_fraction
         self.preliminary_runs = preliminary_runs
-        self.engine = SimulationEngine()
         self.history = EconomyHistory()
         self._auction_counter = 0
         # Reference points for the cumulative allocation metrics: everything a
@@ -240,31 +234,13 @@ class MarketEconomySimulation:
 
     # -- multi-period driver --------------------------------------------------------------------
     def run(self, auctions: int) -> EconomyHistory:
-        """Run ``auctions`` periodic auctions through the discrete-event engine."""
+        """Run ``auctions`` periodic auctions, each after a spell of organic drift."""
         if auctions < 0:
             raise ValueError("auctions must be non-negative")
-
-        def auction_event(_engine: SimulationEngine) -> None:
-            self.run_one_auction()
-
-        def drift_event(_engine: SimulationEngine) -> None:
-            platform = self.scenario.platform
+        platform = self.scenario.platform
+        for _ in range(auctions):
             platform.update_pool_index(
                 organic_drift(platform.index, rng=self.scenario.rng, drift_scale=self.drift_scale)
             )
-
-        self.engine.schedule_periodic(
-            self.auction_period, auction_event, count=auctions, name="auction", priority=1
-        )
-        # drift mid-way between auctions
-        self.engine.schedule_periodic(
-            self.auction_period,
-            drift_event,
-            count=auctions,
-            name="drift",
-            priority=0,
-            start_delay=self.auction_period / 2,
-        )
-        self.engine.run()
+            self.run_one_auction()
         return self.history
-

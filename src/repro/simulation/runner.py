@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.comparison import utilization_imbalance
+from repro.analysis.allocation import utilization_imbalance
 from repro.simulation.catalog import ScenarioSpec
 from repro.simulation.economy import EconomyHistory
 from repro.simulation.scenario import Scenario
@@ -97,7 +97,7 @@ class ScenarioRunResult:
     mechanism: str = "market"
     #: Cost-weighted capacity overcommitted beyond safe headroom per epoch —
     #: the paper's "shortages in certain resource pools" (see
-    #: :func:`repro.baselines.comparison.utilization_imbalance`).
+    #: :func:`repro.analysis.allocation.utilization_imbalance`).
     shortage_cost: list[float] = field(default_factory=list)
     #: Cost-weighted capacity stranded idle per epoch — the paper's
     #: "surpluses in certain resource pools".

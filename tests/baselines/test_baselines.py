@@ -1,23 +1,24 @@
 """Unit tests for the traditional-allocation baselines and the comparison metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.baselines.comparison import (
+from repro.analysis.allocation import (
+    AllocationOutcome,
+    QuotaRequest,
     allocation_metrics,
-    compare_outcomes,
     market_outcome_from_quota_delta,
-    market_outcome_from_settlement,
     requests_from_demands,
 )
-from repro.baselines.fixed_price import FixedPriceAllocator
-from repro.baselines.lottery import LotteryAllocator
-from repro.baselines.priority import PriorityAllocator
-from repro.baselines.proportional import ProportionalShareAllocator
-from repro.baselines.requests import AllocationOutcome, QuotaRequest
-from repro.core.bids import Bid
-from repro.core.settlement import settle
+from repro.mechanisms import BaselineEconomySimulation, get_mechanism
+from repro.simulation.scenario import small_scenario
 from tests.conftest import build_pool_index
+
+FIXED_PRICE, PRIORITY, PROPORTIONAL, LOTTERY = (
+    get_mechanism(name) for name in ("fixed-price", "priority", "proportional", "lottery")
+)
 
 
 @pytest.fixture
@@ -34,6 +35,12 @@ class TestQuotaRequest:
             QuotaRequest(team="t", quantities={})
         with pytest.raises(ValueError):
             QuotaRequest(team="t", quantities={"a/cpu": -1})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="'a/cpu'"):
+                QuotaRequest(team="t", quantities={"a/cpu": bad})
+            with pytest.raises(ValueError, match="weight"):
+                QuotaRequest(team="t", quantities={"a/cpu": 1}, weight=bad)
+        assert QuotaRequest(team="t", quantities={"a/cpu": 0.0}, weight=0.0).weight == 0.0
 
     def test_vector(self, idle_index):
         request = QuotaRequest(team="t", quantities={"alpha/cpu": 10})
@@ -42,28 +49,22 @@ class TestQuotaRequest:
     def test_unknown_pool_rejected_by_allocators(self, idle_index):
         request = QuotaRequest(team="t", quantities={"nowhere/cpu": 10})
         with pytest.raises(KeyError):
-            FixedPriceAllocator().allocate(idle_index, [request])
+            FIXED_PRICE.allocate(idle_index, [request])
 
 
 class TestFixedPriceAllocator:
     def test_grants_until_capacity_exhausted(self, idle_index):
         # available alpha/cpu = 500; three requests of 200 arrive in order
         requests = [QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 200}) for i in range(3)]
-        outcome = FixedPriceAllocator().allocate(idle_index, requests)
+        outcome = FIXED_PRICE.allocate(idle_index, requests)
         assert outcome.grant_fraction("t0") == 1.0
         assert outcome.grant_fraction("t1") == 1.0
         assert outcome.grant_fraction("t2") == pytest.approx(0.5)  # only 100 left
         assert outcome.shortage()[idle_index.index_of("alpha/cpu")] == pytest.approx(100.0)
 
-    def test_all_or_nothing_mode(self, idle_index):
-        requests = [QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 300}) for i in range(2)]
-        outcome = FixedPriceAllocator(partial_grants=False).allocate(idle_index, requests)
-        assert outcome.grant_fraction("t0") == 1.0
-        assert outcome.grant_fraction("t1") == 0.0
-
     def test_idle_cluster_keeps_surplus(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        outcome = FixedPriceAllocator().allocate(idle_index, requests)
+        outcome = FIXED_PRICE.allocate(idle_index, requests)
         surplus = outcome.surplus()
         assert surplus[idle_index.index_of("beta/cpu")] == pytest.approx(500.0)
         assert surplus[idle_index.index_of("alpha/cpu")] == pytest.approx(400.0)
@@ -72,7 +73,7 @@ class TestFixedPriceAllocator:
 class TestProportionalShareAllocator:
     def test_scales_down_oversubscribed_pool_uniformly(self, idle_index):
         requests = [QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 500}) for i in range(2)]
-        outcome = ProportionalShareAllocator().allocate(idle_index, requests)
+        outcome = PROPORTIONAL.allocate(idle_index, requests)
         # total demand 1000 against 500 available -> everyone gets half
         assert outcome.grant_fraction("t0") == pytest.approx(0.5)
         assert outcome.grant_fraction("t1") == pytest.approx(0.5)
@@ -80,11 +81,11 @@ class TestProportionalShareAllocator:
 
     def test_undersubscribed_pool_fully_granted(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"beta/ram": 100})]
-        outcome = ProportionalShareAllocator().allocate(idle_index, requests)
+        outcome = PROPORTIONAL.allocate(idle_index, requests)
         assert outcome.grant_fraction("t") == 1.0
 
     def test_empty_request_list(self, idle_index):
-        outcome = ProportionalShareAllocator().allocate(idle_index, [])
+        outcome = PROPORTIONAL.allocate(idle_index, [])
         assert outcome.teams() == []
         assert not np.any(outcome.total_granted())
 
@@ -95,7 +96,7 @@ class TestPriorityAllocator:
             QuotaRequest(team="low", quantities={"alpha/cpu": 400}, priority=0),
             QuotaRequest(team="high", quantities={"alpha/cpu": 400}, priority=5),
         ]
-        outcome = PriorityAllocator().allocate(idle_index, requests)
+        outcome = PRIORITY.allocate(idle_index, requests)
         assert outcome.grant_fraction("high") == 1.0
         assert outcome.grant_fraction("low") == pytest.approx(0.25)  # 100 of 400 left
 
@@ -104,7 +105,7 @@ class TestPriorityAllocator:
             QuotaRequest(team="first", quantities={"alpha/cpu": 400}, priority=1),
             QuotaRequest(team="second", quantities={"alpha/cpu": 400}, priority=1),
         ]
-        outcome = PriorityAllocator().allocate(idle_index, requests)
+        outcome = PRIORITY.allocate(idle_index, requests)
         assert outcome.grant_fraction("first") == 1.0
         assert outcome.grant_fraction("second") < 1.0
 
@@ -119,8 +120,8 @@ class TestLotteryAllocator:
             QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 300}, weight=float(i + 1))
             for i in range(4)
         ]
-        a = LotteryAllocator(seed=3).allocate(idle_index, requests)
-        b = LotteryAllocator(seed=3).allocate(idle_index, requests)
+        a = LOTTERY.allocate(idle_index, requests, np.random.default_rng(3))
+        b = LOTTERY.allocate(idle_index, requests, np.random.default_rng(3))
         for team in a.teams():
             np.testing.assert_array_equal(a.granted[team], b.granted[team])
 
@@ -130,7 +131,7 @@ class TestLotteryAllocator:
         ]
         grants = set()
         for seed in range(8):
-            outcome = LotteryAllocator(seed=seed).allocate(idle_index, requests)
+            outcome = LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
             grants.add(tuple(round(outcome.grant_fraction(t), 6) for t in sorted(outcome.teams())))
         assert len(grants) > 1  # the order (hence who is rationed) varies
 
@@ -142,7 +143,8 @@ class TestLotteryAllocator:
             QuotaRequest(team="minnow", quantities={"alpha/cpu": 400}, weight=1.0),
         ]
         whale_wins = sum(
-            LotteryAllocator(seed=seed).allocate(idle_index, requests).grant_fraction("whale") == 1.0
+            LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
+            .grant_fraction("whale") == 1.0
             for seed in range(100)
         )
         assert whale_wins > 90
@@ -153,24 +155,23 @@ class TestLotteryAllocator:
             QuotaRequest(team="funded", quantities={"alpha/cpu": 400}, weight=5.0),
         ]
         for seed in range(10):
-            outcome = LotteryAllocator(seed=seed).allocate(idle_index, requests)
+            outcome = LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
             assert outcome.grant_fraction("funded") == 1.0
 
-    def test_reseed_pins_the_stream(self, idle_index):
-        requests = [
-            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 300}) for i in range(4)
-        ]
-        a = LotteryAllocator()
-        a.reseed(np.random.default_rng(42))
-        b = LotteryAllocator()
-        b.reseed(np.random.default_rng(42))
-        oa = a.allocate(idle_index, requests)
-        ob = b.allocate(idle_index, requests)
-        for team in oa.teams():
-            np.testing.assert_array_equal(oa.granted[team], ob.granted[team])
+    def test_reseed_pins_the_stream(self):
+        # A simulation takes the lottery's stream from the scenario RNG, so
+        # the same scenario seed holds the same lotteries.
+        a, b = (
+            BaselineEconomySimulation(
+                small_scenario(seed=42, team_count=8, cluster_count=3), LOTTERY
+            )
+            for _ in range(2)
+        )
+        for pa, pb in zip(a.run(2), b.run(2)):
+            assert (pa.revenue, pa.allocation) == (pb.revenue, pb.allocation)
 
     def test_empty_request_list(self, idle_index):
-        outcome = LotteryAllocator().allocate(idle_index, [])
+        outcome = LOTTERY.allocate(idle_index, [], np.random.default_rng(0))
         assert outcome.teams() == []
 
 
@@ -185,16 +186,16 @@ class TestAllocationOutcomeAndMetrics:
 
     def test_metrics_on_fully_satisfied_outcome(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        outcome = FixedPriceAllocator().allocate(idle_index, requests)
+        outcome = FIXED_PRICE.allocate(idle_index, requests)
         metrics = allocation_metrics(outcome)
         assert metrics.shortage_cost == pytest.approx(0.0)
         assert metrics.satisfied_fraction == 1.0
         assert metrics.grant_rate == pytest.approx(1.0)
-        assert metrics.policy == "fixed_price_fcfs"
+        assert metrics.policy == "fixed-price"
 
     def test_metrics_detect_shortage(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 800})]
-        metrics = allocation_metrics(FixedPriceAllocator().allocate(idle_index, requests))
+        metrics = allocation_metrics(FIXED_PRICE.allocate(idle_index, requests))
         # 300 CPU unmet at unit cost 10
         assert metrics.shortage_cost == pytest.approx(3000.0)
         assert metrics.satisfied_fraction == 0.0
@@ -211,15 +212,6 @@ class TestAllocationOutcomeAndMetrics:
         assert metrics.shortage_cost == pytest.approx(0.0)
         assert metrics.satisfied_fraction == 1.0
 
-    def test_compare_outcomes_keys_by_policy(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        outcomes = [
-            FixedPriceAllocator().allocate(idle_index, requests),
-            ProportionalShareAllocator().allocate(idle_index, requests),
-        ]
-        metrics = compare_outcomes(outcomes)
-        assert set(metrics) == {"fixed_price_fcfs", "proportional_share"}
-
     def test_requests_from_demands(self, idle_index):
         requests = requests_from_demands(
             idle_index, {"a": {"alpha/cpu": 5}, "b": {}}, priorities={"a": 2}
@@ -229,20 +221,6 @@ class TestAllocationOutcomeAndMetrics:
 
 
 class TestMarketOutcomes:
-    def test_from_settlement_uses_requests_for_losers(self, idle_index):
-        bids = [
-            Bid.buy("winner", idle_index, [{"alpha/cpu": 10}], max_payment=1e6),
-            Bid.buy("loser", idle_index, [{"alpha/cpu": 10}], max_payment=0.0),
-        ]
-        settlement = settle(idle_index, bids, np.ones(len(idle_index)))
-        requests = [
-            QuotaRequest(team="winner", quantities={"alpha/cpu": 10}),
-            QuotaRequest(team="loser", quantities={"alpha/cpu": 10}),
-        ]
-        outcome = market_outcome_from_settlement(settlement, requests)
-        assert outcome.grant_fraction("winner") == 1.0
-        assert outcome.grant_fraction("loser") == 0.0
-
     def test_from_quota_delta(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
         initial = {"t": {"alpha/cpu": 20.0}}

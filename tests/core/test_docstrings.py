@@ -6,11 +6,12 @@ them all with :mod:`doctest` so an API change that breaks an example breaks
 the tier-1 suite, not just the rendered docs.  The simulation sweep covers
 the scenario catalog and parallel runner modules; :mod:`repro.results`
 (the persistent result store and replicate statistics), :mod:`repro.mechanisms`
-(the allocation-mechanism registry), :mod:`repro.exec` (the execution-backend
-registry and remote fabric), :mod:`repro.agents` (strategy traits, populations,
-and the tournament engine), and :mod:`repro.cli` are included so the
-``python -m repro``, store, mechanism, backend, and tournament examples stay
-honest.
+(the allocation-mechanism registry and the baseline policies),
+:mod:`repro.exec` (the execution-backend registry and remote fabric),
+:mod:`repro.agents` (strategy traits, populations, and the tournament engine),
+:mod:`repro.analysis` (the paper's metrics), and :mod:`repro.cli` are included
+so the ``python -m repro``, store, mechanism, backend, tournament, and metric
+examples stay honest.
 """
 
 import doctest
@@ -20,6 +21,7 @@ import pkgutil
 import pytest
 
 import repro.agents
+import repro.analysis
 import repro.bidlang
 import repro.cluster
 import repro.core
@@ -39,6 +41,7 @@ def _modules_of(package):
 MODULES = sorted(
     set(
         _modules_of(repro.agents)
+        + _modules_of(repro.analysis)
         + _modules_of(repro.core)
         + _modules_of(repro.bidlang)
         + _modules_of(repro.cluster)

@@ -204,6 +204,34 @@ class TestWorkerLoss:
         assert {r.worker for r in report.results} == {"healthy"}
 
 
+    def test_corrupt_job_spec_ends_a_one_shot_worker_with_worker_error(self):
+        """A job frame whose spec does not unpickle is a broken frame: the
+        worker takes its lost-connection path instead of dying on the
+        decoder's raw exception."""
+        server = socket.create_server(("127.0.0.1", 0))
+        address = f"127.0.0.1:{server.getsockname()[1]}"
+
+        def coordinator():
+            sock, _ = server.accept()
+            recv_message(sock)  # hello
+            send_message(sock, {"type": "welcome"})
+            send_message(sock, {"type": "job", "job": 0, "spec": "@@not-base64@@"})
+            try:
+                while recv_message(sock) is not None:  # heartbeats until it hangs up
+                    pass
+            except OSError:
+                pass
+            sock.close()
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        with pytest.raises(WorkerError, match="undecodable job spec"):
+            run_worker(address, worker_id="victim", retry_seconds=5.0)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        server.close()
+
+
 class TestHandshake:
     def test_duplicate_worker_id_refused(self):
         backend, address = backend_on_ephemeral_port()

@@ -1,5 +1,6 @@
 """Tests for the remote fabric's wire format: framing, codecs, addresses."""
 
+import base64
 import json
 import socket
 
@@ -76,6 +77,15 @@ class TestSpecCodec:
 
         spec = get_scenario("smoke").with_overrides(auctions=2, seed=7)
         assert decode_spec_b64(encode_spec_b64(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["@@not-base64@@", base64.b64encode(b"garbage").decode("ascii"), ""],
+        ids=["not-base64", "not-a-pickle", "empty"],
+    )
+    def test_corrupt_spec_raises_wire_error(self, payload):
+        with pytest.raises(WireError, match="undecodable job spec"):
+            decode_spec_b64(payload)
 
 
 class TestResultCodec:

@@ -104,10 +104,10 @@ class TestBaselineComparison:
     def test_market_balances_utilization_better(self):
         result = run_baseline_comparison(SMOKE, market_auctions=2)
         assert set(result.metrics) == {
-            "fixed_price_fcfs", "proportional_share", "priority", "lottery", "market",
+            "fixed-price", "proportional", "priority", "lottery", "market",
         }
         market = result.market()
-        fixed = result.baseline("fixed_price_fcfs")
+        fixed = result.baseline("fixed-price")
         assert market.utilization_spread <= fixed.utilization_spread + 1e-9
         assert 0.0 <= market.satisfied_fraction <= 1.0
         assert result.balance["spread_before"] >= 0.0

@@ -6,7 +6,7 @@ import pytest
 from repro.agents.population import PopulationSpec
 from repro.cluster.fleet_gen import FleetSpec
 from repro.mechanisms import (
-    BASELINE_ALLOCATORS,
+    BASELINE_MECHANISMS,
     DEFAULT_MECHANISM,
     BaselineEconomySimulation,
     BaselineMechanism,
@@ -22,6 +22,7 @@ from repro.results.metrics import METRICS, run_metrics
 from repro.simulation.catalog import ScenarioSpec
 from repro.simulation.runner import run_scenario
 from repro.simulation.scenario import ScenarioConfig
+from repro.simulation.workload import priorities_from_agents
 
 
 def tiny_spec(mechanism: str = "market", seed: int = 0, auctions: int = 2) -> ScenarioSpec:
@@ -153,22 +154,20 @@ class TestBaselineMechanisms:
         assert result.revenue[0] > result.revenue[2]
 
     def test_allocator_registry_backs_the_mechanisms(self):
-        assert set(BASELINE_ALLOCATORS) == set(baseline_mechanism_names())
+        assert sorted(m.name for m in BASELINE_MECHANISMS) == baseline_mechanism_names()
+        assert all(get_mechanism(m.name) is m for m in BASELINE_MECHANISMS)
 
 
 class TestBaselineEconomySimulation:
     def build(self, seed=0):
         scenario = tiny_spec(seed=seed).build()
-        allocator = BASELINE_ALLOCATORS["fixed-price"]()
         return scenario, BaselineEconomySimulation(
-            scenario, allocator, policy="fixed-price", drift_scale=0.01
+            scenario, get_mechanism("fixed-price"), drift_scale=0.01
         )
 
     def test_run_records_one_period_per_epoch(self):
         _, sim = self.build()
-        history = sim.run(3)
-        assert len(history) == 3
-        assert [p.epoch for p in history.periods] == [1, 2, 3]
+        assert [p.epoch for p in sim.run(3)] == [1, 2, 3]
 
     def test_budgets_cap_requests_at_fixed_prices(self):
         scenario, sim = self.build()
@@ -182,23 +181,28 @@ class TestBaselineEconomySimulation:
     def test_negative_drift_scale_rejected(self):
         scenario = tiny_spec().build()
         with pytest.raises(ValueError):
-            BaselineEconomySimulation(
-                scenario, BASELINE_ALLOCATORS["priority"](), policy="priority", drift_scale=-1
-            )
+            BaselineEconomySimulation(scenario, get_mechanism("priority"), drift_scale=-1)
 
     def test_utilization_evolves_between_epochs(self):
         _, sim = self.build()
-        history = sim.run(2)
-        first, second = history.periods
+        first, second = sim.run(2)
         assert not np.allclose(first.utilization_after, second.utilization_after)
+
+    @pytest.mark.parametrize("mechanism", BASELINE_MECHANISMS, ids=lambda m: m.name)
+    def test_only_the_lottery_draws_from_the_scenario_rng(self, mechanism):
+        reference = tiny_spec().build()
+        priorities_from_agents(reference.agents, seed=reference.rng)
+        if mechanism.name == "lottery":
+            reference.rng.integers(2**63)  # the lottery's own stream
+        scenario = tiny_spec().build()
+        BaselineEconomySimulation(scenario, mechanism)
+        assert scenario.rng.random() == reference.rng.random()
 
 
 class TestBaselineMechanismClass:
     def test_engine_and_seed_provenance_come_from_the_spec(self):
         spec = tiny_spec("priority", seed=11)
-        result = BaselineMechanism(
-            "priority", "test", BASELINE_ALLOCATORS["priority"]
-        ).run(spec)
+        result = BaselineMechanism("priority", "test", get_mechanism("priority").grants).run(spec)
         assert result.seed == 11
         assert result.engine == spec.config.auction_engine
         assert result.teams == 6

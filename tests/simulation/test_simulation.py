@@ -1,4 +1,4 @@
-"""Unit and integration tests for the discrete-event engine, workload helpers, scenario, and economy."""
+"""Unit and integration tests for the workload helpers, scenario, and economy."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from repro.agents.population import PopulationSpec
 from repro.cluster.fleet_gen import FleetSpec
 from repro.simulation.catalog import get_scenario
 from repro.simulation.economy import MarketEconomySimulation
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenario import ScenarioConfig, build_scenario, small_scenario
 from repro.simulation.workload import (
     apply_settlement_to_utilization,
@@ -17,90 +16,6 @@ from repro.simulation.workload import (
     organic_drift,
     priorities_from_agents,
 )
-
-
-class TestSimulationEngine:
-    def test_events_run_in_time_order(self):
-        engine = SimulationEngine()
-        order = []
-        engine.schedule(5.0, lambda e: order.append("late"), name="late")
-        engine.schedule(1.0, lambda e: order.append("early"), name="early")
-        engine.run()
-        assert order == ["early", "late"]
-        assert engine.now == 5.0
-        assert engine.processed_events == 2
-
-    def test_priority_breaks_ties(self):
-        engine = SimulationEngine()
-        order = []
-        engine.schedule(1.0, lambda e: order.append("b"), priority=1)
-        engine.schedule(1.0, lambda e: order.append("a"), priority=0)
-        engine.run()
-        assert order == ["a", "b"]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationEngine().schedule(-1.0, lambda e: None)
-
-    def test_schedule_at_and_past_rejected(self):
-        engine = SimulationEngine(start_time=10.0)
-        engine.schedule_at(12.0, lambda e: None)
-        with pytest.raises(ValueError):
-            engine.schedule_at(5.0, lambda e: None)
-
-    def test_cancel(self):
-        engine = SimulationEngine()
-        fired = []
-        handle = engine.schedule(1.0, lambda e: fired.append(1))
-        engine.cancel(handle)
-        engine.run()
-        assert fired == []
-        assert engine.pending() == 0
-
-    def test_periodic_schedule(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.schedule_periodic(2.0, lambda e: ticks.append(e.now), count=3)
-        engine.run()
-        assert ticks == [2.0, 4.0, 6.0]
-
-    def test_periodic_validation(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError):
-            engine.schedule_periodic(0.0, lambda e: None, count=1)
-        with pytest.raises(ValueError):
-            engine.schedule_periodic(1.0, lambda e: None, count=-1)
-
-    def test_run_until_bound(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda e: fired.append(1))
-        engine.schedule(10.0, lambda e: fired.append(2))
-        executed = engine.run(until=5.0)
-        assert executed == 1 and fired == [1]
-        assert engine.now == 5.0
-        engine.run()
-        assert fired == [1, 2]
-
-    def test_max_events_bound(self):
-        engine = SimulationEngine()
-        for i in range(5):
-            engine.schedule(float(i + 1), lambda e: None)
-        assert engine.run(max_events=2) == 2
-        assert engine.pending() == 3
-
-    def test_events_can_schedule_events(self):
-        engine = SimulationEngine()
-        seen = []
-
-        def first(e):
-            seen.append("first")
-            e.schedule(1.0, lambda e2: seen.append("chained"))
-
-        engine.schedule(1.0, first)
-        engine.run()
-        assert seen == ["first", "chained"]
-        assert [name for _, name in engine.trace] == ["", ""]
 
 
 class TestWorkloadHelpers:
@@ -223,11 +138,25 @@ class TestEconomySimulation:
     def test_invalid_parameters(self):
         scenario = small_scenario(seed=7, team_count=5, cluster_count=4)
         with pytest.raises(ValueError):
-            MarketEconomySimulation(scenario, auction_period=0.0)
-        with pytest.raises(ValueError):
             MarketEconomySimulation(scenario, preliminary_runs=-1)
         with pytest.raises(ValueError):
             MarketEconomySimulation(scenario).run(-1)
+
+    def test_run_drifts_before_each_auction(self, monkeypatch):
+        import repro.simulation.economy as economy
+
+        calls = []
+        sim = MarketEconomySimulation(small_scenario(seed=7, team_count=5, cluster_count=4))
+        drift = economy.organic_drift
+
+        def recording_drift(*args, **kwargs):
+            calls.append("drift")
+            return drift(*args, **kwargs)
+
+        monkeypatch.setattr(economy, "organic_drift", recording_drift)
+        monkeypatch.setattr(sim, "run_one_auction", lambda: calls.append("auction"))
+        sim.run(2)
+        assert calls == ["drift", "auction", "drift", "auction"]
 
     def test_preliminary_runs_supported(self):
         scenario = small_scenario(seed=8, team_count=10, cluster_count=4)
