@@ -16,7 +16,7 @@ test:
 
 ## run every docstring example in the documented packages
 doctest:
-	$(PYTHON) -m pytest --doctest-modules src/repro/core src/repro/bidlang src/repro/cluster src/repro/simulation src/repro/results src/repro/mechanisms src/repro/exec src/repro/agents src/repro/analysis src/repro/cli.py -q
+	$(PYTHON) -m pytest --doctest-modules src/repro/core src/repro/bidlang src/repro/cluster src/repro/market src/repro/simulation src/repro/results src/repro/mechanisms src/repro/exec src/repro/agents src/repro/analysis src/repro/cli.py -q
 
 ## paper-scale benchmarks (regenerates the paper's tables/figures) and
 ## records the headline timings into the BENCH_*.json trajectories (a plain

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from repro.cluster.pools import PoolIndex
 from repro.cluster.topology import FleetTopology
 from repro.core.bids import Bid
@@ -39,6 +37,9 @@ class MarketView:
     fixed_prices: Mapping[str, float]
     auction_number: int
     topology: FleetTopology | None = None
+    _cluster_rankings: dict[str, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def price(self, pool_name: str) -> float:
         """Displayed price of one pool."""
@@ -49,10 +50,16 @@ class MarketView:
         return float(sum(qty * self.displayed_prices[name] for name, qty in bundle.items()))
 
     def cheapest_clusters(self, *, by: str = "cpu", limit: int | None = None) -> list[str]:
-        """Clusters ordered by ascending displayed price of one resource dimension."""
-        clusters = self.index.clusters()
-        ordered = sorted(clusters, key=lambda c: self.displayed_prices[f"{c}/{by}"])
-        return ordered if limit is None else ordered[:limit]
+        """Clusters ordered by ascending displayed price of one resource dimension.
+
+        The order is computed once per view and dimension; a view's prices
+        are not changed after it is built.
+        """
+        ordered = self._cluster_rankings.get(by)
+        if ordered is None:
+            ordered = sorted(self.index.clusters(), key=lambda c: self.displayed_prices[f"{c}/{by}"])
+            self._cluster_rankings[by] = ordered
+        return list(ordered) if limit is None else ordered[:limit]
 
     def utilization(self, pool_name: str) -> float:
         """Current utilization of one pool."""
@@ -98,12 +105,16 @@ class DemandProfile:
         return float(sum(req.quantity for req in self.requests))
 
     def covering_bundle(self, catalog: ServiceCatalog, index: PoolIndex, cluster: str | None = None) -> dict[str, float]:
-        """Aggregate covering bundle of all requests, optionally re-homed to ``cluster``."""
+        """Aggregate covering bundle of all requests, optionally re-homed to ``cluster``.
+
+        Each pool's quantity is the sum of the requests' covering quantities
+        in request order.  Every team-level covering bundle (bids, baseline
+        demands, starting holdings) comes from here.
+        """
         target = cluster or self.home_cluster
         bundle: dict[str, float] = {}
         for req in self.requests:
-            rehomed = ServiceRequest(service=req.service, cluster=target, quantity=req.quantity)
-            for name, qty in catalog.covering_bundle(rehomed, index).items():
+            for name, qty in catalog.cover(req.service, target, req.quantity, index).items():
                 bundle[name] = bundle.get(name, 0.0) + qty
         return bundle
 
@@ -156,7 +167,7 @@ class TeamAgent:
         """Clamp a desired limit price to the agent's remaining budget."""
         if self.budget <= 0:
             return max(0.0, desired_limit)
-        return float(np.clip(desired_limit, 0.0, self.budget))
+        return float(min(max(desired_limit, 0.0), self.budget))
 
     def last_premium(self) -> float | None:
         """Premium gamma_u of the most recent winning settlement, if any."""

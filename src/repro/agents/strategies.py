@@ -43,10 +43,9 @@ def _bundle_cost(bundle: dict[str, float], prices) -> float:
 
 
 def _buy_bid(agent: TeamAgent, view: MarketView, bundles: list[dict[str, float]], limit: float, **metadata: object) -> Bid:
-    vectors = [view.index.vector(b) for b in bundles]
     return Bid(
         bidder=agent.name,
-        bundles=BundleSet(view.index, vectors),
+        bundles=BundleSet(view.index, view.index.matrix(bundles)),
         limit=float(max(limit, 0.0)),
         metadata={"strategy": type(agent.strategy).__name__, **metadata},
     )

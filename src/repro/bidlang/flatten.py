@@ -125,9 +125,7 @@ def to_bundle_set(node: BidNode, index: PoolIndex, *, max_bundles: int = 512) ->
     >>> len(to_bundle_set(tree, index))
     2
     """
-    combos = flatten(node, max_bundles=max_bundles)
-    vectors: list[np.ndarray] = [index.vector(combo) for combo in combos]
-    return BundleSet(index, vectors)
+    return BundleSet(index, index.matrix(flatten(node, max_bundles=max_bundles)))
 
 
 def flatten_to_matrix(node: BidNode, index: PoolIndex, *, max_bundles: int = 512) -> np.ndarray:
@@ -145,7 +143,7 @@ def flatten_to_matrix(node: BidNode, index: PoolIndex, *, max_bundles: int = 512
     >>> flatten_to_matrix(tree, index).shape
     (2, 4)
     """
-    return to_bundle_set(node, index, max_bundles=max_bundles).matrix.copy()
+    return index.matrix(flatten(node, max_bundles=max_bundles))
 
 
 def batch_engine_from_trees(

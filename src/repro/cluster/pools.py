@@ -96,6 +96,7 @@ class PoolIndex:
             dupes = sorted({n for n in self._names if self._names.count(n) > 1})
             raise ValueError(f"duplicate pool names: {dupes}")
         self._clusters: tuple[str, ...] = tuple(dict.fromkeys(pool.cluster for pool in self._pools))
+        self._cluster_set: frozenset[str] = frozenset(self._clusters)
         self._capacities = np.array([pool.capacity for pool in self._pools], dtype=float)
         self._unit_costs = np.array([pool.unit_cost for pool in self._pools], dtype=float)
         self._utilizations = np.array([pool.utilization for pool in self._pools], dtype=float)
@@ -141,6 +142,10 @@ class PoolIndex:
         """Cluster names present in the index, in first-appearance order."""
         return list(self._clusters)
 
+    def has_cluster(self, cluster: str) -> bool:
+        """Whether any pool of the index belongs to ``cluster``."""
+        return cluster in self._cluster_set
+
     # -- vector views ----------------------------------------------------------
     def capacities(self) -> np.ndarray:
         """Vector of pool capacities."""
@@ -165,12 +170,25 @@ class PoolIndex:
         Positive quantities are demands, negative quantities are offers,
         matching the sign convention of the paper's bundle vectors ``q_u``.
         """
-        vec = np.zeros(len(self._pools), dtype=float)
-        for name, qty in quantities.items():
-            if name not in self._by_name:
-                raise KeyError(f"unknown pool {name!r}; known pools: {sorted(self._by_name)[:5]}...")
-            vec[self._by_name[name]] = float(qty)
-        return vec
+        return self.matrix([quantities])[0]
+
+    def matrix(self, rows: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Build a ``(k, R)`` bundle matrix whose row ``i`` is ``vector(rows[i])``.
+
+        Examples
+        --------
+        >>> index = demo_pool_index()
+        >>> index.matrix([{"a/cpu": 2}, {"b/cpu": 2, "b/ram": 8}]).tolist()
+        [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 8.0]]
+        """
+        out = np.zeros((len(rows), len(self._pools)), dtype=float)
+        for i, quantities in enumerate(rows):
+            for name, qty in quantities.items():
+                j = self._by_name.get(name)
+                if j is None:
+                    raise KeyError(f"unknown pool {name!r}; known pools: {sorted(self._by_name)[:5]}...")
+                out[i, j] = float(qty)
+        return out
 
     def cluster_bundle(
         self, cluster: str, *, cpu: float = 0.0, ram: float = 0.0, disk: float = 0.0

@@ -165,6 +165,9 @@ class Bid:
 def classify_bidder(bid: Bid) -> BidderClass:
     """Classify a bid by the sign structure of its bundle set (Section III-C-3).
 
+    Reads the aggregate kind the bundle set derived when it was built, so
+    classifying a bid again (order book, exchange, clock) costs nothing.
+
     Examples
     --------
     >>> from repro.cluster.pools import demo_pool_index
@@ -213,8 +216,7 @@ def validate_bid(bid: Bid, *, budget: float | None = None) -> list[str]:
         problems.append(
             f"bid limit {bid.limit:.2f} exceeds available budget {budget:.2f}"
         )
-    matrix = bid.bundles.matrix
-    if not np.all(np.isfinite(matrix)):
+    if not bid.bundles.all_finite():
         problems.append("bundle quantities contain non-finite values")
     return problems
 

@@ -27,7 +27,11 @@ class BundleKind(str, enum.Enum):
     TRADE = "trade"  # mixed signs
 
 
-def bundle_kind(quantities: np.ndarray, *, tol: float = 1e-12) -> BundleKind:
+#: Magnitudes at or below this count as zero when bundles are classified.
+_KIND_TOL = 1e-12
+
+
+def bundle_kind(quantities: np.ndarray, *, tol: float = _KIND_TOL) -> BundleKind:
     """Classify a raw quantity vector into buy / sell / trade / empty.
 
     Parameters
@@ -164,12 +168,29 @@ class Bundle:
         return hash((tuple(self.index.names), self.quantities.tobytes()))
 
 
+#: Kind from (has a demand, has an offer) flags, as in :func:`bundle_kind`; a
+#: set's aggregate kind is the kind of its rows' flags or-ed together.
+_KIND_OF_FLAGS: dict[tuple[bool, bool], BundleKind] = {
+    (False, False): BundleKind.EMPTY,
+    (True, False): BundleKind.BUY,
+    (False, True): BundleKind.SELL,
+    (True, True): BundleKind.TRADE,
+}
+
+
 class BundleSet:
     """An XOR indifference set of bundles ``q_u^1 XOR q_u^2 XOR ...``.
 
     Internally stores a 2-D array of shape ``(k, R)`` so that evaluating the
     cost of every bundle at a price vector is a single matrix-vector product —
-    the inner loop of the clock auction.
+    the inner loop of the clock auction.  ``bundles`` is either a sequence of
+    bundles (each a :class:`Bundle`, a length-``R`` array or a ``{pool name:
+    quantity}`` mapping) or one ``(k, R)`` array.
+
+    The set is immutable, so its sign structure (each row's kind, the set's
+    aggregate kind, whether anything is offered, whether every quantity is
+    finite) is derived once, in one vectorised pass when the set is built;
+    bid classification, validation and admission read those cached facts.
 
     Examples
     --------
@@ -182,32 +203,56 @@ class BundleSet:
     (1, 10.0)
     >>> qs.aggregate_kind().value
     'buy'
+    >>> BundleSet(index, np.array([[0.0, 0.0, -1.0, 0.0]])).kinds()
+    [<BundleKind.SELL: 'sell'>]
     """
 
-    def __init__(self, index: PoolIndex, bundles: Sequence[Bundle | np.ndarray | Mapping[str, float]]):
-        if not bundles:
+    def __init__(
+        self,
+        index: PoolIndex,
+        bundles: Sequence[Bundle | np.ndarray | Mapping[str, float]] | np.ndarray,
+    ):
+        if len(bundles) == 0:
             raise ValueError("a BundleSet needs at least one bundle")
         self.index = index
-        rows: list[np.ndarray] = []
-        labels: list[str] = []
-        for item in bundles:
-            if isinstance(item, Bundle):
-                if item.index.names != index.names:
-                    raise ValueError("bundle defined over a different pool index")
-                rows.append(np.asarray(item.quantities, dtype=float))
-                labels.append(item.label)
-            elif isinstance(item, Mapping):
-                rows.append(index.vector(item))
-                labels.append("")
-            else:
-                arr = np.asarray(item, dtype=float)
-                if arr.shape != (len(index),):
-                    raise ValueError(f"bundle array has shape {arr.shape}, expected ({len(index)},)")
-                rows.append(arr)
-                labels.append("")
-        self._matrix = np.vstack(rows)
-        self._matrix.setflags(write=False)
+        if isinstance(bundles, np.ndarray) and bundles.ndim == 2:
+            if bundles.shape[1] != len(index):
+                raise ValueError(f"bundle matrix has shape {bundles.shape}, expected (k, {len(index)})")
+            matrix = np.array(bundles, dtype=float)
+            labels = [""] * len(matrix)
+        else:
+            rows: list[np.ndarray] = []
+            labels = []
+            for item in bundles:
+                if isinstance(item, Bundle):
+                    if item.index.names != index.names:
+                        raise ValueError("bundle defined over a different pool index")
+                    rows.append(np.asarray(item.quantities, dtype=float))
+                    labels.append(item.label)
+                elif isinstance(item, Mapping):
+                    rows.append(index.vector(item))
+                    labels.append("")
+                else:
+                    arr = np.asarray(item, dtype=float)
+                    if arr.shape != (len(index),):
+                        raise ValueError(f"bundle array has shape {arr.shape}, expected ({len(index)},)")
+                    rows.append(arr)
+                    labels.append("")
+            matrix = np.vstack(rows)
+        matrix.setflags(write=False)
+        self._matrix = matrix
         self._labels = labels
+        # The sign structure, once.  fmax/fmin skip NaN as bundle_kind's
+        # comparisons do (an all-NaN row reduces to NaN, which compares
+        # False), and infinities compare as in bundle_kind.
+        row_max = np.fmax.reduce(matrix, axis=1).tolist()
+        row_min = np.fmin.reduce(matrix, axis=1).tolist()
+        has_demand = [high > _KIND_TOL for high in row_max]
+        has_offer = [low < -_KIND_TOL for low in row_min]
+        self._kinds = tuple(_KIND_OF_FLAGS[flags] for flags in zip(has_demand, has_offer))
+        self._aggregate = _KIND_OF_FLAGS[(any(has_demand), any(has_offer))]
+        self._offers = any(low < 0 for low in row_min)
+        self._finite = bool(np.isfinite(matrix).all())
 
     # -- accessors ----------------------------------------------------------------
     @property
@@ -243,7 +288,7 @@ class BundleSet:
 
     def kinds(self) -> list[BundleKind]:
         """Classification of every bundle in the set."""
-        return [bundle_kind(self._matrix[i]) for i in range(len(self))]
+        return list(self._kinds)
 
     def aggregate_kind(self) -> BundleKind:
         """Classification of the set as a whole (used for convergence analysis).
@@ -252,14 +297,20 @@ class BundleSet:
         every bundle is a sell (or empty), EMPTY if all bundles are empty, and
         TRADE otherwise.
         """
-        kinds = set(self.kinds()) - {BundleKind.EMPTY}
-        if not kinds:
-            return BundleKind.EMPTY
-        if kinds == {BundleKind.BUY}:
-            return BundleKind.BUY
-        if kinds == {BundleKind.SELL}:
-            return BundleKind.SELL
-        return BundleKind.TRADE
+        return self._aggregate
+
+    def offers_any(self) -> bool:
+        """True iff some quantity is strictly negative.
+
+        Unlike the kinds, this applies no tolerance: a ``-1e-13`` entry leaves
+        a bundle a BUY but is still an offer the seller must hold quota for.
+        A set that offers nothing has no positive entry in :meth:`max_offer`.
+        """
+        return self._offers
+
+    def all_finite(self) -> bool:
+        """True iff every quantity is finite (no NaN or infinity)."""
+        return self._finite
 
     def max_demand(self) -> np.ndarray:
         """Component-wise maximum demanded quantity across bundles (>= 0)."""

@@ -271,8 +271,11 @@ class AscendingClockAuction:
         return {bid.bidder: classify_bidder(bid) for bid in self.bids}
 
     def has_traders(self) -> bool:
-        """True if any bid mixes demands and offers (convergence not guaranteed)."""
-        return any(cls is BidderClass.TRADER for cls in self.bidder_classes().values())
+        """True if any bid mixes demands and offers (convergence not guaranteed).
+
+        Scans every bid: :meth:`bidder_classes` keeps only a team's last bid.
+        """
+        return any(classify_bidder(bid) is BidderClass.TRADER for bid in self.bids)
 
 
     # -- core loop --------------------------------------------------------------

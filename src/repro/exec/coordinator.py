@@ -468,23 +468,30 @@ class RemoteBackend:
         best measured speed factor (ties broken by join order, so the
         no-history fleet behaves exactly as before).
         """
-        if self._draining.is_set():
-            return
         while True:
             index = jobs.next_job()
             if index is None:
                 return
-            candidates = [
-                w
-                for w in self._alive_workers()
-                if not w.draining and w.free_slots() > 0
-            ]
-            if not candidates:
-                return
-            worker = min(
-                candidates,
-                key=lambda w: (self._worker_speeds.get(w.worker_id, 1.0), w.joined_at),
-            )
+            # Pick the worker and reserve its slot under the registry lock,
+            # before the frame goes out.  Scale-down marks its victims under
+            # this lock and drain sets its flag before taking it; both then
+            # wait out in-flight jobs, so neither retires a worker that a
+            # job is on its way to.
+            with self._registry_lock:
+                if self._draining.is_set():
+                    return
+                candidates = [
+                    w
+                    for w in self._workers.values()
+                    if w.alive and not w.draining and w.free_slots() > 0
+                ]
+                if not candidates:
+                    return
+                worker = min(
+                    candidates,
+                    key=lambda w: (self._worker_speeds.get(w.worker_id, 1.0), w.joined_at),
+                )
+                worker.in_flight[index] = time.monotonic()
             spec = specs[index]
             try:
                 with worker.send_lock:
@@ -501,11 +508,11 @@ class RemoteBackend:
             except OSError as error:
                 # The job never left: it stays QUEUED (no retry burned) and
                 # the dead lane is reported like any other loss.
+                del worker.in_flight[index]
                 self._events.put(("lost", worker.worker_id, f"send failed: {error}"))
                 worker.alive = False
                 continue
             jobs.mark_running(index, worker=worker.worker_id)
-            worker.in_flight[index] = time.monotonic()
             self._say(f"dispatch job {index} ({spec.name}) -> {worker.worker_id}")
 
     def _on_message(self, worker_id, message, emit: EmitFn, jobs: JobQueue) -> bool:

@@ -35,7 +35,20 @@ class OrderStatus(str, enum.Enum):
 
 
 def side_of(bid: Bid) -> OrderSide:
-    """Classify a sealed bid into the order-book side shown on the summary page."""
+    """Classify a sealed bid into the order-book side shown on the summary page.
+
+    Examples
+    --------
+    >>> from repro.cluster.pools import demo_pool_index
+    >>> index = demo_pool_index()
+    >>> side_of(Bid.buy("t", index, [{"a/cpu": 5}], max_payment=60.0)).value
+    'bid'
+    >>> side_of(Bid.sell("t", index, [{"a/cpu": 5}], min_revenue=40.0)).value
+    'offer'
+    >>> from repro.core.bundles import BundleSet
+    >>> side_of(Bid("t", BundleSet(index, [{"a/cpu": 5, "b/cpu": -5}]), limit=0.0)).value
+    'trade'
+    """
     cls = classify_bidder(bid)
     if cls is BidderClass.PURE_SELLER:
         return OrderSide.OFFER

@@ -187,6 +187,25 @@ class TradingPlatform:
 
         ``alternative_clusters`` lists other clusters the team would accept the
         same service in; each becomes one bundle of the XOR indifference set.
+
+        Examples
+        --------
+        >>> from repro.cluster.pools import demo_pool_index
+        >>> from repro.cluster.resources import cpu_ram_disk
+        >>> from repro.market.services import ServiceSpec
+        >>> catalog = ServiceCatalog()
+        >>> catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
+        >>> platform = TradingPlatform(demo_pool_index(), catalog=catalog)
+        >>> ticket = platform.quote("web", ServiceRequest("cache", "a", 8.0), alternative_clusters=["b"])
+        >>> ticket.bundles
+        ({'a/cpu': 4.0, 'a/ram': 8.0}, {'b/cpu': 4.0, 'b/ram': 8.0})
+        >>> ticket.component_prices        # displayed prices: the fixed prices before any auction
+        {'a/cpu': 10.0, 'a/ram': 2.0, 'b/cpu': 10.0, 'b/ram': 2.0}
+        >>> ticket.estimated_cost
+        56.0
+        >>> _ = platform.open_bid_window()
+        >>> platform.submit_quoted_bid(ticket, max_payment=70.0).side.value
+        'bid'
         """
         clusters = [request.cluster, *(alternative_clusters or [])]
         bundles = tuple(
@@ -213,7 +232,7 @@ class TradingPlatform:
             raise ValueError("max_payment must be non-negative")
         bid = Bid(
             bidder=ticket.team,
-            bundles=BundleSet(self.index, [self.index.vector(b) for b in ticket.bundles]),
+            bundles=BundleSet(self.index, self.index.matrix(ticket.bundles)),
             limit=float(max_payment),
             metadata={"service": ticket.service, **metadata},
         )
@@ -229,13 +248,15 @@ class TradingPlatform:
                 raise ValueError(
                     f"{bid.bidder} bid limit {bid.limit:.2f} exceeds budget {balance:.2f}"
                 )
-        # Sellers must hold the quota they offer.
-        max_offer = bid.bundles.max_offer()
-        if np.any(max_offer > 0):
-            names = self.index.names
-            offered = {names[i]: float(max_offer[i]) for i in np.flatnonzero(max_offer > 0)}
-            if not self.quotas.can_offer(bid.bidder, offered):
-                raise ValueError(f"{bid.bidder} offers quota it does not hold: {offered}")
+        # Sellers must hold the quota they offer; a set with no negative
+        # entry offers nothing, so buy bids skip building the offer vector.
+        if bid.bundles.offers_any():
+            max_offer = bid.bundles.max_offer()
+            if np.any(max_offer > 0):
+                names = self.index.names
+                offered = {names[i]: float(max_offer[i]) for i in np.flatnonzero(max_offer > 0)}
+                if not self.quotas.can_offer(bid.bidder, offered):
+                    raise ValueError(f"{bid.bidder} offers quota it does not hold: {offered}")
         return self.order_book.submit(bid)
 
     def submit_tree_bid(self, bidder: str, tree: BidNode, limit: float, **metadata: object) -> Order:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.cluster.pools import PoolIndex
-from repro.cluster.resources import ResourceType, ResourceVector, cpu_ram_disk
+from repro.cluster.resources import RESOURCE_TYPES, ResourceVector, cpu_ram_disk
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,13 @@ class ServiceRequest:
             raise ValueError("service request quantity must be positive")
 
 
+#: Pool-name suffix of each resource type, in the order a
+#: :class:`ResourceVector` iterates its components (``RESOURCE_TYPES``).
+#: Read once here: an enum member's ``.value`` is a descriptor call, and
+#: covering runs for every request in every candidate cluster.
+_POOL_SUFFIXES: tuple[str, ...] = tuple(rtype.value for rtype in RESOURCE_TYPES)
+
+
 class ServiceCatalog:
     """The set of service types teams can request resources for."""
 
@@ -88,16 +95,43 @@ class ServiceCatalog:
 
     # -- the two-step bid entry translation --------------------------------------------
     def covering_bundle(self, request: ServiceRequest, index: PoolIndex) -> dict[str, float]:
-        """Step 1 of bid entry: the ``{pool name: quantity}`` bundle covering a request."""
-        spec = self.spec(request.service)
-        if request.cluster not in index.clusters():
-            raise KeyError(f"unknown cluster {request.cluster!r}")
-        amount = spec.covering_amount(request.quantity)
+        """Step 1 of bid entry: the ``{pool name: quantity}`` bundle covering a request.
+
+        Dimensions the service does not use are left out of the bundle.
+
+        Examples
+        --------
+        >>> from repro.cluster.pools import demo_pool_index
+        >>> from repro.cluster.resources import cpu_ram_disk
+        >>> index = demo_pool_index()               # clusters a and b, CPU and RAM pools
+        >>> catalog = ServiceCatalog()
+        >>> catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
+        >>> catalog.covering_bundle(ServiceRequest("cache", "a", 8.0), index)
+        {'a/cpu': 4.0, 'a/ram': 8.0}
+        >>> catalog.covering_bundle(ServiceRequest("cache", "z", 8.0), index)
+        Traceback (most recent call last):
+            ...
+        KeyError: "unknown cluster 'z'"
+        """
+        return self.cover(request.service, request.cluster, request.quantity, index)
+
+    def cover(self, service: str, cluster: str, quantity: float, index: PoolIndex) -> dict[str, float]:
+        """:meth:`covering_bundle` of ``quantity`` units of ``service`` in ``cluster``.
+
+        Takes the request's fields rather than a :class:`ServiceRequest`, so
+        a team re-homing its requests to several clusters builds no request
+        objects.  ``quantity`` must be positive, as in a request.
+        """
+        if quantity <= 0:
+            raise ValueError("service request quantity must be positive")
+        coverage = self.spec(service).coverage
+        if not index.has_cluster(cluster):
+            raise KeyError(f"unknown cluster {cluster!r}")
         bundle: dict[str, float] = {}
-        for rtype in ResourceType:
-            qty = amount.get(rtype)
+        for suffix, per_unit in zip(_POOL_SUFFIXES, coverage):
+            qty = per_unit * quantity
             if qty > 0:
-                bundle[f"{request.cluster}/{rtype.value}"] = qty
+                bundle[f"{cluster}/{suffix}"] = qty
         return bundle
 
     def covering_cost(

@@ -146,6 +146,40 @@ class TestBundleSet:
         with pytest.raises(ValueError):
             bundle_set.matrix[0, 0] = 9.0
 
+    def test_accepts_one_2d_array(self, pool_index):
+        rows = [{"alpha/cpu": 1}, {"beta/cpu": 2, "beta/ram": 8}]
+        matrix = pool_index.matrix(rows)
+        from_array = BundleSet(pool_index, matrix)
+        expected = BundleSet(pool_index, rows).matrix
+        np.testing.assert_array_equal(from_array.matrix, expected)
+        matrix[:] = -9.0  # the set keeps its own copy
+        np.testing.assert_array_equal(from_array.matrix, expected)
+        assert from_array.kinds() == [BundleKind.BUY, BundleKind.BUY]
+
+    def test_sign_structure_skips_nan_like_bundle_kind(self, pool_index):
+        nan, inf = float("nan"), float("inf")
+        rows = np.full((4, len(pool_index)), nan)
+        rows[1, 0] = -1.0
+        rows[2, 0] = inf
+        rows[3, 0], rows[3, 1] = -inf, 1.0
+        bundle_set = BundleSet(pool_index, rows)
+        expected = [BundleKind.EMPTY, BundleKind.SELL, BundleKind.BUY, BundleKind.TRADE]
+        assert [bundle_kind(row) for row in rows] == expected
+        assert bundle_set.kinds() == expected
+        assert bundle_set.aggregate_kind() is BundleKind.TRADE
+        assert bundle_set.offers_any()
+        assert not bundle_set.all_finite()
+        all_nan = BundleSet(pool_index, rows[:1])
+        assert all_nan.aggregate_kind() is BundleKind.EMPTY
+        assert not all_nan.offers_any()
+        assert not all_nan.all_finite()
+
+    def test_2d_array_shape_checked(self, pool_index):
+        with pytest.raises(ValueError):
+            BundleSet(pool_index, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="at least one bundle"):
+            BundleSet(pool_index, np.zeros((0, len(pool_index))))
+
     def test_stack_bundle_sets(self, pool_index):
         a = BundleSet(pool_index, [{"alpha/cpu": 1}])
         b = BundleSet(pool_index, [{"beta/cpu": 1}, {"beta/ram": 2}])

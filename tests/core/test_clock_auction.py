@@ -76,6 +76,16 @@ class TestConstruction:
         assert classes["t"] is BidderClass.TRADER
         assert auction.has_traders()
 
+    def test_traders_flag_sees_every_bid_of_a_team(self, pool_index):
+        # bidder_classes() keeps a team's last bid; the trader bid comes first
+        bids = [
+            Bid(bidder="t", bundles=BundleSet(pool_index, [{"alpha/cpu": 1, "beta/cpu": -1}]), limit=0.0),
+            Bid.buy("t", pool_index, [{"alpha/cpu": 1}], max_payment=10.0),
+        ]
+        auction = AscendingClockAuction(pool_index, bids, reserve_prices=unit_reserve(pool_index))
+        assert auction.bidder_classes() == {"t": BidderClass.PURE_BUYER}
+        assert auction.has_traders()
+
 
 class TestClearingBehaviour:
     def test_no_bids_clears_immediately(self, pool_index):

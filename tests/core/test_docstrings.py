@@ -4,7 +4,8 @@ The documentation promise of this repo is that every example in a core,
 bidlang, cluster, or simulation docstring actually runs; this test executes
 them all with :mod:`doctest` so an API change that breaks an example breaks
 the tier-1 suite, not just the rendered docs.  The simulation sweep covers
-the scenario catalog and parallel runner modules; :mod:`repro.results`
+the scenario catalog and parallel runner modules; :mod:`repro.market`
+(the two-step bid entry and the order book), :mod:`repro.results`
 (the persistent result store and replicate statistics), :mod:`repro.mechanisms`
 (the allocation-mechanism registry and the baseline policies),
 :mod:`repro.exec` (the execution-backend registry and remote fabric),
@@ -26,6 +27,7 @@ import repro.bidlang
 import repro.cluster
 import repro.core
 import repro.exec
+import repro.market
 import repro.mechanisms
 import repro.results
 import repro.simulation
@@ -45,6 +47,7 @@ MODULES = sorted(
         + _modules_of(repro.core)
         + _modules_of(repro.bidlang)
         + _modules_of(repro.cluster)
+        + _modules_of(repro.market)
         + _modules_of(repro.simulation)
         + _modules_of(repro.results)
         + _modules_of(repro.mechanisms)

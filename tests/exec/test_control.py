@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.exec import ControlClient, ControlError, RemoteBackend, run_worker
+from repro.exec.queue import JobQueue
 from repro.exec.wire import auth_mac, recv_message, send_message
 from repro.exec.worker import WorkerRejected, parse_hostport
 from repro.simulation.runner import ParallelRunner
@@ -228,6 +229,49 @@ class TestScale:
             serial = ParallelRunner(workers=1).run_specs(specs)
             assert report.to_json() == serial.to_json()
             assert backend.connected_workers() == 1
+        finally:
+            backend.drain()
+            backend.close()
+
+    def test_scale_down_racing_a_dispatch_loses_no_job(self, monkeypatch):
+        """A scale-down that marks a worker while a job frame is on its way
+        to it waits for that job instead of retiring the worker under it."""
+        specs = [tiny_spec(f"tiny-{i}", seed=i) for i in range(4)]
+        backend, address = backend_on_ephemeral_port(workers=2, persistent=True)
+        start_worker(address, "w-old", daemon=True)
+        wait_for(lambda: backend.connected_workers() == 1, message="first worker")
+        start_worker(address, "w-new", daemon=True)
+        wait_for(lambda: backend.connected_workers() == 2, message="fleet assembly")
+        replies = []
+        dispatched = []
+        mark_running = JobQueue.mark_running
+
+        def scale_down_mid_dispatch(queue, index, *, worker):
+            # The second job goes to the newest worker; its frame is out but
+            # the job is not RUNNING yet.  Scale down to one worker now.
+            dispatched.append(worker)
+            if len(dispatched) == 2:
+                victim = backend._workers[worker]
+                threading.Thread(
+                    target=lambda: replies.append(backend.scale_to(1, poll=0.01)), daemon=True
+                ).start()
+                wait_for(lambda: victim.draining, message="scale-down marking the worker")
+                try:  # a scale-down blind to the job retires the worker at once
+                    wait_for(lambda: not victim.alive, timeout=0.5, message="retirement")
+                except AssertionError:
+                    pass
+            return mark_running(queue, index, worker=worker)
+
+        monkeypatch.setattr(JobQueue, "mark_running", scale_down_mid_dispatch)
+        thread, outcome = execute_in_thread(backend, specs)
+        try:
+            thread.join(timeout=30)
+            assert outcome, "the sweep hung: a dispatched job was lost"
+            report = outcome[0]
+            assert not isinstance(report, Exception), report
+            assert report.to_json() == ParallelRunner(workers=1).run_specs(specs).to_json()
+            wait_for(lambda: replies, message="scale-down reply")
+            assert replies == [{"alive": 1, "stopped": 1, "needed": 0}]
         finally:
             backend.drain()
             backend.close()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bidlang import cluster_bundle, xor
-from repro.core.bids import Bid
+from repro.core.bids import Bid, BidderClass
+from repro.core.bundles import BundleSet
 from repro.market.platform import BidWindowError, TradingPlatform
 from repro.market.services import ServiceRequest
 
@@ -75,6 +76,24 @@ class TestQuoteAndSubmit:
         too_much = Bid.sell("seller", pool_index, [{"alpha/cpu": 500}], min_revenue=10.0)
         with pytest.raises(ValueError, match="quota"):
             platform.submit_bid(too_much)
+
+    def test_submit_checks_quota_for_offers_below_the_kind_tolerance(self, platform, pool_index):
+        # The buyer owes beta/cpu quota (settlement allows an oversold seller
+        # to go negative).  A -1e-13 entry leaves the bid a pure buyer, but it
+        # is still an offer, so the quota check runs and refuses it; -0.0
+        # offers nothing.
+        platform.quotas.apply_delta(
+            "buyer", pool_index.vector({"beta/cpu": -1.0}), allow_negative=True
+        )
+        platform.open_bid_window()
+        tiny_offer = pool_index.vector({"alpha/cpu": 1.0, "beta/cpu": -1e-13})
+        bid = Bid(bidder="buyer", bundles=BundleSet(pool_index, [tiny_offer]), limit=10.0)
+        assert bid.bidder_class is BidderClass.PURE_BUYER
+        with pytest.raises(ValueError, match="quota"):
+            platform.submit_bid(bid)
+        no_offer = pool_index.vector({"alpha/cpu": 1.0, "beta/cpu": -0.0})
+        platform.submit_bid(Bid(bidder="buyer", bundles=BundleSet(pool_index, [no_offer]), limit=10.0))
+        assert len(platform.order_book) == 1
 
     def test_submit_tree_bid_validates_tree(self, platform):
         platform.open_bid_window()

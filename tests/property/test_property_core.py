@@ -7,7 +7,9 @@ randomly generated bid populations rather than hand-picked examples:
 * a converged auction has no positive excess demand;
 * settlements always satisfy the six SYSTEM constraints;
 * winners never pay more than their limit and always get their cheapest bundle;
-* the premium gamma_u is non-negative whenever defined.
+* the premium gamma_u is non-negative whenever defined;
+* a bundle set's cached sign structure matches classifying each row on its
+  own, and a team's covering bundle matches covering each request in turn.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agents.base import DemandProfile
 from repro.cluster.pools import PoolIndex, ResourcePool
 from repro.cluster.resources import ResourceType
-from repro.core.bids import Bid
+from repro.core.bids import Bid, validate_bid
+from repro.core.bundles import BundleKind, BundleSet, bundle_kind
 from repro.core.clock_auction import AscendingClockAuction, AuctionConfig
 from repro.core.increment import default_increment
 from repro.core.reserve import PAPER_PHI_1, ReservePricer
 from repro.core.settlement import settle, verify_system_constraints
+from repro.market.services import ServiceRequest, default_catalog
 
 # A deliberately small, fixed pool index so hypothesis explores bid space, not fleet space.
 _POOLS = PoolIndex(
@@ -148,3 +153,97 @@ class TestReserveAndIncrementProperties:
         assert np.all(step >= 0)
         assert np.all(step <= 0.1 * np.maximum(p, 1e-6) + 1e-12)
         assert np.all(step[z <= 0] == 0.0)
+
+
+# Entries at and around both zero tolerances (kinds: 1e-12, offers: 0), signed
+# zeros and non-finite values, mixed with ordinary quantities.
+_EDGE_ENTRIES = [0.0, -0.0, 1e-12, -1e-12, 1e-13, -1e-13, float("nan"), float("inf"), float("-inf")]
+_entries = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(min_value=-1e3, max_value=1e3))
+_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(
+        st.lists(_entries, min_size=len(_POOLS), max_size=len(_POOLS)), min_size=k, max_size=k
+    )
+)
+
+
+def _set_rule(kinds):
+    """The set-based aggregate-kind rule, applied to per-row kinds."""
+    present = set(kinds) - {BundleKind.EMPTY}
+    if not present:
+        return BundleKind.EMPTY
+    if present == {BundleKind.BUY}:
+        return BundleKind.BUY
+    if present == {BundleKind.SELL}:
+        return BundleKind.SELL
+    return BundleKind.TRADE
+
+
+class TestBundleSetSignStructureProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_matrices)
+    def test_cached_sign_structure_matches_row_by_row_classification(self, rows):
+        matrix = np.array(rows, dtype=float)
+        for bundle_set in (BundleSet(_POOLS, matrix), BundleSet(_POOLS, list(matrix))):
+            kinds = [bundle_kind(row) for row in matrix]
+            assert bundle_set.kinds() == kinds
+            assert bundle_set.aggregate_kind() is _set_rule(kinds)
+            np.testing.assert_array_equal(bundle_set.max_offer(), np.clip(-matrix, 0.0, None).max(axis=0))
+            np.testing.assert_array_equal(bundle_set.max_demand(), np.clip(matrix, 0.0, None).max(axis=0))
+            assert bundle_set.offers_any() == bool(np.any(matrix < 0))
+            finite = bool(np.all(np.isfinite(matrix)))
+            assert bundle_set.all_finite() == finite
+            problems = validate_bid(Bid("b", bundle_set, limit=0.0))
+            assert ("bundle quantities contain non-finite values" in problems) == (not finite)
+
+
+_CATALOG = default_catalog()
+
+
+def _per_request_covering(profile, catalog, cluster):
+    """Reference: re-home each request, cover it on its own, add in request order."""
+    target = cluster or profile.home_cluster
+    bundle: dict[str, float] = {}
+    for req in profile.requests:
+        rehomed = ServiceRequest(service=req.service, cluster=target, quantity=req.quantity)
+        amount = catalog.spec(rehomed.service).covering_amount(rehomed.quantity)
+        for rtype in ResourceType:
+            qty = amount.get(rtype)
+            if qty > 0:
+                name = f"{rehomed.cluster}/{rtype.value}"
+                bundle[name] = bundle.get(name, 0.0) + qty
+    return bundle
+
+
+@st.composite
+def demand_profiles(draw):
+    requests = [
+        ServiceRequest(
+            service=draw(st.sampled_from(_CATALOG.names())),
+            cluster=draw(st.sampled_from(_POOLS.clusters())),
+            quantity=draw(st.floats(min_value=1e-6, max_value=1e6)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    return DemandProfile(home_cluster=draw(st.sampled_from(_POOLS.clusters())), requests=requests)
+
+
+class TestCoveringBundleProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(profile=demand_profiles())
+    def test_covering_bundle_matches_per_request_loop(self, profile):
+        for cluster in [None, *_POOLS.clusters()]:
+            got = profile.covering_bundle(_CATALOG, _POOLS, cluster)
+            expected = _per_request_covering(profile, _CATALOG, cluster)
+            assert list(got) == list(expected)
+            assert [(type(v), v.hex()) for v in got.values()] == [
+                (type(v), v.hex()) for v in expected.values()
+            ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(profile=demand_profiles())
+    def test_unknown_cluster_raises_unless_nothing_is_requested(self, profile):
+        if not profile.requests:
+            assert profile.covering_bundle(_CATALOG, _POOLS, "nowhere") == {}
+            return
+        with pytest.raises(KeyError, match="unknown cluster 'nowhere'"):
+            profile.covering_bundle(_CATALOG, _POOLS, "nowhere")
