@@ -28,9 +28,9 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SCALE=test $(PYTHON) -m pytest benchmarks -q
 
-## scenario CLI, quickstart example and paper-experiment smoke runs
-## (docs/examples/drivers can't rot: every `repro.experiments` driver's
-## `main()` runs once);
+## scenario CLI, example and paper-experiment smoke runs
+## (docs, examples and experiments can't rot: every `examples/*.py` script
+## and every `repro.experiments` module's `main()` runs once);
 ## the runs persist into the result store — market and one baseline, so the
 ## mechanism comparison verbs have two mechanisms to diff — and `results
 ## show` / `compare-mechanisms` read it back (CI uploads the store file as a
@@ -50,7 +50,9 @@ smoke:
 	$(PYTHON) -m repro results list
 	$(PYTHON) -m repro results show paper-reference --mechanism market
 	$(PYTHON) -m repro compare-mechanisms paper-reference
-	$(PYTHON) examples/quickstart.py
+	for example in examples/*.py; do \
+	    $(PYTHON) $$example > /dev/null || exit 1; \
+	done
 	for driver in $(EXPERIMENT_DRIVERS); do \
 	    $(PYTHON) -m repro.experiments.$$driver > /dev/null || exit 1; \
 	done

@@ -6,8 +6,8 @@ Economy to Provision Compute Resources Across Planet-wide Clusters"*
 
 The public API is organised in layers:
 
-* :mod:`repro.cluster` — the planet-wide cluster substrate (resource pools,
-  machines, scheduler, utilization);
+* :mod:`repro.cluster` — the planet-wide cluster substrate (clusters as
+  capacity and load, resource pools, fleet generation, utilization);
 * :mod:`repro.core` — the market mechanism (bundles, bids, bidder proxies, the
   ascending clock auction, congestion-weighted reserve pricing, settlement,
   and the combinatorial exchange);

@@ -23,7 +23,8 @@ JSON form::
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+import math
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.bidlang.ast import (
     AndNode,
@@ -37,6 +38,12 @@ from repro.bidlang.ast import (
 
 class BidLanguageSyntaxError(ValueError):
     """The bid text or mapping does not conform to the bidding language."""
+
+
+#: Deepest nesting either parser accepts: far above the depth validation
+#: admits (``ValidationLimits.max_depth``) and far below the interpreter's
+#: recursion limit, so a hostile input fails as a syntax error.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +69,16 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_tokens(tokens: list[str], pos: int) -> tuple[Any, int]:
+def _parse_tokens(tokens: list[str], pos: int, depth: int = 1) -> tuple[Any, int]:
     if pos >= len(tokens):
         raise BidLanguageSyntaxError("unexpected end of input")
     token = tokens[pos]
     if token == "(":
+        _check_nesting(depth)
         items: list[Any] = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse_tokens(tokens, pos)
+            item, pos = _parse_tokens(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise BidLanguageSyntaxError("missing closing parenthesis")
@@ -80,11 +88,42 @@ def _parse_tokens(tokens: list[str], pos: int) -> tuple[Any, int]:
     return token, pos + 1
 
 
+def _check_nesting(depth: int) -> None:
+    if depth > MAX_NESTING:
+        raise BidLanguageSyntaxError(f"bid nests deeper than {MAX_NESTING} levels")
+
+
 def _number(token: Any, context: str) -> float:
     try:
-        return float(token)
-    except (TypeError, ValueError) as exc:
+        value = float(token)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BidLanguageSyntaxError(f"expected a number in {context}, got {token!r}") from exc
+    if not math.isfinite(value):
+        raise BidLanguageSyntaxError(f"expected a finite number in {context}, got {token!r}")
+    return value
+
+
+def _count(token: Any) -> int:
+    value = _number(token, "choose count")
+    if not value.is_integer():
+        raise BidLanguageSyntaxError(f"choose count must be a whole number, got {token!r}")
+    return int(value)
+
+
+def _name(token: Any, context: str) -> str:
+    if not isinstance(token, str):
+        raise BidLanguageSyntaxError(f"expected a name in {context}, got {token!r}")
+    return token
+
+
+def _checked(build: Callable[[Any], BidNode], item: Any) -> BidNode:
+    """``build(item)``, with the AST's own checks reported as syntax errors."""
+    try:
+        return build(item)
+    except BidLanguageSyntaxError:
+        raise
+    except ValueError as exc:  # a zero quantity, a CHOOSE count out of range
+        raise BidLanguageSyntaxError(str(exc)) from exc
 
 
 def _build_sexpr(item: Any) -> BidNode:
@@ -98,12 +137,12 @@ def _build_sexpr(item: Any) -> BidNode:
     if op == "pool":
         if len(args) != 2:
             raise BidLanguageSyntaxError("(pool NAME QUANTITY) takes exactly two arguments")
-        return PoolLeaf(pool_name=str(args[0]), quantity=_number(args[1], "pool leaf"))
+        return PoolLeaf(pool_name=_name(args[0], "pool leaf"), quantity=_number(args[1], "pool leaf"))
     if op == "cluster":
         if len(args) != 4:
             raise BidLanguageSyntaxError("(cluster NAME CPU RAM DISK) takes exactly four arguments")
         return ClusterLeaf(
-            cluster=str(args[0]),
+            cluster=_name(args[0], "cluster leaf"),
             cpu=_number(args[1], "cluster leaf"),
             ram=_number(args[2], "cluster leaf"),
             disk=_number(args[3], "cluster leaf"),
@@ -119,8 +158,7 @@ def _build_sexpr(item: Any) -> BidNode:
     if op == "choose":
         if len(args) < 2:
             raise BidLanguageSyntaxError("(choose K child...) needs a count and at least one child")
-        k = int(_number(args[0], "choose count"))
-        return ChooseNode(k=k, options=tuple(_build_sexpr(a) for a in args[1:]))
+        return ChooseNode(k=_count(args[0]), options=tuple(_build_sexpr(a) for a in args[1:]))
     raise BidLanguageSyntaxError(f"unknown operator {head!r}")
 
 
@@ -141,7 +179,7 @@ def parse_sexpr(text: str) -> BidNode:
     tree, pos = _parse_tokens(tokens, 0)
     if pos != len(tokens):
         raise BidLanguageSyntaxError("trailing content after the bid expression")
-    return _build_sexpr(tree)
+    return _checked(_build_sexpr, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +195,21 @@ def parse_json(data: Mapping[str, Any]) -> BidNode:
     >>> type(tree).__name__, tree.leaf_count()
     ('XorNode', 2)
     """
+    return _checked(_build_json, data)
+
+
+def _build_json(data: Any, depth: int = 1) -> BidNode:
+    _check_nesting(depth)
     if not isinstance(data, Mapping):
         raise BidLanguageSyntaxError(f"expected a mapping, got {type(data).__name__}")
     if "pool" in data:
-        return PoolLeaf(pool_name=str(data["pool"]), quantity=_number(data.get("quantity"), "pool leaf"))
+        return PoolLeaf(
+            pool_name=_name(data["pool"], "pool leaf"),
+            quantity=_number(data.get("quantity"), "pool leaf"),
+        )
     if "cluster" in data:
         return ClusterLeaf(
-            cluster=str(data["cluster"]),
+            cluster=_name(data["cluster"], "cluster leaf"),
             cpu=_number(data.get("cpu", 0.0), "cluster leaf"),
             ram=_number(data.get("ram", 0.0), "cluster leaf"),
             disk=_number(data.get("disk", 0.0), "cluster leaf"),
@@ -171,16 +217,18 @@ def parse_json(data: Mapping[str, Any]) -> BidNode:
     if "and" in data:
         children = data["and"]
         _require_children(children, "and")
-        return AndNode(parts=tuple(parse_json(child) for child in children))
+        return AndNode(parts=tuple(_build_json(child, depth + 1) for child in children))
     if "xor" in data:
         children = data["xor"]
         _require_children(children, "xor")
-        return XorNode(alternatives=tuple(parse_json(child) for child in children))
+        return XorNode(alternatives=tuple(_build_json(child, depth + 1) for child in children))
     if "choose" in data:
         options = data.get("options")
         _require_children(options, "choose")
-        k = int(_number(data["choose"], "choose count"))
-        return ChooseNode(k=k, options=tuple(parse_json(child) for child in options))
+        return ChooseNode(
+            k=_count(data["choose"]),
+            options=tuple(_build_json(child, depth + 1) for child in options),
+        )
     raise BidLanguageSyntaxError(
         f"mapping does not name a known node type (keys: {sorted(data.keys())})"
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.bidlang.ast import (
@@ -50,6 +51,7 @@ def validate_tree(
 
     * structural limits (depth, leaf count);
     * every referenced pool / cluster exists in ``index``;
+    * every leaf quantity is finite;
     * no single leaf demands or offers more than ``max_capacity_multiple``
       times the pool's total capacity;
     * CHOOSE counts are within range (enforced by the AST itself).
@@ -75,29 +77,25 @@ def validate_tree(
     known_clusters = set(index.clusters())
     for leaf in _iter_leaves(node):
         if isinstance(leaf, PoolLeaf):
-            if leaf.pool_name not in index:
-                problems.append(f"unknown pool {leaf.pool_name!r}")
+            quantities = {leaf.pool_name: leaf.quantity}
+        elif leaf.cluster in known_clusters:
+            quantities = leaf.quantities()
+        else:
+            problems.append(f"unknown cluster {leaf.cluster!r}")
+            continue
+        for pool_name, quantity in quantities.items():
+            if pool_name not in index:
+                problems.append(f"unknown pool {pool_name!r}")
                 continue
-            pool = index.pool(leaf.pool_name)
-            if abs(leaf.quantity) > limits.max_capacity_multiple * pool.capacity:
+            if not math.isfinite(quantity):
+                problems.append(f"leaf quantity {quantity} for {pool_name} is not finite")
+                continue
+            capacity = index.pool(pool_name).capacity
+            if abs(quantity) > limits.max_capacity_multiple * capacity:
                 problems.append(
-                    f"leaf quantity {leaf.quantity:g} for {leaf.pool_name} exceeds "
-                    f"{limits.max_capacity_multiple:g}x pool capacity {pool.capacity:g}"
+                    f"leaf quantity {quantity:g} for {pool_name} exceeds "
+                    f"{limits.max_capacity_multiple:g}x pool capacity {capacity:g}"
                 )
-        else:  # ClusterLeaf
-            if leaf.cluster not in known_clusters:
-                problems.append(f"unknown cluster {leaf.cluster!r}")
-                continue
-            for pool_name, quantity in leaf.quantities().items():
-                if pool_name not in index:
-                    problems.append(f"unknown pool {pool_name!r}")
-                    continue
-                pool = index.pool(pool_name)
-                if abs(quantity) > limits.max_capacity_multiple * pool.capacity:
-                    problems.append(
-                        f"leaf quantity {quantity:g} for {pool_name} exceeds "
-                        f"{limits.max_capacity_multiple:g}x pool capacity {pool.capacity:g}"
-                    )
     return problems
 
 

@@ -1,10 +1,11 @@
 """Planet-wide cluster substrate.
 
-This package models the physical substrate underneath the resource market:
-machines grouped into clusters at geographically distributed sites, jobs placed
-onto machines by a bin-packing scheduler, and the resulting per-pool utilization
-statistics that feed the congestion-weighted reserve pricing of the auction
-(:mod:`repro.core.reserve`).
+This package models the substrate underneath the resource market: clusters at
+geographically distributed sites, each a capacity (a machine count times a
+machine shape) carrying a load, and the per-pool utilization statistics that
+feed the congestion-weighted reserve pricing of the auction
+(:mod:`repro.core.reserve`).  The market provisions quota rather than making
+scheduling decisions, so nothing here places jobs on machines.
 
 The paper's experiments ran against Google's production clusters; here the
 substrate is synthetic but exposes the same interface the market needs:
@@ -21,19 +22,10 @@ from repro.cluster.resources import (
     RESOURCE_TYPES,
     cpu_ram_disk,
 )
-from repro.cluster.jobs import Job, JobState, make_job_batch
-from repro.cluster.machine import Machine
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import Site, FleetTopology
 from repro.cluster.pools import ResourcePool, PoolIndex
-from repro.cluster.scheduler import (
-    BinPackingScheduler,
-    FirstFitPolicy,
-    BestFitPolicy,
-    WorstFitPolicy,
-    PlacementResult,
-)
-from repro.cluster.utilization import UtilizationSnapshot, utilization_percentiles
+from repro.cluster.utilization import UtilizationSnapshot
 from repro.cluster.fleet_gen import FleetSpec, SyntheticFleet, generate_fleet
 
 __all__ = [
@@ -41,22 +33,12 @@ __all__ = [
     "ResourceVector",
     "RESOURCE_TYPES",
     "cpu_ram_disk",
-    "Job",
-    "JobState",
-    "make_job_batch",
-    "Machine",
     "Cluster",
     "Site",
     "FleetTopology",
     "ResourcePool",
     "PoolIndex",
-    "BinPackingScheduler",
-    "FirstFitPolicy",
-    "BestFitPolicy",
-    "WorstFitPolicy",
-    "PlacementResult",
     "UtilizationSnapshot",
-    "utilization_percentiles",
     "FleetSpec",
     "SyntheticFleet",
     "generate_fleet",

@@ -1,40 +1,62 @@
-"""A cluster: a named collection of machines at one site."""
+"""A cluster: a named capacity at one site and the load it carries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.cluster.jobs import Job
-from repro.cluster.machine import Machine
-from repro.cluster.resources import (
-    RESOURCE_TYPES,
-    ResourceType,
-    ResourceVector,
-    cpu_ram_disk,
-)
+from repro.cluster.resources import ResourceType, ResourceVector, cpu_ram_disk
+
+#: The machine shape of a cluster built without one.
+DEFAULT_MACHINE_CAPACITY = cpu_ram_disk(32.0, 128.0, 4000.0)
 
 
 @dataclass
 class Cluster:
-    """One cluster in the planet-wide fleet.
+    """One cluster in the planet-wide fleet: its capacity and its load.
 
-    A cluster aggregates machines and reports capacity / usage / utilization
-    per resource dimension.  The market's resource pools are (cluster,
-    resource-type) pairs, so this object is the source of truth for each
-    pool's capacity and pre-auction utilization ``psi(r)``.
+    The market's resource pools are (cluster, resource-type) pairs, so this
+    record is the source of truth for each pool's capacity and pre-auction
+    utilization ``psi(r)``.  The market provisions quota rather than placing
+    jobs, so a cluster is ``machine_count`` machines of one shape plus the
+    fraction of each resource type in use.
+
+    >>> cluster = Cluster.homogeneous(
+    ...     "c0", machine_count=4, machine_capacity=cpu_ram_disk(16.0, 64.0, 1000.0)
+    ... )
+    >>> cluster.capacity
+    ResourceVector(cpu=64.0, ram=256.0, disk=4000.0)
+    >>> cluster.set_load({ResourceType.CPU: 0.25, ResourceType.RAM: 1.5})
+    >>> cluster.load[ResourceType.RAM]
+    1.0
+    >>> [cluster.utilization(rtype) for rtype in ResourceType]
+    [0.25, 1.0, 0.0]
     """
 
     name: str
     site: str = "site-0"
-    machines: list[Machine] = field(default_factory=list)
-    #: Extra utilization (fraction, per resource type) contributed by workloads
-    #: outside the simulated job set (system daemons, unmodeled tenants).
-    #: Lets fleet generators hit an exact utilization target without placing
-    #: thousands of filler jobs.
-    background_load: dict[ResourceType, float] = field(default_factory=dict)
+    machine_count: int = 0
+    machine_capacity: ResourceVector = DEFAULT_MACHINE_CAPACITY
+    #: Fraction in [0, 1] of each resource type in use; a missing type is idle.
+    load: dict[ResourceType, float] = field(default_factory=dict, init=False)
+    #: Total capacity, fixed when the cluster is built.
+    capacity: ResourceVector = field(init=False)
 
-    # -- construction --------------------------------------------------------
+    def __post_init__(self) -> None:
+        if self.machine_count < 0:
+            raise ValueError("machine_count must be non-negative")
+        if not self.machine_capacity.is_nonnegative():
+            raise ValueError(f"machine capacity must be non-negative, got {self.machine_capacity}")
+        # Add the machines one at a time from 0.0: ``machine_count *
+        # machine_capacity`` rounds differently in most generated clusters,
+        # and every pool capacity (and so every report) would move.
+        cpu = ram = disk = 0.0
+        shape = self.machine_capacity
+        for _ in range(self.machine_count):
+            cpu += shape.cpu
+            ram += shape.ram
+            disk += shape.disk
+        self.capacity = ResourceVector(cpu=cpu, ram=ram, disk=disk)
+
     @staticmethod
     def homogeneous(
         name: str,
@@ -43,129 +65,19 @@ class Cluster:
         machine_capacity: ResourceVector | None = None,
         site: str = "site-0",
     ) -> "Cluster":
-        """Build a cluster of ``machine_count`` identical machines."""
-        if machine_count < 0:
-            raise ValueError("machine_count must be non-negative")
-        capacity = machine_capacity or cpu_ram_disk(32.0, 128.0, 4000.0)
-        machines = [
-            Machine(name=f"{name}/m{i:05d}", capacity=capacity) for i in range(machine_count)
-        ]
-        return Cluster(name=name, site=site, machines=machines)
+        """Build a cluster of ``machine_count`` machines of one shape."""
+        return Cluster(name, site, machine_count, machine_capacity or DEFAULT_MACHINE_CAPACITY)
 
-    def add_machines(self, machines: Iterable[Machine]) -> None:
-        """Append machines to the cluster."""
-        self.machines.extend(machines)
-
-    # -- capacity accounting --------------------------------------------------
-    #
-    # These aggregates are the hot path of fleet generation: building pools
-    # and utilization snapshots reads them for every cluster, and a cluster
-    # can hold hundreds of machines.  They fold plain floats per dimension —
-    # a strict left fold from 0, exactly like summing :class:`ResourceVector`
-    # objects, so the totals are bit-identical to the object fold — instead
-    # of allocating one intermediate vector per machine.
-
-    @property
-    def capacity(self) -> ResourceVector:
-        """Total capacity across all machines."""
-        cpu = ram = disk = 0.0
-        for machine in self.machines:
-            vec = machine.capacity
-            cpu += vec.cpu
-            ram += vec.ram
-            disk += vec.disk
-        return ResourceVector(cpu=cpu, ram=ram, disk=disk)
-
-    def _totals(self) -> tuple[ResourceVector, ResourceVector]:
-        """``(capacity, used)`` in one pass over the machines."""
-        cap_cpu = cap_ram = cap_disk = 0.0
-        use_cpu = use_ram = use_disk = 0.0
-        for machine in self.machines:
-            vec = machine.capacity
-            cap_cpu += vec.cpu
-            cap_ram += vec.ram
-            cap_disk += vec.disk
-            if not machine.jobs:
-                continue  # contributes exactly zero to the usage fold
-            used_vec = machine.used
-            use_cpu += used_vec.cpu
-            use_ram += used_vec.ram
-            use_disk += used_vec.disk
-        capacity = ResourceVector(cpu=cap_cpu, ram=cap_ram, disk=cap_disk)
-        load = self.background_load
-        used = ResourceVector(
-            cpu=use_cpu + capacity.cpu * load.get(ResourceType.CPU, 0.0),
-            ram=use_ram + capacity.ram * load.get(ResourceType.RAM, 0.0),
-            disk=use_disk + capacity.disk * load.get(ResourceType.DISK, 0.0),
-        )
-        return capacity, used
-
-    def capacity_and_utilization(
-        self,
-    ) -> tuple[ResourceVector, dict[ResourceType, float]]:
-        """Total capacity plus per-dimension utilization in one machine pass.
-
-        What pool construction reads: it needs both values for every
-        cluster, and fetching them together avoids re-folding hundreds of
-        machines per resource dimension.
-        """
-        capacity, used = self._totals()
-        return capacity, {
-            rtype: self._fraction(capacity, used, rtype) for rtype in RESOURCE_TYPES
-        }
-
-    @property
-    def used(self) -> ResourceVector:
-        """Resources consumed by placed jobs plus background load."""
-        return self._totals()[1]
-
-    @property
-    def free(self) -> ResourceVector:
-        """Remaining capacity (clamped at zero)."""
-        capacity, used = self._totals()
-        return (capacity - used).clamp_nonnegative()
+    def set_load(self, loads: dict[ResourceType, float]) -> None:
+        """Set the fraction in use of each resource type (clamped to [0, 1])."""
+        self.load = {rtype: min(1.0, max(0.0, frac)) for rtype, frac in loads.items()}
 
     def utilization(self, rtype: ResourceType) -> float:
-        """Utilization fraction in [0, 1] for one resource dimension."""
-        capacity, used = self._totals()
-        return self._fraction(capacity, used, rtype)
-
-    @staticmethod
-    def _fraction(capacity: ResourceVector, used: ResourceVector, rtype: ResourceType) -> float:
-        cap = capacity.get(rtype)
+        """Utilization fraction in [0, 1] of one resource dimension."""
+        cap = self.capacity.get(rtype)
         if cap <= 0.0:
             return 0.0
-        return min(1.0, max(0.0, used.get(rtype) / cap))
-
-    def utilization_vector(self) -> dict[ResourceType, float]:
-        """Utilization fraction per resource dimension (one machine pass)."""
-        capacity, used = self._totals()
-        return {
-            rtype: self._fraction(capacity, used, rtype) for rtype in RESOURCE_TYPES
-        }
-
-    def set_background_load(self, loads: dict[ResourceType, float]) -> None:
-        """Set the background utilization fractions (clamped to [0, 1])."""
-        self.background_load = {
-            rtype: min(1.0, max(0.0, frac)) for rtype, frac in loads.items()
-        }
-
-    # -- job queries -----------------------------------------------------------
-    def jobs(self) -> list[Job]:
-        """All jobs currently placed in this cluster."""
-        result: list[Job] = []
-        for machine in self.machines:
-            result.extend(machine.jobs.values())
-        return result
-
-    def jobs_by_owner(self, owner: str) -> list[Job]:
-        """Jobs in this cluster owned by ``owner``."""
-        return [job for job in self.jobs() if job.owner == owner]
-
-    def clear_jobs(self) -> None:
-        """Evict every job from every machine (background load is kept)."""
-        for machine in self.machines:
-            machine.clear()
-
-    def __len__(self) -> int:
-        return len(self.machines)
+        # The used amount over capacity, not the load itself: the round trip
+        # rounds differently for some loads, and pool utilizations keep
+        # their bits.
+        return min(1.0, max(0.0, (cap * self.load.get(rtype, 0.0)) / cap))

@@ -24,7 +24,6 @@ from repro.cluster.resources import (
     cpu_ram_disk,
 )
 from repro.cluster.topology import FleetTopology, Site
-from repro.cluster.utilization import UtilizationSnapshot, snapshot_clusters
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,11 @@ class FleetSpec:
 
 @dataclass
 class SyntheticFleet:
-    """A generated fleet: topology, pool index, and utilization snapshot."""
+    """A generated fleet: topology and pool index."""
 
     spec: FleetSpec
     topology: FleetTopology
     pool_index: PoolIndex
-    snapshot: UtilizationSnapshot
     #: Former fixed prices per pool name (what the operator charged before the
     #: market existed); Figure 6 reports settlement prices as a ratio to these.
     fixed_prices: dict[str, float]
@@ -114,8 +112,7 @@ def generate_fleet(
     Utilization targets are assigned by evenly spacing clusters across
     ``spec.utilization_range`` and then jittering per resource dimension, so
     every generated fleet contains the full congested-to-idle spectrum the
-    paper's evaluation relies on.  The background-load mechanism is used to
-    hit the targets exactly without placing filler jobs.
+    paper's evaluation relies on.  Each cluster's load is set to its targets.
     """
     spec = spec or FleetSpec()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -138,7 +135,6 @@ def generate_fleet(
     base_targets = np.linspace(lo, hi, spec.cluster_count)
     rng.shuffle(base_targets)
 
-    clusters: list[Cluster] = []
     for i in range(spec.cluster_count):
         machine_count = int(
             round(
@@ -162,12 +158,10 @@ def generate_fleet(
         for rtype in RESOURCE_TYPES:
             jitter = float(rng.normal(0.0, spec.dimension_jitter))
             loads[rtype] = float(np.clip(base_targets[i] + jitter, 0.02, 0.99))
-        cluster.set_background_load(loads)
-        clusters.append(cluster)
+        cluster.set_load(loads)
         topology.add_cluster(cluster)
 
     pool_index = pools_from_topology(topology, unit_costs=spec.unit_costs)
-    snapshot = snapshot_clusters(clusters)
     # The pre-market fixed price: the operator charged plain cost c(r) per
     # unit regardless of congestion.
     fixed_prices = {pool.name: pool.unit_cost for pool in pool_index}
@@ -175,7 +169,6 @@ def generate_fleet(
         spec=spec,
         topology=topology,
         pool_index=pool_index,
-        snapshot=snapshot,
         fixed_prices=fixed_prices,
     )
 

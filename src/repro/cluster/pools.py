@@ -265,25 +265,20 @@ def pools_from_topology(
     """Build a :class:`PoolIndex` from a fleet topology or a plain cluster list.
 
     One pool is created per (cluster, resource type); capacity and utilization
-    are read off the cluster's current state, unit costs default to
+    are read off the cluster, unit costs default to
     :data:`repro.cluster.resources.DEFAULT_UNIT_COSTS`.
     """
     costs = dict(DEFAULT_UNIT_COSTS if unit_costs is None else unit_costs)
-    clusters = list(topology) if not isinstance(topology, FleetTopology) else list(topology)
     pools: list[ResourcePool] = []
-    for cluster in clusters:
-        # One machine pass per cluster: capacity and the full utilization
-        # vector together, instead of re-aggregating hundreds of machines for
-        # every resource dimension (the fleet-generation hot path).
-        capacity, utilization = cluster.capacity_and_utilization()
+    for cluster in topology:
         for rtype in RESOURCE_TYPES:
             pools.append(
                 ResourcePool(
                     cluster=cluster.name,
                     rtype=rtype,
-                    capacity=capacity.get(rtype),
+                    capacity=cluster.capacity.get(rtype),
                     unit_cost=costs.get(rtype, 0.0),
-                    utilization=utilization[rtype],
+                    utilization=cluster.utilization(rtype),
                 )
             )
     return PoolIndex(pools)

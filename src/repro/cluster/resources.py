@@ -4,7 +4,7 @@ The market prices three low-level resource dimensions, matching the paper's
 experimental setup ("each resource pool was taken as a cluster / resource type
 combination with the latter including CPU, RAM, and disk").  A
 :class:`ResourceVector` is a small typed mapping from :class:`ResourceType` to a
-float quantity, used for machine capacities, job requirements, and service
+float quantity, used for machine shapes, cluster capacities, and service
 coverage amounts.
 
 Quantities use abstract but realistic units:
@@ -17,9 +17,8 @@ Quantities use abstract but realistic units:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class ResourceType(str, enum.Enum):
@@ -55,8 +54,8 @@ DEFAULT_UNIT_COSTS: dict[ResourceType, float] = {
 class ResourceVector:
     """An immutable (cpu, ram, disk) quantity triple.
 
-    Supports element-wise arithmetic and comparisons needed by the scheduler
-    (capacity checks) and the service catalog (coverage computations).
+    Describes machine shapes, cluster capacities, and service coverage;
+    supports element-wise arithmetic for the coverage computations.
     """
 
     cpu: float = 0.0
@@ -64,11 +63,6 @@ class ResourceVector:
     disk: float = 0.0
 
     # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero() -> "ResourceVector":
-        """The all-zero resource vector."""
-        return ResourceVector(0.0, 0.0, 0.0)
-
     @staticmethod
     def from_mapping(values: Mapping[ResourceType | str, float]) -> "ResourceVector":
         """Build a vector from a mapping keyed by :class:`ResourceType` or name."""
@@ -115,19 +109,7 @@ class ResourceVector:
     def __neg__(self) -> "ResourceVector":
         return ResourceVector(-self.cpu, -self.ram, -self.disk)
 
-    # -- comparisons -------------------------------------------------------
-    def fits_within(self, capacity: "ResourceVector", *, tol: float = 1e-9) -> bool:
-        """True iff every component of ``self`` is <= the matching ``capacity``."""
-        return (
-            self.cpu <= capacity.cpu + tol
-            and self.ram <= capacity.ram + tol
-            and self.disk <= capacity.disk + tol
-        )
-
-    def dominates(self, other: "ResourceVector", *, tol: float = 1e-9) -> bool:
-        """True iff every component of ``self`` is >= the matching component of ``other``."""
-        return other.fits_within(self, tol=tol)
-
+    # -- predicates --------------------------------------------------------
     def is_nonnegative(self, *, tol: float = 1e-9) -> bool:
         """True iff all components are >= 0 (within ``tol``)."""
         return self.cpu >= -tol and self.ram >= -tol and self.disk >= -tol
@@ -142,37 +124,7 @@ class ResourceVector:
         costs = DEFAULT_UNIT_COSTS if unit_costs is None else unit_costs
         return sum(self.get(rtype) * costs.get(rtype, 0.0) for rtype in RESOURCE_TYPES)
 
-    def max_fraction_of(self, capacity: "ResourceVector") -> float:
-        """The largest component-wise fraction ``self[r] / capacity[r]``.
-
-        Used as the "dominant share" when deciding how full a machine or
-        cluster is.  Components with zero capacity contribute ``inf`` when the
-        demand on them is non-zero and are ignored otherwise.
-        """
-        fractions: list[float] = []
-        for rtype in RESOURCE_TYPES:
-            cap = capacity.get(rtype)
-            need = self.get(rtype)
-            if cap <= 0.0:
-                if need > 0.0:
-                    fractions.append(math.inf)
-                continue
-            fractions.append(need / cap)
-        return max(fractions) if fractions else 0.0
-
-    def clamp_nonnegative(self) -> "ResourceVector":
-        """Return a copy with negative components replaced by zero."""
-        return ResourceVector(max(self.cpu, 0.0), max(self.ram, 0.0), max(self.disk, 0.0))
-
 
 def cpu_ram_disk(cpu: float, ram: float, disk: float) -> ResourceVector:
     """Convenience constructor mirroring the canonical resource ordering."""
     return ResourceVector(cpu=cpu, ram=ram, disk=disk)
-
-
-def sum_vectors(vectors: Iterable[ResourceVector]) -> ResourceVector:
-    """Sum an iterable of resource vectors (empty iterable sums to zero)."""
-    total = ResourceVector.zero()
-    for vec in vectors:
-        total = total + vec
-    return total

@@ -1,4 +1,4 @@
-"""Utilization metrics for clusters and resource pools.
+"""Utilization metrics for resource pools.
 
 The congestion-weighted reserve pricing of Section IV consumes "utilization
 percentiles for the different resource dimensions".  This module computes
@@ -9,13 +9,12 @@ fleet-relative percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.pools import PoolIndex
-from repro.cluster.resources import RESOURCE_TYPES, ResourceType
+from repro.cluster.resources import RESOURCE_TYPES
 
 
 @dataclass(frozen=True)
@@ -69,29 +68,6 @@ def percentile_ranks(values: Sequence[float]) -> np.ndarray:
     return 100.0 * ranks / (arr.size - 1)
 
 
-def snapshot_clusters(clusters: Iterable[Cluster]) -> UtilizationSnapshot:
-    """Build a :class:`UtilizationSnapshot` from live cluster objects."""
-    fractions: dict[str, float] = {}
-    by_type: dict[ResourceType, list[tuple[str, float]]] = {rtype: [] for rtype in RESOURCE_TYPES}
-    for cluster in clusters:
-        # One machine pass per cluster (not one per resource dimension).
-        vector = cluster.utilization_vector()
-        for rtype in RESOURCE_TYPES:
-            name = f"{cluster.name}/{rtype.value}"
-            frac = vector[rtype]
-            fractions[name] = frac
-            by_type[rtype].append((name, frac))
-    percentiles: dict[str, float] = {}
-    for rtype, entries in by_type.items():
-        if not entries:
-            continue
-        names = [name for name, _ in entries]
-        ranks = percentile_ranks([frac for _, frac in entries])
-        for name, rank in zip(names, ranks):
-            percentiles[name] = float(rank)
-    return UtilizationSnapshot(fractions=fractions, percentiles=percentiles)
-
-
 def snapshot_pools(index: PoolIndex) -> UtilizationSnapshot:
     """Build a snapshot from a :class:`PoolIndex` (uses stored utilizations)."""
     fractions = {pool.name: pool.utilization for pool in index}
@@ -104,23 +80,6 @@ def snapshot_pools(index: PoolIndex) -> UtilizationSnapshot:
         for pool, rank in zip(pools, ranks):
             percentiles[pool.name] = float(rank)
     return UtilizationSnapshot(fractions=fractions, percentiles=percentiles)
-
-
-def utilization_percentiles(
-    utilizations: Mapping[str, float] | Iterable[Cluster] | PoolIndex,
-) -> dict[str, float]:
-    """Percentile rank per pool, accepting several input shapes.
-
-    Accepts a ``{pool name: fraction}`` mapping, an iterable of clusters, or a
-    :class:`PoolIndex`; returns ``{pool name: percentile 0..100}``.
-    """
-    if isinstance(utilizations, PoolIndex):
-        return dict(snapshot_pools(utilizations).percentiles)
-    if isinstance(utilizations, Mapping):
-        names = list(utilizations)
-        ranks = percentile_ranks([utilizations[name] for name in names])
-        return {name: float(rank) for name, rank in zip(names, ranks)}
-    return dict(snapshot_clusters(utilizations).percentiles)
 
 
 def utilization_spread(fractions: Iterable[float]) -> float:

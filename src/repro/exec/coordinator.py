@@ -637,7 +637,8 @@ class RemoteBackend:
             if first.get("type") == "control":
                 self._serve_control(sock)
                 return
-            if first.get("type") != "hello" or "worker" not in first:
+            capacity = _hello_capacity(first)
+            if capacity is None:
                 self._transport.send(
                     sock, {"type": "reject", "reason": "malformed hello"}
                 )
@@ -645,7 +646,6 @@ class RemoteBackend:
                 return
             nonce = self._authenticate(sock)  # BEFORE any registration/jobs
             worker_id = str(first["worker"])
-            capacity = max(1, int(first.get("capacity", 1)))
             if self.max_in_flight is not None:
                 capacity = min(capacity, self.max_in_flight)
             now = time.monotonic()
@@ -844,3 +844,13 @@ class RemoteBackend:
 
 class _HandshakeFailed(Exception):
     """A peer failed hello/auth; the reject has already been sent."""
+
+
+def _hello_capacity(message: dict) -> int | None:
+    """The in-flight capacity a ``hello`` announces, or ``None`` if it is malformed."""
+    if message.get("type") != "hello" or "worker" not in message:
+        return None
+    try:
+        return max(1, int(message.get("capacity", 1)))
+    except (TypeError, ValueError, OverflowError):
+        return None

@@ -114,7 +114,8 @@ def recv_message(sock: socket.socket) -> dict | None:
     data = _recv_exact(sock, length, eof_ok=False)
     try:
         message = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: a frame nested deeper than the decoder's stack.
         raise WireError(f"undecodable frame: {error}") from error
     if not isinstance(message, dict) or "type" not in message:
         raise WireError(f"frame is not a typed message: {message!r:.80}")

@@ -24,6 +24,7 @@ from repro.bidlang import (
     validate_tree,
     xor,
 )
+from repro.bidlang.parser import MAX_NESTING
 from repro.bidlang.validate import ValidationLimits, require_valid
 from repro.core.bids import BidderClass
 
@@ -66,6 +67,10 @@ class TestAst:
         assert parsed == tree
 
 
+#: A well-formed JSON leaf for the hostile-input cases to wrap.
+LEAF = {"pool": "a/cpu", "quantity": 1}
+
+
 class TestParser:
     def test_parse_pool_leaf(self):
         node = parse_sexpr("(pool cluster-01/cpu 100)")
@@ -105,6 +110,36 @@ class TestParser:
         with pytest.raises(BidLanguageSyntaxError):
             parse_sexpr(text)
 
+    @pytest.mark.parametrize(
+        ("text", "problem"),
+        [
+            pytest.param("(" * 5000, "nests deeper than 100 levels", id="5000-open-parens"),
+            pytest.param(
+                "(and " * 900 + "(pool a/cpu 1)" + ")" * 900,
+                "nests deeper than 100 levels",
+                id="900-nested-ands",
+            ),
+            ("(choose nan (pool a/cpu 1))", "finite number in choose count"),
+            ("(choose inf (pool a/cpu 1))", "finite number in choose count"),
+            ("(choose 1.5 (pool a/cpu 1) (pool b/cpu 1))", "choose count must be a whole number"),
+            ("(choose -1 (pool a/cpu 1))", "k=-1 is out of range"),
+            ("(pool (x) 1)", "expected a name in pool leaf"),
+            ("(cluster (x) 1 2 3)", "expected a name in cluster leaf"),
+            ("(pool a/cpu nan)", "finite number in pool leaf"),
+            ("(pool a/cpu 1e400)", "finite number in pool leaf"),
+            ("(pool a/cpu 0)", "non-zero quantity"),
+        ],
+    )
+    def test_hostile_input_is_a_syntax_error_naming_the_problem(self, text, problem):
+        with pytest.raises(BidLanguageSyntaxError, match=problem):
+            parse_sexpr(text)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        text = "(and " * (MAX_NESTING - 1) + "(pool a/cpu 1)" + ")" * (MAX_NESTING - 1)
+        assert parse_sexpr(text).depth() == MAX_NESTING
+        with pytest.raises(BidLanguageSyntaxError, match="nests deeper"):
+            parse_sexpr("(and " + text + ")")
+
     def test_parse_json_forms(self):
         node = parse_json(
             {
@@ -127,6 +162,30 @@ class TestParser:
             parse_json({"choose": 1})
         with pytest.raises(BidLanguageSyntaxError):
             parse_json([1, 2, 3])  # type: ignore[arg-type]
+
+    def test_parse_json_deep_nesting_is_a_syntax_error(self):
+        deep = {"pool": "a/cpu", "quantity": 1}
+        for _ in range(3000):
+            deep = {"and": [deep]}
+        with pytest.raises(BidLanguageSyntaxError, match="nests deeper than 100 levels"):
+            parse_json(deep)
+
+    @pytest.mark.parametrize(
+        ("data", "problem"),
+        [
+            ({"choose": float("nan"), "options": [LEAF]}, "finite number in choose count"),
+            ({"choose": float("inf"), "options": [LEAF]}, "finite number in choose count"),
+            ({"choose": 1.5, "options": [LEAF, LEAF]}, "choose count must be a whole number"),
+            ({"choose": -1, "options": [LEAF]}, "k=-1 is out of range"),
+            ({"pool": ["x"], "quantity": 1}, "expected a name in pool leaf"),
+            ({"pool": "a/cpu", "quantity": float("nan")}, "finite number in pool leaf"),
+            ({"pool": "a/cpu", "quantity": 10**400}, "expected a number in pool leaf"),
+            ({"cluster": "a", "cpu": 0}, "at least one non-zero quantity"),
+        ],
+    )
+    def test_parse_json_hostile_input_is_a_syntax_error(self, data, problem):
+        with pytest.raises(BidLanguageSyntaxError, match=problem):
+            parse_json(data)
 
 
 class TestFlatten:
@@ -218,6 +277,15 @@ class TestValidate:
         wide = xor(*[cluster_bundle("alpha", cpu=1) for _ in range(10)])
         problems = validate_tree(wide, pool_index, limits=ValidationLimits(max_leaves=5))
         assert any("leaves" in p for p in problems)
+
+    @pytest.mark.parametrize("quantity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_leaf_flagged(self, pool_index, quantity):
+        tree = xor(pool("alpha/cpu", quantity), cluster_bundle("beta", cpu=1, ram=quantity))
+        problems = validate_tree(tree, pool_index)
+        assert [p for p in problems if "not finite" in p] == [
+            f"leaf quantity {quantity} for alpha/cpu is not finite",
+            f"leaf quantity {quantity} for beta/ram is not finite",
+        ]
 
     def test_require_valid_raises(self, pool_index):
         with pytest.raises(BidTreeValidationError):

@@ -54,10 +54,6 @@ class TestGenerateFleet:
         for pool in tiny_fleet.pool_index:
             assert tiny_fleet.fixed_prices[pool.name] == pytest.approx(pool.unit_cost)
 
-    def test_snapshot_matches_pool_index(self, tiny_fleet):
-        for pool in tiny_fleet.pool_index:
-            assert tiny_fleet.snapshot.fraction(pool.name) == pytest.approx(pool.utilization)
-
     def test_sites_assigned_round_robin(self):
         fleet = generate_fleet(FleetSpec(cluster_count=6, sites=3, machines_range=(5, 10)), seed=0)
         sites = {cluster.site for cluster in fleet.clusters}
@@ -75,9 +71,8 @@ class TestGenerateFleet:
         spec = FleetSpec(cluster_count=4, machines_range=(5, 10), machine_cpu=(8.0, 16.0))
         fleet = generate_fleet(spec, seed=5)
         for cluster in fleet.clusters:
-            per_machine_cpu = cluster.machines[0].capacity.cpu
-            assert 8.0 <= per_machine_cpu <= 16.0
-            assert 5 <= len(cluster) <= 10
+            assert 8.0 <= cluster.machine_capacity.cpu <= 16.0
+            assert 5 <= cluster.machine_count <= 10
 
     def test_generator_accepts_generator_instance(self):
         rng = np.random.default_rng(9)

@@ -224,7 +224,7 @@ class TestPoolsFromTopology:
 
     def test_utilization_read_from_cluster_state(self):
         cluster = Cluster.homogeneous("c0", machine_count=1, machine_capacity=cpu_ram_disk(10, 10, 10))
-        cluster.set_background_load({ResourceType.CPU: 0.6})
+        cluster.set_load({ResourceType.CPU: 0.6})
         index = pools_from_topology([cluster])
         assert index.pool("c0/cpu").utilization == pytest.approx(0.6)
         assert index.pool("c0/ram").utilization == pytest.approx(0.0)

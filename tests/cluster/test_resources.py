@@ -1,7 +1,5 @@
 """Unit tests for resource types and resource vectors."""
 
-import math
-
 import pytest
 
 from repro.cluster.resources import (
@@ -10,7 +8,6 @@ from repro.cluster.resources import (
     ResourceType,
     ResourceVector,
     cpu_ram_disk,
-    sum_vectors,
 )
 
 
@@ -32,7 +29,7 @@ class TestResourceType:
 
 class TestResourceVectorConstruction:
     def test_zero_vector(self):
-        assert ResourceVector.zero().is_zero()
+        assert ResourceVector().is_zero()
 
     def test_from_mapping_with_enum_keys(self):
         vec = ResourceVector.from_mapping({ResourceType.CPU: 4, ResourceType.RAM: 16})
@@ -64,33 +61,11 @@ class TestResourceVectorArithmetic:
     def test_negation(self):
         assert -cpu_ram_disk(1, 2, 3) == cpu_ram_disk(-1, -2, -3)
 
-    def test_sum_vectors_of_empty_iterable_is_zero(self):
-        assert sum_vectors([]).is_zero()
-
-    def test_sum_vectors(self):
-        total = sum_vectors([cpu_ram_disk(1, 1, 1)] * 4)
-        assert total == cpu_ram_disk(4, 4, 4)
-
 
 class TestResourceVectorComparisons:
-    def test_fits_within(self):
-        assert cpu_ram_disk(1, 1, 1).fits_within(cpu_ram_disk(2, 2, 2))
-        assert not cpu_ram_disk(3, 1, 1).fits_within(cpu_ram_disk(2, 2, 2))
-
-    def test_fits_within_tolerance(self):
-        assert cpu_ram_disk(1.0 + 1e-12, 1, 1).fits_within(cpu_ram_disk(1, 1, 1))
-
-    def test_dominates_is_inverse_of_fits_within(self):
-        big, small = cpu_ram_disk(5, 5, 5), cpu_ram_disk(1, 2, 3)
-        assert big.dominates(small)
-        assert not small.dominates(big)
-
     def test_is_nonnegative(self):
         assert cpu_ram_disk(0, 1, 2).is_nonnegative()
         assert not cpu_ram_disk(-1, 1, 2).is_nonnegative()
-
-    def test_clamp_nonnegative(self):
-        assert cpu_ram_disk(-1, 2, -3).clamp_nonnegative() == cpu_ram_disk(0, 2, 0)
 
 
 class TestResourceVectorAggregates:
@@ -103,21 +78,6 @@ class TestResourceVectorAggregates:
         vec = cpu_ram_disk(2, 3, 4)
         costs = {ResourceType.CPU: 1.0, ResourceType.RAM: 10.0, ResourceType.DISK: 100.0}
         assert vec.total_cost(costs) == pytest.approx(2 + 30 + 400)
-
-    def test_max_fraction_of(self):
-        demand = cpu_ram_disk(5, 10, 10)
-        capacity = cpu_ram_disk(10, 100, 100)
-        assert demand.max_fraction_of(capacity) == pytest.approx(0.5)
-
-    def test_max_fraction_of_zero_capacity_with_demand_is_inf(self):
-        demand = cpu_ram_disk(1, 0, 0)
-        capacity = cpu_ram_disk(0, 10, 10)
-        assert math.isinf(demand.max_fraction_of(capacity))
-
-    def test_max_fraction_of_zero_capacity_without_demand_ignored(self):
-        demand = cpu_ram_disk(0, 5, 0)
-        capacity = cpu_ram_disk(0, 10, 10)
-        assert demand.max_fraction_of(capacity) == pytest.approx(0.5)
 
     def test_get_and_as_dict_round_trip(self):
         vec = cpu_ram_disk(1, 2, 3)

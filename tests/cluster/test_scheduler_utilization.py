@@ -1,103 +1,8 @@
-"""Unit tests for the bin-packing scheduler and utilization metrics."""
+"""Unit tests for utilization metrics."""
 
 import numpy as np
-import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.jobs import Job
-from repro.cluster.pools import pools_from_topology
-from repro.cluster.resources import ResourceType, cpu_ram_disk
-from repro.cluster.scheduler import (
-    BestFitPolicy,
-    BinPackingScheduler,
-    FirstFitPolicy,
-    WorstFitPolicy,
-)
-from repro.cluster.utilization import (
-    percentile_ranks,
-    snapshot_clusters,
-    snapshot_pools,
-    utilization_percentiles,
-    utilization_spread,
-)
-
-
-def small_cluster(machines=4, cap=(10, 40, 100)) -> Cluster:
-    return Cluster.homogeneous("c0", machine_count=machines, machine_capacity=cpu_ram_disk(*cap))
-
-
-class TestPlacementPolicies:
-    def test_first_fit_picks_first_feasible(self):
-        cluster = small_cluster()
-        job = Job(owner="x", demand=cpu_ram_disk(1, 1, 1))
-        chosen = FirstFitPolicy().choose(job, cluster.machines)
-        assert chosen is cluster.machines[0]
-
-    def test_best_fit_prefers_fuller_machine(self):
-        cluster = small_cluster(machines=2)
-        cluster.machines[0].place(Job(owner="x", demand=cpu_ram_disk(8, 1, 1)))
-        job = Job(owner="x", demand=cpu_ram_disk(1, 1, 1))
-        chosen = BestFitPolicy().choose(job, cluster.machines)
-        assert chosen is cluster.machines[0]
-
-    def test_worst_fit_prefers_emptier_machine(self):
-        cluster = small_cluster(machines=2)
-        cluster.machines[0].place(Job(owner="x", demand=cpu_ram_disk(8, 1, 1)))
-        job = Job(owner="x", demand=cpu_ram_disk(1, 1, 1))
-        chosen = WorstFitPolicy().choose(job, cluster.machines)
-        assert chosen is cluster.machines[1]
-
-    def test_policies_return_none_when_nothing_fits(self):
-        cluster = small_cluster(machines=1, cap=(2, 2, 2))
-        job = Job(owner="x", demand=cpu_ram_disk(5, 1, 1))
-        for policy in (FirstFitPolicy(), BestFitPolicy(), WorstFitPolicy()):
-            assert policy.choose(job, cluster.machines) is None
-
-
-class TestBinPackingScheduler:
-    def test_places_all_jobs_that_fit(self):
-        cluster = small_cluster(machines=4)
-        jobs = [Job(owner="x", demand=cpu_ram_disk(2, 2, 2)) for _ in range(8)]
-        result = BinPackingScheduler().schedule(cluster, jobs)
-        assert result.all_placed
-        assert result.placed_count == 8
-        assert cluster.utilization(ResourceType.CPU) == pytest.approx(16 / 40)
-
-    def test_reports_unplaced_jobs(self):
-        cluster = small_cluster(machines=1, cap=(4, 4, 4))
-        jobs = [Job(owner="x", demand=cpu_ram_disk(3, 3, 3)) for _ in range(3)]
-        result = BinPackingScheduler().schedule(cluster, jobs)
-        assert result.placed_count == 1
-        assert result.unplaced_count == 2
-        assert not result.all_placed
-
-    def test_multi_task_jobs_spread_across_machines(self):
-        cluster = small_cluster(machines=4, cap=(4, 16, 100))
-        job = Job(owner="x", demand=cpu_ram_disk(3, 3, 3), tasks=4)
-        result = BinPackingScheduler(split_tasks=True).schedule(cluster, [job])
-        assert result.placed_count == 4
-        used_machines = sum(1 for m in cluster.machines if m.jobs)
-        assert used_machines == 4
-
-    def test_without_task_split_large_job_cannot_fit(self):
-        cluster = small_cluster(machines=4, cap=(4, 16, 100))
-        job = Job(owner="x", demand=cpu_ram_disk(3, 3, 3), tasks=4)
-        result = BinPackingScheduler(split_tasks=False).schedule(cluster, [job])
-        assert result.unplaced_count == 1
-
-    def test_preempt_below_evicts_only_lower_priority(self):
-        cluster = small_cluster(machines=2)
-        scheduler = BinPackingScheduler()
-        scheduler.schedule(
-            cluster,
-            [
-                Job(owner="low", demand=cpu_ram_disk(1, 1, 1), priority=0),
-                Job(owner="high", demand=cpu_ram_disk(1, 1, 1), priority=5),
-            ],
-        )
-        evicted = scheduler.preempt_below(cluster, priority=3)
-        assert [j.owner for j in evicted] == ["low"]
-        assert [j.owner for j in cluster.jobs()] == ["high"]
+from repro.cluster.utilization import percentile_ranks, snapshot_pools, utilization_spread
 
 
 class TestPercentileRanks:
@@ -119,21 +24,10 @@ class TestPercentileRanks:
 
 
 class TestSnapshots:
-    def test_snapshot_clusters_and_pools_agree(self, tiny_fleet):
-        snap_c = snapshot_clusters(tiny_fleet.clusters)
-        snap_p = snapshot_pools(tiny_fleet.pool_index)
-        for name in tiny_fleet.pool_index.names:
-            assert snap_c.fraction(name) == pytest.approx(snap_p.fraction(name), abs=1e-9)
-            assert snap_c.percentile(name) == pytest.approx(snap_p.percentile(name), abs=1e-9)
-
     def test_snapshot_vectors_follow_index_order(self, tiny_fleet):
         snap = snapshot_pools(tiny_fleet.pool_index)
         vec = snap.as_vector(tiny_fleet.pool_index)
         np.testing.assert_allclose(vec, tiny_fleet.pool_index.utilizations())
-
-    def test_utilization_percentiles_accepts_mapping(self):
-        ranks = utilization_percentiles({"a/cpu": 0.2, "b/cpu": 0.8})
-        assert ranks["a/cpu"] < ranks["b/cpu"]
 
     def test_percentiles_are_within_bounds(self, medium_fleet):
         snap = snapshot_pools(medium_fleet.pool_index)

@@ -252,6 +252,27 @@ class TestHandshake:
         sock.close()
         backend.close()
 
+    def test_non_integer_capacity_rejected_and_a_good_worker_still_joins(self):
+        backend, address = backend_on_ephemeral_port()
+        host, port = parse_hostport(address)
+        with socket.create_connection((host, port), timeout=5) as bad:
+            send_message(bad, {"type": "hello", "worker": "w-bad", "capacity": "many"})
+            assert recv_message(bad) == {"type": "reject", "reason": "malformed hello"}
+            assert recv_message(bad) is None  # and the coordinator hung up
+        with socket.create_connection((host, port), timeout=5) as good:
+            send_message(good, {"type": "hello", "worker": "w-good", "capacity": 1})
+            assert recv_message(good)["type"] == "welcome"
+        backend.close()
+
+    def test_deeply_nested_first_frame_closes_the_connection(self):
+        backend, address = backend_on_ephemeral_port()
+        host, port = parse_hostport(address)
+        with socket.create_connection((host, port), timeout=5) as bad:
+            payload = b"[" * 100_000
+            bad.sendall(len(payload).to_bytes(4, "big") + payload)
+            assert recv_message(bad) is None
+        backend.close()
+
     def test_worker_with_no_coordinator_gives_up(self):
         with pytest.raises(WorkerError, match="no coordinator"):
             run_worker("127.0.0.1:1", worker_id="orphan", retry_seconds=0.3)

@@ -3,8 +3,11 @@
 import base64
 import json
 import socket
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec.wire import (
     MAX_FRAME_BYTES,
@@ -69,6 +72,49 @@ class TestFraming:
         a.sendall(b"\x00\x00\x00\x03not")
         with pytest.raises(WireError, match="undecodable"):
             recv_message(b)
+
+    def test_deeply_nested_frame_rejected(self, sock_pair):
+        a, b = sock_pair
+        send_frame(a, b"[" * 100_000)
+        with pytest.raises(WireError, match="undecodable"):
+            recv_message(b)
+
+
+def send_frame(sock: socket.socket, payload: bytes) -> None:
+    """Write one length-prefixed frame from a thread (it may outgrow the socket buffer)."""
+    frame = len(payload).to_bytes(4, "big") + payload
+    threading.Thread(target=sock.sendall, args=(frame,), daemon=True).start()
+
+
+#: Payloads that reach the JSON decoder: arbitrary bytes, arbitrary text, and
+#: deep nesting of every container the decoder recurses into.
+frame_payloads = st.one_of(
+    st.binary(max_size=512),
+    st.text(max_size=256).map(str.encode),
+    st.builds(
+        lambda opener, depth, tail: opener * depth + tail,
+        st.sampled_from([b"[", b'{"type":', b'{"a":[']),
+        st.integers(min_value=0, max_value=50_000),
+        st.binary(max_size=16),
+    ),
+)
+
+
+class TestFramingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=frame_payloads)
+    def test_any_payload_is_a_typed_message_or_a_wire_error(self, payload):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, payload)
+            try:
+                message = recv_message(b)
+            except WireError:
+                return
+            assert isinstance(message, dict) and "type" in message
+        finally:
+            a.close()
+            b.close()
 
 
 class TestSpecCodec:

@@ -147,6 +147,16 @@ class TestAuctionRuns:
             assert platform.quotas.quota("seller", "alpha/cpu") < 200.0
             assert platform.ledger.balance("seller") > 10_000.0
 
+    def test_non_finite_tree_bid_refused_and_the_window_still_settles(self, platform):
+        from repro.bidlang import BidTreeValidationError, pool
+
+        self._fill_orders(platform)
+        with pytest.raises(BidTreeValidationError, match="not finite"):
+            platform.submit_tree_bid("buyer", pool("alpha/cpu", float("nan")), limit=10.0)
+        record = platform.finalize_auction()
+        assert not platform.window_open
+        assert record.order_count == 2
+
     def test_price_ratio_to_fixed(self, platform):
         self._fill_orders(platform)
         platform.finalize_auction()

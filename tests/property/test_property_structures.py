@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.boxplot import boxplot_stats
 from repro.bidlang.ast import AndNode, BidNode, PoolLeaf, XorNode
 from repro.bidlang.flatten import flatten
-from repro.bidlang.parser import parse_sexpr
+from repro.bidlang.parser import BidLanguageSyntaxError, parse_sexpr
 from repro.cluster.resources import ResourceVector, cpu_ram_disk
 from repro.cluster.utilization import percentile_ranks
 
@@ -36,14 +36,7 @@ class TestResourceVectorProperties:
         scaled = vec * scale
         assert scaled.is_nonnegative()
         if scale <= 1.0:
-            assert scaled.fits_within(vec)
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=st.tuples(positive_floats, positive_floats, positive_floats))
-    def test_fits_within_is_reflexive_and_dominates_is_converse(self, a):
-        vec = cpu_ram_disk(*a)
-        assert vec.fits_within(vec)
-        assert vec.dominates(vec)
+            assert all(part <= whole for part, whole in zip(scaled, vec))
 
 
 class TestPercentileRankProperties:
@@ -91,7 +84,32 @@ def bid_trees(draw, depth: int = 0) -> BidNode:
     return AndNode(parts=children) if node_type == "and" else XorNode(alternatives=children)
 
 
+#: Words of the s-expression syntax, including the numbers it must refuse.
+sexpr_words = st.sampled_from(
+    ["(", ")", "pool", "cluster", "and", "xor", "choose", "a/cpu", "a",
+     "0", "1", "-1", "1.5", "2", "nan", "inf", "1e400", "(x)"]
+)
+bid_texts = st.one_of(
+    st.text(max_size=200),
+    st.lists(sexpr_words, max_size=60).map(" ".join),
+    st.builds(
+        lambda depth, inner: "(and " * depth + inner + ")" * depth,
+        st.integers(min_value=0, max_value=3000),
+        st.lists(sexpr_words, max_size=12).map(" ".join),
+    ),
+)
+
+
 class TestBidLanguageProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=bid_texts)
+    def test_any_text_parses_to_a_bid_node_or_a_syntax_error(self, text):
+        try:
+            node = parse_sexpr(text)
+        except BidLanguageSyntaxError:
+            return
+        assert isinstance(node, BidNode)
+
     @settings(max_examples=80, deadline=None)
     @given(tree=bid_trees())
     def test_sexpr_round_trip(self, tree):
