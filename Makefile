@@ -8,7 +8,10 @@ SMOKE_PORT ?= 7351
 EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
     baseline_comparison ablation_increment ablation_reserve
 
-.PHONY: test doctest bench bench-smoke smoke chaos equivalence check
+# The packages `make devmode` runs under the interpreter's dev mode.
+DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis
+
+.PHONY: test doctest bench bench-smoke smoke chaos equivalence devmode check
 
 ## tier-1: full unit/property/integration suite plus quick benchmarks
 test:
@@ -81,5 +84,11 @@ chaos:
 equivalence:
 	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py -q
 
+## the auction core, cluster, market, simulation and analysis suites under
+## `python -X dev` (extra runtime checks, every warning shown) with an
+## unclosed file or socket (ResourceWarning) turned into an error
+devmode:
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q $(DEVMODE_TESTS)
+
 ## everything CI runs
-check: test doctest chaos equivalence smoke
+check: test devmode doctest chaos equivalence smoke

@@ -83,7 +83,9 @@ class PoolIndex:
     The pools are frozen, so the names, the name lookup, the cluster order
     and the vector views are derived once, when the index is built.  The
     market asks for them per bid and per request, and each accessor hands
-    out a fresh copy the caller owns.
+    out a fresh copy the caller owns.  An index derived by
+    :meth:`with_utilizations` shares its parent's name-derived state,
+    capacities and unit costs.
     """
 
     def __init__(self, pools: Sequence[ResourcePool]):
@@ -99,6 +101,9 @@ class PoolIndex:
         self._cluster_set: frozenset[str] = frozenset(self._clusters)
         self._capacities = np.array([pool.capacity for pool in self._pools], dtype=float)
         self._unit_costs = np.array([pool.unit_cost for pool in self._pools], dtype=float)
+        # Shared with every index derived by with_utilizations.
+        self._capacities.setflags(write=False)
+        self._unit_costs.setflags(write=False)
         self._utilizations = np.array([pool.utilization for pool in self._pools], dtype=float)
         self._available = np.array([pool.available for pool in self._pools], dtype=float)
 
@@ -214,22 +219,46 @@ class PoolIndex:
         """Return a new index with updated utilizations (same pools, same order).
 
         A mapping may name any subset of the pools; naming a pool the index
-        does not hold raises ``KeyError``.
+        does not hold raises ``KeyError``.  Values are clipped to [0, 1]; a NaN
+        raises ``ValueError`` as :class:`ResourcePool` does.  The new index
+        shares this one's names, name lookup, cluster order, capacities and
+        unit costs.
+
+        Examples
+        --------
+        >>> index = demo_pool_index()
+        >>> index.with_utilizations({"b/cpu": 1.5}).utilizations().tolist()
+        [0.8, 0.8, 1.0, 0.2]
+        >>> index.with_utilizations({"b/cpu": 0.5}).pool("b/cpu").available
+        50.0
         """
         if isinstance(utilizations, np.ndarray):
             if utilizations.shape != (len(self._pools),):
                 raise ValueError("utilization vector has wrong length")
-            values = {name: float(utilizations[i]) for i, name in enumerate(self._names)}
+            values = np.array(utilizations, dtype=float)
         else:
-            values = dict(utilizations)
-            unknown = sorted(set(values) - self._by_name.keys())
+            named = dict(utilizations)
+            unknown = sorted(set(named) - self._by_name.keys())
             if unknown:
                 raise KeyError(f"unknown pools {unknown}; known pools: {sorted(self._by_name)[:5]}...")
-        new_pools = [
-            pool.with_utilization(values.get(name, pool.utilization))
-            for name, pool in zip(self._names, self._pools)
-        ]
-        return PoolIndex(new_pools)
+            values = self._utilizations.copy()
+            for name, value in named.items():
+                values[self._by_name[name]] = value
+        # One clip over the vector gives each pool the value
+        # ResourcePool.with_utilization's scalar clip would.
+        np.clip(values, 0.0, 1.0, out=values)
+        pools = tuple(
+            ResourcePool(pool.cluster, pool.rtype, pool.capacity, pool.unit_cost, utilization)
+            for pool, utilization in zip(self._pools, values.tolist())
+        )
+        # Only utilizations changed: share the name-derived state and the
+        # capacity and unit-cost vectors, which nothing ever mutates.
+        derived = PoolIndex.__new__(PoolIndex)
+        derived.__dict__.update(self.__dict__)
+        derived._pools = pools
+        derived._utilizations = values
+        derived._available = self._capacities * (1.0 - values)
+        return derived
 
 
 def demo_pool_index() -> PoolIndex:

@@ -83,6 +83,39 @@ def sum_demand_rows(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, axis=0)
 
 
+def cheapest_rows(
+    costs: np.ndarray, starts: np.ndarray, segment_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each bid's cheapest bundle over a flat vector of bundle-row costs.
+
+    Row ``k`` of ``costs`` belongs to bid ``segment_ids[k]``, whose rows start
+    at ``starts[segment_ids[k]]``; every bid has at least one row.  Returns
+    the per-bid minimum cost (a segmented ``np.minimum.reduceat``, so NaN
+    propagates as in ``np.min``) and the global row :func:`numpy.argmin`
+    picks within each bid: the lowest-index minimum, or the first NaN of a
+    bid whose costs hold one.  This is the tie-break
+    :meth:`repro.core.bundles.BundleSet.cheapest` applies one bid at a time.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> costs = np.array([3.0, 1.0, 1.0, 2.0, np.nan, 0.0])
+    >>> starts = np.array([0, 3])
+    >>> segment_ids = np.array([0, 0, 0, 1, 1, 1])
+    >>> cheapest, rows = cheapest_rows(costs, starts, segment_ids)
+    >>> cheapest.tolist(), rows.tolist()
+    ([1.0, nan], [1, 4])
+    """
+    cheapest = np.minimum.reduceat(costs, starts)
+    # Replace every row that is not its bid's argmin candidate with the
+    # past-the-end sentinel K, then take the segmented minimum of row ids.
+    hits = costs == cheapest[segment_ids]
+    hits |= np.isnan(costs)
+    k = len(costs)
+    candidates = np.where(hits, np.arange(k, dtype=np.intp), k)
+    return cheapest, np.minimum.reduceat(candidates, starts)
+
+
 @dataclass(frozen=True)
 class BatchResponse:
     """All bidders' proxy decisions for one price vector, in dense form.
@@ -181,10 +214,7 @@ class BatchDemandEngine:
         np.cumsum(counts, out=offsets[1:])
         #: First bundle row of each bidder's segment.
         self._starts = offsets[:-1]
-        k = int(offsets[-1])
-        self._k = k
-        #: Global row number of every bundle row (argmin tie-break helper).
-        self._row_ids = np.arange(k, dtype=np.intp)
+        self._k = int(offsets[-1])
         #: Which bidder each bundle row belongs to.
         self._segment_ids = np.repeat(np.arange(n, dtype=np.intp), counts)
 
@@ -227,13 +257,9 @@ class BatchDemandEngine:
                 active=np.zeros(0, dtype=bool),
             )
         costs = self._matrix @ prices
-        cheapest = np.minimum.reduceat(costs, self._starts)
+        cheapest, chosen_rows = cheapest_rows(costs, self._starts, self._segment_ids)
         active = cheapest <= self._limits + DROPOUT_SLACK
         dropped = ~active
-        # Lowest-index argmin per segment: replace non-minimal rows with K
-        # (past-the-end sentinel) and take the segmented minimum of row ids.
-        candidates = np.where(costs == cheapest[self._segment_ids], self._row_ids, self._k)
-        chosen_rows = np.minimum.reduceat(candidates, self._starts)
         bundle_indices = np.where(active, chosen_rows - self._starts, -1)
         # Gather the chosen rows (a fresh copy), then zero dropped-out bidders
         # in place — far cheaper than a masked np.where over a temporary.

@@ -6,6 +6,19 @@ bundle in its indifference set and pays (or is paid) that bundle's linear
 cost; everyone else receives nothing.  This module also verifies the SYSTEM
 feasibility constraints of Section III-B against the settled outcome and
 computes the bid-premium statistic ``gamma_u`` (Eq. 5) used by Table I.
+
+Both steps run as a few array passes over all bids rather than one proxy
+per bid.  Each bid's bundle costs still come from its own ``matrix @
+prices``, the product :class:`~repro.core.proxy.BidderProxy` computes: a
+payment is a cost, and one stacked product (the batch engine's) rounds some
+rows differently in the last bit.  The per-bid costs are concatenated, and
+:func:`~repro.core.batch.cheapest_rows` picks every bid's cheapest bundle
+with ``np.argmin``'s tie-break.  :func:`settle` then compares the chosen
+costs with the limits in one vector pass and builds one line per bid.
+:func:`verify_system_constraints` checks constraints 3-5 as vector
+comparisons and constraint 1 with ``np.isclose`` over the winners' bundle
+rows, a bounded block of winners at a time, so no stack of every bid's
+matrix is ever built.  Messages are formatted only for the lines flagged.
 """
 
 from __future__ import annotations
@@ -16,9 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
+from repro.core.batch import cheapest_rows
 from repro.core.bids import Bid
 from repro.core.clock_auction import AuctionOutcome
-from repro.core.proxy import BidderProxy
+from repro.core.proxy import DROPOUT_SLACK
+
+#: Winners whose constraint-1 check runs in one stacked ``np.isclose``; bounds
+#: the temporaries of :func:`verify_system_constraints` at any auction size.
+_CHECK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,31 @@ class Settlement:
         return self.index.describe(self.line_for(bidder).allocation)
 
 
+def _bundle_costs(
+    matrices: Sequence[np.ndarray], prices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every bundle row's cost, with each bid's segment of the flat vector.
+
+    Costs come from one ``matrix @ prices`` per bid, the product
+    :meth:`~repro.core.bundles.BundleSet.costs` computes, so each cost has the
+    bits the proxy sees (one stacked product may round some rows
+    differently).  Returns ``(costs, starts, segment_ids)`` in the form
+    :func:`~repro.core.batch.cheapest_rows` takes.
+    """
+    costs = np.concatenate([matrix @ prices for matrix in matrices])
+    counts, starts = _segments(matrices)
+    segment_ids = np.repeat(np.arange(len(matrices), dtype=np.intp), counts)
+    return costs, starts, segment_ids
+
+
+def _segments(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row count and first row of each matrix once they are stacked in order."""
+    counts = np.fromiter(map(len, matrices), dtype=np.intp, count=len(matrices))
+    starts = np.zeros(len(matrices), dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return counts, starts
+
+
 def settle(
     index: PoolIndex,
     bids: Sequence[Bid],
@@ -130,7 +173,7 @@ def settle(
 ) -> Settlement:
     """Settle a set of bids at the given uniform unit prices.
 
-    Each bid is settled independently through its proxy: if the cheapest
+    Each bid is settled independently by the proxy rule: if the cheapest
     bundle at ``prices`` is within the bidder's limit, the bidder wins that
     bundle and pays its cost; otherwise the bidder loses.  This mirrors how
     the final simulation run of the trading platform produced "the final,
@@ -153,25 +196,30 @@ def settle(
     0.5
     """
     prices = np.asarray(prices, dtype=float)
-    if prices.shape != (len(index),):
-        raise ValueError(f"price vector has shape {prices.shape}, expected ({len(index)},)")
-    supply_vec = (
-        np.zeros(len(index), dtype=float) if supply is None else np.asarray(supply, dtype=float)
-    )
-    lines = []
-    for bid in bids:
-        decision = BidderProxy(bid).respond(prices)
-        won = bool(decision.active and np.any(np.abs(decision.quantities) > 0))
-        lines.append(
-            SettlementLine(
-                bidder=bid.bidder,
-                won=won,
-                allocation=decision.quantities if won else np.zeros(len(index)),
-                payment=decision.cost if won else 0.0,
-                limit=bid.limit,
-                bundle_index=decision.bundle_index if won else None,
-            )
-        )
+    r = len(index)
+    if prices.shape != (r,):
+        raise ValueError(f"price vector has shape {prices.shape}, expected ({r},)")
+    supply_vec = np.zeros(r, dtype=float) if supply is None else np.asarray(supply, dtype=float)
+    bids = list(bids)
+    lines: list[SettlementLine] = []
+    if bids:
+        matrices = [bid.bundles.matrix for bid in bids]
+        costs, starts, segment_ids = _bundle_costs(matrices, prices)
+        _, rows = cheapest_rows(costs, starts, segment_ids)
+        chosen_costs = costs[rows]
+        limits = np.array([bid.limit for bid in bids], dtype=float)
+        active = chosen_costs <= limits + DROPOUT_SLACK
+        for bid, matrix, j, cost, is_active in zip(
+            bids, matrices, (rows - starts).tolist(), chosen_costs.tolist(), active.tolist()
+        ):
+            row = matrix[j]
+            # An active row's cost is not NaN, so the row holds no NaN and a
+            # count of non-zeros is the proxy's ``any(abs(row) > 0)``.
+            if is_active and np.count_nonzero(row):
+                line = SettlementLine(bid.bidder, True, row.copy(), cost, bid.limit, j)
+            else:
+                line = SettlementLine(bid.bidder, False, np.zeros(r), 0.0, bid.limit, None)
+            lines.append(line)
     return Settlement(index=index, prices=prices.copy(), lines=lines, supply=supply_vec.copy())
 
 
@@ -226,42 +274,82 @@ def verify_system_constraints(
             f"constraint 2 violated: pool {settlement.index.pools[i].name} over-allocated by {over[i]:.6g}"
         )
 
-    for line in settlement.lines:
-        bid = bids_by_name.get(line.bidder)
+    # Every line is checked against its team's last bid.  Arrays below run
+    # over the lines whose bidder is known, in line order.
+    lines = settlement.lines
+    paired = [bids_by_name.get(line.bidder) for line in lines]
+    known = [i for i, bid in enumerate(paired) if bid is not None]
+    slot: dict[int, int] = {}  # flagged line -> its position in the arrays
+    if known:
+        line_bids = [paired[i] for i in known]
+        matrices = [bid.bundles.matrix for bid in line_bids]
+        costs, starts, segment_ids = _bundle_costs(matrices, np.asarray(prices, dtype=float))
+        min_costs, rows = cheapest_rows(costs, starts, segment_ids)
+        limits = np.array([bid.limit for bid in line_bids], dtype=float)
+        payments = np.array([lines[i].payment for i in known], dtype=float)
+        won = np.array([bool(lines[i].won) for i in known], dtype=bool)
+        slack = tolerance * scale
+        # (1) allocation is one of the bidder's bundles
+        outside = np.zeros(len(known), dtype=bool)
+        winners = np.flatnonzero(won)
+        for first in range(0, len(winners), _CHECK_BLOCK):
+            block = winners[first : first + _CHECK_BLOCK]
+            outside[block] = ~_allocations_in_bundle_sets(
+                [matrices[k] for k in block], [lines[known[k]].allocation for k in block], tolerance
+            )
+        # (3) winners pay no more than their limit
+        over_limit = won & (payments > limits + slack)
+        # (4) winners get the cheapest bundle in their set
+        not_cheapest = won & (payments > min_costs + slack)
+        # (5) losers bid too little.  Bids whose cheapest bundle is the empty
+        # bundle are degenerate (they "win nothing" by definition) and are
+        # exempt from the check.
+        covered = ~won & (limits >= min_costs - slack)
+        for k in np.flatnonzero(covered).tolist():
+            cheapest = matrices[k][rows[k] - starts[k]]
+            covered[k] = not np.all(np.abs(cheapest) <= tolerance)
+        flagged = outside | over_limit | not_cheapest | covered
+        slot = {known[k]: k for k in np.flatnonzero(flagged).tolist()}
+
+    # Messages for unknown and flagged lines only, in line order.
+    unknown = [i for i, bid in enumerate(paired) if bid is None]
+    for i in sorted(unknown + list(slot)):
+        line = lines[i]
+        bid = paired[i]
         if bid is None:
             violations.append(f"settlement contains unknown bidder {line.bidder!r}")
             continue
-        costs = bid.bundles.costs(prices)
-        min_cost = float(np.min(costs))
-        if line.won:
-            # (1) allocation is one of the bidder's bundles
-            matches = np.any(
-                np.all(np.isclose(bid.bundles.matrix, line.allocation, atol=tolerance), axis=1)
+        k = slot[i]
+        min_cost = float(min_costs[k])
+        if outside[k]:
+            violations.append(
+                f"constraint 1 violated: {line.bidder} was allocated a bundle outside Q_u"
             )
-            if not matches:
-                violations.append(
-                    f"constraint 1 violated: {line.bidder} was allocated a bundle outside Q_u"
-                )
-            # (3) winners pay no more than their limit
-            if line.payment > bid.limit + tolerance * scale:
-                violations.append(
-                    f"constraint 3 violated: {line.bidder} pays {line.payment:.6g} above limit {bid.limit:.6g}"
-                )
-            # (4) winners get the cheapest bundle in their set
-            if line.payment > min_cost + tolerance * scale:
-                violations.append(
-                    f"constraint 4 violated: {line.bidder} pays {line.payment:.6g} but cheapest bundle costs {min_cost:.6g}"
-                )
-        else:
-            # (5) losers bid too little.  Bids whose cheapest bundle is the
-            # empty bundle are degenerate (they "win nothing" by definition)
-            # and are exempt from the check.
-            cheapest_i = int(np.argmin(costs))
-            cheapest_is_empty = bool(
-                np.all(np.abs(bid.bundles.matrix[cheapest_i]) <= tolerance)
+        if over_limit[k]:
+            violations.append(
+                f"constraint 3 violated: {line.bidder} pays {line.payment:.6g} above limit {bid.limit:.6g}"
             )
-            if not cheapest_is_empty and bid.limit >= min_cost - tolerance * scale:
-                violations.append(
-                    f"constraint 5 violated: {line.bidder} lost but its limit {bid.limit:.6g} covers the cheapest bundle cost {min_cost:.6g}"
-                )
+        if not_cheapest[k]:
+            violations.append(
+                f"constraint 4 violated: {line.bidder} pays {line.payment:.6g} but cheapest bundle costs {min_cost:.6g}"
+            )
+        if covered[k]:
+            violations.append(
+                f"constraint 5 violated: {line.bidder} lost but its limit {bid.limit:.6g} covers the cheapest bundle cost {min_cost:.6g}"
+            )
     return ConstraintReport(satisfied=not violations, violations=violations)
+
+
+def _allocations_in_bundle_sets(
+    matrices: Sequence[np.ndarray], allocations: Sequence[np.ndarray], tolerance: float
+) -> np.ndarray:
+    """For each winner, whether its allocation is close to a row of its bid.
+
+    The same elementwise ``np.isclose(..., atol=tolerance)`` as one call per
+    winner, applied to the winners' stacked bundle rows against each
+    allocation repeated once per row of its bid.
+    """
+    counts, starts = _segments(matrices)
+    repeated = np.repeat(np.array(allocations, dtype=float), counts, axis=0)
+    row_close = np.isclose(np.concatenate(matrices), repeated, atol=tolerance).all(axis=1)
+    return np.logical_or.reduceat(row_close, starts)

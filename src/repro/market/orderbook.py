@@ -10,9 +10,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 from repro.core.bids import Bid, BidderClass, classify_bidder
+from repro.core.settlement import SettlementLine
 
 _order_counter = itertools.count(1)
 
@@ -134,13 +135,26 @@ class OrderBook:
                 per_cluster[order.side] += 1
         return counts
 
-    def mark_settled(self, winners: Iterable[str]) -> None:
-        """After the binding auction run, mark each active order settled or unsettled."""
-        winner_set = set(winners)
-        for order in self.orders(status=OrderStatus.ACTIVE):
-            order.status = (
-                OrderStatus.SETTLED if order.bidder in winner_set else OrderStatus.UNSETTLED
-            )
+    def mark_settled(self, lines: Sequence[SettlementLine]) -> None:
+        """After the binding auction run, mark each active order by its own line.
+
+        The binding run settles :meth:`active_bids` in order, one line per
+        bid, so line ``i`` belongs to active order ``i``: a team's losing
+        order stays UNSETTLED even when another of its orders wins.  Raises
+        ``ValueError``, marking nothing, if the counts or a bidder name
+        disagree.
+        """
+        active = self.orders(status=OrderStatus.ACTIVE)
+        if len(lines) != len(active):
+            raise ValueError(f"{len(lines)} settlement lines for {len(active)} active orders")
+        for order, line in zip(active, lines):
+            if line.bidder != order.bidder:
+                raise ValueError(
+                    f"settlement line for {line.bidder!r} does not match order "
+                    f"{order.order_id} of {order.bidder!r}"
+                )
+        for order, line in zip(active, lines):
+            order.status = OrderStatus.SETTLED if line.won else OrderStatus.UNSETTLED
 
     def clear(self) -> None:
         """Empty the book (start of a new bid window)."""

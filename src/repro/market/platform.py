@@ -287,11 +287,13 @@ class TradingPlatform:
         assert self._current_auction_id is not None
         auction_id = self._current_auction_id
 
+        # Validation is strict, so the run settled every active order's bid,
+        # in order; marking first checks that pairing before any posting.
+        self.order_book.mark_settled(result.settlement.lines)
         for line in result.settlement.winners:
             if self.ledger.has_account(line.bidder):
                 self.ledger.post_settlement(line.bidder, line.payment, auction_id=auction_id)
             self.quotas.apply_delta(line.bidder, line.allocation, allow_negative=True)
-        self.order_book.mark_settled(line.bidder for line in result.settlement.winners)
 
         self.displayed_prices = result.final_prices.as_map()
         record = AuctionRecord(

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.fleet_gen import FleetSpec, generate_fleet
 from repro.cluster.pools import PoolIndex, ResourcePool, pools_from_topology
 from repro.cluster.resources import ResourceType, cpu_ram_disk
 from repro.cluster.topology import FleetTopology
@@ -203,6 +204,93 @@ class TestDerivedDataIsCallerOwned:
         got = DESCRIBE_INDEX.describe(vec, tol=tol)
         assert list(got.items()) == list(describe_reference(DESCRIBE_INDEX, vec, tol).items())
         assert all(type(value) is float for value in got.values())
+
+
+def with_utilizations_reference(index, utilizations):
+    """One ``ResourcePool.with_utilization`` per pool: the specification of ``with_utilizations``."""
+    if isinstance(utilizations, np.ndarray):
+        if utilizations.shape != (len(index),):
+            raise ValueError("utilization vector has wrong length")
+        values = {name: float(utilizations[i]) for i, name in enumerate(index.names)}
+    else:
+        values = dict(utilizations)
+        known = set(index.names)
+        unknown = sorted(set(values) - known)
+        if unknown:
+            raise KeyError(f"unknown pools {unknown}; known pools: {sorted(known)[:5]}...")
+    return PoolIndex(
+        [pool.with_utilization(values.get(pool.name, pool.utilization)) for pool in index.pools]
+    )
+
+
+def pool_bits(pool):
+    return (pool.cluster, pool.rtype, pool.capacity, pool.unit_cost, float(pool.utilization).hex())
+
+
+#: Odd capacities, so ``capacity * (1 - utilization)`` rounds.
+FLEET_INDEX = generate_fleet(FleetSpec(cluster_count=6, machines_range=(3, 40)), seed=3).pool_index
+UTILIZATION_EDGES = [
+    -0.5, -0.0, 0.0, 5e-324, float(np.nextafter(0.0, -1.0)), 1.0,
+    float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)), 1.5,
+]
+UTILIZATION = st.one_of(st.sampled_from(UTILIZATION_EDGES), st.floats(-0.5, 1.5))
+
+
+class TestWithUtilizationsMatchesThePoolLoop:
+    """One vector clip gives every pool and vector the bits of the per-pool loop."""
+
+    def assert_same_index(self, parent, got, expected):
+        assert [pool_bits(p) for p in got.pools] == [pool_bits(p) for p in expected.pools]
+        for view in ("utilizations", "available", "capacities", "unit_costs"):
+            assert getattr(got, view)().tobytes() == getattr(expected, view)().tobytes(), view
+        assert got.capacities().tobytes() == parent.capacities().tobytes()
+        assert got.unit_costs().tobytes() == parent.unit_costs().tobytes()
+        assert got.names == parent.names == expected.names
+        assert got.clusters() == parent.clusters()
+        assert [got.index_of(name) for name in parent.names] == list(range(len(parent)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), index=st.sampled_from([DESCRIBE_INDEX, FLEET_INDEX]))
+    def test_vector(self, data, index):
+        values = np.array(data.draw(st.lists(UTILIZATION, min_size=len(index), max_size=len(index))))
+        got = index.with_utilizations(values)
+        self.assert_same_index(index, got, with_utilizations_reference(index, values))
+        # Derived again, from a derived index.
+        again = got.with_utilizations(values[::-1].copy())
+        self.assert_same_index(index, again, with_utilizations_reference(got, values[::-1].copy()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), index=st.sampled_from([DESCRIBE_INDEX, FLEET_INDEX]))
+    def test_mapping(self, data, index):
+        mapping = data.draw(st.dictionaries(st.sampled_from(index.names), UTILIZATION))
+        got = index.with_utilizations(mapping)
+        self.assert_same_index(index, got, with_utilizations_reference(index, mapping))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0.5, np.nan] + [0.5] * (len(DESCRIBE_INDEX) - 2)),
+            {"beta/ram": float("nan")},
+            np.zeros(len(DESCRIBE_INDEX) - 1),
+            np.zeros((1, len(DESCRIBE_INDEX))),
+            {"alpha/cpu": 0.2, "typo/cpu": 0.9, "a-typo/ram": 0.1},
+        ],
+        ids=["nan-vector", "nan-mapping", "short-vector", "2d-vector", "unknown-names"],
+    )
+    def test_bad_input_raises_as_the_loop_did(self, bad):
+        with pytest.raises((ValueError, KeyError)) as expected:
+            with_utilizations_reference(DESCRIBE_INDEX, bad)
+        with pytest.raises(expected.type, match=None) as got:
+            DESCRIBE_INDEX.with_utilizations(bad)
+        assert str(got.value) == str(expected.value)
+
+    def test_shared_vectors_are_read_only(self):
+        derived = DESCRIBE_INDEX.with_utilizations(np.full(len(DESCRIBE_INDEX), 0.5))
+        assert derived._capacities is DESCRIBE_INDEX._capacities
+        with pytest.raises(ValueError):
+            derived._capacities[0] = 0.0
+        derived.capacities()[0] = 0.0  # a caller's copy is its own
+        assert derived.capacities()[0] == DESCRIBE_INDEX.capacities()[0]
 
 
 class TestPoolsFromTopology:

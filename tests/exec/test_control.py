@@ -185,8 +185,10 @@ class TestDrain:
                 assert backend.connected_workers() == 1
                 release.set()
                 drainer.join(timeout=10)
-            assert drained and drained[0]["workers"] == 1
+                assert not drainer.is_alive() and drained, "the drain hung"
+            assert drained[0]["workers"] == 1
             thread.join(timeout=10)
+            assert not thread.is_alive() and outcome, "the sweep hung through the drain"
             report = outcome[0]
             assert not isinstance(report, Exception), report
             assert len(report.results) == 1  # the in-flight job was delivered
@@ -224,6 +226,7 @@ class TestScale:
             assert reply["alive"] == 1
             assert reply["stopped"] == 1
             thread.join(timeout=30)
+            assert not thread.is_alive() and outcome, "the sweep hung after the scale-down"
             report = outcome[0]
             assert not isinstance(report, Exception), report
             serial = ParallelRunner(workers=1).run_specs(specs)
@@ -266,7 +269,7 @@ class TestScale:
         thread, outcome = execute_in_thread(backend, specs)
         try:
             thread.join(timeout=30)
-            assert outcome, "the sweep hung: a dispatched job was lost"
+            assert not thread.is_alive() and outcome, "the sweep hung: a dispatched job was lost"
             report = outcome[0]
             assert not isinstance(report, Exception), report
             assert report.to_json() == ParallelRunner(workers=1).run_specs(specs).to_json()

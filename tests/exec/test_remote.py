@@ -327,6 +327,7 @@ class TestDispatchPolicy:
         thread.start()
         report = ParallelRunner(backend=backend).run_specs(specs)
         thread.join(timeout=10)
+        assert not thread.is_alive(), "the scripted worker hung"
         assert not failures, failures[0]
         assert sorted(seen) == [0, 1, 2]
         assert len(report.results) == 3

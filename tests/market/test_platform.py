@@ -157,6 +157,22 @@ class TestAuctionRuns:
         assert not platform.window_open
         assert record.order_count == 2
 
+    def test_a_teams_losing_order_stays_unsettled_when_its_other_order_wins(self):
+        from repro.cluster.pools import demo_pool_index
+        from repro.market.orderbook import OrderStatus
+
+        index = demo_pool_index()
+        platform = TradingPlatform(index)
+        platform.open_bid_window()
+        platform.submit_bid(Bid.buy("team", index, [{"b/cpu": 5}], max_payment=500.0))
+        platform.submit_bid(Bid.buy("team", index, [{"a/cpu": 5}], max_payment=0.01))
+        record = platform.finalize_auction()
+        assert [line.won for line in record.result.settlement.lines] == [True, False]
+        assert [order.status for order in platform.order_book.orders()] == [
+            OrderStatus.SETTLED,
+            OrderStatus.UNSETTLED,
+        ]
+
     def test_price_ratio_to_fixed(self, platform):
         self._fill_orders(platform)
         platform.finalize_auction()

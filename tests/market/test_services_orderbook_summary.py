@@ -1,12 +1,26 @@
 """Unit tests for the service catalog, order book, and market summary."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.resources import cpu_ram_disk
 from repro.core.bids import Bid
+from repro.core.settlement import SettlementLine
 from repro.market.orderbook import OrderBook, OrderSide, OrderStatus, side_of
 from repro.market.services import ServiceCatalog, ServiceRequest, ServiceSpec, default_catalog
 from repro.market.summary import build_market_summary, render_market_summary
+
+
+def line(bidder: str, *, won: bool) -> SettlementLine:
+    """A settlement line that carries only what the order book reads."""
+    return SettlementLine(
+        bidder=bidder,
+        won=won,
+        allocation=np.zeros(1),
+        payment=0.0,
+        limit=10.0,
+        bundle_index=0 if won else None,
+    )
 
 
 class TestServiceSpec:
@@ -109,10 +123,42 @@ class TestOrderBook:
         book = OrderBook()
         book.submit(Bid.buy("w", pool_index, [{"alpha/cpu": 1}], max_payment=10.0))
         book.submit(Bid.buy("l", pool_index, [{"alpha/cpu": 1}], max_payment=10.0))
-        book.mark_settled(["w"])
+        book.mark_settled([line("w", won=True), line("l", won=False)])
         statuses = {o.bidder: o.status for o in book.orders()}
         assert statuses["w"] is OrderStatus.SETTLED
         assert statuses["l"] is OrderStatus.UNSETTLED
+
+    def test_mark_settled_marks_each_of_a_teams_orders_by_its_own_line(self, pool_index):
+        book = OrderBook()
+        book.submit(Bid.buy("t", pool_index, [{"alpha/cpu": 1}], max_payment=10.0))
+        withdrawn = book.submit(Bid.buy("t", pool_index, [{"beta/cpu": 1}], max_payment=10.0))
+        book.submit(Bid.buy("t", pool_index, [{"beta/cpu": 2}], max_payment=10.0))
+        book.withdraw(withdrawn.order_id)
+        book.mark_settled([line("t", won=False), line("t", won=True)])
+        assert [o.status for o in book.orders()] == [
+            OrderStatus.UNSETTLED,
+            OrderStatus.WITHDRAWN,
+            OrderStatus.SETTLED,
+        ]
+
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            ([("a", True)], "1 settlement lines for 2 active orders"),
+            ([("a", True), ("b", False), ("b", False)], "3 settlement lines for 2 active orders"),
+            ([("b", True), ("a", False)], "line for 'b' does not match order"),
+        ],
+        ids=["too-few-lines", "too-many-lines", "wrong-bidder"],
+    )
+    def test_mark_settled_refuses_lines_that_do_not_pair_with_the_orders(
+        self, pool_index, lines, match
+    ):
+        book = OrderBook()
+        book.submit(Bid.buy("a", pool_index, [{"alpha/cpu": 1}], max_payment=10.0))
+        book.submit(Bid.buy("b", pool_index, [{"alpha/cpu": 1}], max_payment=10.0))
+        with pytest.raises(ValueError, match=match):
+            book.mark_settled([line(name, won=won) for name, won in lines])
+        assert [o.status for o in book.orders()] == [OrderStatus.ACTIVE, OrderStatus.ACTIVE]
 
     def test_orders_by_bidder_and_len_and_clear(self, pool_index):
         book = OrderBook()
