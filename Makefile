@@ -11,7 +11,7 @@ EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
 # The packages `make devmode` runs under the interpreter's dev mode.
 DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis
 
-.PHONY: test doctest bench bench-smoke smoke chaos equivalence devmode check
+.PHONY: test doctest bench bench-smoke smoke chaos equivalence devmode golden check
 
 ## tier-1: full unit/property/integration suite plus quick benchmarks
 test:
@@ -89,6 +89,11 @@ equivalence:
 ## unclosed file or socket (ResourceWarning) turned into an error
 devmode:
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q $(DEVMODE_TESTS)
+
+## rewrite tests/golden/digests.json: one sha256 per pinned canonical report
+## (the only writer of that file; tier-1 checks every digest)
+golden:
+	$(PYTHON) tests/golden/golden.py
 
 ## everything CI runs
 check: test devmode doctest chaos equivalence smoke

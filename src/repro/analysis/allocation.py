@@ -5,8 +5,10 @@ excessive shortages and surpluses of more traditional allocation methods" and
 evens out utilization across pools.  This module holds what the baseline
 policies (:mod:`repro.mechanisms.baseline`) and the market economy
 (:mod:`repro.simulation.economy`) share: the :class:`QuotaRequest` a team
-files, the :class:`AllocationOutcome` a policy produces, and the metrics
-behind the claim, so both mechanisms are measured by the same code.
+files, the :class:`AllocationOutcome` a policy produces (the market's is a
+:class:`MarketOutcome`, read from two holdings matrices), and the metrics
+behind the claim: :func:`allocation_metrics` is one kernel over row blocks of
+either outcome, so both mechanisms are measured by the same code.
 
 Two complementary families of measures live here:
 
@@ -23,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
 from repro.cluster.utilization import utilization_spread
+from repro.market.quotas import BLOCK_TEAMS, ZERO_HOLDING, QuotaRegistry
 
 #: Utilization above which a pool counts as *short*: allocation policies that
 #: keep piling load onto an already-hot pool leave it without headroom for
@@ -138,6 +141,115 @@ class AllocationOutcome:
         """All teams that submitted requests."""
         return list(self.requested)
 
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams, in :meth:`teams` order."""
+        teams = self.teams()
+        zeros = np.zeros(len(self.index))
+        for start in range(0, len(teams), BLOCK_TEAMS):
+            chunk = teams[start : start + BLOCK_TEAMS]
+            yield (
+                np.array([self.requested[team] for team in chunk]),
+                np.array([self.granted.get(team, zeros) for team in chunk]),
+            )
+
+
+@dataclass(eq=False)
+class MarketOutcome:
+    """The market's cumulative provisioning, read from two holdings matrices.
+
+    A team was granted what it acquired since the market started:
+    ``clip(final - initial, 0)`` per pool, where ``final`` is its row of the
+    registry now and ``initial`` its row of ``initial``, a
+    :meth:`~repro.market.quotas.QuotaRegistry.matrix` copy taken at the start
+    (a team registered since then started with nothing).  Entries of
+    magnitude at most :data:`~repro.market.quotas.ZERO_HOLDING` read as zero
+    in both, as in the registry's name-keyed views.
+
+    Teams are measured in ``demands`` order, skipping empty demands, and then
+    every other registered team that acquired quota, in registration order.
+    The registry is read when the outcome is, one block of teams at a time.
+    """
+
+    index: PoolIndex
+    demands: Mapping[str, Mapping[str, float]]
+    initial: np.ndarray
+    quotas: QuotaRegistry
+    policy: str = "market"
+
+    def __post_init__(self) -> None:
+        self._requested = [(team, bundle) for team, bundle in self.demands.items() if bundle]
+        unrequested = np.array(
+            [row for team, row in self.quotas.rows().items() if not self.demands.get(team)],
+            dtype=np.intp,
+        )
+        self._acquirers = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [
+                block[(self._grants(block) > 0).any(axis=1)]
+                for block in _row_blocks(unrequested)
+            ]
+        )
+
+    def _grants(self, rows: np.ndarray) -> np.ndarray:
+        """What the teams at registry rows ``rows`` acquired (row -1: never registered)."""
+        known = rows >= 0
+        final = np.zeros((len(rows), len(self.index)))
+        final[known] = self.quotas.holdings_of(rows[known])
+        initial = np.zeros_like(final)
+        started = known & (rows < len(self.initial))
+        initial[started] = self.initial[rows[started]]
+        for holdings in (final, initial):
+            holdings[~(np.abs(holdings) > ZERO_HOLDING)] = 0.0
+        return np.clip(final - initial, 0.0, None)
+
+    def teams(self) -> list[str]:
+        """The measured teams, in the order :meth:`blocks` yields them."""
+        registered = self.quotas.teams()
+        return [team for team, _ in self._requested] + [
+            registered[row] for row in self._acquirers.tolist()
+        ]
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams, in :meth:`teams` order.
+
+        Demand rows get :class:`QuotaRequest`'s checks: a named team, and
+        finite, non-negative quantities.
+        """
+        rows = self.quotas.rows()
+        for start in range(0, len(self._requested), BLOCK_TEAMS):
+            chunk = self._requested[start : start + BLOCK_TEAMS]
+            demand = self.index.matrix([bundle for _, bundle in chunk])
+            _check_demand(chunk, demand)
+            yield demand, self._grants(
+                np.array([rows.get(team, -1) for team, _ in chunk], dtype=np.intp)
+            )
+        for block in _row_blocks(self._acquirers):
+            yield np.zeros((len(block), len(self.index))), self._grants(block)
+
+    @property
+    def granted(self) -> dict[str, np.ndarray]:
+        """Each measured team's acquired quota, in :meth:`teams` order."""
+        return dict(zip(self.teams(), (row for _, block in self.blocks() for row in block)))
+
+
+def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    for start in range(0, len(rows), BLOCK_TEAMS):
+        yield rows[start : start + BLOCK_TEAMS]
+
+
+def _check_demand(chunk: Sequence[tuple[str, Mapping[str, float]]], demand: np.ndarray) -> None:
+    """:class:`QuotaRequest`'s checks over a block of demand rows, with its messages."""
+    if not all(team for team, _ in chunk):
+        raise ValueError("team must be non-empty")
+    valid = np.isfinite(demand) & (demand >= 0)
+    if not valid.all():
+        _, bundle = chunk[int(np.flatnonzero(~valid.all(axis=1))[0])]
+        for pool, qty in bundle.items():
+            if not (math.isfinite(qty) and qty >= 0):
+                raise ValueError(
+                    f"requested quantity of {pool!r} must be finite and non-negative, got {qty!r}"
+                )
+
 
 def utilization_imbalance(
     index: PoolIndex,
@@ -189,13 +301,30 @@ def _cost_weighted(index: PoolIndex, quantities: np.ndarray) -> float:
     return float(np.dot(np.clip(quantities, 0.0, None), index.unit_costs()))
 
 
+def _row_costs(rows: np.ndarray, unit_costs: np.ndarray) -> np.ndarray:
+    """:func:`_cost_weighted` of each row, one dot product per row.
+
+    A matrix product over the block rounds some rows differently.
+    """
+    return np.array([np.dot(row, unit_costs) for row in np.clip(rows, 0.0, None)], dtype=float)
+
+
+def _running_sum(start, values: np.ndarray):
+    """``start`` plus each of ``values`` in turn, as a loop adding them one by one.
+
+    ``np.add.accumulate`` adds in order along the first axis; ``np.sum``
+    adds pairwise and would round differently.
+    """
+    return np.add.accumulate(np.concatenate((np.asarray(start)[np.newaxis], values)))[-1]
+
+
 def _post_allocation_utilization(index: PoolIndex, granted: np.ndarray) -> np.ndarray:
     capacities = np.maximum(index.capacities(), 1e-9)
     used = index.utilizations() * capacities + np.clip(granted, 0.0, None)
     return np.clip(used / capacities, 0.0, 1.0)
 
 
-def allocation_metrics(outcome: AllocationOutcome) -> AllocationMetrics:
+def allocation_metrics(outcome: AllocationOutcome | MarketOutcome) -> AllocationMetrics:
     """Metrics for an allocation outcome (baseline policy or market).
 
     Shortage and satisfaction are measured *per team and cost-weighted*, not
@@ -205,62 +334,59 @@ def allocation_metrics(outcome: AllocationOutcome) -> AllocationMetrics:
     a team granted only half of what it needs contributes the missing half to
     the shortage regardless of which pool it is missing from.  Surplus stays
     a per-pool quantity (capacity left idle).
+
+    One kernel for every mechanism: it reads the outcome's
+    :meth:`~AllocationOutcome.blocks` and adds each team's costs and grant
+    in team order, so the sums round as a loop over the teams would.
     """
     index = outcome.index
-    surplus = outcome.surplus()
-    granted = outcome.total_granted()
+    unit_costs = index.unit_costs()
+    granted_total = np.zeros(len(index))
     shortage_cost = 0.0
     satisfied = 0
+    teams = 0
     requested_cost_total = 0.0
     granted_cost_total = 0.0
-    teams = outcome.teams()
-    for team in teams:
-        requested_cost = _cost_weighted(index, outcome.requested[team])
-        granted_cost = _cost_weighted(index, outcome.granted.get(team, np.zeros(len(index))))
-        requested_cost_total += requested_cost
-        granted_cost_total += granted_cost
-        shortage_cost += max(0.0, requested_cost - granted_cost)
-        if granted_cost >= requested_cost * (1.0 - 1e-6):
-            satisfied += 1
+    for requested, granted in outcome.blocks():
+        requested_costs = _row_costs(requested, unit_costs)
+        granted_costs = _row_costs(granted, unit_costs)
+        requested_cost_total = _running_sum(requested_cost_total, requested_costs)
+        granted_cost_total = _running_sum(granted_cost_total, granted_costs)
+        # fmax, like max(0.0, x), reads a NaN shortfall as 0.0.
+        shortage_cost = _running_sum(shortage_cost, np.fmax(0.0, requested_costs - granted_costs))
+        satisfied += int(np.count_nonzero(granted_costs >= requested_costs * (1.0 - 1e-6)))
+        granted_total = _running_sum(granted_total, granted)
+        teams += len(requested)
+    surplus = np.clip(index.available() - granted_total, 0.0, None)
     return AllocationMetrics(
         policy=outcome.policy,
-        shortage_cost=shortage_cost,
+        shortage_cost=float(shortage_cost),
         surplus_cost=_cost_weighted(index, surplus),
-        utilization_spread=utilization_spread(_post_allocation_utilization(index, granted)),
-        satisfied_fraction=satisfied / len(teams) if teams else 1.0,
-        grant_rate=(granted_cost_total / requested_cost_total) if requested_cost_total > 0 else 1.0,
+        utilization_spread=utilization_spread(_post_allocation_utilization(index, granted_total)),
+        satisfied_fraction=satisfied / teams if teams else 1.0,
+        grant_rate=(
+            float(granted_cost_total / requested_cost_total) if requested_cost_total > 0 else 1.0
+        ),
     )
 
 
 def market_outcome_from_quota_delta(
     index: PoolIndex,
-    requests: Sequence[QuotaRequest],
-    initial_holdings: Mapping[str, Mapping[str, float]],
-    final_holdings: Mapping[str, Mapping[str, float]],
-) -> AllocationOutcome:
-    """Express the market's multi-auction provisioning as an :class:`AllocationOutcome`.
+    demands: Mapping[str, Mapping[str, float]],
+    initial: np.ndarray,
+    quotas: QuotaRegistry,
+) -> MarketOutcome:
+    """Express the market's multi-auction provisioning as a :class:`MarketOutcome`.
 
     The market provisions over several periodic auctions (teams that lose one
     auction raise their bids in the next), so the fair comparison against a
     one-shot baseline policy is the *cumulative* quota each team acquired:
-    its final holdings minus its initial holdings, clipped to acquisitions.
+    its holdings in ``quotas`` now minus its row of ``initial`` (the
+    registry's :meth:`~repro.market.quotas.QuotaRegistry.matrix` when the
+    market started), clipped to acquisitions.  ``demands`` maps team ->
+    {pool name: quantity}, as :func:`requests_from_demands` takes it.
     """
-    outcome = AllocationOutcome(index=index, policy="market")
-    granted_by_team: dict[str, np.ndarray] = {}
-    teams = set(initial_holdings) | set(final_holdings)
-    for team in teams:
-        initial = index.vector(dict(initial_holdings.get(team, {})))
-        final = index.vector(dict(final_holdings.get(team, {})))
-        granted_by_team[team] = np.clip(final - initial, 0.0, None)
-    for request in requests:
-        wanted = request.vector(index)
-        granted = granted_by_team.pop(request.team, np.zeros(len(index)))
-        outcome.record(request.team, wanted, granted)
-    # teams that acquired quota without appearing in the baseline request set
-    for team, granted in granted_by_team.items():
-        if np.any(granted > 0):
-            outcome.record(team, np.zeros(len(index)), granted)
-    return outcome
+    return MarketOutcome(index=index, demands=demands, initial=initial, quotas=quotas)
 
 
 def requests_from_demands(

@@ -78,6 +78,11 @@ def settled_trades(
     return trades
 
 
+def settled_trade_count(settlement: Settlement, *, tol: float = 1e-9) -> int:
+    """``len(settled_trades(settlement, tol=tol))``, without building the trades."""
+    return sum(int(np.count_nonzero(np.abs(line.allocation) > tol)) for line in settlement.winners)
+
+
 def utilization_percentile_groups(
     trades: Iterable[SettledTrade],
 ) -> dict[tuple[ResourceType, str], list[float]]:

@@ -68,13 +68,13 @@ def run_baseline_comparison(
 
     outcomes = one_shot_outcomes(scenario, requests)
 
-    initial_holdings = scenario.platform.quotas.snapshot()
+    initial_holdings = scenario.platform.quotas.matrix()
     history = MarketEconomySimulation.from_spec(scenario, spec).run(
         market_auctions if market_auctions is not None else spec.auctions
     )
-    final_holdings = scenario.platform.quotas.snapshot()
-    market_outcome = market_outcome_from_quota_delta(index, requests, initial_holdings, final_holdings)
-    outcomes.append(market_outcome)
+    outcomes.append(
+        market_outcome_from_quota_delta(index, demands, initial_holdings, scenario.platform.quotas)
+    )
 
     metrics = {outcome.policy: allocation_metrics(outcome) for outcome in outcomes}
     balance = utilization_balance_improvement(history.periods[0].settlement)

@@ -12,6 +12,7 @@ shrinking premiums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,11 +22,15 @@ from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
     market_outcome_from_quota_delta,
-    requests_from_demands,
 )
 from repro.analysis.premium import PremiumStats, premium_stats
 from repro.analysis.price_ratio import PriceRatioRow, price_ratio_table
-from repro.analysis.utilization_stats import SettledTrade, migration_summary, settled_trades
+from repro.analysis.utilization_stats import (
+    SettledTrade,
+    migration_summary,
+    settled_trade_count,
+    settled_trades,
+)
 from repro.core.settlement import Settlement
 from repro.market.platform import AuctionRecord
 from repro.simulation.scenario import Scenario
@@ -41,16 +46,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class AuctionPeriodResult:
-    """Everything recorded about one auction period."""
+    """What one auction period recorded, and the views derived from it.
+
+    An epoch records its facts: the auction record, its Table I row, the
+    pool utilizations before and after, the fixed prices in force and the
+    allocation metrics.  The Figure 6 and 7 views — :attr:`trades`,
+    :attr:`price_ratios` and :attr:`migration` — are derived from the
+    settlement on first read and cached.
+    """
 
     auction_number: int
     record: AuctionRecord
     premium: PremiumStats
-    trades: list[SettledTrade]
-    price_ratios: list[PriceRatioRow]
     utilization_before: np.ndarray
     utilization_after: np.ndarray
-    migration: dict[str, float]
+    #: The operator's fixed price per pool when the auction ran (Figure 6's
+    #: denominator).
+    fixed_prices: dict[str, float]
     #: Team-level coverage of the market's *cumulative* provisioning (quota
     #: acquired since the simulation started) against the demand current at
     #: this epoch — the satisfied-fraction side of the paper's
@@ -66,6 +78,26 @@ class AuctionPeriodResult:
     @property
     def settled_fraction(self) -> float:
         return self.settlement.settled_fraction()
+
+    @cached_property
+    def trades(self) -> list[SettledTrade]:
+        """Settled (bidder, pool) observations of this auction (Figure 7 input)."""
+        return settled_trades(self.settlement)
+
+    @cached_property
+    def price_ratios(self) -> list[PriceRatioRow]:
+        """Settled price over fixed price per cluster (Figure 6 rows)."""
+        return price_ratio_table(self.settlement.index, self.record.prices, self.fixed_prices)
+
+    @cached_property
+    def migration(self) -> dict[str, float]:
+        """Figure 7's headline numbers for this auction."""
+        return migration_summary(self.trades)
+
+    @property
+    def trade_count(self) -> int:
+        """``len(self.trades)``, counted without building the trades."""
+        return settled_trade_count(self.settlement)
 
 
 @dataclass
@@ -129,7 +161,7 @@ class MarketEconomySimulation:
         # market, and surplus is judged against the capacity that was free
         # before the first auction.
         self._initial_index = scenario.pool_index
-        self._initial_holdings = scenario.platform.quotas.snapshot()
+        self._initial_holdings = scenario.platform.quotas.matrix()
 
     @classmethod
     def from_spec(cls, scenario: Scenario, spec: "ScenarioSpec") -> "MarketEconomySimulation":
@@ -153,13 +185,15 @@ class MarketEconomySimulation:
 
     def _refresh_agent_state(self) -> None:
         platform = self.scenario.platform
-        for agent in self.scenario.agents:
+        agents = self.scenario.agents
+        holdings = platform.quotas.holdings_maps(agent.name for agent in agents)
+        for agent, held in zip(agents, holdings):
             if platform.ledger.has_account(agent.name):
                 agent.budget = platform.ledger.balance(agent.name)
-            agent.holdings = platform.quotas.holdings_map(agent.name)
+            agent.holdings = held
 
     def run_one_auction(self) -> AuctionPeriodResult:
-        """Run a single complete auction period and record its statistics."""
+        """Run a single complete auction period and record its facts."""
         platform = self.scenario.platform
         self._auction_counter += 1
         utilization_before = platform.index.utilizations().copy()
@@ -168,9 +202,7 @@ class MarketEconomySimulation:
         # the same covering bundles the baseline mechanisms would be fed, so
         # the shortage/surplus comparison is apples to apples.  Pure
         # inspection: no RNG is consumed, round traces are unaffected.
-        epoch_requests = requests_from_demands(
-            platform.index, demands_from_agents(self.scenario.agents, platform.index)
-        )
+        epoch_demands = demands_from_agents(self.scenario.agents, platform.index)
 
         platform.open_bid_window()
         self._refresh_agent_state()
@@ -207,26 +239,18 @@ class MarketEconomySimulation:
         updated_index = organic_drift(updated_index, rng=self.scenario.rng, drift_scale=self.drift_scale)
         platform.update_pool_index(updated_index)
 
-        trades = settled_trades(settlement)
         allocation = allocation_metrics(
             market_outcome_from_quota_delta(
-                self._initial_index,
-                epoch_requests,
-                self._initial_holdings,
-                platform.quotas.snapshot(),
+                self._initial_index, epoch_demands, self._initial_holdings, platform.quotas
             )
         )
         period = AuctionPeriodResult(
             auction_number=self._auction_counter,
             record=record,
             premium=premium_stats(settlement, auction=self._auction_counter),
-            trades=trades,
-            price_ratios=price_ratio_table(
-                settlement.index, record.prices, platform.fixed_prices
-            ),
             utilization_before=utilization_before,
             utilization_after=updated_index.utilizations().copy(),
-            migration=migration_summary(trades),
+            fixed_prices=dict(platform.fixed_prices),
             allocation=allocation,
         )
         self.history.periods.append(period)

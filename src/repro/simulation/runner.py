@@ -219,7 +219,7 @@ class ScenarioRunResult:
             ),
             utilization_spread=_round_list(history.utilization_spread_series()),
             migration={k: _round(v) for k, v in history.periods[-1].migration.items()},
-            trade_count=len(history.all_trades()),
+            trade_count=sum(p.trade_count for p in history.periods),
             mechanism=spec.mechanism,
             shortage_cost=_round_list(shortage for shortage, _ in imbalance),
             surplus_cost=_round_list(surplus for _, surplus in imbalance),

@@ -12,6 +12,7 @@ from repro.analysis.allocation import (
     market_outcome_from_quota_delta,
     requests_from_demands,
 )
+from repro.market.quotas import QuotaRegistry
 from repro.mechanisms import BaselineEconomySimulation, get_mechanism
 from repro.simulation.scenario import small_scenario
 from tests.conftest import build_pool_index
@@ -222,10 +223,12 @@ class TestAllocationOutcomeAndMetrics:
 
 class TestMarketOutcomes:
     def test_from_quota_delta(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        initial = {"t": {"alpha/cpu": 20.0}}
-        final = {"t": {"alpha/cpu": 80.0, "beta/cpu": 40.0}}
-        outcome = market_outcome_from_quota_delta(idle_index, requests, initial, final)
+        demands = {"t": {"alpha/cpu": 100}}
+        quotas = QuotaRegistry(idle_index)
+        quotas.grant("t", {"alpha/cpu": 20.0})
+        initial = quotas.matrix()
+        quotas.grant("t", {"alpha/cpu": 60.0, "beta/cpu": 40.0})
+        outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
         granted = outcome.granted["t"]
         assert granted[idle_index.index_of("alpha/cpu")] == pytest.approx(60.0)
         assert granted[idle_index.index_of("beta/cpu")] == pytest.approx(40.0)
@@ -234,16 +237,18 @@ class TestMarketOutcomes:
         assert metrics.satisfied_fraction == 1.0
 
     def test_from_quota_delta_ignores_sold_quota(self, idle_index):
+        quotas = QuotaRegistry(idle_index)
+        quotas.grant("t", {"alpha/cpu": 100.0})
+        initial = quotas.matrix()
+        quotas.apply_delta("t", idle_index.vector({"alpha/cpu": -60.0}))
         outcome = market_outcome_from_quota_delta(
-            idle_index,
-            [QuotaRequest(team="t", quantities={"alpha/cpu": 10})],
-            {"t": {"alpha/cpu": 100.0}},
-            {"t": {"alpha/cpu": 40.0}},
+            idle_index, {"t": {"alpha/cpu": 10}}, initial, quotas
         )
         assert not np.any(outcome.granted["t"])
 
     def test_from_quota_delta_includes_unrequested_acquirers(self, idle_index):
-        outcome = market_outcome_from_quota_delta(
-            idle_index, [], {}, {"newcomer": {"beta/cpu": 10.0}}
-        )
+        quotas = QuotaRegistry(idle_index)
+        initial = quotas.matrix()
+        quotas.grant("newcomer", {"beta/cpu": 10.0})
+        outcome = market_outcome_from_quota_delta(idle_index, {}, initial, quotas)
         assert "newcomer" in outcome.teams()

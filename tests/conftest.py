@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,44 @@ def fake_run_result():
         )
 
     return build
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracked_status() -> str | None:
+    """``git status --porcelain`` of tracked files, or None outside a git checkout."""
+    try:
+        probe = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover - no git binary
+        return None
+    return probe.stdout if probe.returncode == 0 else None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _tracked_files_unchanged():
+    """Fail the session if it modified, deleted or staged a tracked file.
+
+    The status is compared with the one at the session's start, so a tree
+    that was already dirty passes as long as the tests leave it as it was.
+    Outside a git checkout there is nothing to compare and the check is
+    skipped.
+    """
+    before = _tracked_status()
+    yield
+    if before is None:
+        return
+    after = _tracked_status()
+    if after != before:
+        changed = sorted(set(after.splitlines()) ^ set(before.splitlines()))
+        pytest.fail(
+            "the test session changed tracked files (git status --porcelain, "
+            f"start vs end): {changed}",
+            pytrace=False,
+        )
 
 
 @pytest.fixture(autouse=True)

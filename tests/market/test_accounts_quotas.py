@@ -6,7 +6,7 @@ import pytest
 from repro.core.bids import Bid
 from repro.core.settlement import settle
 from repro.market.accounts import InsufficientBudgetError, Ledger
-from repro.market.quotas import QuotaError, QuotaRegistry, endow_from_usage
+from repro.market.quotas import QuotaError, QuotaRegistry
 
 
 class TestLedger:
@@ -151,15 +151,3 @@ class TestQuotaRegistry:
         over = registry.overcommitment()
         assert over[pool_index.index_of("alpha/cpu")] == pytest.approx(1200.0 - pool_index.pool("alpha/cpu").capacity)
 
-    def test_utilization_of_quota(self, pool_index):
-        registry = QuotaRegistry(index=pool_index)
-        registry.grant("a", {"alpha/cpu": 100})
-        usage = {"a": {"alpha/cpu": 25.0}}
-        assert registry.utilization_of_quota(usage)["a"] == pytest.approx(0.25)
-
-    def test_endow_from_usage(self, pool_index):
-        registry = endow_from_usage(pool_index, {"a": {"alpha/cpu": 10}, "b": {"beta/disk": 500}})
-        assert registry.quota("a", "alpha/cpu") == 10.0
-        assert registry.quota("b", "beta/disk") == 500.0
-        snapshot = registry.snapshot()
-        assert snapshot["a"] == {"alpha/cpu": 10.0}
