@@ -9,9 +9,6 @@ fleet, prints the capacity recommendations derived from the price signals,
 applies the "grow" recommendations, re-runs the auction on the expanded
 fleet, and shows how the congestion premium relaxes.
 
-It also compares the three budget-endowment policies the market could be
-bootstrapped with.
-
 Run with::
 
     python examples/operator_decision_support.py
@@ -27,9 +24,7 @@ from repro.cluster.fleet_gen import FleetSpec, generate_fleet
 from repro.core import CombinatorialExchange
 from repro.market import (
     CapacityAction,
-    EndowmentPolicy,
     apply_recommendations,
-    plan_endowments,
     recommend_capacity_actions,
     summarize_actions,
 )
@@ -49,7 +44,7 @@ def collect_bids(fleet, index, seed=0, team_count=60):
     bids = []
     for agent in agents:
         bids.extend(agent.prepare_bids(view))
-    return bids, agents
+    return bids
 
 
 def congestion_premium(result, index):
@@ -61,7 +56,7 @@ def congestion_premium(result, index):
 def main() -> None:
     fleet = generate_fleet(FleetSpec(cluster_count=16, machines_range=(20, 80)), seed=17)
     index = fleet.pool_index
-    bids, agents = collect_bids(fleet, index, seed=17)
+    bids = collect_bids(fleet, index, seed=17)
 
     result = CombinatorialExchange(index, strict_validation=False).run(bids)
     recommendations = recommend_capacity_actions(result)
@@ -75,18 +70,6 @@ def main() -> None:
     result_after = CombinatorialExchange(expanded, strict_validation=False).run(bids)
     after = congestion_premium(result_after, expanded)
     print(f"\nMean price/cost ratio in congested pools: {before:.2f}x before build-out, {after:.2f}x after")
-
-    # Budget-endowment policies for bootstrapping the market.
-    usage = {
-        agent.name: agent.demand.covering_bundle(agent.catalog, index)
-        for agent in agents[:20]
-    }
-    total_budget = 1_000_000.0
-    print("\nEndowment policies (first 3 teams shown):")
-    for policy in EndowmentPolicy:
-        plan = plan_endowments(index, usage, total_budget, policy=policy)
-        sample = {team: round(plan.share_of(team)) for team in list(usage)[:3]}
-        print(f"  {policy.value:<20} {sample}")
 
 
 if __name__ == "__main__":

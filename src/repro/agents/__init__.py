@@ -36,7 +36,6 @@ from repro.agents.traits import (
     mutate_from_base,
     mutate_traits,
     random_traits,
-    register_strategy_kind,
     select_elites,
     strategy_from_traits,
     strategy_kinds,
@@ -49,7 +48,6 @@ from repro.agents.tournament import (
     genome_score,
     initial_roster,
     next_generation,
-    run_tournament,
 )
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "mutate_from_base",
     "mutate_traits",
     "random_traits",
-    "register_strategy_kind",
     "select_elites",
     "strategy_from_traits",
     "strategy_kinds",
@@ -87,5 +84,4 @@ __all__ = [
     "genome_score",
     "initial_roster",
     "next_generation",
-    "run_tournament",
 ]

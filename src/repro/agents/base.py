@@ -45,10 +45,6 @@ class MarketView:
         """Displayed price of one pool."""
         return float(self.displayed_prices[pool_name])
 
-    def cluster_cost(self, cluster: str, bundle: Mapping[str, float]) -> float:
-        """Cost of a {pool name: qty} bundle using displayed prices."""
-        return float(sum(qty * self.displayed_prices[name] for name, qty in bundle.items()))
-
     def cheapest_clusters(self, *, by: str = "cpu", limit: int | None = None) -> list[str]:
         """Clusters ordered by ascending displayed price of one resource dimension.
 
@@ -168,16 +164,3 @@ class TeamAgent:
         if self.budget <= 0:
             return max(0.0, desired_limit)
         return float(min(max(desired_limit, 0.0), self.budget))
-
-    def last_premium(self) -> float | None:
-        """Premium gamma_u of the most recent winning settlement, if any."""
-        for line in reversed(self.settlement_history):
-            if line.won and line.premium is not None:
-                return line.premium
-        return None
-
-    def won_last_auction(self) -> bool | None:
-        """Whether the most recent settlement line was a win (None if no history)."""
-        if not self.settlement_history:
-            return None
-        return self.settlement_history[-1].won

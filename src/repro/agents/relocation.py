@@ -19,7 +19,6 @@ to relocate or to pay the premium to stay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.cluster.topology import FleetTopology
 
@@ -80,34 +79,3 @@ class RelocationCostModel:
         if not mobile:
             cost *= self.immobile_multiplier
         return cost
-
-    def cheapest_destination(
-        self,
-        topology: FleetTopology | None,
-        source: str,
-        candidate_prices: Mapping[str, float],
-        *,
-        workload_size: float,
-        recurring_horizon: float = 1.0,
-        mobile: bool = True,
-    ) -> tuple[str, float]:
-        """Pick the destination minimising (recurring price cost + one-off move cost).
-
-        ``candidate_prices`` maps cluster name -> recurring (per-auction) cost
-        of hosting the workload there at current prices; ``recurring_horizon``
-        is how many auction periods the team amortises the move over.  Returns
-        the chosen cluster and its total cost; staying at ``source`` is always
-        among the candidates if present in ``candidate_prices``.
-        """
-        if not candidate_prices:
-            raise ValueError("candidate_prices must not be empty")
-        best_cluster = None
-        best_total = float("inf")
-        for cluster, recurring in candidate_prices.items():
-            total = recurring * recurring_horizon + self.move_cost(
-                topology, source, cluster, workload_size=workload_size, mobile=mobile
-            )
-            if total < best_total:
-                best_cluster, best_total = cluster, total
-        assert best_cluster is not None
-        return best_cluster, best_total

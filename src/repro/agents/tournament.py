@@ -480,17 +480,3 @@ class TournamentEngine:
                     mutation_scale=cfg.mutation_scale,
                 )
         return TournamentReport(config=cfg, generations=tuple(reports))
-
-
-def run_tournament(
-    config: TournamentConfig,
-    *,
-    runner: "ParallelRunner | None" = None,
-    store=None,
-    code_version: str | None = None,
-    on_generation: Callable[[GenerationReport], None] | None = None,
-) -> TournamentReport:
-    """Convenience wrapper: build a :class:`TournamentEngine` and run it."""
-    return TournamentEngine(
-        config, runner=runner, store=store, code_version=code_version
-    ).run(on_generation=on_generation)

@@ -384,13 +384,6 @@ def strategy_kinds() -> list[str]:
     return sorted(STRATEGY_BUILDERS)
 
 
-def register_strategy_kind(kind: str, builder: StrategyBuilder) -> None:
-    """Register a new trait-driven strategy kind (tests auto-cover it)."""
-    if kind in STRATEGY_BUILDERS:
-        raise ValueError(f"strategy kind {kind!r} is already registered")
-    STRATEGY_BUILDERS[kind] = builder
-
-
 def strategy_from_traits(kind: str, traits: Traits, *, seed: int) -> BiddingStrategy:
     """Build one strategy instance from a trait vector.
 

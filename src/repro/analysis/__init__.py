@@ -5,15 +5,15 @@
 * :mod:`repro.analysis.price_ratio` — market/fixed price ratios per cluster (Figure 6);
 * :mod:`repro.analysis.utilization_stats` — utilization percentiles of settled
   trades split by side and resource dimension (Figure 7);
-* :mod:`repro.analysis.settlement_stats` — shortage/surplus/utilization-balance
-  comparisons and per-strategy winner breakdowns;
+* :mod:`repro.analysis.settlement_stats` — projected utilization and its
+  balance after a settlement;
 * :mod:`repro.analysis.allocation` — quota requests, allocation outcomes, and
   the shortage/surplus metrics shared by the market and the baseline policies;
 * :mod:`repro.analysis.reports` — plain-text rendering of the above.
 """
 
 from repro.analysis.boxplot import BoxplotStats, boxplot_stats
-from repro.analysis.premium import PremiumStats, premium_stats, premium_table
+from repro.analysis.premium import PremiumStats, premium_stats
 from repro.analysis.price_ratio import PriceRatioRow, price_ratio_table, sort_rows_for_figure6
 from repro.analysis.utilization_stats import (
     SettledTrade,
@@ -22,7 +22,6 @@ from repro.analysis.utilization_stats import (
     figure7_boxplots,
 )
 from repro.analysis.settlement_stats import (
-    settlement_by_strategy,
     utilization_after_settlement,
     utilization_balance_improvement,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "boxplot_stats",
     "PremiumStats",
     "premium_stats",
-    "premium_table",
     "PriceRatioRow",
     "price_ratio_table",
     "sort_rows_for_figure6",
@@ -41,7 +39,6 @@ __all__ = [
     "settled_trades",
     "utilization_percentile_groups",
     "figure7_boxplots",
-    "settlement_by_strategy",
     "utilization_after_settlement",
     "utilization_balance_improvement",
     "render_table",

@@ -129,14 +129,6 @@ class AllocationOutcome:
         granted = self.granted.get(team, np.zeros(len(self.index)))
         return float(granted.sum() / requested.sum())
 
-    def fully_satisfied_teams(self, *, tol: float = 1e-9) -> list[str]:
-        """Teams whose entire request was granted."""
-        return [
-            team
-            for team in self.requested
-            if np.all(self.granted.get(team, np.zeros(len(self.index))) >= self.requested[team] - tol)
-        ]
-
     def teams(self) -> list[str]:
         """All teams that submitted requests."""
         return list(self.requested)

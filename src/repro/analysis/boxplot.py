@@ -32,10 +32,6 @@ class BoxplotStats:
         """Inter-quartile range."""
         return self.q3 - self.q1
 
-    def contains(self, value: float) -> bool:
-        """True iff ``value`` lies within [minimum, maximum]."""
-        return self.minimum <= value <= self.maximum
-
 
 def boxplot_stats(values: Iterable[float], *, whisker: float = 1.5) -> BoxplotStats:
     """Compute boxplot statistics for a non-empty collection of values.

@@ -54,14 +54,6 @@ def premium_stats(settlement: Settlement, *, auction: int = 0) -> PremiumStats:
     )
 
 
-def premium_table(settlements: Sequence[Settlement], *, first_auction: int = 1) -> list[PremiumStats]:
-    """Table I: one :class:`PremiumStats` row per auction, in order."""
-    return [
-        premium_stats(settlement, auction=first_auction + i)
-        for i, settlement in enumerate(settlements)
-    ]
-
-
 @dataclass(frozen=True)
 class GenerationPremium:
     """One tournament generation's premium level across replicate runs.

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 from repro.cluster.pools import PoolIndex
 from repro.cluster.resources import ResourceType
+from repro.core.prices import price_ratios
 
 
 @dataclass(frozen=True)
@@ -44,23 +45,22 @@ def price_ratio_table(
     market_prices: Mapping[str, float],
     fixed_prices: Mapping[str, float],
 ) -> list[PriceRatioRow]:
-    """Build the Figure 6 rows (one per cluster, unsorted)."""
+    """Build the Figure 6 rows (one per cluster, unsorted).
+
+    The ratios come from :func:`repro.core.prices.price_ratios`.
+    """
+    ratios = price_ratios(market_prices, fixed_prices)
     rows: list[PriceRatioRow] = []
     for cluster in index.clusters():
-        ratios: dict[ResourceType, float] = {}
-        utils: list[float] = []
-        for rtype in ResourceType:
-            name = f"{cluster}/{rtype.value}"
-            fixed = fixed_prices[name]
-            market = market_prices[name]
-            ratios[rtype] = market / fixed if fixed > 0 else float("inf")
-            utils.append(index.pool(name).utilization)
+        names = [f"{cluster}/{rtype.value}" for rtype in ResourceType]
+        utils = [index.pool(name).utilization for name in names]
+        cpu, ram, disk = (ratios[name] for name in names)
         rows.append(
             PriceRatioRow(
                 cluster=cluster,
-                cpu_ratio=ratios[ResourceType.CPU],
-                ram_ratio=ratios[ResourceType.RAM],
-                disk_ratio=ratios[ResourceType.DISK],
+                cpu_ratio=cpu,
+                ram_ratio=ram,
+                disk_ratio=disk,
                 mean_utilization=sum(utils) / len(utils),
             )
         )

@@ -1,4 +1,4 @@
-"""Settlement-level statistics: utilization balance, per-strategy outcomes.
+"""Settlement-level statistics: utilization balance.
 
 These back the paper's qualitative claims in Sections I and VI — the market
 produces "significant improvements in overall utilization" and reduces the
@@ -8,13 +8,9 @@ numbers to print.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from repro.cluster.pools import PoolIndex
 from repro.cluster.utilization import utilization_spread
-from repro.core.bids import Bid
 from repro.core.settlement import Settlement
 
 
@@ -40,57 +36,3 @@ def utilization_balance_improvement(settlement: Settlement) -> dict[str, float]:
         "spread_after": after,
         "improvement": before - after,
     }
-
-
-def settlement_by_strategy(
-    settlement: Settlement, bids: Sequence[Bid]
-) -> dict[str, dict[str, float]]:
-    """Win rates and payments grouped by the bidding strategy recorded in bid metadata.
-
-    Bids whose metadata lacks a ``"strategy"`` key are grouped under ``"unknown"``.
-    """
-    strategy_of = {
-        bid.bidder: str(bid.metadata.get("strategy", "unknown")) for bid in bids
-    }
-    groups: dict[str, dict[str, float]] = {}
-    for line in settlement.lines:
-        strategy = strategy_of.get(line.bidder, "unknown")
-        stats = groups.setdefault(
-            strategy, {"bidders": 0.0, "winners": 0.0, "total_paid": 0.0, "total_received": 0.0}
-        )
-        stats["bidders"] += 1
-        if line.won:
-            stats["winners"] += 1
-            if line.payment >= 0:
-                stats["total_paid"] += line.payment
-            else:
-                stats["total_received"] += -line.payment
-    for stats in groups.values():
-        stats["win_rate"] = stats["winners"] / stats["bidders"] if stats["bidders"] else 0.0
-    return groups
-
-
-def demand_concentration(settlement: Settlement) -> dict[str, float]:
-    """Share of total cost-weighted allocation landing in each cluster.
-
-    Used to check the migration story: after a market run, the congested
-    clusters should receive a small share of new (bid-side) allocations.
-    """
-    index = settlement.index
-    costs = index.unit_costs()
-    per_cluster: dict[str, float] = {}
-    total = 0.0
-    for line in settlement.winners:
-        bought = np.clip(line.allocation, 0.0, None) * costs
-        for i in np.flatnonzero(bought > 0):
-            cluster = index.pools[int(i)].cluster
-            per_cluster[cluster] = per_cluster.get(cluster, 0.0) + float(bought[i])
-            total += float(bought[i])
-    if total <= 0:
-        return {}
-    return {cluster: value / total for cluster, value in per_cluster.items()}
-
-
-def operator_revenue(settlement: Settlement) -> float:
-    """Net budget dollars flowing to the operator (buyer payments minus seller receipts)."""
-    return float(sum(line.payment for line in settlement.winners))

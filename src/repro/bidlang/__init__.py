@@ -29,9 +29,7 @@ from repro.bidlang.ast import (
 )
 from repro.bidlang.flatten import (
     FlattenLimitError,
-    batch_engine_from_trees,
     flatten,
-    flatten_to_matrix,
     to_bundle_set,
     tree_bid,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "pool",
     "cluster_bundle",
     "flatten",
-    "flatten_to_matrix",
-    "batch_engine_from_trees",
     "FlattenLimitError",
     "to_bundle_set",
     "tree_bid",

@@ -19,11 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.bidlang.ast import AndNode, BidNode, ChooseNode, ClusterLeaf, PoolLeaf, XorNode
 from repro.cluster.pools import PoolIndex
-from repro.core.batch import BatchDemandEngine
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 
@@ -126,58 +123,6 @@ def to_bundle_set(node: BidNode, index: PoolIndex, *, max_bundles: int = 512) ->
     2
     """
     return BundleSet(index, index.matrix(flatten(node, max_bundles=max_bundles)))
-
-
-def flatten_to_matrix(node: BidNode, index: PoolIndex, *, max_bundles: int = 512) -> np.ndarray:
-    """Flatten a bid tree straight into a dense ``(k, R)`` quantity matrix.
-
-    The rows are exactly the bundle vectors of :func:`to_bundle_set`, in the
-    same order — this is the raw array form the batch demand engine stacks.
-
-    Examples
-    --------
-    >>> from repro.bidlang.ast import cluster_bundle, xor
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> index = demo_pool_index()
-    >>> tree = xor(cluster_bundle("a", cpu=10), cluster_bundle("b", cpu=10))
-    >>> flatten_to_matrix(tree, index).shape
-    (2, 4)
-    """
-    return index.matrix(flatten(node, max_bundles=max_bundles))
-
-
-def batch_engine_from_trees(
-    specs: Sequence[tuple[str, BidNode, float]],
-    index: PoolIndex,
-    *,
-    max_bundles: int = 512,
-) -> BatchDemandEngine:
-    """Flatten many ``(bidder, tree, limit)`` bids into one batch demand engine.
-
-    The one-stop path from the bidding language to the vectorized auction
-    core: every tree is expanded to its XOR bundle matrix, the matrices are
-    stacked row-wise with per-bidder limits, and the result answers whole
-    rounds of price queries at once.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.bidlang.ast import cluster_bundle
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> index = demo_pool_index()
-    >>> engine = batch_engine_from_trees(
-    ...     [("team-a", cluster_bundle("a", cpu=10), 500.0),
-    ...      ("team-b", cluster_bundle("b", cpu=20), 800.0)],
-    ...     index,
-    ... )
-    >>> engine.respond_all(np.ones(len(index))).active_count
-    2
-    """
-    bids = [
-        tree_bid(bidder, node, index, limit, max_bundles=max_bundles)
-        for bidder, node, limit in specs
-    ]
-    return BatchDemandEngine(index, bids)
 
 
 def tree_bid(

@@ -47,7 +47,6 @@ Eight subcommands:
     ``results show`` (mean / 95% CI per metric across replicates), and
     ``results compare`` (diff two code versions and flag regressions —
     exits with code 3 when a metric regressed beyond the tolerance;
-    ``--across mechanisms`` switches to the mechanism comparison above, and
     ``--baseline-db`` reads the baseline side from another store file, which
     is how CI gates a PR against the previous build's artifact).
 
@@ -88,8 +87,6 @@ True
 'smoke'
 >>> build_parser().parse_args(["results", "compare", "smoke", "--tolerance", "0.1"]).tolerance
 0.1
->>> build_parser().parse_args(["results", "compare", "smoke", "--across", "mechanisms"]).across
-'mechanisms'
 """
 
 from __future__ import annotations
@@ -227,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="diff two code versions; exit 3 on metric regressions")
     r_cmp.add_argument("scenario", help="stored scenario name")
     _add_store_options(r_cmp)
-    r_cmp.add_argument("--across", choices=("versions", "mechanisms"), default="versions",
-                       help="compare code versions (default) or allocation mechanisms")
     r_cmp.add_argument("--baseline", default=None, metavar="V",
                        help="baseline code version (default: second-newest recorded)")
     r_cmp.add_argument("--candidate", default=None, metavar="V",
@@ -240,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative change a metric may move before it flags (default 0.05)")
     r_cmp.add_argument("--engine", default=None, help="restrict to one demand engine")
     r_cmp.add_argument("--mechanism", default=None,
-                       help="versions mode: restrict to one allocation mechanism; "
-                            "mechanisms mode: comma list of mechanisms to compare "
-                            "(default: every one stored)")
+                       help="restrict to one allocation mechanism")
     r_cmp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     return parser
 
@@ -846,35 +839,25 @@ def _print_fleet(fleet: dict, *, as_json: bool) -> int:
 
 
 def _cmd_compare_mechanisms(args: argparse.Namespace) -> int:
-    from repro.results.store import open_store
-
-    with open_store(args.db) as store:
-        return _render_mechanism_comparison(
-            store,
-            scenario=args.scenario,
-            mechanisms=getattr(args, "mechanisms", None),
-            code_version=getattr(args, "code_version", None),
-            engine=args.engine,
-            as_json=args.json,
-        )
-
-
-def _render_mechanism_comparison(
-    store, *, scenario, mechanisms, code_version, engine, as_json
-) -> int:
     from repro.analysis.reports import render_mechanism_comparison
     from repro.results.stats import compare_mechanisms
+    from repro.results.store import open_store
 
     names = None
-    if mechanisms:
-        names = [part.strip() for part in mechanisms.split(",") if part.strip()]
-    try:
-        report = compare_mechanisms(
-            store, scenario, mechanisms=names, code_version=code_version, engine=engine
-        )
-    except ValueError as error:
-        raise _UsageError(str(error)) from None
-    if as_json:
+    if args.mechanisms:
+        names = [part.strip() for part in args.mechanisms.split(",") if part.strip()]
+    with open_store(args.db) as store:
+        try:
+            report = compare_mechanisms(
+                store,
+                args.scenario,
+                mechanisms=names,
+                code_version=args.code_version,
+                engine=args.engine,
+            )
+        except ValueError as error:
+            raise _UsageError(str(error)) from None
+    if args.json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -969,35 +952,6 @@ def _cmd_results_show(args: argparse.Namespace, store) -> int:
 def _cmd_results_compare(args: argparse.Namespace, store) -> int:
     from repro.analysis.reports import render_metric_comparisons
     from repro.results.stats import compare_versions
-
-    if args.across == "mechanisms":
-        # Statistical market-vs-baseline comparison within one code version;
-        # informational, so no regression exit code.  Gate-style flags are
-        # version-mode only: silently dropping them would turn a CI gate
-        # invocation into an unconditional green.
-        dropped = [
-            flag
-            for flag, value in (
-                ("--baseline", args.baseline),
-                ("--candidate", args.candidate),
-                ("--baseline-db", args.baseline_db),
-                ("--tolerance", args.tolerance),
-            )
-            if value is not None
-        ]
-        if dropped:
-            raise _UsageError(
-                f"{', '.join(dropped)} only apply to --across versions; "
-                "a mechanism comparison has no baseline/candidate or regression gate"
-            )
-        return _render_mechanism_comparison(
-            store,
-            scenario=args.scenario,
-            mechanisms=args.mechanism,
-            code_version=None,
-            engine=args.engine,
-            as_json=args.json,
-        )
 
     baseline_store = None
     if args.baseline_db is not None:

@@ -93,14 +93,6 @@ class SyntheticFleet:
     def cluster_names(self) -> list[str]:
         return [cluster.name for cluster in self.topology]
 
-    def congested_pools(self, threshold: float = 0.8) -> list[str]:
-        """Pool names with utilization above ``threshold``."""
-        return [pool.name for pool in self.pool_index if pool.utilization > threshold]
-
-    def idle_pools(self, threshold: float = 0.4) -> list[str]:
-        """Pool names with utilization below ``threshold``."""
-        return [pool.name for pool in self.pool_index if pool.utilization < threshold]
-
 
 def generate_fleet(
     spec: FleetSpec | None = None,
@@ -233,8 +225,3 @@ def small_fleet(
         utilization_range=utilization_range,
     )
     return generate_fleet(spec, seed=seed)
-
-
-def utilization_targets(fleet: SyntheticFleet) -> dict[str, float]:
-    """Convenience: pool name -> utilization fraction for a generated fleet."""
-    return {pool.name: pool.utilization for pool in fleet.pool_index}

@@ -135,10 +135,6 @@ class PoolIndex:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def pools_of_cluster(self, cluster: str) -> list[ResourcePool]:
-        """All pools belonging to ``cluster``."""
-        return [pool for pool in self._pools if pool.cluster == cluster]
-
     def pools_of_type(self, rtype: ResourceType) -> list[ResourcePool]:
         """All pools of one resource dimension across clusters."""
         return [pool for pool in self._pools if pool.rtype == rtype]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 
 class ResourceType(str, enum.Enum):
@@ -62,20 +62,6 @@ class ResourceVector:
     ram: float = 0.0
     disk: float = 0.0
 
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def from_mapping(values: Mapping[ResourceType | str, float]) -> "ResourceVector":
-        """Build a vector from a mapping keyed by :class:`ResourceType` or name."""
-        normalized: dict[ResourceType, float] = {}
-        for key, value in values.items():
-            rtype = ResourceType(key) if not isinstance(key, ResourceType) else key
-            normalized[rtype] = float(value)
-        return ResourceVector(
-            cpu=normalized.get(ResourceType.CPU, 0.0),
-            ram=normalized.get(ResourceType.RAM, 0.0),
-            disk=normalized.get(ResourceType.DISK, 0.0),
-        )
-
     # -- accessors ---------------------------------------------------------
     def get(self, rtype: ResourceType) -> float:
         """Return the quantity of ``rtype`` in this vector."""
@@ -117,12 +103,6 @@ class ResourceVector:
     def is_zero(self, *, tol: float = 1e-12) -> bool:
         """True iff all components are 0 (within ``tol``)."""
         return abs(self.cpu) <= tol and abs(self.ram) <= tol and abs(self.disk) <= tol
-
-    # -- aggregates --------------------------------------------------------
-    def total_cost(self, unit_costs: Mapping[ResourceType, float] | None = None) -> float:
-        """Dot-product with per-unit costs (defaults to :data:`DEFAULT_UNIT_COSTS`)."""
-        costs = DEFAULT_UNIT_COSTS if unit_costs is None else unit_costs
-        return sum(self.get(rtype) * costs.get(rtype, 0.0) for rtype in RESOURCE_TYPES)
 
 
 def cpu_ram_disk(cpu: float, ram: float, disk: float) -> ResourceVector:

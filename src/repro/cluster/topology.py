@@ -12,7 +12,7 @@ clusters (:mod:`repro.agents.relocation`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.cluster.cluster import Cluster
 
@@ -50,30 +50,10 @@ class FleetTopology:
             raise ValueError(f"cluster {cluster.name} already registered")
         self.clusters[cluster.name] = cluster
 
-    @staticmethod
-    def from_clusters(clusters: Iterable[Cluster], sites: Iterable[Site] | None = None) -> "FleetTopology":
-        """Build a topology from clusters, auto-creating any missing sites at the origin."""
-        topo = FleetTopology()
-        for site in sites or []:
-            topo.add_site(site)
-        for cluster in clusters:
-            if cluster.site not in topo.sites:
-                topo.add_site(Site(name=cluster.site))
-            topo.add_cluster(cluster)
-        return topo
-
     # -- queries ---------------------------------------------------------------
     def cluster(self, name: str) -> Cluster:
         """Look up a cluster by name."""
         return self.clusters[name]
-
-    def clusters_at(self, site_name: str) -> list[Cluster]:
-        """All clusters hosted at ``site_name``."""
-        return [c for c in self.clusters.values() if c.site == site_name]
-
-    def site_of(self, cluster_name: str) -> Site:
-        """The site hosting ``cluster_name``."""
-        return self.sites[self.clusters[cluster_name].site]
 
     def site_distance(self, a: str, b: str) -> float:
         """Euclidean distance between two sites on the abstract map."""
@@ -91,20 +71,3 @@ class FleetTopology:
 
     def __len__(self) -> int:
         return len(self.clusters)
-
-    def as_networkx(self):  # pragma: no cover - thin optional helper
-        """Export the site graph as a complete weighted :mod:`networkx` graph.
-
-        Requires networkx (an optional dependency); useful for visualisation
-        and for experiments that want shortest-path style locality metrics.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        for site in self.sites.values():
-            graph.add_node(site.name, region=site.region, coordinates=site.coordinates)
-        names = list(self.sites)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                graph.add_edge(a, b, distance=self.site_distance(a, b))
-        return graph

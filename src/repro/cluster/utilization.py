@@ -37,10 +37,6 @@ class UtilizationSnapshot:
         """Fleet-relative utilization percentile (0..100) of one pool."""
         return self.percentiles[pool_name]
 
-    def as_vector(self, index: PoolIndex) -> np.ndarray:
-        """Utilization fractions in the order of ``index``."""
-        return np.array([self.fractions[name] for name in index.names], dtype=float)
-
     def percentile_vector(self, index: PoolIndex) -> np.ndarray:
         """Utilization percentiles in the order of ``index``."""
         return np.array([self.percentiles[name] for name in index.names], dtype=float)

@@ -51,16 +51,11 @@ class Bid:
 
     Examples
     --------
-    >>> import numpy as np
     >>> from repro.cluster.pools import demo_pool_index
     >>> index = demo_pool_index()
     >>> bid = Bid.buy("web-team", index, [{"a/cpu": 10}, {"b/cpu": 10}], max_payment=50.0)
     >>> bid.bidder_class.value
     'pure_buyer'
-    >>> bid.acceptable_at(np.array([4.0, 0.0, 6.0, 0.0]))   # cheapest costs 40 <= 50
-    True
-    >>> bid.acceptable_at(np.array([6.0, 0.0, 7.0, 0.0]))   # cheapest costs 60 > 50
-    False
     """
 
     bidder: str
@@ -151,16 +146,6 @@ class Bid:
         """Pure buyer / pure seller / trader classification of this bid."""
         return classify_bidder(self)
 
-    def cheapest_bundle(self, prices: np.ndarray) -> tuple[Bundle, float]:
-        """The cheapest bundle in ``Q_u`` at ``prices`` and its cost."""
-        i, cost = self.bundles.cheapest(prices)
-        return self.bundles.bundle(i), cost
-
-    def acceptable_at(self, prices: np.ndarray) -> bool:
-        """True iff the cheapest bundle satisfies ``q.p <= pi_u`` (Eq. 1)."""
-        _, cost = self.bundles.cheapest(prices)
-        return cost <= self.limit + 1e-9
-
 
 def classify_bidder(bid: Bid) -> BidderClass:
     """Classify a bid by the sign structure of its bundle set (Section III-C-3).
@@ -219,20 +204,3 @@ def validate_bid(bid: Bid, *, budget: float | None = None) -> list[str]:
     if not bid.bundles.all_finite():
         problems.append("bundle quantities contain non-finite values")
     return problems
-
-
-def group_bids_by_class(bids: Sequence[Bid]) -> dict[BidderClass, list[Bid]]:
-    """Group bids by their :class:`BidderClass` (helper for analysis/reporting).
-
-    Examples
-    --------
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> index = demo_pool_index()
-    >>> bids = [Bid.buy("t", index, [{"a/cpu": 5}], max_payment=10.0)]
-    >>> [b.bidder for b in group_bids_by_class(bids)[BidderClass.PURE_BUYER]]
-    ['t']
-    """
-    groups: dict[BidderClass, list[Bid]] = {cls: [] for cls in BidderClass}
-    for bid in bids:
-        groups[classify_bidder(bid)].append(bid)
-    return groups

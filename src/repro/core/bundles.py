@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class Bundle:
         """Buy / sell / trade / empty classification."""
         return bundle_kind(self.quantities)
 
-    def is_empty(self, *, tol: float = 1e-12) -> bool:
-        return self.kind is BundleKind.EMPTY
-
     def cost(self, prices: np.ndarray) -> float:
         """Linear cost ``q . p`` of this bundle at the given unit prices.
 
@@ -128,10 +125,6 @@ class Bundle:
         if prices.shape != self.quantities.shape:
             raise ValueError(f"price vector shape {prices.shape} != bundle shape {self.quantities.shape}")
         return float(self.quantities @ prices)
-
-    def demanded(self) -> np.ndarray:
-        """Positive part of the bundle (quantities demanded)."""
-        return np.clip(self.quantities, 0.0, None)
 
     def offered(self) -> np.ndarray:
         """Magnitude of the negative part (quantities offered)."""
@@ -312,18 +305,6 @@ class BundleSet:
         """True iff every quantity is finite (no NaN or infinity)."""
         return self._finite
 
-    def max_demand(self) -> np.ndarray:
-        """Component-wise maximum demanded quantity across bundles (>= 0)."""
-        return np.clip(self._matrix, 0.0, None).max(axis=0)
-
     def max_offer(self) -> np.ndarray:
         """Component-wise maximum offered quantity across bundles (>= 0)."""
         return np.clip(-self._matrix, 0.0, None).max(axis=0)
-
-
-def stack_bundle_sets(sets: Iterable[BundleSet]) -> np.ndarray:
-    """Stack the matrices of several bundle sets into one array (for analysis)."""
-    matrices = [bundle_set.matrix for bundle_set in sets]
-    if not matrices:
-        raise ValueError("no bundle sets given")
-    return np.vstack(matrices)

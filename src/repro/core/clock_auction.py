@@ -140,11 +140,6 @@ class AuctionRound:
     #: :attr:`AuctionConfig.record_bidder_demands` is set.
     bidder_demands: dict[str, np.ndarray] | None = None
 
-    @property
-    def over_demanded_pools(self) -> np.ndarray:
-        """Boolean mask of pools with strictly positive excess demand."""
-        return self.excess_demand > 0
-
 
 @dataclass
 class AuctionOutcome:
@@ -166,11 +161,6 @@ class AuctionOutcome:
     def price_map(self) -> dict[str, float]:
         """Final prices keyed by pool name."""
         return {pool.name: float(self.final_prices[i]) for i, pool in enumerate(self.index)}
-
-    def price_trajectory(self, pool_name: str) -> np.ndarray:
-        """The price of one pool across all recorded rounds."""
-        i = self.index.index_of(pool_name)
-        return np.array([r.prices[i] for r in self.rounds], dtype=float)
 
     def active_bidder_counts(self) -> list[int]:
         """Number of active (non-dropped-out) bidders per round."""
@@ -266,15 +256,8 @@ class AscendingClockAuction:
         self._last_batch_response: BatchResponse | None = None
 
     # -- analysis helpers -----------------------------------------------------
-    def bidder_classes(self) -> dict[str, BidderClass]:
-        """Classification of every bidder (buyers/sellers/traders)."""
-        return {bid.bidder: classify_bidder(bid) for bid in self.bids}
-
     def has_traders(self) -> bool:
-        """True if any bid mixes demands and offers (convergence not guaranteed).
-
-        Scans every bid: :meth:`bidder_classes` keeps only a team's last bid.
-        """
+        """True if any bid mixes demands and offers (convergence not guaranteed)."""
         return any(classify_bidder(bid) is BidderClass.TRADER for bid in self.bids)
 
 

@@ -60,19 +60,6 @@ class ExchangeResult:
         """Settled price / former fixed price per pool (Figure 6)."""
         return price_ratios(self.final_prices.as_map(), dict(fixed_prices))
 
-    def summary(self) -> dict[str, float]:
-        """Headline numbers for dashboards and logs."""
-        premiums = self.settlement.premiums()
-        return {
-            "bidders": float(len(self.settlement.lines)),
-            "winners": float(len(self.settlement.winners)),
-            "settled_fraction": self.settlement.settled_fraction(),
-            "rounds": float(self.rounds),
-            "median_premium": float(np.median(premiums)) if premiums else 0.0,
-            "mean_premium": float(np.mean(premiums)) if premiums else 0.0,
-            "total_payments": self.settlement.total_payments(),
-        }
-
 
 class CombinatorialExchange:
     """Runs one complete auction event over a pool index.

@@ -9,12 +9,11 @@ price of every pool alongside activity counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
-from repro.cluster.resources import ResourceType
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,6 @@ class PriceTable:
     >>> table = PriceTable(demo_pool_index(), np.array([4.0, 1.0, 2.0, 0.5]))
     >>> table.price("a/cpu")
     4.0
-    >>> table.bundle_cost({"a/cpu": 10, "a/ram": 20})
-    60.0
-    >>> table.ratios_to(np.array([2.0, 1.0, 2.0, 1.0]))["a/cpu"]
-    2.0
     """
 
     index: PoolIndex
@@ -52,43 +47,9 @@ class PriceTable:
         """Unit price of one pool."""
         return float(self.prices[self.index.index_of(pool_name)])
 
-    def cluster_prices(self, cluster: str) -> dict[ResourceType, float]:
-        """CPU/RAM/disk unit prices of one cluster."""
-        return {
-            pool.rtype: float(self.prices[self.index.index_of(pool.name)])
-            for pool in self.index.pools_of_cluster(cluster)
-        }
-
     def as_map(self) -> dict[str, float]:
         """Prices keyed by pool name."""
         return {pool.name: float(self.prices[i]) for i, pool in enumerate(self.index)}
-
-    def bundle_cost(self, quantities: Mapping[str, float]) -> float:
-        """Cost of a ``{pool name: quantity}`` bundle at these prices."""
-        return float(self.index.vector(quantities) @ self.prices)
-
-    # -- comparisons --------------------------------------------------------------
-    def ratios_to(self, baseline: "PriceTable | Mapping[str, float] | np.ndarray") -> dict[str, float]:
-        """Per-pool ratio of these prices to a baseline price table.
-
-        Pools whose baseline price is zero are reported as ``inf`` when their
-        market price is positive and ``1.0`` when both are zero.
-        """
-        if isinstance(baseline, PriceTable):
-            base = baseline.prices
-        elif isinstance(baseline, Mapping):
-            base = np.array([baseline[name] for name in self.index.names], dtype=float)
-        else:
-            base = np.asarray(baseline, dtype=float)
-        if base.shape != self.prices.shape:
-            raise ValueError("baseline has the wrong length")
-        result: dict[str, float] = {}
-        for i, pool in enumerate(self.index):
-            if base[i] > 0:
-                result[pool.name] = float(self.prices[i] / base[i])
-            else:
-                result[pool.name] = float("inf") if self.prices[i] > 0 else 1.0
-        return result
 
 
 def price_ratios(
@@ -96,6 +57,9 @@ def price_ratios(
     fixed_prices: Mapping[str, float],
 ) -> dict[str, float]:
     """Market price / former fixed price per pool (the Figure 6 quantity).
+
+    A pool whose fixed price is zero reads ``inf`` when its market price is
+    positive and ``1.0`` when both are zero.
 
     Examples
     --------
@@ -112,26 +76,3 @@ def price_ratios(
         else:
             ratios[name] = float("inf") if market > 0 else 1.0
     return ratios
-
-
-def mean_price_by_type(
-    index: PoolIndex, prices: np.ndarray | Sequence[float]
-) -> dict[ResourceType, float]:
-    """Average unit price per resource dimension (for summaries and sanity checks)."""
-    prices = np.asarray(prices, dtype=float)
-    result: dict[ResourceType, float] = {}
-    for rtype in ResourceType:
-        pools = index.pools_of_type(rtype)
-        if not pools:
-            continue
-        values = [prices[index.index_of(pool.name)] for pool in pools]
-        result[rtype] = float(np.mean(values))
-    return result
-
-
-def price_dispersion(ratios: Iterable[float]) -> float:
-    """Coefficient of variation of a set of price ratios (spread measure)."""
-    arr = np.asarray([r for r in ratios if np.isfinite(r)], dtype=float)
-    if arr.size == 0 or arr.mean() == 0:
-        return 0.0
-    return float(arr.std() / arr.mean())

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bids import Bid
-from repro.core.bundles import Bundle
 
 #: Numerical slack in the acceptability test ``q.p <= pi_u + DROPOUT_SLACK``.
 #: The batch demand engine (:mod:`repro.core.batch`) applies the identical
@@ -101,10 +100,3 @@ class BidderProxy:
             )
         self._last = decision
         return decision
-
-    def chosen_bundle(self, prices: np.ndarray) -> Bundle | None:
-        """The bundle the proxy would take at ``prices``, or ``None`` if it drops out."""
-        decision = self.respond(prices)
-        if not decision.active or decision.bundle_index is None:
-            return None
-        return self.bid.bundles.bundle(decision.bundle_index)

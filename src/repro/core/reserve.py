@@ -293,12 +293,3 @@ def sweep_curve(
     xs = np.linspace(0.0, 1.0, points)
     ys = np.array([phi(float(x)) for x in xs])
     return xs, ys
-
-
-def figure2_curves(points: int = 101) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The three example curves of Figure 2, keyed by their legend labels."""
-    return {
-        "phi1(x) = exp(2(x-0.5))": sweep_curve(PAPER_PHI_1, points=points),
-        "phi2(x) = exp(x-0.5)": sweep_curve(PAPER_PHI_2, points=points),
-        "phi3(x) = 1/(1.5-x)": sweep_curve(PAPER_PHI_3, points=points),
-    }

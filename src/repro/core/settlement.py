@@ -31,7 +31,6 @@ import numpy as np
 from repro.cluster.pools import PoolIndex
 from repro.core.batch import cheapest_rows
 from repro.core.bids import Bid
-from repro.core.clock_auction import AuctionOutcome
 from repro.core.proxy import DROPOUT_SLACK
 
 #: Winners whose constraint-1 check runs in one stacked ``np.isclose``; bounds
@@ -95,11 +94,6 @@ class Settlement:
         """Lines for bidders who were awarded a bundle."""
         return [line for line in self.lines if line.won]
 
-    @property
-    def losers(self) -> list[SettlementLine]:
-        """Lines for bidders who were not awarded anything."""
-        return [line for line in self.lines if not line.won]
-
     def line_for(self, bidder: str) -> SettlementLine:
         """The settlement line of one bidder."""
         for line in self.lines:
@@ -129,10 +123,6 @@ class Settlement:
         """All defined winner premiums ``gamma_u`` (Eq. 5)."""
         values = [line.premium for line in self.winners]
         return [v for v in values if v is not None]
-
-    def price_map(self) -> dict[str, float]:
-        """Final settled prices keyed by pool name."""
-        return {pool.name: float(self.prices[i]) for i, pool in enumerate(self.index)}
 
     def allocation_map(self, bidder: str) -> dict[str, float]:
         """Non-zero allocation of one bidder keyed by pool name."""
@@ -221,11 +211,6 @@ def settle(
                 line = SettlementLine(bid.bidder, False, np.zeros(r), 0.0, bid.limit, None)
             lines.append(line)
     return Settlement(index=index, prices=prices.copy(), lines=lines, supply=supply_vec.copy())
-
-
-def settle_outcome(bids: Sequence[Bid], outcome: AuctionOutcome, *, supply: np.ndarray | None = None) -> Settlement:
-    """Settle at the final prices of a completed clock auction."""
-    return settle(outcome.index, bids, outcome.final_prices, supply=supply)
 
 
 def verify_system_constraints(

@@ -29,10 +29,6 @@ class Figure7Result:
     trades: tuple[SettledTrade, ...]
     migration: dict[str, float]
 
-    def median_percentile(self, group: str) -> float:
-        """Median utilization percentile of one group, e.g. ``"CPU Bids"``."""
-        return self.boxplots[group].median
-
     def has_high_utilization_bid_outliers(self, *, threshold: float = 75.0) -> bool:
         """Whether any bid-side trade landed in a pool above the ``threshold`` percentile.
 

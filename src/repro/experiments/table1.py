@@ -24,10 +24,6 @@ class Table1Result:
     trend: dict[str, float]
     history: EconomyHistory
 
-    def last_rows(self, count: int = 3) -> tuple[PremiumStats, ...]:
-        """The last ``count`` auctions (the paper tabulates its final three)."""
-        return self.rows[-count:]
-
 
 def run_table1(
     spec: ScenarioSpec = get_scenario("paper-reference"), *, auctions: int | None = None

@@ -13,7 +13,12 @@ here the same functionality is exposed as a programmatic API:
   (:mod:`repro.market.orderbook`);
 * the market-summary report of Figure 3 (:mod:`repro.market.summary`);
 * the :class:`~repro.market.platform.TradingPlatform` tying it all together and
-  running the periodic clock auctions.
+  running the periodic clock auctions;
+* capacity recommendations read off the settled prices
+  (:mod:`repro.market.decision_support`).
+
+The budget-disbursement policy that seeds the accounts is out of the
+paper's scope; teams are registered with the budget their scenario gives them.
 """
 
 from repro.market.accounts import Account, Ledger, InsufficientBudgetError, Transaction
@@ -30,7 +35,6 @@ from repro.market.decision_support import (
     apply_recommendations,
     summarize_actions,
 )
-from repro.market.endowment import EndowmentPolicy, EndowmentPlan, plan_endowments, endowment_impact_bound
 
 __all__ = [
     "CapacityAction",
@@ -39,10 +43,6 @@ __all__ = [
     "recommend_capacity_actions",
     "apply_recommendations",
     "summarize_actions",
-    "EndowmentPolicy",
-    "EndowmentPlan",
-    "plan_endowments",
-    "endowment_impact_bound",
     "Account",
     "Ledger",
     "InsufficientBudgetError",

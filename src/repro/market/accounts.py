@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 class InsufficientBudgetError(RuntimeError):
@@ -141,11 +140,6 @@ class Ledger:
             owner, -payment, kind="settlement", memo="auction settlement", auction_id=auction_id
         )
 
-    def transfer(self, source: str, destination: str, amount: float, *, memo: str = "") -> None:
-        """Move budget dollars between two accounts."""
-        self.debit(source, amount, kind="transfer", memo=memo or f"transfer to {destination}")
-        self.credit(destination, amount, kind="transfer", memo=memo or f"transfer from {source}")
-
     # -- history ------------------------------------------------------------------------
     def transactions(self, owner: str | None = None) -> list[Transaction]:
         """All transactions, optionally filtered to one account."""
@@ -156,15 +150,3 @@ class Ledger:
     def total_outstanding(self) -> float:
         """Sum of all balances (the money supply of the internal economy)."""
         return float(sum(acct.balance for acct in self._accounts.values()))
-
-    def endow_equally(self, owners: Iterable[str], total_budget: float) -> None:
-        """Open accounts for ``owners`` splitting ``total_budget`` equally."""
-        owners = list(owners)
-        if not owners:
-            return
-        share = total_budget / len(owners)
-        for owner in owners:
-            if not self.has_account(owner):
-                self.open_account(owner, endowment=share)
-            else:
-                self.credit(owner, share, kind="endowment", memo="additional endowment")

@@ -30,7 +30,6 @@ class OrderStatus(str, enum.Enum):
     """Lifecycle of an order within a bid window."""
 
     ACTIVE = "active"
-    WITHDRAWN = "withdrawn"
     SETTLED = "settled"
     UNSETTLED = "unsettled"
 
@@ -94,20 +93,6 @@ class OrderBook:
         self._orders[order.order_id] = order
         return order
 
-    def withdraw(self, order_id: int) -> None:
-        """Withdraw an active order (it will not enter the auction)."""
-        order = self.order(order_id)
-        if order.status is not OrderStatus.ACTIVE:
-            raise ValueError(f"order {order_id} is {order.status.value}, not active")
-        order.status = OrderStatus.WITHDRAWN
-
-    def order(self, order_id: int) -> Order:
-        """Look up one order."""
-        try:
-            return self._orders[order_id]
-        except KeyError as exc:
-            raise KeyError(f"no order with id {order_id}") from exc
-
     # -- views ----------------------------------------------------------------------
     def orders(self, *, status: OrderStatus | None = None) -> list[Order]:
         """All orders, optionally filtered by status."""
@@ -119,10 +104,6 @@ class OrderBook:
     def active_bids(self) -> list[Bid]:
         """The sealed bids of every active order (the auction's input)."""
         return [o.bid for o in self.orders(status=OrderStatus.ACTIVE)]
-
-    def orders_by_bidder(self, bidder: str) -> list[Order]:
-        """All orders submitted by one participant."""
-        return [o for o in self._orders.values() if o.bidder == bidder]
 
     def counts_by_cluster(self) -> dict[str, dict[OrderSide, int]]:
         """Active bid / offer / trade counts per cluster (the Figure 3 columns)."""

@@ -316,13 +316,6 @@ class TradingPlatform:
             auction_id=self._current_auction_id,
         )
 
-    def price_ratio_to_fixed(self) -> dict[str, float]:
-        """Displayed price / former fixed price per pool (Figure 6 series)."""
-        return {
-            name: (self.displayed_prices[name] / fixed if fixed > 0 else float("inf"))
-            for name, fixed in self.fixed_prices.items()
-        }
-
     def update_pool_index(self, index: PoolIndex) -> None:
         """Swap in refreshed pool utilizations/capacities between auctions.
 

@@ -61,11 +61,6 @@ class QuotaRegistry:
         return row
 
     # -- basic access -------------------------------------------------------------
-    def ensure_team(self, team: str) -> np.ndarray:
-        """Register ``team`` with an all-zero holding if missing; a copy of its holding."""
-        row = self._row(team)  # before reading the matrix: registering may grow it
-        return self._holdings[row].copy()
-
     def teams(self) -> list[str]:
         """All teams with registered holdings, in registration order."""
         return list(self._rows)
@@ -91,10 +86,6 @@ class QuotaRegistry:
         if row is None:
             return 0.0
         return float(self._holdings[row, self.index.index_of(pool_name)])
-
-    def quota_vector(self, team: str) -> np.ndarray:
-        """A copy of one team's full holding vector."""
-        return self.ensure_team(team)
 
     def holdings_map(self, team: str) -> dict[str, float]:
         """Non-zero holdings of one team keyed by pool name."""

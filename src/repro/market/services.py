@@ -134,29 +134,6 @@ class ServiceCatalog:
                 bundle[f"{cluster}/{suffix}"] = qty
         return bundle
 
-    def covering_cost(
-        self, request: ServiceRequest, index: PoolIndex, prices: Mapping[str, float]
-    ) -> float:
-        """Step 2 of bid entry: the cost of the covering bundle at current market prices."""
-        bundle = self.covering_bundle(request, index)
-        return float(sum(qty * prices[name] for name, qty in bundle.items()))
-
-    def alternatives_bundle(
-        self, service: str, quantity: float, clusters: list[str], index: PoolIndex
-    ) -> list[dict[str, float]]:
-        """Covering bundles for the same request across several candidate clusters.
-
-        This is the XOR indifference set for a team that does not care where
-        the service lands ("a user may demand a certain combination of CPU,
-        memory, and disk but may be indifferent with respect to the exact
-        location").
-        """
-        return [
-            self.covering_bundle(ServiceRequest(service=service, cluster=cluster, quantity=quantity), index)
-            for cluster in clusters
-        ]
-
-
 def default_catalog() -> ServiceCatalog:
     """A catalog of four synthetic service types spanning distinct resource shapes."""
     catalog = ServiceCatalog()

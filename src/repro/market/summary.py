@@ -40,17 +40,6 @@ class MarketSummary:
     rows: tuple[ClusterSummaryRow, ...]
     auction_id: int | None = None
 
-    def row_for(self, cluster: str) -> ClusterSummaryRow:
-        """The row of one cluster."""
-        for row in self.rows:
-            if row.cluster == cluster:
-                return row
-        raise KeyError(f"no summary row for cluster {cluster!r}")
-
-    def total_active_orders(self) -> int:
-        """Total number of active orders across all clusters."""
-        return sum(row.active_bids + row.active_offers + row.active_trades for row in self.rows)
-
 
 def build_market_summary(
     index: PoolIndex,

@@ -137,8 +137,8 @@ METRICS: dict[str, MetricDef] = {
         # The market-vs-baseline comparison scalars (measured by
         # ``analysis/allocation.py``): cumulative provisioning after the last
         # epoch, judged against that epoch's demand.  These are what
-        # ``results compare --across mechanisms`` reproduces the paper's
-        # Table-1-style shortage/surplus claim from.
+        # ``compare-mechanisms`` reproduces the paper's Table-1-style
+        # shortage/surplus claim from.
         MetricDef(
             "shortage_cost",
             "lower",

@@ -56,7 +56,7 @@ from repro import __version__
 from repro.results.metrics import METRICS, run_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner stores results)
-    from repro.simulation.runner import ScenarioRunResult, SweepReport
+    from repro.simulation.runner import ScenarioRunResult
 
 #: Environment variable that overrides the default store location.
 DB_ENV = "REPRO_RESULTS_DB"
@@ -345,13 +345,6 @@ class ResultStore:
             metrics=metrics,
             result=result_dict,
         )
-
-    def record_report(
-        self, report: "SweepReport", *, code_version: str | None = None
-    ) -> list[StoredRun]:
-        """Persist every run of a sweep report under one code version."""
-        version = code_version if code_version is not None else default_code_version()
-        return [self.record(result, code_version=version) for result in report.results]
 
     # -- reading -----------------------------------------------------------------------
     def runs(

@@ -81,27 +81,6 @@ class TestRelocationCostModel:
         with pytest.raises(ValueError):
             RelocationCostModel().move_cost(None, "a", "b", workload_size=-1)
 
-    def test_cheapest_destination_trades_off_move_cost(self, fleet):
-        model = RelocationCostModel(base_cost=1000.0, cost_per_distance=0.0, cost_per_unit=0.0)
-        # staying home is free; moving saves 500 in recurring cost but costs 1000 to move
-        cluster, total = model.cheapest_destination(
-            fleet.topology,
-            "cluster-00",
-            {"cluster-00": 2000.0, "cluster-01": 1500.0},
-            workload_size=10,
-        )
-        assert cluster == "cluster-00"
-        # with a cheap move the destination wins
-        cheap_model = RelocationCostModel(base_cost=10.0, cost_per_distance=0.0, cost_per_unit=0.0)
-        cluster, _ = cheap_model.cheapest_destination(
-            fleet.topology, "cluster-00", {"cluster-00": 2000.0, "cluster-01": 1500.0}, workload_size=10
-        )
-        assert cluster == "cluster-01"
-
-    def test_empty_candidates_rejected(self, fleet):
-        with pytest.raises(ValueError):
-            RelocationCostModel().cheapest_destination(fleet.topology, "a", {}, workload_size=1)
-
 
 class TestAdaptiveMarginModel:
     def test_margin_shrinks_on_wins_and_grows_on_losses(self):
@@ -264,6 +243,15 @@ class TestStrategies:
         strategy.cost_basis[pool_name] = view.price(pool_name) / 2.0
         bids = agent.prepare_bids(view)
         assert any(b.bidder_class is BidderClass.PURE_SELLER for b in bids)
+
+    def test_affordable_limit_clamps_to_the_budget(self, fleet):
+        agent = make_agent(fleet, LowballStrategy(fraction=0.3), budget=100.0)
+        assert agent.affordable_limit(40.0) == 40.0
+        assert agent.affordable_limit(250.0) == 100.0
+        assert agent.affordable_limit(-5.0) == 0.0
+        agent.budget = 0.0  # a spent budget no longer caps the limit
+        assert agent.affordable_limit(250.0) == 250.0
+        assert agent.affordable_limit(-5.0) == 0.0
 
     def test_strategy_must_bid_under_agents_name(self, fleet, view):
         class RogueStrategy:

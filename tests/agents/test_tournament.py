@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.agents.tournament import (
+    GenerationReport,
     TournamentConfig,
     TournamentEngine,
     apportion_kinds,
@@ -22,7 +23,7 @@ from repro.agents.tournament import (
     initial_roster,
     next_generation,
 )
-from repro.agents.traits import Traits
+from repro.agents.traits import AgentGenome, Traits, clone_genomes, mutate_from_base
 from repro.simulation.catalog import (
     get_tournament,
     register_tournament,
@@ -98,6 +99,46 @@ class TestNextGeneration:
         a = next_generation(pop, scores, np.random.default_rng(9), generation=1)
         b = next_generation(pop, scores, np.random.default_rng(9), generation=1)
         assert a == b
+
+
+    def test_clones_and_mutants_cycle_their_parents(self):
+        parents = [
+            AgentGenome(name="p0", kind="lowball"),
+            AgentGenome(name="p1", kind="seller", traits=Traits(aggressiveness=0.9)),
+        ]
+        names = ["c0", "c1", "c2"]
+        clones = clone_genomes(parents, names, generation=2)
+        assert [(c.name, c.parent, c.kind, c.generation) for c in clones] == [
+            ("c0", "p0", "lowball", 2),
+            ("c1", "p1", "seller", 2),
+            ("c2", "p0", "lowball", 2),
+        ]
+        assert [c.traits for c in clones] == [parents[0].traits, parents[1].traits, parents[0].traits]
+        kids = mutate_from_base(parents, names, np.random.default_rng(3), generation=2, scale=0.2)
+        assert [(k.parent, k.kind) for k in kids] == [(c.parent, c.kind) for c in clones]
+        assert all(k.traits != c.traits for k, c in zip(kids, clones))
+        assert kids == mutate_from_base(parents, names, np.random.default_rng(3), generation=2, scale=0.2)
+        with pytest.raises(ValueError):
+            clone_genomes([], ["c"], generation=1)
+        with pytest.raises(ValueError):
+            mutate_from_base([], ["k"], np.random.default_rng(0), generation=1)
+
+
+class TestGenerationReport:
+    def test_best_genome_kind_means_and_replicate_premiums(self, fake_run_result):
+        report = GenerationReport(
+            generation=0,
+            genomes=(
+                AgentGenome(name="b", kind="lowball"),
+                AgentGenome(name="a", kind="lowball"),
+                AgentGenome(name="c", kind="seller"),
+            ),
+            scores={"a": 0.5, "b": 0.5, "c": 0.25},
+            results=(fake_run_result(seed=0), fake_run_result(seed=1)),
+        )
+        assert report.best_genome.name == "a"  # a tie goes to the first name
+        assert report.kind_mean_scores() == {"lowball": 0.5, "seller": 0.25}
+        assert report.mean_premium_per_replicate == [1.35, 1.35]
 
 
 class TestGenomeScore:

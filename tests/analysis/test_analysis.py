@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.boxplot import boxplot_stats
-from repro.analysis.premium import premium_stats, premium_table, premium_trend
+from repro.analysis.premium import premium_stats, premium_trend
 from repro.analysis.price_ratio import (
     price_ratio_table,
     ratio_utilization_correlation,
@@ -13,25 +13,29 @@ from repro.analysis.price_ratio import (
 from repro.analysis.reports import (
     render_boxplots,
     render_figure6_rows,
+    render_mechanism_comparison,
+    render_metric_comparisons,
     render_premium_table,
+    render_replicate_stats,
     render_table,
 )
 from repro.analysis.settlement_stats import (
-    demand_concentration,
-    operator_revenue,
-    settlement_by_strategy,
     utilization_after_settlement,
     utilization_balance_improvement,
 )
 from repro.analysis.utilization_stats import (
     figure7_boxplots,
     migration_summary,
+    settled_trade_count,
     settled_trades,
     utilization_percentile_groups,
 )
+from repro.cluster.pools import PoolIndex, ResourcePool
 from repro.cluster.resources import ResourceType
 from repro.core.bids import Bid
+from repro.core.prices import price_ratios
 from repro.core.settlement import settle
+from repro.results.stats import MechanismComparisonReport, compare_metrics, replicate_stats
 
 
 class TestBoxplotStats:
@@ -49,7 +53,6 @@ class TestBoxplotStats:
         stats = boxplot_stats(values)
         assert stats.outliers == (1000.0,)
         assert stats.whisker_high == 10.0
-        assert stats.contains(10.0) and stats.contains(1000.0)
 
     def test_empty_and_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -91,8 +94,9 @@ class TestPremiumAnalysis:
             self.make_settlement(pool_index, [12.0, 14.0]),
             self.make_settlement(pool_index, [10.5, 11.0]),
         ]
-        rows = premium_table(settlements)
-        assert [row.auction for row in rows] == [1, 2, 3]
+        rows = [
+            premium_stats(settlement, auction=i + 1) for i, settlement in enumerate(settlements)
+        ]
         trend = premium_trend(rows)
         assert trend["median_last"] < trend["median_first"]
         assert trend["median_ratio_last_to_first"] < 1.0
@@ -117,6 +121,22 @@ class TestPriceRatios:
         assert by_cluster["alpha"].max_ratio() == 2.0
         ordered = sort_rows_for_figure6(rows)
         assert ordered[0].cluster == "beta"
+
+    def test_zero_cost_pool_reads_as_price_ratios_does(self):
+        # The unit cost is the default fixed price, and a pool may cost nothing.
+        index = PoolIndex(
+            [
+                ResourcePool("free", rtype, capacity=100.0, unit_cost=unit_cost, utilization=0.5)
+                for rtype, unit_cost in zip(ResourceType, (1.0, 1.0, 0.0))
+            ]
+        )
+        fixed = {pool.name: pool.unit_cost for pool in index}
+        market = {"free/cpu": 2.0, "free/ram": 0.5, "free/disk": 0.0}
+        (row,) = price_ratio_table(index, market, fixed)
+        assert row.disk_ratio == price_ratios(market, fixed)["free/disk"] == 1.0
+        market["free/disk"] = 3.0
+        (row,) = price_ratio_table(index, market, fixed)
+        assert row.disk_ratio == float("inf")
 
     def test_correlation_positive_when_congested_pools_cost_more(self, pool_index):
         market = {name: pool_index.pool(name).unit_cost * (1 + pool_index.pool(name).utilization) for name in pool_index.names}
@@ -150,6 +170,11 @@ class TestUtilizationStats:
         beta_trade = next(t for t in trades if t.pool == "beta/cpu")
         assert alpha_trade.utilization_percentile > beta_trade.utilization_percentile
 
+    def test_settled_trade_count_counts_without_building(self, pool_index):
+        settlement = self.make_settlement(pool_index)
+        assert settled_trade_count(settlement) == len(settled_trades(settlement)) == 4
+        assert settled_trade_count(settlement, tol=15.0) == len(settled_trades(settlement, tol=15.0)) == 2
+
     def test_groups_and_boxplots(self, pool_index):
         settlement = self.make_settlement(pool_index)
         groups = utilization_percentile_groups(settled_trades(settlement))
@@ -179,38 +204,24 @@ class TestUtilizationStats:
 class TestSettlementStats:
     def make_settlement(self, pool_index):
         bids = [
-            Bid.buy("buyer", pool_index, [{"beta/cpu": 100}], max_payment=1e6, strategy="MarketTrackerStrategy"),
-            Bid.sell("seller", pool_index, [{"alpha/cpu": 100}], min_revenue=0.0, strategy="SellerStrategy"),
-            Bid.buy("loser", pool_index, [{"alpha/cpu": 100}], max_payment=0.0, strategy="LowballStrategy"),
+            Bid.buy("buyer", pool_index, [{"beta/cpu": 100}], max_payment=1e6),
+            Bid.sell("seller", pool_index, [{"alpha/cpu": 100}], min_revenue=0.0),
+            Bid.buy("loser", pool_index, [{"alpha/cpu": 100}], max_payment=0.0),
         ]
-        return settle(pool_index, bids, np.ones(len(pool_index))), bids
+        return settle(pool_index, bids, np.ones(len(pool_index)))
 
     def test_utilization_after_settlement_moves_in_right_direction(self, pool_index):
-        settlement, _ = self.make_settlement(pool_index)
+        settlement = self.make_settlement(pool_index)
         after = utilization_after_settlement(settlement)
         before = pool_index.utilizations()
         assert after[pool_index.index_of("beta/cpu")] > before[pool_index.index_of("beta/cpu")]
         assert after[pool_index.index_of("alpha/cpu")] < before[pool_index.index_of("alpha/cpu")]
 
     def test_balance_improvement_positive_for_rebalancing_trade(self, pool_index):
-        settlement, _ = self.make_settlement(pool_index)
+        settlement = self.make_settlement(pool_index)
         balance = utilization_balance_improvement(settlement)
         assert balance["spread_after"] < balance["spread_before"]
         assert balance["improvement"] > 0
-
-    def test_settlement_by_strategy(self, pool_index):
-        settlement, bids = self.make_settlement(pool_index)
-        groups = settlement_by_strategy(settlement, bids)
-        assert groups["MarketTrackerStrategy"]["win_rate"] == 1.0
-        assert groups["LowballStrategy"]["win_rate"] == 0.0
-        assert groups["SellerStrategy"]["total_received"] > 0
-
-    def test_demand_concentration_and_revenue(self, pool_index):
-        settlement, _ = self.make_settlement(pool_index)
-        concentration = demand_concentration(settlement)
-        assert concentration["beta"] == pytest.approx(1.0)
-        # buyer pays 100, seller receives 100 -> net operator revenue 0
-        assert operator_revenue(settlement) == pytest.approx(0.0)
 
 
 class TestReports:
@@ -236,3 +247,60 @@ class TestReports:
         boxes = figure7_boxplots(settlement)
         box_text = render_boxplots(boxes)
         assert "CPU Bids" in box_text
+
+    @staticmethod
+    def row(text: str, first: str) -> list[str]:
+        return next(line.split() for line in text.splitlines() if line.startswith(first + " "))
+
+    def test_render_replicate_stats_dashes_a_single_replicate(self):
+        text = render_replicate_stats(
+            {"revenue": replicate_stats("revenue", [1.0, 3.0]), "rounds": replicate_stats("rounds", [4.0])},
+            title="S",
+        )
+        assert text.splitlines()[0] == "S"
+        assert self.row(text, "revenue") == ["revenue", "2", "2.0000", "1.4142", "[-10.7060,", "14.7060]"]
+        assert self.row(text, "rounds") == ["rounds", "1", "4.0000", "-", "-"]
+
+    def test_render_metric_comparisons_verdicts_and_missing_metrics(self):
+        report = compare_metrics(
+            {
+                "total_revenue": [100.0, 102.0],
+                "mean_clearing_rounds": [10.0],
+                "zero": [0.0],
+                "only_base": [1.0],
+            },
+            {"total_revenue": [90.0, 92.0], "mean_clearing_rounds": [8.0], "zero": [0.0]},
+            baseline_label="v1",
+            candidate_label="v2",
+        )
+        text = render_metric_comparisons(report)
+        assert text.splitlines()[0] == "v1 -> v2 (tolerance 5%)"
+        assert self.row(text, "total_revenue")[-2:] == ["-9.9%", "REGRESSION"]
+        assert self.row(text, "mean_clearing_rounds")[-2:] == ["-20.0%", "drift"]
+        assert self.row(text, "zero")[-3:] == ["0.0000", "-", "ok"]
+        assert text.endswith("(not compared — present on one side only: only_base)")
+        assert render_metric_comparisons(report, title="T").splitlines()[0] == "T"
+
+    def test_render_mechanism_comparison_marks_the_leader(self):
+        def report(*mechanisms):
+            means = {"market": [1.0, 2.0], "fixed-price": [5.0, 6.0], "lottery": [3.0, 4.0]}
+            return MechanismComparisonReport(
+                scenario="s",
+                code_version="v",
+                mechanisms=mechanisms,
+                metric_stats={
+                    metric: {name: replicate_stats(metric, means[name]) for name in mechanisms}
+                    for metric in ("shortage_cost", "revenue")
+                },
+                directions={"shortage_cost": "lower", "revenue": "neutral"},
+            )
+
+        text = render_mechanism_comparison(report("market", "fixed-price"))
+        lines = text.splitlines()
+        assert lines[0] == "s @ v: mechanisms market vs fixed-price"
+        assert lines[-1] == "market leads on: shortage_cost"
+        verdicts = [line.split()[-1] for line in lines if line.startswith("shortage_cost ")]
+        assert verdicts == ["best", "lower"]
+        assert all(line.split()[-1] == "neutral" for line in lines if line.startswith("revenue "))
+        baselines_only = render_mechanism_comparison(report("lottery", "fixed-price"))
+        assert "market leads on" not in baselines_only

@@ -5,15 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis import allocation
 from repro.analysis.allocation import (
     AllocationOutcome,
     QuotaRequest,
     allocation_metrics,
     market_outcome_from_quota_delta,
     requests_from_demands,
+    utilization_imbalance,
 )
 from repro.market.quotas import QuotaRegistry
 from repro.mechanisms import BaselineEconomySimulation, get_mechanism
+from repro.mechanisms.baseline import (
+    BASELINE_MECHANISMS,
+    lottery_order,
+    one_shot_outcomes,
+    proportional_grants,
+)
 from repro.simulation.scenario import small_scenario
 from tests.conftest import build_pool_index
 
@@ -78,7 +86,6 @@ class TestProportionalShareAllocator:
         # total demand 1000 against 500 available -> everyone gets half
         assert outcome.grant_fraction("t0") == pytest.approx(0.5)
         assert outcome.grant_fraction("t1") == pytest.approx(0.5)
-        assert outcome.fully_satisfied_teams() == []
 
     def test_undersubscribed_pool_fully_granted(self, idle_index):
         requests = [QuotaRequest(team="t", quantities={"beta/ram": 100})]
@@ -213,6 +220,32 @@ class TestAllocationOutcomeAndMetrics:
         assert metrics.shortage_cost == pytest.approx(0.0)
         assert metrics.satisfied_fraction == 1.0
 
+    def test_blocks_chunk_the_teams_in_order(self, idle_index, monkeypatch):
+        monkeypatch.setattr(allocation, "BLOCK_TEAMS", 2)
+        outcome = AllocationOutcome(index=idle_index, policy="x")
+        for i in range(5):
+            outcome.record(
+                f"t{i}",
+                idle_index.vector({"alpha/cpu": 10.0 * (i + 1)}),
+                idle_index.vector({"beta/cpu": float(i)}),
+            )
+        blocks = list(outcome.blocks())
+        assert [len(requested) for requested, _ in blocks] == [2, 2, 1]
+        requested = np.vstack([requested for requested, _ in blocks])
+        granted = np.vstack([granted for _, granted in blocks])
+        np.testing.assert_array_equal(requested, [outcome.requested[t] for t in outcome.teams()])
+        np.testing.assert_array_equal(granted, [outcome.granted[t] for t in outcome.teams()])
+        np.testing.assert_array_equal(outcome.total_requested(), requested.sum(axis=0))
+
+    def test_metrics_do_not_depend_on_the_block_size(self, idle_index, monkeypatch):
+        requests = [
+            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 90.0 + i, "beta/ram": 7.0 * i})
+            for i in range(7)
+        ]
+        whole = allocation_metrics(FIXED_PRICE.allocate(idle_index, requests))
+        monkeypatch.setattr(allocation, "BLOCK_TEAMS", 3)
+        assert allocation_metrics(FIXED_PRICE.allocate(idle_index, requests)) == whole
+
     def test_requests_from_demands(self, idle_index):
         requests = requests_from_demands(
             idle_index, {"a": {"alpha/cpu": 5}, "b": {}}, priorities={"a": 2}
@@ -252,3 +285,68 @@ class TestMarketOutcomes:
         quotas.grant("newcomer", {"beta/cpu": 10.0})
         outcome = market_outcome_from_quota_delta(idle_index, {}, initial, quotas)
         assert "newcomer" in outcome.teams()
+
+    def test_blocks_hold_the_demands_then_the_acquirers(self, idle_index, monkeypatch):
+        monkeypatch.setattr(allocation, "BLOCK_TEAMS", 2)
+        quotas = QuotaRegistry(idle_index)
+        initial = quotas.matrix()
+        demands = {f"d{i}": {"alpha/cpu": 10.0 + i} for i in range(3)}
+        for i, team in enumerate(demands):
+            quotas.grant(team, {"beta/cpu": float(i + 1)})
+        for team in ("x", "y", "z"):
+            quotas.grant(team, {"alpha/ram": 5.0})
+        outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
+        assert outcome.teams() == ["d0", "d1", "d2", "x", "y", "z"]
+        blocks = list(outcome.blocks())
+        assert [len(requested) for requested, _ in blocks] == [2, 1, 2, 1]
+        requested = np.vstack([requested for requested, _ in blocks])
+        granted = np.vstack([granted for _, granted in blocks])
+        np.testing.assert_array_equal(requested[:3], idle_index.matrix(list(demands.values())))
+        assert not requested[3:].any()
+        assert granted[:3, idle_index.index_of("beta/cpu")].tolist() == [1.0, 2.0, 3.0]
+        assert granted[3:, idle_index.index_of("alpha/ram")].tolist() == [5.0, 5.0, 5.0]
+
+
+class TestUtilizationImbalance:
+    def test_cost_weighted_capacity_beyond_each_threshold(self, idle_index):
+        # Per cluster, capacity x unit cost is 1000*10 + 4000*2 + 100000*0.05 = 23000.
+        utils = np.where([p.cluster == "alpha" for p in idle_index], 1.0, 0.0)
+        shortage, surplus = utilization_imbalance(
+            idle_index, utils, shortage_threshold=0.8, surplus_threshold=0.2
+        )
+        assert shortage == pytest.approx(0.2 * 23000.0)
+        assert surplus == pytest.approx(0.2 * 23000.0)
+
+    def test_a_fleet_between_the_thresholds_is_balanced(self, idle_index):
+        assert utilization_imbalance(idle_index) == (0.0, 0.0)
+        shortage, surplus = utilization_imbalance(
+            idle_index, shortage_threshold=0.4, surplus_threshold=0.6
+        )
+        assert shortage == surplus == pytest.approx(0.1 * 2 * 23000.0)
+
+
+class TestPolicyOrders:
+    def test_proportional_grants_scale_each_pool_on_its_own(self, idle_index):
+        # alpha/cpu has 500 available for 1000 asked; beta/ram 2000 for 200.
+        requests = [
+            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 500, "beta/ram": 100})
+            for i in range(2)
+        ]
+        for request, wanted, granted in proportional_grants(idle_index, requests, None):
+            np.testing.assert_array_equal(wanted, request.vector(idle_index))
+            assert granted[idle_index.index_of("alpha/cpu")] == pytest.approx(250.0)
+            assert granted[idle_index.index_of("beta/ram")] == pytest.approx(100.0)
+
+    def test_lottery_of_no_requests_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert list(lottery_order([], rng)) == []
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_one_shot_outcomes_run_every_baseline_once(self):
+        scenario = small_scenario(seed=3, team_count=4, cluster_count=2)
+        pool = scenario.pool_index.names[0]
+        requests = [QuotaRequest(team=f"t{i}", quantities={pool: 1.0}) for i in range(3)]
+        outcomes = one_shot_outcomes(scenario, requests)
+        assert [outcome.policy for outcome in outcomes] == [m.name for m in BASELINE_MECHANISMS]
+        for outcome in outcomes:
+            assert outcome.teams() == ["t0", "t1", "t2"]

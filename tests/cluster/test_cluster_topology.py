@@ -134,17 +134,6 @@ class TestFleetTopology:
         assert topo.cluster_distance("c-us", "c-us-2") == 0.0
         assert topo.cluster_distance("c-us", "c-eu") == pytest.approx(5.0)
 
-    def test_from_clusters_autocreates_sites(self):
-        clusters = [Cluster.homogeneous(f"c{i}", machine_count=1, site=f"s{i}") for i in range(3)]
-        topo = FleetTopology.from_clusters(clusters)
-        assert len(topo) == 3
-        assert set(topo.sites) == {"s0", "s1", "s2"}
-
-    def test_clusters_at_and_site_of(self):
-        topo = self.build()
-        assert [c.name for c in topo.clusters_at("us-east")] == ["c-us"]
-        assert topo.site_of("c-eu").name == "eu-west"
-
     def test_iteration_and_len(self):
         topo = self.build()
         assert len(topo) == 2

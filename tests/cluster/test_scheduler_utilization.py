@@ -24,10 +24,11 @@ class TestPercentileRanks:
 
 
 class TestSnapshots:
-    def test_snapshot_vectors_follow_index_order(self, tiny_fleet):
-        snap = snapshot_pools(tiny_fleet.pool_index)
-        vec = snap.as_vector(tiny_fleet.pool_index)
-        np.testing.assert_allclose(vec, tiny_fleet.pool_index.utilizations())
+    def test_percentile_vector_follows_index_order(self, tiny_fleet):
+        index = tiny_fleet.pool_index
+        snap = snapshot_pools(index)
+        assert snap.percentile_vector(index).tolist() == [snap.percentile(n) for n in index.names]
+        np.testing.assert_allclose([snap.fraction(n) for n in index.names], index.utilizations())
 
     def test_percentiles_are_within_bounds(self, medium_fleet):
         snap = snapshot_pools(medium_fleet.pool_index)

@@ -7,7 +7,6 @@ from repro.core.bids import (
     Bid,
     BidderClass,
     classify_bidder,
-    group_bids_by_class,
     validate_bid,
 )
 from repro.core.bundles import BundleSet
@@ -46,14 +45,6 @@ class TestBidConstruction:
         bid = Bid.buy("t", pool_index, [{"alpha/cpu": 1}], max_payment=1.0, service="gfs")
         assert bid.metadata["service"] == "gfs"
 
-    def test_cheapest_bundle_and_acceptable_at(self, pool_index):
-        bid = Bid.buy("t", pool_index, [{"alpha/cpu": 10}, {"beta/cpu": 10}], max_payment=60.0)
-        prices = np.ones(len(pool_index)) * 5.0
-        bundle, cost = bid.cheapest_bundle(prices)
-        assert cost == pytest.approx(50.0)
-        assert bid.acceptable_at(prices)
-        assert not bid.acceptable_at(prices * 2)
-
 
 class TestClassification:
     def test_trader_classification(self, pool_index):
@@ -63,16 +54,6 @@ class TestClassification:
             limit=5.0,
         )
         assert classify_bidder(trade) is BidderClass.TRADER
-
-    def test_group_bids_by_class(self, pool_index):
-        bids = [
-            Bid.buy("b", pool_index, [{"alpha/cpu": 1}], max_payment=1.0),
-            Bid.sell("s", pool_index, [{"alpha/cpu": 1}], min_revenue=1.0),
-        ]
-        groups = group_bids_by_class(bids)
-        assert len(groups[BidderClass.PURE_BUYER]) == 1
-        assert len(groups[BidderClass.PURE_SELLER]) == 1
-        assert groups[BidderClass.TRADER] == []
 
 
 class TestValidateBid:
@@ -121,9 +102,9 @@ class TestBidderProxy:
         proxy = BidderProxy(bid)
         prices = np.ones(len(pool_index))
         prices[pool_index.index_of("alpha/cpu")] = 3.0
-        bundle = proxy.chosen_bundle(prices)
-        assert bundle is not None
-        assert bundle.describe() == {"beta/cpu": 10.0}
+        decision = proxy.respond(prices)
+        assert decision.active
+        assert bid.bundles.bundle(decision.bundle_index).describe() == {"beta/cpu": 10.0}
 
     def test_seller_stays_in_as_prices_rise(self, pool_index):
         bid = Bid.sell("s", pool_index, [{"alpha/cpu": 10}], min_revenue=20.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bids import Bid, BidderClass
+from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 from repro.core.clock_auction import (
     AscendingClockAuction,
@@ -71,19 +71,15 @@ class TestConstruction:
             Bid(bidder="t", bundles=BundleSet(pool_index, [{"alpha/cpu": 1, "beta/cpu": -1}]), limit=0.0),
         ]
         auction = AscendingClockAuction(pool_index, bids, reserve_prices=unit_reserve(pool_index))
-        classes = auction.bidder_classes()
-        assert classes["b"] is BidderClass.PURE_BUYER
-        assert classes["t"] is BidderClass.TRADER
         assert auction.has_traders()
 
     def test_traders_flag_sees_every_bid_of_a_team(self, pool_index):
-        # bidder_classes() keeps a team's last bid; the trader bid comes first
+        # the trader bid comes first, so a check of each team's last bid misses it
         bids = [
             Bid(bidder="t", bundles=BundleSet(pool_index, [{"alpha/cpu": 1, "beta/cpu": -1}]), limit=0.0),
             Bid.buy("t", pool_index, [{"alpha/cpu": 1}], max_payment=10.0),
         ]
         auction = AscendingClockAuction(pool_index, bids, reserve_prices=unit_reserve(pool_index))
-        assert auction.bidder_classes() == {"t": BidderClass.PURE_BUYER}
         assert auction.has_traders()
 
 
@@ -191,7 +187,8 @@ class TestOutcomeAccessors:
         outcome = auction.run()
         prices = outcome.price_map()
         assert set(prices) == set(pool_index.names)
-        traj = outcome.price_trajectory("alpha/cpu")
+        i = pool_index.index_of("alpha/cpu")
+        traj = [r.prices[i] for r in outcome.rounds]
         assert len(traj) == outcome.round_count
         assert traj[-1] >= traj[0]
 

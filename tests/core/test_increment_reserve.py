@@ -22,7 +22,6 @@ from repro.core.reserve import (
     ReciprocalWeight,
     ReservePricer,
     check_weighting_properties,
-    figure2_curves,
     sweep_curve,
 )
 
@@ -164,12 +163,6 @@ class TestWeightingFunctions:
         xs, ys = sweep_curve(PAPER_PHI_1, points=51)
         assert xs.shape == ys.shape == (51,)
         assert xs[0] == 0.0 and xs[-1] == 1.0
-
-    def test_figure2_curves_have_three_series(self):
-        curves = figure2_curves(points=11)
-        assert len(curves) == 3
-        for _, (xs, ys) in curves.items():
-            assert len(xs) == len(ys) == 11
 
 
 class TestReservePricer:

@@ -6,10 +6,9 @@ import pytest
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 from repro.core.exchange import BidValidationError, CombinatorialExchange
-from repro.core.prices import PriceTable, mean_price_by_type, price_dispersion, price_ratios
+from repro.core.prices import PriceTable, price_ratios
 from repro.core.reserve import PAPER_PHI_1, FlatWeight, ReservePricer
 from repro.core.settlement import Settlement, settle, verify_system_constraints
-from repro.cluster.resources import ResourceType
 
 
 def flat_prices(pool_index, value=1.0):
@@ -58,7 +57,7 @@ class TestSettle:
         settlement = settle(pool_index, bids, flat_prices(pool_index))
         assert settlement.settled_fraction() == pytest.approx(0.5)
         assert [l.bidder for l in settlement.winners] == ["win"]
-        assert [l.bidder for l in settlement.losers] == ["lose"]
+        assert [l.bidder for l in settlement.lines if not l.won] == ["lose"]
 
     def test_total_allocated_nets_buyers_and_sellers(self, pool_index):
         bids = [
@@ -195,8 +194,6 @@ class TestCombinatorialExchange:
     def test_summary_and_price_ratio(self, pool_index):
         exchange = CombinatorialExchange(pool_index)
         result = exchange.run(self.make_bids(pool_index, 8))
-        summary = result.summary()
-        assert summary["bidders"] == 8.0
         fixed = {pool.name: pool.unit_cost for pool in pool_index}
         ratios = result.price_ratio_to(fixed)
         assert set(ratios) == set(pool_index.names)
@@ -235,40 +232,11 @@ class TestPriceTable:
     def test_lookups(self, pool_index):
         table = PriceTable(index=pool_index, prices=np.arange(1.0, len(pool_index) + 1.0))
         assert table.price("alpha/cpu") == 1.0
-        cluster_prices = table.cluster_prices("alpha")
-        assert cluster_prices[ResourceType.CPU] == 1.0
-        assert len(cluster_prices) == 3
         assert table.as_map()["beta/disk"] == float(len(pool_index))
-
-    def test_bundle_cost(self, pool_index):
-        table = PriceTable(index=pool_index, prices=np.full(len(pool_index), 2.0))
-        assert table.bundle_cost({"alpha/cpu": 5, "beta/ram": 5}) == pytest.approx(20.0)
-
-    def test_ratios_to(self, pool_index):
-        base = PriceTable(index=pool_index, prices=np.full(len(pool_index), 2.0))
-        market = PriceTable(index=pool_index, prices=np.full(len(pool_index), 3.0))
-        ratios = market.ratios_to(base)
-        assert all(r == pytest.approx(1.5) for r in ratios.values())
-
-    def test_ratios_to_zero_baseline(self, pool_index):
-        base = np.zeros(len(pool_index))
-        market = PriceTable(index=pool_index, prices=np.ones(len(pool_index)))
-        ratios = market.ratios_to(base)
-        assert all(np.isinf(r) for r in ratios.values())
 
     def test_price_ratios_function(self):
         ratios = price_ratios({"a": 2.0, "b": 1.0}, {"a": 1.0, "b": 2.0})
         assert ratios == {"a": 2.0, "b": 0.5}
+        assert price_ratios({"a": 1.0, "b": 0.0}, {"a": 0.0, "b": 0.0}) == {"a": float("inf"), "b": 1.0}
         with pytest.raises(KeyError):
             price_ratios({"a": 1.0}, {})
-
-    def test_mean_price_by_type(self, pool_index):
-        prices = pool_index.unit_costs()
-        means = mean_price_by_type(pool_index, prices)
-        assert means[ResourceType.CPU] == pytest.approx(10.0)
-        assert means[ResourceType.DISK] == pytest.approx(0.05)
-
-    def test_price_dispersion(self):
-        assert price_dispersion([1.0, 1.0, 1.0]) == 0.0
-        assert price_dispersion([0.5, 1.5]) > 0.0
-        assert price_dispersion([]) == 0.0

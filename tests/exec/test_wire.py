@@ -10,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.wire import (
+    DEFAULT_TRANSPORT,
     MAX_FRAME_BYTES,
+    HandshakeRejected,
     WireError,
+    auth_mac,
+    client_handshake,
+    coordinator_mac,
     decode_spec_b64,
     encode_spec_b64,
+    macs_equal,
     recv_message,
     result_from_wire,
     result_to_wire,
@@ -167,3 +173,57 @@ class TestParseHostport:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_hostport(bad)
+
+
+class TestClientHandshake:
+    """The client half of the handshake against a scripted coordinator.
+
+    The coordinator's frames are queued on the socket pair before the client
+    reads, so each exchange runs in one thread.
+    """
+
+    @pytest.fixture
+    def client(self, sock_pair):
+        a, b = sock_pair
+        a.settimeout(5.0)
+        b.settimeout(5.0)
+        return a, b
+
+    def test_welcome_without_challenge(self, client):
+        a, b = client
+        send_message(b, {"type": "welcome", "worker": "w1"})
+        assert client_handshake(a, DEFAULT_TRANSPORT, None) == {"type": "welcome", "worker": "w1"}
+
+    def test_mutual_authentication(self, client):
+        a, b = client
+        send_message(b, {"type": "challenge", "nonce": "n1"})
+        send_message(b, {"type": "welcome", "mac": coordinator_mac("s3cret", "n1")})
+        assert client_handshake(a, DEFAULT_TRANSPORT, "s3cret")["type"] == "welcome"
+        assert recv_message(b) == {"type": "auth", "mac": auth_mac("s3cret", "n1")}
+        expected = coordinator_mac("s3cret", "n1")
+        assert macs_equal(expected, expected)
+        assert not macs_equal(expected, auth_mac("s3cret", "n1"))
+        assert not macs_equal(expected, None) and not macs_equal(expected, 7)
+
+    @pytest.mark.parametrize(
+        "secret, frames, reason",
+        [
+            (
+                "s3cret",
+                [{"type": "challenge", "nonce": "n1"}, {"type": "welcome", "mac": auth_mac("s3cret", "n1")}],
+                "could not prove",
+            ),
+            ("s3cret", [{"type": "welcome"}], "could not prove"),
+            (None, [{"type": "challenge", "nonce": "n1"}], "pass --secret"),
+            (None, [{"type": "reject", "reason": "duplicate worker id"}], "duplicate worker id"),
+            (None, [], "connection closed during handshake"),
+        ],
+        ids=["echoed-mac", "unauthenticated-welcome", "challenge-without-secret", "reject", "closed"],
+    )
+    def test_refusals_raise_handshake_rejected(self, client, secret, frames, reason):
+        a, b = client
+        for frame in frames:
+            send_message(b, frame)
+        b.shutdown(socket.SHUT_WR)
+        with pytest.raises(HandshakeRejected, match=reason):
+            client_handshake(a, DEFAULT_TRANSPORT, secret)

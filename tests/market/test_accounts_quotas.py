@@ -57,6 +57,23 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.debit("t", -1.0)
 
+    def test_a_debit_may_spend_the_whole_balance(self):
+        ledger = Ledger()
+        account = ledger.open_account("t", endowment=10.0)
+        assert ledger.account("t") is account
+        assert account.can_afford(10.0) and account.can_afford(10.0 + 1e-10)
+        assert not account.can_afford(10.01)
+        ledger.debit("t", 10.0)
+        assert ledger.balance("t") == pytest.approx(0.0)
+
+    def test_settlement_postings_between_teams_conserve_money(self):
+        ledger = Ledger()
+        ledger.open_account("buyer", endowment=100.0)
+        ledger.open_account("seller", endowment=50.0)
+        ledger.post_settlement("buyer", 30.0, auction_id=1)
+        ledger.post_settlement("seller", -30.0, auction_id=1)
+        assert ledger.total_outstanding() == pytest.approx(150.0)
+
     def test_post_settlement_debits_buyers_credits_sellers(self):
         ledger = Ledger()
         ledger.open_account("buyer", endowment=100.0)
@@ -66,29 +83,6 @@ class TestLedger:
         assert ledger.balance("buyer") == pytest.approx(70.0)
         assert ledger.balance("seller") == pytest.approx(25.0)
         assert all(t.auction_id == 1 for t in ledger.transactions() if t.kind == "settlement")
-
-    def test_transfer_moves_money(self):
-        ledger = Ledger()
-        ledger.open_account("a", endowment=50.0)
-        ledger.open_account("b")
-        ledger.transfer("a", "b", 20.0)
-        assert ledger.balance("a") == 30.0
-        assert ledger.balance("b") == 20.0
-
-    def test_total_outstanding_is_conserved_by_transfers(self):
-        ledger = Ledger()
-        ledger.endow_equally(["a", "b", "c"], total_budget=300.0)
-        before = ledger.total_outstanding()
-        ledger.transfer("a", "b", 50.0)
-        assert ledger.total_outstanding() == pytest.approx(before)
-
-    def test_endow_equally_splits_budget(self):
-        ledger = Ledger()
-        ledger.endow_equally(["a", "b"], total_budget=100.0)
-        assert ledger.balance("a") == ledger.balance("b") == 50.0
-        # calling again tops up existing accounts
-        ledger.endow_equally(["a", "b"], total_budget=50.0)
-        assert ledger.balance("a") == 75.0
 
 
 class TestQuotaRegistry:

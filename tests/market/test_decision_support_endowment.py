@@ -1,22 +1,15 @@
-"""Unit tests for operator decision support and budget-endowment planning."""
+"""Unit tests for operator decision support."""
 
-import numpy as np
 import pytest
 
 from repro.core.bids import Bid
 from repro.core.exchange import CombinatorialExchange
-from repro.core.reserve import PAPER_PHI_1, FlatWeight, ReservePricer
 from repro.market.decision_support import (
     CapacityAction,
     DecisionSupportConfig,
     apply_recommendations,
     recommend_capacity_actions,
     summarize_actions,
-)
-from repro.market.endowment import (
-    EndowmentPolicy,
-    endowment_impact_bound,
-    plan_endowments,
 )
 
 
@@ -91,61 +84,3 @@ class TestDecisionSupport:
         recommendations = recommend_capacity_actions(result)
         updated = apply_recommendations(pool_index, recommendations)
         assert updated.pool("beta/disk").capacity < pool_index.pool("beta/disk").capacity
-
-
-class TestEndowmentPlanning:
-    def test_equal_split(self, pool_index):
-        plan = plan_endowments(pool_index, ["a", "b", "c", "d"], 1000.0)
-        assert plan.policy is EndowmentPolicy.EQUAL
-        assert all(v == pytest.approx(250.0) for v in plan.shares.values())
-        assert plan.share_of("ghost") == 0.0
-        assert sum(plan.as_fractions().values()) == pytest.approx(1.0)
-
-    def test_usage_proportional(self, pool_index):
-        usage = {
-            "big": {"alpha/cpu": 100},  # cost-weighted value 1000
-            "small": {"alpha/cpu": 10},  # 100
-        }
-        plan = plan_endowments(
-            pool_index, usage, 1100.0, policy=EndowmentPolicy.USAGE_PROPORTIONAL
-        )
-        assert plan.share_of("big") == pytest.approx(1000.0)
-        assert plan.share_of("small") == pytest.approx(100.0)
-
-    def test_usage_at_reserve_favors_congested_tenants(self, pool_index):
-        usage = {
-            "congested-tenant": {"alpha/cpu": 10},
-            "idle-tenant": {"beta/cpu": 10},
-        }
-        proportional = plan_endowments(
-            pool_index, usage, 1000.0, policy=EndowmentPolicy.USAGE_PROPORTIONAL
-        )
-        at_reserve = plan_endowments(
-            pool_index, usage, 1000.0, policy=EndowmentPolicy.USAGE_AT_RESERVE
-        )
-        # same usage value at cost -> equal split under proportional
-        assert proportional.share_of("congested-tenant") == pytest.approx(500.0)
-        # reserve pricing values the congested cluster higher
-        assert at_reserve.share_of("congested-tenant") > at_reserve.share_of("idle-tenant")
-        # total is always fully disbursed
-        assert sum(at_reserve.shares.values()) == pytest.approx(1000.0)
-
-    def test_zero_usage_falls_back_to_equal(self, pool_index):
-        plan = plan_endowments(
-            pool_index, {"a": {}, "b": {}}, 100.0, policy=EndowmentPolicy.USAGE_PROPORTIONAL
-        )
-        assert plan.share_of("a") == plan.share_of("b") == 50.0
-
-    def test_validation(self, pool_index):
-        with pytest.raises(ValueError):
-            plan_endowments(pool_index, [], 100.0)
-        with pytest.raises(ValueError):
-            plan_endowments(pool_index, ["a"], -1.0)
-
-    def test_endowment_impact_bound(self, pool_index):
-        weighted = endowment_impact_bound(pool_index, ReservePricer(weighting=PAPER_PHI_1))
-        flat = endowment_impact_bound(pool_index, ReservePricer(weighting=FlatWeight(1.0)))
-        assert flat == pytest.approx(1.0)
-        assert weighted > 1.0
-        # bounded by phi(1)/phi(0) = e^2 for the paper's phi_1
-        assert weighted <= np.exp(2.0) + 1e-9

@@ -188,7 +188,6 @@ class TestBundleSetSignStructureProperties:
             assert bundle_set.kinds() == kinds
             assert bundle_set.aggregate_kind() is _set_rule(kinds)
             np.testing.assert_array_equal(bundle_set.max_offer(), np.clip(-matrix, 0.0, None).max(axis=0))
-            np.testing.assert_array_equal(bundle_set.max_demand(), np.clip(matrix, 0.0, None).max(axis=0))
             assert bundle_set.offers_any() == bool(np.any(matrix < 0))
             finite = bool(np.all(np.isfinite(matrix)))
             assert bundle_set.all_finite() == finite

@@ -221,7 +221,7 @@ def run_op(registry, op):
     name = f"team-{team}"
     try:
         if kind == "register":
-            return registry.ensure_team(name).tolist()
+            return registry.holdings_map(name)
         if kind in ("grant_map", "grant_vector"):
             return registry.grant(name, args[0])
         if kind == "delta":
@@ -281,7 +281,7 @@ class TestQuotaMatrixMatchesDictRegistry:
 
     def test_holdings_of_rejects_rows_outside_the_registry(self):
         matrix = QuotaRegistry(INDEX)
-        matrix.ensure_team("a")
+        matrix.holdings_map("a")
         with pytest.raises(IndexError):
             matrix.holdings_of(np.array([1]))
 
@@ -347,7 +347,7 @@ class TestCoverageKernelMatchesSnapshotPath:
         teams = [f"team-{t}" for t in range(600)]
         for registry in (matrix, reference):
             for team in teams:
-                registry.ensure_team(team)
+                registry.holdings_map(team)
         initial_matrix, initial_snapshot = matrix.matrix(), reference.snapshot()
         deltas = rng.normal(0.0, 0.01, size=(600, R)) * 10.0 ** rng.integers(-4, 1, size=(600, R))
         for registry in (matrix, reference):
@@ -364,7 +364,7 @@ class TestCoverageKernelMatchesSnapshotPath:
         matrix, reference = QuotaRegistry(INDEX), DictQuotaRegistry(INDEX)
         for registry in (matrix, reference):
             registry.grant("held", INDEX.vector({"alpha/cpu": 5.0}))
-            registry.ensure_team("residue")
+            registry.holdings_map("residue")
         initial_matrix, initial_snapshot = matrix.matrix(), reference.snapshot()
         residue = INDEX.vector({"beta/cpu": 1e-13, "beta/ram": -1e-13})
         for registry in (matrix, reference):

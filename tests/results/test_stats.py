@@ -299,3 +299,25 @@ class TestCompareMechanismsVersionScoping:
             report = compare_mechanisms(store, "tiny")
         assert report.code_version == "v2"
         assert set(report.mechanisms) == {"market", "proportional"}
+
+
+class TestScenarioStats:
+    def test_latest_version_and_one_mechanism(self, fake_run_result):
+        from repro.results.stats import scenario_stats
+        from repro.results.store import ResultStore
+
+        with ResultStore(":memory:") as store:
+            for seed in (0, 1):
+                store.record(fake_run_result(seed=seed, shortage_cost=(60.0, 40.0 + seed)), code_version="v1")
+                store.record(fake_run_result(seed=seed, shortage_cost=(60.0, 50.0 + seed)), code_version="v2")
+                store.record(
+                    fake_run_result(seed=seed, mechanism="priority", shortage_cost=(9.0, 9.0)),
+                    code_version="v2",
+                )
+            latest = scenario_stats(store, "tiny", mechanism="market")["shortage_cost"]
+            assert (latest.count, latest.mean) == (2, 50.5)
+            older = scenario_stats(store, "tiny", code_version="v1")["shortage_cost"]
+            assert (older.count, older.mean) == (2, 40.5)
+            assert scenario_stats(store, "tiny", mechanism="priority")["shortage_cost"].mean == 9.0
+            with pytest.raises(ValueError, match="mechanism"):
+                scenario_stats(store, "tiny")

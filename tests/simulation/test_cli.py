@@ -430,21 +430,27 @@ class TestCompareMechanismsCLI:
         assert payload["metrics"]["shortage_cost"]["best"] == "market"
         assert payload["mechanisms"][0] == "market"
 
-    def test_results_compare_across_mechanisms_is_the_same_report(
-        self, tmp_path, capsys, fake_run_result
-    ):
-        db = self.seeded_db(tmp_path, fake_run_result)
-        assert main(["results", "compare", "tiny", "--db", str(db),
-                     "--across", "mechanisms", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]["shortage_cost"]["best"] == "market"
-
     def test_single_mechanism_store_exits_2(self, tmp_path, capsys, fake_run_result):
         db = tmp_path / "store.sqlite"
         with ResultStore(db) as store:
             store.record(fake_run_result(), code_version="v1")
         assert main(["compare-mechanisms", "tiny", "--db", str(db)]) == 2
         assert "at least two" in capsys.readouterr().err
+
+    def test_results_compare_has_no_across_mode(self, tmp_path, capsys, fake_run_result):
+        db = self.seeded_db(tmp_path, fake_run_result)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["results", "compare", "tiny", "--db", str(db), "--across", "mechanisms"])
+        assert exit_info.value.code == 2
+        assert "--across" in capsys.readouterr().err
+
+    def test_single_name_selection_gets_a_directive_error(
+        self, tmp_path, capsys, fake_run_result
+    ):
+        db = self.seeded_db(tmp_path, fake_run_result)
+        assert main(["compare-mechanisms", "tiny", "--db", str(db),
+                     "--mechanisms", "market"]) == 2
+        assert "comma list" in capsys.readouterr().err
 
 
 class TestBaselineDbCompare:
@@ -496,32 +502,3 @@ class TestBaselineDbCompare:
         assert main(["results", "compare", "tiny", "--db", str(current),
                      "--baseline-db", str(previous)]) == 2
         assert "holds no runs" in capsys.readouterr().err
-
-
-class TestAcrossMechanismsRejectsGateFlags:
-    def test_version_only_flags_are_usage_errors(self, tmp_path, capsys, fake_run_result):
-        """--across mechanisms must not silently absorb gate flags: a CI job
-        passing --baseline-db or --tolerance would otherwise go no-op green."""
-        db = tmp_path / "store.sqlite"
-        with ResultStore(db) as store:
-            store.record(fake_run_result(), code_version="v1")
-            store.record(fake_run_result(mechanism="priority"), code_version="v1")
-        for extra in (["--baseline", "v1"], ["--candidate", "v1"],
-                      ["--tolerance", "0.1"], ["--baseline-db", str(db)]):
-            assert main(["results", "compare", "tiny", "--db", str(db),
-                         "--across", "mechanisms", *extra]) == 2
-            assert "--across versions" in capsys.readouterr().err
-
-
-class TestAcrossMechanismsSingleSelection:
-    def test_single_name_selection_gets_a_directive_error(
-        self, tmp_path, capsys, fake_run_result
-    ):
-        db = tmp_path / "store.sqlite"
-        with ResultStore(db) as store:
-            store.record(fake_run_result(), code_version="v1")
-            store.record(fake_run_result(mechanism="priority"), code_version="v1")
-        assert main(["results", "compare", "tiny", "--db", str(db),
-                     "--across", "mechanisms", "--mechanism", "market"]) == 2
-        err = capsys.readouterr().err
-        assert "comma list" in err

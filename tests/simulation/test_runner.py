@@ -43,6 +43,11 @@ class TestRunScenario:
         assert result.teams == 6
         assert result.pools == 9  # 3 clusters x 3 resource dimensions
 
+    def test_first_to_last_changes_are_canonically_rounded(self, fake_run_result):
+        result = fake_run_result()  # median premium 1.4 -> 1.1, spread 0.2 -> 0.1
+        assert result.premium_drop == -0.3
+        assert result.utilization_spread_change == -0.1
+
     def test_store_metrics_are_in_the_canonical_report(self):
         payload = run_scenario(tiny_spec()).to_dict()
         assert {"mean_clearing_price", "revenue", "mean_utilization"} <= set(payload)

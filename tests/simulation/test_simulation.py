@@ -111,6 +111,13 @@ class TestEconomySimulation:
         assert hist.median_premium_series() == [r.median_premium for r in rows]
         assert len(hist.utilization_spread_series()) == 3
 
+    def test_allocation_series_has_one_market_entry_per_auction(self, history):
+        hist, _ = history
+        series = hist.allocation_series()
+        assert series == [period.allocation for period in hist.periods]
+        assert [metrics.policy for metrics in series] == ["market"] * 3
+        assert all(0.0 <= metrics.satisfied_fraction <= 1.0 for metrics in series)
+
     def test_agents_receive_feedback(self, history):
         hist, scenario = history
         assert any(agent.settlement_history for agent in scenario.agents)
