@@ -91,7 +91,8 @@ devmode:
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q $(DEVMODE_TESTS)
 
 ## rewrite tests/golden/digests.json: one sha256 per pinned canonical report
-## (the only writer of that file; tier-1 checks every digest)
+## and per pinned experiment or tournament stdout (the only writer of that file;
+## tier-1 checks every digest)
 golden:
 	$(PYTHON) tests/golden/golden.py
 
