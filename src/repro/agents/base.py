@@ -132,8 +132,6 @@ class TeamAgent:
         self.strategy = strategy
         self.catalog = catalog
         self.budget = budget
-        #: Settlement lines observed across auctions (newest last).
-        self.settlement_history: list[SettlementLine] = []
         #: Quota the agent currently holds, keyed by pool name (refreshed by the simulation).
         self.holdings: dict[str, float] = {}
 
@@ -154,7 +152,6 @@ class TeamAgent:
     def observe_settlement(self, lines: Sequence[SettlementLine], view: MarketView) -> None:
         """Feed back the agent's settlement lines so its strategy can adapt."""
         own = [line for line in lines if line.bidder == self.name]
-        self.settlement_history.extend(own)
         self.strategy.observe(self, own, view)
         self.demand.grow()
 

@@ -4,11 +4,12 @@ The paper's headline qualitative claim is that the market reduces "the
 excessive shortages and surpluses of more traditional allocation methods" and
 evens out utilization across pools.  This module holds what the baseline
 policies (:mod:`repro.mechanisms.baseline`) and the market economy
-(:mod:`repro.simulation.economy`) share: the :class:`QuotaRequest` a team
-files, the :class:`AllocationOutcome` a policy produces (the market's is a
+(:mod:`repro.simulation.economy`) share: the checked ``(teams, R)`` demand
+matrix (:func:`demand_matrix`), the market's cumulative grants (a
 :class:`MarketOutcome`, read from two holdings matrices), and the metrics
-behind the claim: :func:`allocation_metrics` is one kernel over row blocks of
-either outcome, so both mechanisms are measured by the same code.
+behind the claim: :func:`allocation_metrics` is one kernel over
+``(requested, granted)`` row blocks, so both mechanisms are measured by the
+same code.
 
 Two complementary families of measures live here:
 
@@ -24,8 +25,8 @@ Two complementary families of measures live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,104 +46,6 @@ SHORTAGE_UTILIZATION = 0.90
 #: 0.30 the phi_1 weighting prices the pool *below* cost (e^{-0.4} ~ 0.67x) —
 #: the market's explicit invitation to migrate in.
 SURPLUS_UTILIZATION = 0.30
-
-
-@dataclass(frozen=True)
-class QuotaRequest:
-    """One team's quota request under a traditional allocation policy.
-
-    Unlike a market bid there is no limit price and no indifference set: the
-    team names exactly what it wants (usually in its home cluster) and the
-    operator decides.  ``priority`` is the operator-assigned importance used
-    by the priority policy.
-    """
-
-    team: str
-    quantities: Mapping[str, float]
-    priority: int = 0
-    #: Lottery tickets (normally the team's remaining budget); only the
-    #: lottery policy reads it.  Defaults to an equal single ticket.
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.team:
-            raise ValueError("team must be non-empty")
-        if not self.quantities:
-            raise ValueError("request must name at least one pool")
-        for pool, qty in self.quantities.items():
-            if not (math.isfinite(qty) and qty >= 0):
-                raise ValueError(
-                    f"requested quantity of {pool!r} must be finite and non-negative, got {qty!r}"
-                )
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"weight must be finite and non-negative, got {self.weight!r}")
-
-    def vector(self, index: PoolIndex) -> np.ndarray:
-        """The request as a vector over ``index``."""
-        return index.vector(dict(self.quantities))
-
-
-@dataclass
-class AllocationOutcome:
-    """What an allocator granted, per team, plus derived shortage/surplus views."""
-
-    index: PoolIndex
-    policy: str
-    granted: dict[str, np.ndarray] = field(default_factory=dict)
-    requested: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def record(self, team: str, requested: np.ndarray, granted: np.ndarray) -> None:
-        """Accumulate one team's requested and granted vectors."""
-        req = self.requested.setdefault(team, np.zeros(len(self.index)))
-        grant = self.granted.setdefault(team, np.zeros(len(self.index)))
-        self.requested[team] = req + requested
-        self.granted[team] = grant + granted
-
-    # -- per-pool aggregates -----------------------------------------------------------
-    def total_requested(self) -> np.ndarray:
-        """Total requested per pool."""
-        total = np.zeros(len(self.index))
-        for vec in self.requested.values():
-            total += vec
-        return total
-
-    def total_granted(self) -> np.ndarray:
-        """Total granted per pool."""
-        total = np.zeros(len(self.index))
-        for vec in self.granted.values():
-            total += vec
-        return total
-
-    def shortage(self) -> np.ndarray:
-        """Requested minus granted, clipped at zero (unmet demand per pool)."""
-        return np.clip(self.total_requested() - self.total_granted(), 0.0, None)
-
-    def surplus(self) -> np.ndarray:
-        """Capacity left unallocated per pool (relative to the *available* capacity)."""
-        return np.clip(self.index.available() - self.total_granted(), 0.0, None)
-
-    def grant_fraction(self, team: str) -> float:
-        """Fraction of a team's requested units that were granted (1.0 if it asked for nothing)."""
-        requested = self.requested.get(team)
-        if requested is None or requested.sum() <= 0:
-            return 1.0
-        granted = self.granted.get(team, np.zeros(len(self.index)))
-        return float(granted.sum() / requested.sum())
-
-    def teams(self) -> list[str]:
-        """All teams that submitted requests."""
-        return list(self.requested)
-
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams, in :meth:`teams` order."""
-        teams = self.teams()
-        zeros = np.zeros(len(self.index))
-        for start in range(0, len(teams), BLOCK_TEAMS):
-            chunk = teams[start : start + BLOCK_TEAMS]
-            yield (
-                np.array([self.requested[team] for team in chunk]),
-                np.array([self.granted.get(team, zeros) for team in chunk]),
-            )
 
 
 @dataclass(eq=False)
@@ -166,7 +69,6 @@ class MarketOutcome:
     demands: Mapping[str, Mapping[str, float]]
     initial: np.ndarray
     quotas: QuotaRegistry
-    policy: str = "market"
 
     def __post_init__(self) -> None:
         self._requested = [(team, bundle) for team, bundle in self.demands.items() if bundle]
@@ -178,7 +80,7 @@ class MarketOutcome:
             [np.zeros(0, dtype=np.intp)]
             + [
                 block[(self._grants(block) > 0).any(axis=1)]
-                for block in _row_blocks(unrequested)
+                for (block,) in row_blocks(unrequested)
             ]
         )
 
@@ -194,53 +96,46 @@ class MarketOutcome:
             holdings[~(np.abs(holdings) > ZERO_HOLDING)] = 0.0
         return np.clip(final - initial, 0.0, None)
 
-    def teams(self) -> list[str]:
-        """The measured teams, in the order :meth:`blocks` yields them."""
-        registered = self.quotas.teams()
-        return [team for team, _ in self._requested] + [
-            registered[row] for row in self._acquirers.tolist()
-        ]
-
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams, in :meth:`teams` order.
+        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams.
 
-        Demand rows get :class:`QuotaRequest`'s checks: a named team, and
-        finite, non-negative quantities.
+        Demand rows are checked as :func:`demand_matrix` checks them.
         """
         rows = self.quotas.rows()
         for start in range(0, len(self._requested), BLOCK_TEAMS):
             chunk = self._requested[start : start + BLOCK_TEAMS]
-            demand = self.index.matrix([bundle for _, bundle in chunk])
-            _check_demand(chunk, demand)
-            yield demand, self._grants(
+            yield demand_matrix(self.index, chunk), self._grants(
                 np.array([rows.get(team, -1) for team, _ in chunk], dtype=np.intp)
             )
-        for block in _row_blocks(self._acquirers):
+        for (block,) in row_blocks(self._acquirers):
             yield np.zeros((len(block), len(self.index))), self._grants(block)
 
-    @property
-    def granted(self) -> dict[str, np.ndarray]:
-        """Each measured team's acquired quota, in :meth:`teams` order."""
-        return dict(zip(self.teams(), (row for _, block in self.blocks() for row in block)))
+
+def row_blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Blocks of at most :data:`BLOCK_TEAMS` aligned rows of each of ``arrays``."""
+    for start in range(0, len(arrays[0]), BLOCK_TEAMS):
+        yield tuple(array[start : start + BLOCK_TEAMS] for array in arrays)
 
 
-def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    for start in range(0, len(rows), BLOCK_TEAMS):
-        yield rows[start : start + BLOCK_TEAMS]
+def demand_matrix(
+    index: PoolIndex, demands: Sequence[tuple[str, Mapping[str, float]]]
+) -> np.ndarray:
+    """Each ``(team, {pool name: quantity})`` demand as a row over ``index``.
 
-
-def _check_demand(chunk: Sequence[tuple[str, Mapping[str, float]]], demand: np.ndarray) -> None:
-    """:class:`QuotaRequest`'s checks over a block of demand rows, with its messages."""
-    if not all(team for team, _ in chunk):
+    Every team must be named and every quantity finite and non-negative.
+    """
+    matrix = index.matrix([bundle for _, bundle in demands])
+    if not all(team for team, _ in demands):
         raise ValueError("team must be non-empty")
-    valid = np.isfinite(demand) & (demand >= 0)
+    valid = np.isfinite(matrix) & (matrix >= 0)
     if not valid.all():
-        _, bundle = chunk[int(np.flatnonzero(~valid.all(axis=1))[0])]
+        _, bundle = demands[int(np.flatnonzero(~valid.all(axis=1))[0])]
         for pool, qty in bundle.items():
             if not (math.isfinite(qty) and qty >= 0):
                 raise ValueError(
                     f"requested quantity of {pool!r} must be finite and non-negative, got {qty!r}"
                 )
+    return matrix
 
 
 def utilization_imbalance(
@@ -293,15 +188,16 @@ def _cost_weighted(index: PoolIndex, quantities: np.ndarray) -> float:
     return float(np.dot(np.clip(quantities, 0.0, None), index.unit_costs()))
 
 
-def _row_costs(rows: np.ndarray, unit_costs: np.ndarray) -> np.ndarray:
-    """:func:`_cost_weighted` of each row, one dot product per row.
+def row_costs(rows: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Each row's non-negative part priced at ``prices``, one dot product per row.
 
-    A matrix product over the block rounds some rows differently.
+    With the unit costs this is :func:`_cost_weighted` of each row.  A
+    matrix product over the block rounds some rows differently.
     """
-    return np.array([np.dot(row, unit_costs) for row in np.clip(rows, 0.0, None)], dtype=float)
+    return np.array([np.dot(row, prices) for row in np.clip(rows, 0.0, None)], dtype=float)
 
 
-def _running_sum(start, values: np.ndarray):
+def running_sum(start, values: np.ndarray):
     """``start`` plus each of ``values`` in turn, as a loop adding them one by one.
 
     ``np.add.accumulate`` adds in order along the first axis; ``np.sum``
@@ -316,8 +212,10 @@ def _post_allocation_utilization(index: PoolIndex, granted: np.ndarray) -> np.nd
     return np.clip(used / capacities, 0.0, 1.0)
 
 
-def allocation_metrics(outcome: AllocationOutcome | MarketOutcome) -> AllocationMetrics:
-    """Metrics for an allocation outcome (baseline policy or market).
+def allocation_metrics(
+    index: PoolIndex, policy: str, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> AllocationMetrics:
+    """Metrics of ``policy``'s ``(requested, granted)`` row blocks over ``index``.
 
     Shortage and satisfaction are measured *per team and cost-weighted*, not
     per pool: a team that asked for resources in its congested home cluster
@@ -327,11 +225,12 @@ def allocation_metrics(outcome: AllocationOutcome | MarketOutcome) -> Allocation
     the shortage regardless of which pool it is missing from.  Surplus stays
     a per-pool quantity (capacity left idle).
 
-    One kernel for every mechanism: it reads the outcome's
-    :meth:`~AllocationOutcome.blocks` and adds each team's costs and grant
-    in team order, so the sums round as a loop over the teams would.
+    One kernel for every mechanism: the blocks are row-aligned
+    ``(teams, R)`` matrices of what each team asked for and was granted (a
+    baseline's demand and holdings, or a :class:`MarketOutcome`'s
+    :meth:`~MarketOutcome.blocks`).  It adds each team's costs and grant in
+    row order, so the sums round as a loop over the teams would.
     """
-    index = outcome.index
     unit_costs = index.unit_costs()
     granted_total = np.zeros(len(index))
     shortage_cost = 0.0
@@ -339,19 +238,19 @@ def allocation_metrics(outcome: AllocationOutcome | MarketOutcome) -> Allocation
     teams = 0
     requested_cost_total = 0.0
     granted_cost_total = 0.0
-    for requested, granted in outcome.blocks():
-        requested_costs = _row_costs(requested, unit_costs)
-        granted_costs = _row_costs(granted, unit_costs)
-        requested_cost_total = _running_sum(requested_cost_total, requested_costs)
-        granted_cost_total = _running_sum(granted_cost_total, granted_costs)
+    for requested, granted in blocks:
+        requested_costs = row_costs(requested, unit_costs)
+        granted_costs = row_costs(granted, unit_costs)
+        requested_cost_total = running_sum(requested_cost_total, requested_costs)
+        granted_cost_total = running_sum(granted_cost_total, granted_costs)
         # fmax, like max(0.0, x), reads a NaN shortfall as 0.0.
-        shortage_cost = _running_sum(shortage_cost, np.fmax(0.0, requested_costs - granted_costs))
+        shortage_cost = running_sum(shortage_cost, np.fmax(0.0, requested_costs - granted_costs))
         satisfied += int(np.count_nonzero(granted_costs >= requested_costs * (1.0 - 1e-6)))
-        granted_total = _running_sum(granted_total, granted)
+        granted_total = running_sum(granted_total, granted)
         teams += len(requested)
     surplus = np.clip(index.available() - granted_total, 0.0, None)
     return AllocationMetrics(
-        policy=outcome.policy,
+        policy=policy,
         shortage_cost=float(shortage_cost),
         surplus_cost=_cost_weighted(index, surplus),
         utilization_spread=utilization_spread(_post_allocation_utilization(index, granted_total)),
@@ -376,25 +275,7 @@ def market_outcome_from_quota_delta(
     its holdings in ``quotas`` now minus its row of ``initial`` (the
     registry's :meth:`~repro.market.quotas.QuotaRegistry.matrix` when the
     market started), clipped to acquisitions.  ``demands`` maps team ->
-    {pool name: quantity}, as :func:`requests_from_demands` takes it.
+    {pool name: quantity}.
     """
     return MarketOutcome(index=index, demands=demands, initial=initial, quotas=quotas)
 
-
-def requests_from_demands(
-    index: PoolIndex,
-    demands: Mapping[str, Mapping[str, float]],
-    *,
-    priorities: Mapping[str, int] | None = None,
-) -> list[QuotaRequest]:
-    """Build baseline quota requests from per-team demand bundles.
-
-    ``demands`` maps team -> {pool name: quantity}; ``priorities`` optionally
-    assigns operator priorities (default 0).
-    """
-    priorities = priorities or {}
-    return [
-        QuotaRequest(team=team, quantities=dict(quantities), priority=priorities.get(team, 0))
-        for team, quantities in demands.items()
-        if quantities
-    ]

@@ -27,11 +27,6 @@ class BoxplotStats:
     whisker_high: float
     outliers: tuple[float, ...]
 
-    @property
-    def iqr(self) -> float:
-        """Inter-quartile range."""
-        return self.q3 - self.q1
-
 
 def boxplot_stats(values: Iterable[float], *, whisker: float = 1.5) -> BoxplotStats:
     """Compute boxplot statistics for a non-empty collection of values.

@@ -191,19 +191,6 @@ class PoolIndex:
                 out[i, j] = float(qty)
         return out
 
-    def cluster_bundle(
-        self, cluster: str, *, cpu: float = 0.0, ram: float = 0.0, disk: float = 0.0
-    ) -> np.ndarray:
-        """Bundle vector demanding/offering CPU, RAM, and disk in one cluster."""
-        quantities: dict[str, float] = {}
-        amounts = {ResourceType.CPU: cpu, ResourceType.RAM: ram, ResourceType.DISK: disk}
-        for rtype, qty in amounts.items():
-            if qty != 0.0:
-                quantities[f"{cluster}/{rtype.value}"] = qty
-        if not quantities:
-            return np.zeros(len(self._pools), dtype=float)
-        return self.vector(quantities)
-
     def describe(self, vec: np.ndarray, *, tol: float = 1e-12) -> dict[str, float]:
         """Invert :meth:`vector`: the non-zero entries of ``vec`` keyed by pool name."""
         if vec.shape != (len(self._pools),):

@@ -29,14 +29,6 @@ class UtilizationSnapshot:
     fractions: dict[str, float]
     percentiles: dict[str, float]
 
-    def fraction(self, pool_name: str) -> float:
-        """Utilization fraction of one pool."""
-        return self.fractions[pool_name]
-
-    def percentile(self, pool_name: str) -> float:
-        """Fleet-relative utilization percentile (0..100) of one pool."""
-        return self.percentiles[pool_name]
-
     def percentile_vector(self, index: PoolIndex) -> np.ndarray:
         """Utilization percentiles in the order of ``index``."""
         return np.array([self.percentiles[name] for name in index.names], dtype=float)

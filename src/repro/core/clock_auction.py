@@ -244,11 +244,12 @@ class AscendingClockAuction:
                 raise ValueError("supply must be non-negative")
         self.increment = increment or default_increment(index.capacities())
         self.config = config or AuctionConfig()
-        self.proxies = [BidderProxy(bid) for bid in self.bids]
         if self.config.engine == "auto":
             self.engine = "batch" if len(self.bids) >= BATCH_AUTO_THRESHOLD else "scalar"
         else:
             self.engine = self.config.engine
+        #: Lazily built proxies, one per bid (only when the scalar path is active).
+        self._proxies: list[BidderProxy] | None = None
         #: Lazily built batch engine (only when the batch path is active).
         self._batch: BatchDemandEngine | None = None
         #: The last :class:`BatchResponse` collected (batch engine only);
@@ -279,9 +280,11 @@ class AscendingClockAuction:
 
     def _collect_scalar(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
         """Reference path: evaluate each :class:`BidderProxy` in turn."""
+        if self._proxies is None:
+            self._proxies = [BidderProxy(bid) for bid in self.bids]
         total = np.zeros(len(self.index), dtype=float)
         active = 0
-        for proxy in self.proxies:
+        for proxy in self._proxies:
             decision = proxy.respond(prices)
             total += decision.quantities
             if decision.active:
@@ -309,7 +312,7 @@ class AscendingClockAuction:
         if self.engine == "scalar":
             return {
                 proxy.bidder: proxy.last_decision.quantities
-                for proxy in self.proxies
+                for proxy in self._proxies or ()
                 if proxy.last_decision is not None
             }
         assert self._last_batch_response is not None

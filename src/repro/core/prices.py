@@ -25,7 +25,7 @@ class PriceTable:
     >>> import numpy as np
     >>> from repro.cluster.pools import demo_pool_index
     >>> table = PriceTable(demo_pool_index(), np.array([4.0, 1.0, 2.0, 0.5]))
-    >>> table.price("a/cpu")
+    >>> table.as_map()["a/cpu"]
     4.0
     """
 
@@ -43,10 +43,6 @@ class PriceTable:
         object.__setattr__(self, "prices", arr)
 
     # -- lookups ---------------------------------------------------------------
-    def price(self, pool_name: str) -> float:
-        """Unit price of one pool."""
-        return float(self.prices[self.index.index_of(pool_name)])
-
     def as_map(self) -> dict[str, float]:
         """Prices keyed by pool name."""
         return {pool.name: float(self.prices[i]) for i, pool in enumerate(self.index)}

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
+    demand_matrix,
     market_outcome_from_quota_delta,
-    requests_from_demands,
+    row_blocks,
 )
 from repro.analysis.settlement_stats import utilization_balance_improvement
 from repro.mechanisms.baseline import one_shot_outcomes
@@ -64,19 +67,26 @@ def run_baseline_comparison(
     index = scenario.pool_index
     demands = demands_from_agents(scenario.agents, index)
     priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
-    requests = requests_from_demands(index, demands, priorities=priorities)
-
-    outcomes = one_shot_outcomes(scenario, requests)
+    metrics = {
+        policy: allocation_metrics(index, policy, row_blocks(requested, granted))
+        for policy, requested, granted in one_shot_outcomes(
+            scenario,
+            demand_matrix(index, list(demands.items())),
+            np.array([priorities.get(team, 0) for team in demands], dtype=int),
+        )
+    }
 
     initial_holdings = scenario.platform.quotas.matrix()
     history = MarketEconomySimulation.from_spec(scenario, spec).run(
         market_auctions if market_auctions is not None else spec.auctions
     )
-    outcomes.append(
-        market_outcome_from_quota_delta(index, demands, initial_holdings, scenario.platform.quotas)
+    metrics["market"] = allocation_metrics(
+        index,
+        "market",
+        market_outcome_from_quota_delta(
+            index, demands, initial_holdings, scenario.platform.quotas
+        ).blocks(),
     )
-
-    metrics = {outcome.policy: allocation_metrics(outcome) for outcome in outcomes}
     balance = utilization_balance_improvement(history.periods[0].settlement)
     return BaselineComparisonResult(metrics=metrics, balance=balance)
 

@@ -131,7 +131,6 @@ class TradingPlatform:
         self._window_open = False
         self._auction_ids = itertools.count(1)
         self._current_auction_id: int | None = None
-        self.history: list[AuctionRecord] = []
         #: Prices shown on the market summary; start at the fixed prices and
         #: are refreshed by preliminary and binding auction runs.
         self.displayed_prices: dict[str, float] = dict(self.fixed_prices)
@@ -302,7 +301,6 @@ class TradingPlatform:
             order_count=len(self.order_book),
             prior_prices=prior,
         )
-        self.history.append(record)
         self._window_open = False
         return record
 

@@ -20,8 +20,10 @@ description and its allocation rule:
   (Waldspurger-style lottery scheduling, tickets = budget dollars).  Nobody
   is *systematically* starved, but there is still no price signal.
 
-Fixed-price, priority and lottery share one grant loop
-(:func:`serve_in_order`) and differ only in the order they serve requests.
+A policy turns a ``(requests, R)`` matrix of residual requests into a
+granted matrix of the same shape, row-aligned with it.  Fixed-price, priority
+and lottery share one grant loop (:func:`serve_in_order`) and differ only in
+the order they serve the rows; proportional scales every row.
 
 A :class:`BaselineEconomySimulation` drives a policy through the same
 longitudinal structure as the market economy, so every catalog scenario can
@@ -66,18 +68,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.analysis.allocation import (
     AllocationMetrics,
-    AllocationOutcome,
-    QuotaRequest,
     allocation_metrics,
+    demand_matrix,
+    row_blocks,
+    row_costs,
+    running_sum,
     utilization_imbalance,
 )
-from repro.cluster.pools import PoolIndex
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import (
     apply_settlement_to_utilization,
@@ -93,79 +96,76 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Allocation smaller than this does not count as a settled trade.
 _TRADE_TOL = 1e-9
 
-#: One grant: the request served, what it wanted and what it was granted.
-Grant = tuple[QuotaRequest, np.ndarray, np.ndarray]
-
 
 # -- the policies ------------------------------------------------------------------------
 
 
 def serve_in_order(
-    index: PoolIndex,
-    requests: Sequence[QuotaRequest],
+    available: np.ndarray,
+    requested: np.ndarray,
+    priorities: np.ndarray,
+    weights: np.ndarray,
     rng: np.random.Generator | None,
     *,
-    order: Callable[[Sequence[QuotaRequest], np.random.Generator | None], Iterable[int]],
-) -> Iterator[Grant]:
-    """Serve ``requests`` one at a time, in the order ``order(requests, rng)``.
+    order: Callable[[np.ndarray, np.ndarray, np.random.Generator | None], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serve the rows of ``requested`` one at a time, in ``order(priorities, weights, rng)``.
 
-    Each request is granted what it wants of what its pools still have, so
-    the requests served late in a congested pool get the leftovers or nothing.
+    Each row is granted what it asks for of what its pools still have, so
+    the rows served late in a congested pool get the leftovers or nothing.
+    Returns the service order and the granted matrix, row-aligned with
+    ``requested``.
     """
-    remaining = index.available().copy()
-    for i in order(requests, rng):
-        request = requests[i]
-        wanted = request.vector(index)
-        granted = np.minimum(wanted, remaining)
-        remaining = remaining - granted
-        yield request, wanted, granted
+    served = order(priorities, weights, rng)
+    granted = np.zeros_like(requested)
+    remaining = available
+    for i in served:
+        granted[i] = np.minimum(requested[i], remaining)
+        remaining = remaining - granted[i]
+    return served, granted
 
 
-def arrival_order(requests: Sequence[QuotaRequest], rng) -> Iterable[int]:
+def arrival_order(priorities: np.ndarray, weights: np.ndarray, rng) -> np.ndarray:
     """First come, first served."""
-    return range(len(requests))
+    return np.arange(len(priorities))
 
 
-def priority_order(requests: Sequence[QuotaRequest], rng) -> Iterable[int]:
+def priority_order(priorities: np.ndarray, weights: np.ndarray, rng) -> np.ndarray:
     """Highest operator priority first; arrival order breaks ties."""
-    return sorted(range(len(requests)), key=lambda i: (-requests[i].priority, i))
+    return np.argsort(-priorities, kind="stable")
 
 
-def lottery_order(requests: Sequence[QuotaRequest], rng: np.random.Generator) -> Iterable[int]:
+def lottery_order(
+    priorities: np.ndarray, weights: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """A budget-weighted random order: the lottery's draw.
 
     Efraimidis–Spirakis weighted sampling without replacement: each request
     gets the key ``u ** (1 / weight)`` for one uniform draw ``u``, and
-    requests are served by descending key.  A request's ``weight`` is its
-    team's remaining budget (tickets); zero-weight requests always sort last.
-    An empty request list draws nothing.
+    requests are served by descending key.  A request's weight is its team's
+    remaining budget (tickets); zero-weight requests always sort last.  No
+    requests draw nothing.
 
-    >>> rich = QuotaRequest(team="rich", quantities={"a/cpu": 15.0}, weight=1e9)
-    >>> poor = QuotaRequest(team="poor", quantities={"a/cpu": 15.0}, weight=1e-9)
-    >>> [int(i) for i in lottery_order([poor, rich], np.random.default_rng(1))]
+    >>> weights = np.array([1e-9, 1e9])  # a poor team, then a rich one
+    >>> lottery_order(np.zeros(2), weights, np.random.default_rng(1)).tolist()
     [1, 0]
     """
-    if not requests:
-        return []
-    weights = np.array([request.weight for request in requests], dtype=float)
-    draws = rng.random(len(requests))
+    if not len(weights):
+        return np.zeros(0, dtype=np.intp)
+    draws = rng.random(len(weights))
     with np.errstate(divide="ignore"):
         keys = np.where(weights > 0.0, draws ** (1.0 / weights), -1.0)
     return np.argsort(-keys, kind="stable")
 
 
 def proportional_grants(
-    index: PoolIndex, requests: Sequence[QuotaRequest], rng
-) -> Iterator[Grant]:
-    """Grant each team ``min(1, available/demand)`` of its request per pool."""
-    vectors = [request.vector(index) for request in requests]
-    total_demand = np.zeros(len(index))
-    for vec in vectors:
-        total_demand += vec
+    available: np.ndarray, requested: np.ndarray, priorities: np.ndarray, weights: np.ndarray, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grant each row ``min(1, available/demand)`` of what it asks for in each pool."""
+    total_demand = running_sum(np.zeros(len(available)), requested)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(total_demand > 0, np.minimum(1.0, index.available() / total_demand), 1.0)
-    for request, wanted in zip(requests, vectors):
-        yield request, wanted, wanted * scale
+        scale = np.where(total_demand > 0, np.minimum(1.0, available / total_demand), 1.0)
+    return np.arange(len(requested)), requested * scale
 
 
 # -- the mechanism shell -----------------------------------------------------------------
@@ -229,54 +229,51 @@ class BaselineEconomySimulation:
         self.drift_scale = drift_scale
         self.periods: list[BaselinePeriodResult] = []
         self._initial_index = scenario.pool_index
-        #: Cumulative granted quota per team (vectors over the pool index).
-        self._holdings: dict[str, np.ndarray] = {}
-        #: Budget each team has left to buy quota at the posted fixed prices.
-        self._budgets: dict[str, float] = {
-            agent.name: float(agent.budget) for agent in scenario.agents
-        }
         # Operator priorities are assigned once, up front: the operator ranks
         # teams by perceived importance, not per epoch.  Uses the scenario RNG
         # so a fixed seed fixes the whole run.
-        self._priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
+        priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
         # A policy that draws (the lottery) takes its own stream from the
         # scenario RNG, so a fixed seed fixes every draw.  The others take
         # nothing from it, and the drift model draws next.
         self._rng = (
             np.random.default_rng(int(scenario.rng.integers(2**63))) if mechanism.draws else None
         )
+        demands = demands_from_agents(scenario.agents, self._initial_index)
+        #: The teams with a demand, in demand order; every per-team array and
+        #: the rows of every ``(teams, R)`` matrix below follow it.
+        self._teams = tuple(demands)
+        agents = {agent.name: agent for agent in scenario.agents}
         # Demand is re-derived analytically each epoch instead of re-running
         # the covering-bundle translation: covering bundles are linear in the
         # requested quantity and a profile's growth is one multiplicative
-        # factor per epoch, so epoch t's demand vector is exactly
+        # factor per epoch, so epoch t's demand row is exactly
         # ``base * (1 + growth) ** (t - 1)``.  This is what keeps a baseline
         # epoch allocator-bound instead of bid-entry-bound (see
         # ``benchmarks/test_bench_mechanisms.py``).
-        self._base_demand: dict[str, np.ndarray] = {
-            team: self._initial_index.vector(bundle)
-            for team, bundle in demands_from_agents(
-                scenario.agents, self._initial_index
-            ).items()
-        }
-        self._growth: dict[str, float] = {
-            agent.name: float(agent.demand.growth_rate) for agent in scenario.agents
-        }
+        self._base_demand = demand_matrix(self._initial_index, list(demands.items()))
+        self._growth = [float(agents[team].demand.growth_rate) for team in self._teams]
+        self._priorities = np.array([priorities.get(team, 0) for team in self._teams], dtype=int)
+        #: Budget each team has left to buy quota at the posted fixed prices.
+        self._budgets = np.array([float(agents[team].budget) for team in self._teams])
+        if not np.isfinite(self._budgets).all():
+            team = self._teams[int(np.flatnonzero(~np.isfinite(self._budgets))[0])]
+            raise ValueError(f"budget of team {team!r} must be finite")
+        #: Cumulative granted quota per team.
+        self._holdings = np.zeros_like(self._base_demand)
         #: Posted fixed prices as a vector (constant for the whole run).
         self._fixed_prices = self._initial_index.vector(scenario.platform.fixed_prices)
 
-    def _held(self, team: str) -> np.ndarray:
-        return self._holdings.get(team, np.zeros(len(self._initial_index)))
+    def _epoch_demands(self, epoch: int) -> np.ndarray:
+        """The ``(teams, R)`` demand at ``epoch`` (1-based), grown analytically.
 
-    def _epoch_demands(self, epoch: int) -> dict[str, np.ndarray]:
-        """Demand vector per team at ``epoch`` (1-based), grown analytically."""
-        return {
-            team: base * (1.0 + self._growth.get(team, 0.0)) ** (epoch - 1)
-            for team, base in self._base_demand.items()
-        }
+        Each team's factor is a Python float power: NumPy's array power
+        rounds some entries differently.
+        """
+        factors = np.array([(1.0 + growth) ** (epoch - 1) for growth in self._growth])
+        return self._base_demand * factors[:, np.newaxis]
 
-    def _residual_requests(
-        self, demands: dict[str, np.ndarray], fixed_prices: np.ndarray
-    ) -> list[QuotaRequest]:
+    def _residual_requests(self, demands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What each team still needs beyond the quota it already holds.
 
         Quota is bought, not gifted: a residual request costing more than the
@@ -285,47 +282,21 @@ class BaselineEconomySimulation:
         advantage — a market bidder whose home cluster is congested chases
         clearing prices *below* the fixed rate in idle clusters, so the same
         budget provisions more resources there.
-        """
-        index = self.scenario.pool_index
-        names = index.names
-        requests: list[QuotaRequest] = []
-        for team, demand in demands.items():
-            residual = np.clip(demand - self._held(team), 0.0, None)
-            cost = float(np.dot(residual, fixed_prices))
-            budget = self._budgets.get(team, 0.0)
-            if cost > budget:
-                residual = residual * (budget / cost if cost > 0 else 0.0)
-            quantities = {
-                names[i]: float(residual[i]) for i in np.flatnonzero(residual > 1e-12)
-            }
-            if quantities:
-                requests.append(
-                    QuotaRequest(
-                        team=team,
-                        quantities=quantities,
-                        priority=self._priorities.get(team, 0),
-                        # Lottery tickets: what the team can still spend.
-                        weight=budget,
-                    )
-                )
-        return requests
 
-    def _cumulative_outcome(self, demands: dict[str, np.ndarray]) -> AllocationOutcome:
-        """Everything granted so far, judged against the current demand.
-
-        The outcome is anchored to the *initial* pool index: shortage and
-        satisfaction only need unit costs (constant), and surplus then reads
-        as "capacity that was free before the first epoch and that the
-        mechanism has still never put to use" — the same yardstick the market
-        simulation applies to its cumulative quota delta.
+        Returns the requesting teams' rows, in team order, and their
+        requests: the residual entries above 1e-12.  A team with no such
+        entry files no request.
         """
-        outcome = AllocationOutcome(index=self._initial_index, policy=self.mechanism.name)
-        for team, demand in demands.items():
-            outcome.record(team, demand, self._held(team))
-        for team, held in self._holdings.items():
-            if team not in outcome.requested and np.any(held > 0):
-                outcome.record(team, np.zeros(len(self._initial_index)), held)
-        return outcome
+        residual = np.clip(demands - self._holdings, 0.0, None)
+        costs = row_costs(residual, self._fixed_prices)
+        capped = costs > self._budgets
+        afford = np.divide(
+            self._budgets, costs, out=np.zeros_like(costs), where=capped & (costs > 0)
+        )
+        residual[capped] *= afford[capped, np.newaxis]
+        asked = residual > 1e-12
+        rows = np.flatnonzero(asked.any(axis=1))
+        return rows, np.where(asked[rows], residual[rows], 0.0)
 
     def run_one_epoch(self) -> BaselinePeriodResult:
         """Run a single allocation epoch and record its statistics."""
@@ -334,20 +305,34 @@ class BaselineEconomySimulation:
         demands = self._epoch_demands(len(self.periods) + 1)
         fixed_prices = self._fixed_prices
 
-        epoch_outcome = self.mechanism.allocate(
-            index, self._residual_requests(demands, fixed_prices), self._rng
+        rows, requested = self._residual_requests(demands)
+        served, granted = self.mechanism.grants(
+            index.available(),
+            requested,
+            self._priorities[rows],
+            # Lottery tickets: what each team can still spend.
+            self._budgets[rows],
+            self._rng,
         )
-        epoch_granted = epoch_outcome.total_granted()
-        grant_count = 0
-        for team, granted in epoch_outcome.granted.items():
-            grant_count += int(np.count_nonzero(granted > _TRADE_TOL))
-            self._holdings[team] = self._held(team) + granted
-            spend = float(np.dot(granted, fixed_prices))
-            self._budgets[team] = max(0.0, self._budgets.get(team, 0.0) - spend)
+        # The epoch's total adds the grants in service order.
+        epoch_granted = running_sum(np.zeros(len(index)), granted[served])
+        grant_count = int(np.count_nonzero(granted > _TRADE_TOL))
+        self._holdings[rows] += granted
+        self._budgets[rows] = np.maximum(
+            0.0, self._budgets[rows] - row_costs(granted, fixed_prices)
+        )
 
         revenue = float(np.dot(epoch_granted, fixed_prices))
 
-        metrics = allocation_metrics(self._cumulative_outcome(demands))
+        # Everything granted so far, judged against the current demand.  The
+        # measure is anchored to the *initial* pool index: shortage and
+        # satisfaction only need unit costs (constant), and surplus then reads
+        # as "capacity that was free before the first epoch and that the
+        # mechanism has still never put to use" — the same yardstick the market
+        # simulation applies to its cumulative quota delta.
+        metrics = allocation_metrics(
+            self._initial_index, self.mechanism.name, row_blocks(demands, self._holdings)
+        )
 
         # Project grants onto utilization and drift, exactly as the market
         # simulation projects its settlements between auctions.
@@ -381,31 +366,19 @@ class BaselineEconomySimulation:
 class BaselineMechanism:
     """One traditional policy behind the mechanism contract (a :data:`BASELINE_MECHANISMS` row)."""
 
-    #: Registry name; also the ``policy`` label of every outcome it produces.
+    #: Registry name; also the ``policy`` label of the metrics it produces.
     name: str
     description: str
-    #: ``grants(index, requests, rng)``: the policy's grants in service order.
+    #: ``grants(available, requested, priorities, weights, rng)``: the
+    #: policy's service order over the rows of ``requested`` and what it
+    #: granted each row against the ``available`` capacity.
     grants: Callable[
-        [PoolIndex, Sequence[QuotaRequest], np.random.Generator | None], Iterable[Grant]
+        [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator | None],
+        tuple[np.ndarray, np.ndarray],
     ]
     #: Whether ``grants`` draws from ``rng``.  Only such a policy takes a
     #: stream from the scenario RNG (see :class:`BaselineEconomySimulation`).
     draws: bool = False
-
-    def allocate(
-        self,
-        index: PoolIndex,
-        requests: Sequence[QuotaRequest],
-        rng: np.random.Generator | None = None,
-    ) -> AllocationOutcome:
-        """Run the policy once against ``index``'s available capacity.
-
-        ``rng`` feeds a policy that draws (the lottery); the others ignore it.
-        """
-        outcome = AllocationOutcome(index=index, policy=self.name)
-        for request, wanted, granted in self.grants(index, requests, rng):
-            outcome.record(request.team, wanted, granted)
-        return outcome
 
     def run(self, spec: "ScenarioSpec") -> "ScenarioRunResult":
         return self.simulate(spec.build(), spec)
@@ -483,17 +456,24 @@ BASELINE_MECHANISMS: tuple[BaselineMechanism, ...] = (
 
 
 def one_shot_outcomes(
-    scenario: Scenario, requests: Sequence[QuotaRequest]
-) -> list[AllocationOutcome]:
+    scenario: Scenario, requested: np.ndarray, priorities: np.ndarray
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Run every baseline policy once against a scenario's current fleet.
 
-    The single-epoch view used by ``experiments/baseline_comparison.py``.  It
-    is *not* a mechanism's first epoch: ``requests`` carry no budget cap and
-    usually equal lottery weights, and the lottery draws from
-    ``default_rng(0)`` instead of a stream taken from the scenario RNG.
+    Each policy gets the same ``requested`` rows and ``priorities``; the
+    result is one ``(policy, requested, granted)`` per policy, rows in the
+    policy's service order.  This is the single-epoch view used by
+    ``experiments/baseline_comparison.py``.  It is *not* a mechanism's first
+    epoch: the requests carry no budget cap and equal lottery weights, and
+    the lottery draws from ``default_rng(0)`` instead of a stream taken from
+    the scenario RNG.
     """
-    index = scenario.pool_index
-    return [
-        mechanism.allocate(index, requests, np.random.default_rng(0))
-        for mechanism in BASELINE_MECHANISMS
-    ]
+    available = scenario.pool_index.available()
+    weights = np.ones(len(requested))
+    outcomes = []
+    for mechanism in BASELINE_MECHANISMS:
+        served, granted = mechanism.grants(
+            available, requested, priorities, weights, np.random.default_rng(0)
+        )
+        outcomes.append((mechanism.name, requested[served], granted[served]))
+    return outcomes

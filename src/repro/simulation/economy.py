@@ -240,9 +240,11 @@ class MarketEconomySimulation:
         platform.update_pool_index(updated_index)
 
         allocation = allocation_metrics(
+            self._initial_index,
+            "market",
             market_outcome_from_quota_delta(
                 self._initial_index, epoch_demands, self._initial_holdings, platform.quotas
-            )
+            ).blocks(),
         )
         period = AuctionPeriodResult(
             auction_number=self._auction_counter,

@@ -45,7 +45,6 @@ class TestBoxplotStats:
         assert stats.minimum == 1 and stats.maximum == 100
         assert stats.median == pytest.approx(50.5)
         assert stats.q1 < stats.median < stats.q3
-        assert stats.iqr == pytest.approx(stats.q3 - stats.q1)
         assert stats.outliers == ()
 
     def test_outliers_detected(self):

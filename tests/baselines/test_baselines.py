@@ -7,11 +7,10 @@ import pytest
 
 from repro.analysis import allocation
 from repro.analysis.allocation import (
-    AllocationOutcome,
-    QuotaRequest,
     allocation_metrics,
+    demand_matrix,
     market_outcome_from_quota_delta,
-    requests_from_demands,
+    row_blocks,
     utilization_imbalance,
 )
 from repro.market.quotas import QuotaRegistry
@@ -36,135 +35,151 @@ def idle_index():
     return build_pool_index({"alpha": 0.5, "beta": 0.5}, capacity_scale=1000.0)
 
 
-class TestQuotaRequest:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuotaRequest(team="", quantities={"a/cpu": 1})
-        with pytest.raises(ValueError):
-            QuotaRequest(team="t", quantities={})
-        with pytest.raises(ValueError):
-            QuotaRequest(team="t", quantities={"a/cpu": -1})
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="'a/cpu'"):
-                QuotaRequest(team="t", quantities={"a/cpu": bad})
-            with pytest.raises(ValueError, match="weight"):
-                QuotaRequest(team="t", quantities={"a/cpu": 1}, weight=bad)
-        assert QuotaRequest(team="t", quantities={"a/cpu": 0.0}, weight=0.0).weight == 0.0
+def allocate(mechanism, index, rows, *, priorities=None, weights=None, rng=None):
+    """Run ``mechanism`` once over ``rows`` (one {pool: quantity} per team).
 
-    def test_vector(self, idle_index):
-        request = QuotaRequest(team="t", quantities={"alpha/cpu": 10})
-        assert request.vector(idle_index)[idle_index.index_of("alpha/cpu")] == 10.0
+    Returns the requested and granted matrices, row-aligned with ``rows``,
+    and the service order.
+    """
+    requested = index.matrix(rows)
+    served, granted = mechanism.grants(
+        index.available(),
+        requested,
+        np.zeros(len(rows), dtype=int) if priorities is None else np.array(priorities),
+        np.ones(len(rows)) if weights is None else np.array(weights, dtype=float),
+        rng,
+    )
+    return requested, granted, served
 
-    def test_unknown_pool_rejected_by_allocators(self, idle_index):
-        request = QuotaRequest(team="t", quantities={"nowhere/cpu": 10})
+
+def grant_fractions(requested, granted):
+    """Fraction of each row's requested units that was granted."""
+    return granted.sum(axis=1) / requested.sum(axis=1)
+
+
+class TestDemandMatrix:
+    def test_validation(self, idle_index):
+        with pytest.raises(ValueError, match="team must be non-empty"):
+            demand_matrix(idle_index, [("", {"alpha/cpu": 1})])
+        for bad in (-1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="'alpha/cpu'"):
+                demand_matrix(idle_index, [("t", {"alpha/cpu": bad})])
+        assert not demand_matrix(idle_index, [("t", {"alpha/cpu": 0.0})]).any()
+
+    def test_rows(self, idle_index):
+        demand = demand_matrix(idle_index, [("t", {"alpha/cpu": 10}), ("u", {})])
+        assert demand.shape == (2, len(idle_index))
+        assert demand[0, idle_index.index_of("alpha/cpu")] == 10.0
+        assert not demand[1].any()
+
+    def test_unknown_pool_rejected(self, idle_index):
         with pytest.raises(KeyError):
-            FIXED_PRICE.allocate(idle_index, [request])
+            demand_matrix(idle_index, [("t", {"nowhere/cpu": 10})])
+
+    def test_non_finite_budget_rejected_by_the_simulation(self):
+        scenario = small_scenario(seed=1, team_count=3, cluster_count=2)
+        scenario.agents[1].budget = math.nan
+        with pytest.raises(ValueError, match=repr(scenario.agents[1].name)):
+            BaselineEconomySimulation(scenario, FIXED_PRICE)
 
 
 class TestFixedPriceAllocator:
     def test_grants_until_capacity_exhausted(self, idle_index):
         # available alpha/cpu = 500; three requests of 200 arrive in order
-        requests = [QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 200}) for i in range(3)]
-        outcome = FIXED_PRICE.allocate(idle_index, requests)
-        assert outcome.grant_fraction("t0") == 1.0
-        assert outcome.grant_fraction("t1") == 1.0
-        assert outcome.grant_fraction("t2") == pytest.approx(0.5)  # only 100 left
-        assert outcome.shortage()[idle_index.index_of("alpha/cpu")] == pytest.approx(100.0)
+        requested, granted, _ = allocate(FIXED_PRICE, idle_index, [{"alpha/cpu": 200}] * 3)
+        assert grant_fractions(requested, granted).tolist() == [1.0, 1.0, 0.5]  # only 100 left
+        shortage = np.clip(requested.sum(axis=0) - granted.sum(axis=0), 0.0, None)
+        assert shortage[idle_index.index_of("alpha/cpu")] == pytest.approx(100.0)
 
     def test_idle_cluster_keeps_surplus(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        outcome = FIXED_PRICE.allocate(idle_index, requests)
-        surplus = outcome.surplus()
+        _, granted, _ = allocate(FIXED_PRICE, idle_index, [{"alpha/cpu": 100}])
+        surplus = np.clip(idle_index.available() - granted.sum(axis=0), 0.0, None)
         assert surplus[idle_index.index_of("beta/cpu")] == pytest.approx(500.0)
         assert surplus[idle_index.index_of("alpha/cpu")] == pytest.approx(400.0)
 
 
 class TestProportionalShareAllocator:
     def test_scales_down_oversubscribed_pool_uniformly(self, idle_index):
-        requests = [QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 500}) for i in range(2)]
-        outcome = PROPORTIONAL.allocate(idle_index, requests)
+        requested, granted, _ = allocate(PROPORTIONAL, idle_index, [{"alpha/cpu": 500}] * 2)
         # total demand 1000 against 500 available -> everyone gets half
-        assert outcome.grant_fraction("t0") == pytest.approx(0.5)
-        assert outcome.grant_fraction("t1") == pytest.approx(0.5)
+        assert grant_fractions(requested, granted) == pytest.approx([0.5, 0.5])
 
     def test_undersubscribed_pool_fully_granted(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"beta/ram": 100})]
-        outcome = PROPORTIONAL.allocate(idle_index, requests)
-        assert outcome.grant_fraction("t") == 1.0
+        requested, granted, _ = allocate(PROPORTIONAL, idle_index, [{"beta/ram": 100}])
+        assert grant_fractions(requested, granted).tolist() == [1.0]
 
     def test_empty_request_list(self, idle_index):
-        outcome = PROPORTIONAL.allocate(idle_index, [])
-        assert outcome.teams() == []
-        assert not np.any(outcome.total_granted())
+        requested, granted, served = allocate(PROPORTIONAL, idle_index, [])
+        assert granted.shape == requested.shape == (0, len(idle_index))
+        assert len(served) == 0
 
 
 class TestPriorityAllocator:
     def test_higher_priority_served_first(self, idle_index):
-        requests = [
-            QuotaRequest(team="low", quantities={"alpha/cpu": 400}, priority=0),
-            QuotaRequest(team="high", quantities={"alpha/cpu": 400}, priority=5),
-        ]
-        outcome = PRIORITY.allocate(idle_index, requests)
-        assert outcome.grant_fraction("high") == 1.0
-        assert outcome.grant_fraction("low") == pytest.approx(0.25)  # 100 of 400 left
+        requested, granted, served = allocate(
+            PRIORITY, idle_index, [{"alpha/cpu": 400}] * 2, priorities=[0, 5]
+        )
+        assert served.tolist() == [1, 0]
+        # high is served in full, low gets the 100 of 400 left
+        assert grant_fractions(requested, granted) == pytest.approx([0.25, 1.0])
 
     def test_arrival_order_breaks_ties(self, idle_index):
-        requests = [
-            QuotaRequest(team="first", quantities={"alpha/cpu": 400}, priority=1),
-            QuotaRequest(team="second", quantities={"alpha/cpu": 400}, priority=1),
-        ]
-        outcome = PRIORITY.allocate(idle_index, requests)
-        assert outcome.grant_fraction("first") == 1.0
-        assert outcome.grant_fraction("second") < 1.0
+        requested, granted, served = allocate(
+            PRIORITY, idle_index, [{"alpha/cpu": 400}] * 2, priorities=[1, 1]
+        )
+        assert served.tolist() == [0, 1]
+        first, second = grant_fractions(requested, granted)
+        assert first == 1.0
+        assert second < 1.0
 
 
 class TestLotteryAllocator:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            QuotaRequest(team="t", quantities={"a/cpu": 1}, weight=-1.0)
-
     def test_deterministic_given_seed(self, idle_index):
-        requests = [
-            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 300}, weight=float(i + 1))
-            for i in range(4)
-        ]
-        a = LOTTERY.allocate(idle_index, requests, np.random.default_rng(3))
-        b = LOTTERY.allocate(idle_index, requests, np.random.default_rng(3))
-        for team in a.teams():
-            np.testing.assert_array_equal(a.granted[team], b.granted[team])
+        rows, weights = [{"alpha/cpu": 300}] * 4, [1.0, 2.0, 3.0, 4.0]
+        _, a, served_a = allocate(
+            LOTTERY, idle_index, rows, weights=weights, rng=np.random.default_rng(3)
+        )
+        _, b, served_b = allocate(
+            LOTTERY, idle_index, rows, weights=weights, rng=np.random.default_rng(3)
+        )
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(served_a, served_b)
 
     def test_different_seeds_draw_different_orders(self, idle_index):
-        requests = [
-            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 300}) for i in range(6)
-        ]
         grants = set()
         for seed in range(8):
-            outcome = LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
-            grants.add(tuple(round(outcome.grant_fraction(t), 6) for t in sorted(outcome.teams())))
+            requested, granted, _ = allocate(
+                LOTTERY, idle_index, [{"alpha/cpu": 300}] * 6, rng=np.random.default_rng(seed)
+            )
+            grants.add(tuple(np.round(grant_fractions(requested, granted), 6)))
         assert len(grants) > 1  # the order (hence who is rationed) varies
 
     def test_budget_weight_biases_the_draw(self, idle_index):
         # One whale vs one minnow contending for a pool that fits only one
         # full request: across many draws the whale must win far more often.
-        requests = [
-            QuotaRequest(team="whale", quantities={"alpha/cpu": 400}, weight=1000.0),
-            QuotaRequest(team="minnow", quantities={"alpha/cpu": 400}, weight=1.0),
-        ]
-        whale_wins = sum(
-            LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
-            .grant_fraction("whale") == 1.0
-            for seed in range(100)
-        )
+        whale_wins = 0
+        for seed in range(100):
+            requested, granted, _ = allocate(
+                LOTTERY,
+                idle_index,
+                [{"alpha/cpu": 400}] * 2,
+                weights=[1000.0, 1.0],
+                rng=np.random.default_rng(seed),
+            )
+            whale_wins += grant_fractions(requested, granted)[0] == 1.0
         assert whale_wins > 90
 
     def test_zero_weight_requests_sort_last(self, idle_index):
-        requests = [
-            QuotaRequest(team="broke", quantities={"alpha/cpu": 400}, weight=0.0),
-            QuotaRequest(team="funded", quantities={"alpha/cpu": 400}, weight=5.0),
-        ]
         for seed in range(10):
-            outcome = LOTTERY.allocate(idle_index, requests, np.random.default_rng(seed))
-            assert outcome.grant_fraction("funded") == 1.0
+            requested, granted, served = allocate(
+                LOTTERY,
+                idle_index,
+                [{"alpha/cpu": 400}] * 2,
+                weights=[0.0, 5.0],
+                rng=np.random.default_rng(seed),
+            )
+            assert served.tolist() == [1, 0]
+            assert grant_fractions(requested, granted)[1] == 1.0
 
     def test_reseed_pins_the_stream(self):
         # A simulation takes the lottery's stream from the scenario RNG, so
@@ -179,79 +194,64 @@ class TestLotteryAllocator:
             assert (pa.revenue, pa.allocation) == (pb.revenue, pb.allocation)
 
     def test_empty_request_list(self, idle_index):
-        outcome = LOTTERY.allocate(idle_index, [], np.random.default_rng(0))
-        assert outcome.teams() == []
+        rng = np.random.default_rng(0)
+        requested, granted, served = allocate(LOTTERY, idle_index, [], rng=rng)
+        assert granted.shape == requested.shape == (0, len(idle_index))
+        assert len(served) == 0
+        assert rng.random() == np.random.default_rng(0).random()  # no draw
 
 
-class TestAllocationOutcomeAndMetrics:
-    def test_record_accumulates(self, idle_index):
-        outcome = AllocationOutcome(index=idle_index, policy="x")
-        vec = idle_index.vector({"alpha/cpu": 10})
-        outcome.record("t", vec, vec)
-        outcome.record("t", vec, vec * 0.5)
-        assert outcome.requested["t"][idle_index.index_of("alpha/cpu")] == 20.0
-        assert outcome.granted["t"][idle_index.index_of("alpha/cpu")] == 15.0
-
+class TestAllocationMetrics:
     def test_metrics_on_fully_satisfied_outcome(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 100})]
-        outcome = FIXED_PRICE.allocate(idle_index, requests)
-        metrics = allocation_metrics(outcome)
+        requested, granted, _ = allocate(FIXED_PRICE, idle_index, [{"alpha/cpu": 100}])
+        metrics = allocation_metrics(idle_index, "fixed-price", row_blocks(requested, granted))
         assert metrics.shortage_cost == pytest.approx(0.0)
         assert metrics.satisfied_fraction == 1.0
         assert metrics.grant_rate == pytest.approx(1.0)
         assert metrics.policy == "fixed-price"
 
     def test_metrics_detect_shortage(self, idle_index):
-        requests = [QuotaRequest(team="t", quantities={"alpha/cpu": 800})]
-        metrics = allocation_metrics(FIXED_PRICE.allocate(idle_index, requests))
+        requested, granted, _ = allocate(FIXED_PRICE, idle_index, [{"alpha/cpu": 800}])
+        metrics = allocation_metrics(idle_index, "fixed-price", row_blocks(requested, granted))
         # 300 CPU unmet at unit cost 10
         assert metrics.shortage_cost == pytest.approx(3000.0)
         assert metrics.satisfied_fraction == 0.0
 
     def test_relocated_grant_counts_as_satisfied(self, idle_index):
         # market-style outcome: requested in alpha, granted the equivalent in beta
-        outcome = AllocationOutcome(index=idle_index, policy="market")
-        outcome.record(
-            "t",
-            idle_index.vector({"alpha/cpu": 100}),
-            idle_index.vector({"beta/cpu": 100}),
-        )
-        metrics = allocation_metrics(outcome)
+        requested = idle_index.matrix([{"alpha/cpu": 100}])
+        granted = idle_index.matrix([{"beta/cpu": 100}])
+        metrics = allocation_metrics(idle_index, "market", row_blocks(requested, granted))
         assert metrics.shortage_cost == pytest.approx(0.0)
         assert metrics.satisfied_fraction == 1.0
 
-    def test_blocks_chunk_the_teams_in_order(self, idle_index, monkeypatch):
+    def test_row_blocks_chunk_the_rows_in_order(self, idle_index, monkeypatch):
         monkeypatch.setattr(allocation, "BLOCK_TEAMS", 2)
-        outcome = AllocationOutcome(index=idle_index, policy="x")
-        for i in range(5):
-            outcome.record(
-                f"t{i}",
-                idle_index.vector({"alpha/cpu": 10.0 * (i + 1)}),
-                idle_index.vector({"beta/cpu": float(i)}),
-            )
-        blocks = list(outcome.blocks())
-        assert [len(requested) for requested, _ in blocks] == [2, 2, 1]
-        requested = np.vstack([requested for requested, _ in blocks])
-        granted = np.vstack([granted for _, granted in blocks])
-        np.testing.assert_array_equal(requested, [outcome.requested[t] for t in outcome.teams()])
-        np.testing.assert_array_equal(granted, [outcome.granted[t] for t in outcome.teams()])
-        np.testing.assert_array_equal(outcome.total_requested(), requested.sum(axis=0))
+        requested = idle_index.matrix([{"alpha/cpu": 10.0 * (i + 1)} for i in range(5)])
+        granted = idle_index.matrix([{"beta/cpu": float(i)} for i in range(5)])
+        blocks = list(row_blocks(requested, granted))
+        assert [len(rows) for rows, _ in blocks] == [2, 2, 1]
+        np.testing.assert_array_equal(np.vstack([rows for rows, _ in blocks]), requested)
+        np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), granted)
 
     def test_metrics_do_not_depend_on_the_block_size(self, idle_index, monkeypatch):
-        requests = [
-            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 90.0 + i, "beta/ram": 7.0 * i})
-            for i in range(7)
-        ]
-        whole = allocation_metrics(FIXED_PRICE.allocate(idle_index, requests))
+        rows = [{"alpha/cpu": 90.0 + i, "beta/ram": 7.0 * i} for i in range(7)]
+        requested, granted, _ = allocate(FIXED_PRICE, idle_index, rows)
+        whole = allocation_metrics(idle_index, "fixed-price", [(requested, granted)])
         monkeypatch.setattr(allocation, "BLOCK_TEAMS", 3)
-        assert allocation_metrics(FIXED_PRICE.allocate(idle_index, requests)) == whole
+        assert allocation_metrics(
+            idle_index, "fixed-price", row_blocks(requested, granted)
+        ) == whole
 
-    def test_requests_from_demands(self, idle_index):
-        requests = requests_from_demands(
-            idle_index, {"a": {"alpha/cpu": 5}, "b": {}}, priorities={"a": 2}
-        )
-        assert len(requests) == 1
-        assert requests[0].priority == 2
+
+def stacked(outcome):
+    """A market outcome's requested and granted rows, every block stacked."""
+    blocks = list(outcome.blocks())
+    width = len(outcome.index)
+    return (
+        np.vstack([np.zeros((0, width))] + [requested for requested, _ in blocks]),
+        np.vstack([np.zeros((0, width))] + [granted for _, granted in blocks]),
+    )
 
 
 class TestMarketOutcomes:
@@ -262,11 +262,11 @@ class TestMarketOutcomes:
         initial = quotas.matrix()
         quotas.grant("t", {"alpha/cpu": 60.0, "beta/cpu": 40.0})
         outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
-        granted = outcome.granted["t"]
+        (granted,) = stacked(outcome)[1]
         assert granted[idle_index.index_of("alpha/cpu")] == pytest.approx(60.0)
         assert granted[idle_index.index_of("beta/cpu")] == pytest.approx(40.0)
         # cost-weighted: requested 100 CPU, acquired 100 CPU worth -> satisfied
-        metrics = allocation_metrics(outcome)
+        metrics = allocation_metrics(idle_index, "market", outcome.blocks())
         assert metrics.satisfied_fraction == 1.0
 
     def test_from_quota_delta_ignores_sold_quota(self, idle_index):
@@ -277,14 +277,18 @@ class TestMarketOutcomes:
         outcome = market_outcome_from_quota_delta(
             idle_index, {"t": {"alpha/cpu": 10}}, initial, quotas
         )
-        assert not np.any(outcome.granted["t"])
+        requested, granted = stacked(outcome)
+        assert len(requested) == 1
+        assert not np.any(granted)
 
     def test_from_quota_delta_includes_unrequested_acquirers(self, idle_index):
         quotas = QuotaRegistry(idle_index)
         initial = quotas.matrix()
         quotas.grant("newcomer", {"beta/cpu": 10.0})
         outcome = market_outcome_from_quota_delta(idle_index, {}, initial, quotas)
-        assert "newcomer" in outcome.teams()
+        requested, granted = stacked(outcome)
+        assert not requested.any()
+        assert granted.tolist() == [idle_index.vector({"beta/cpu": 10.0}).tolist()]
 
     def test_blocks_hold_the_demands_then_the_acquirers(self, idle_index, monkeypatch):
         monkeypatch.setattr(allocation, "BLOCK_TEAMS", 2)
@@ -293,18 +297,17 @@ class TestMarketOutcomes:
         demands = {f"d{i}": {"alpha/cpu": 10.0 + i} for i in range(3)}
         for i, team in enumerate(demands):
             quotas.grant(team, {"beta/cpu": float(i + 1)})
-        for team in ("x", "y", "z"):
-            quotas.grant(team, {"alpha/ram": 5.0})
+        for i, team in enumerate(("x", "y", "z")):
+            quotas.grant(team, {"alpha/ram": 5.0 + i})
         outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
-        assert outcome.teams() == ["d0", "d1", "d2", "x", "y", "z"]
         blocks = list(outcome.blocks())
         assert [len(requested) for requested, _ in blocks] == [2, 1, 2, 1]
-        requested = np.vstack([requested for requested, _ in blocks])
-        granted = np.vstack([granted for _, granted in blocks])
+        requested, granted = stacked(outcome)
         np.testing.assert_array_equal(requested[:3], idle_index.matrix(list(demands.values())))
         assert not requested[3:].any()
         assert granted[:3, idle_index.index_of("beta/cpu")].tolist() == [1.0, 2.0, 3.0]
-        assert granted[3:, idle_index.index_of("alpha/ram")].tolist() == [5.0, 5.0, 5.0]
+        # the acquirers follow in registration order
+        assert granted[3:, idle_index.index_of("alpha/ram")].tolist() == [5.0, 6.0, 7.0]
 
 
 class TestUtilizationImbalance:
@@ -328,25 +331,30 @@ class TestUtilizationImbalance:
 class TestPolicyOrders:
     def test_proportional_grants_scale_each_pool_on_its_own(self, idle_index):
         # alpha/cpu has 500 available for 1000 asked; beta/ram 2000 for 200.
-        requests = [
-            QuotaRequest(team=f"t{i}", quantities={"alpha/cpu": 500, "beta/ram": 100})
-            for i in range(2)
-        ]
-        for request, wanted, granted in proportional_grants(idle_index, requests, None):
-            np.testing.assert_array_equal(wanted, request.vector(idle_index))
-            assert granted[idle_index.index_of("alpha/cpu")] == pytest.approx(250.0)
-            assert granted[idle_index.index_of("beta/ram")] == pytest.approx(100.0)
+        requested = idle_index.matrix([{"alpha/cpu": 500, "beta/ram": 100}] * 2)
+        served, granted = proportional_grants(
+            idle_index.available(), requested, np.zeros(2, dtype=int), np.ones(2), None
+        )
+        assert served.tolist() == [0, 1]
+        for row in granted:
+            assert row[idle_index.index_of("alpha/cpu")] == pytest.approx(250.0)
+            assert row[idle_index.index_of("beta/ram")] == pytest.approx(100.0)
 
     def test_lottery_of_no_requests_draws_nothing(self):
         rng = np.random.default_rng(0)
-        assert list(lottery_order([], rng)) == []
+        assert lottery_order(np.zeros(0, dtype=int), np.zeros(0), rng).tolist() == []
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_one_shot_outcomes_run_every_baseline_once(self):
         scenario = small_scenario(seed=3, team_count=4, cluster_count=2)
         pool = scenario.pool_index.names[0]
-        requests = [QuotaRequest(team=f"t{i}", quantities={pool: 1.0}) for i in range(3)]
-        outcomes = one_shot_outcomes(scenario, requests)
-        assert [outcome.policy for outcome in outcomes] == [m.name for m in BASELINE_MECHANISMS]
-        for outcome in outcomes:
-            assert outcome.teams() == ["t0", "t1", "t2"]
+        requested = scenario.pool_index.matrix([{pool: float(i + 1)} for i in range(3)])
+        outcomes = one_shot_outcomes(scenario, requested, np.array([0, 2, 1]))
+        assert [policy for policy, _, _ in outcomes] == [m.name for m in BASELINE_MECHANISMS]
+        for policy, rows, granted in outcomes:
+            # every request is served once, in the policy's order
+            assert sorted(rows[:, 0].tolist()) == [1.0, 2.0, 3.0]
+            assert granted.shape == rows.shape
+        by_policy = {policy: rows[:, 0].tolist() for policy, rows, _ in outcomes}
+        assert by_policy["fixed-price"] == [1.0, 2.0, 3.0]
+        assert by_policy["priority"] == [2.0, 3.0, 1.0]

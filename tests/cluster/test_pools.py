@@ -105,14 +105,6 @@ class TestPoolIndex:
         with pytest.raises(ValueError):
             pool_index.describe(np.zeros(3))
 
-    def test_cluster_bundle(self, pool_index):
-        vec = pool_index.cluster_bundle("beta", cpu=4, ram=16, disk=100)
-        described = pool_index.describe(vec)
-        assert described == {"beta/cpu": 4.0, "beta/ram": 16.0, "beta/disk": 100.0}
-
-    def test_cluster_bundle_all_zero_is_zero_vector(self, pool_index):
-        assert not np.any(pool_index.cluster_bundle("beta"))
-
     def test_with_utilizations_mapping(self, pool_index):
         updated = pool_index.with_utilizations({"alpha/cpu": 0.1})
         assert updated.pool("alpha/cpu").utilization == pytest.approx(0.1)

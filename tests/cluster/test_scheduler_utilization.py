@@ -27,8 +27,8 @@ class TestSnapshots:
     def test_percentile_vector_follows_index_order(self, tiny_fleet):
         index = tiny_fleet.pool_index
         snap = snapshot_pools(index)
-        assert snap.percentile_vector(index).tolist() == [snap.percentile(n) for n in index.names]
-        np.testing.assert_allclose([snap.fraction(n) for n in index.names], index.utilizations())
+        assert snap.percentile_vector(index).tolist() == [snap.percentiles[n] for n in index.names]
+        np.testing.assert_allclose([snap.fractions[n] for n in index.names], index.utilizations())
 
     def test_percentiles_are_within_bounds(self, medium_fleet):
         snap = snapshot_pools(medium_fleet.pool_index)

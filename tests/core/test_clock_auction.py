@@ -11,6 +11,7 @@ from repro.core.clock_auction import (
     ConvergenceError,
 )
 from repro.core.increment import AdditiveIncrement, default_increment
+from repro.core.proxy import BidderProxy
 
 
 def zero_reserve(pool_index):
@@ -208,6 +209,38 @@ class TestOutcomeAccessors:
         auction = AscendingClockAuction(pool_index, [], reserve_prices=unit_reserve(pool_index, 3.0))
         outcome = auction.run()
         np.testing.assert_allclose(outcome.reserve_prices, 3.0)
+
+
+class TestProxies:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """How many :class:`BidderProxy` objects were constructed."""
+        count = [0]
+        init = BidderProxy.__init__
+
+        def counting(proxy, bid):
+            count[0] += 1
+            init(proxy, bid)
+
+        monkeypatch.setattr(BidderProxy, "__init__", counting)
+        return count
+
+    @pytest.mark.parametrize(("engine", "proxies"), [("batch", 0), ("scalar", 3)])
+    def test_only_the_scalar_engine_builds_proxies(self, pool_index, built, engine, proxies):
+        bids = [
+            Bid.buy(f"t{i}", pool_index, [{"alpha/cpu": 100}], max_payment=5000.0)
+            for i in range(3)
+        ]
+        auction = AscendingClockAuction(
+            pool_index,
+            bids,
+            reserve_prices=unit_reserve(pool_index),
+            config=AuctionConfig(engine=engine, record_bidder_demands=True),
+        )
+        assert built[0] == 0
+        outcome = auction.run()
+        assert built[0] == proxies
+        assert sorted(outcome.rounds[0].bidder_demands) == ["t0", "t1", "t2"]
 
 
 class TestNonConvergence:

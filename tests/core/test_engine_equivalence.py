@@ -107,7 +107,7 @@ def run_spec_with_traces(spec, engine):
     payload = result.to_dict()
     # The engine name is the one field that legitimately differs.
     assert payload.pop("engine") == engine
-    outcomes = [record.result.outcome for record in scenario.platform.history]
+    outcomes = [period.record.result.outcome for period in history.periods]
     return payload, outcomes
 
 

@@ -231,7 +231,7 @@ class TestPriceTable:
 
     def test_lookups(self, pool_index):
         table = PriceTable(index=pool_index, prices=np.arange(1.0, len(pool_index) + 1.0))
-        assert table.price("alpha/cpu") == 1.0
+        assert table.as_map()["alpha/cpu"] == 1.0
         assert table.as_map()["beta/disk"] == float(len(pool_index))
 
     def test_price_ratios_function(self):

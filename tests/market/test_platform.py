@@ -137,7 +137,6 @@ class TestAuctionRuns:
         record = platform.finalize_auction()
         assert not platform.window_open
         assert record.auction_id == 1
-        assert platform.history == [record]
         buyer_line = record.result.settlement.line_for("buyer")
         if buyer_line.won:
             assert platform.ledger.balance("buyer") == pytest.approx(buyer_before - buyer_line.payment)

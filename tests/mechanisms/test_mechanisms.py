@@ -172,8 +172,7 @@ class TestBaselineEconomySimulation:
     def test_budgets_cap_requests_at_fixed_prices(self):
         scenario, sim = self.build()
         # Zero everyone's budget: nothing can be bought at the posted prices.
-        for team in list(sim._budgets):
-            sim._budgets[team] = 0.0
+        sim._budgets[:] = 0.0
         period = sim.run_one_epoch()
         assert period.revenue == 0.0
         assert period.grant_count == 0

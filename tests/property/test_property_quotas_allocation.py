@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.allocation import (
-    AllocationOutcome,
-    QuotaRequest,
     allocation_metrics,
+    demand_matrix,
     market_outcome_from_quota_delta,
+    row_blocks,
 )
 from repro.analysis.price_ratio import price_ratio_table
 from repro.analysis.utilization_stats import migration_summary, settled_trades
@@ -147,12 +147,8 @@ def reference_metrics(index, policy, requested, granted):
 
 
 def reference_market_metrics(index, demands, initial_holdings, final_holdings):
-    """QuotaRequests from the demands, grants from two snapshots, then the metrics loop."""
-    requests = [
-        QuotaRequest(team=team, quantities=dict(quantities))
-        for team, quantities in demands.items()
-        if quantities
-    ]
+    """Requests from the demands, grants from two snapshots, then the metrics loop."""
+    requests = [(team, dict(quantities)) for team, quantities in demands.items() if quantities]
     requested: dict[str, np.ndarray] = {}
     granted: dict[str, np.ndarray] = {}
 
@@ -166,9 +162,9 @@ def reference_market_metrics(index, demands, initial_holdings, final_holdings):
         initial = index.vector(dict(initial_holdings.get(team, {})))
         final = index.vector(dict(final_holdings.get(team, {})))
         granted_by_team[team] = np.clip(final - initial, 0.0, None)
-    for request in requests:
-        wanted = index.vector(dict(request.quantities))
-        record(request.team, wanted, granted_by_team.pop(request.team, np.zeros(len(index))))
+    for team, quantities in requests:
+        wanted = index.vector(quantities)
+        record(team, wanted, granted_by_team.pop(team, np.zeros(len(index))))
     for team, got in granted_by_team.items():
         if np.any(got > 0):
             record(team, np.zeros(len(index)), got)
@@ -320,7 +316,11 @@ def both_metrics(case):
     for op in after:
         assert run_op(matrix, op) == run_op(reference, op)
     actual = metrics_tuple(
-        allocation_metrics(market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix))
+        allocation_metrics(
+            INDEX,
+            "market",
+            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks(),
+        )
     )
     return actual, reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
 
@@ -354,11 +354,12 @@ class TestCoverageKernelMatchesSnapshotPath:
             for team, delta in zip(teams, deltas):
                 registry.apply_delta(team, delta, allow_negative=True)
         demands = {team: dict(zip(NAMES, rng.random(R) * 100.0)) for team in teams[::2]}
-        outcome = market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix)
-        assert len(outcome.teams()) > 2 * 256
-        assert metrics_tuple(allocation_metrics(outcome)) == reference_market_metrics(
-            INDEX, demands, initial_snapshot, reference.snapshot()
+        blocks = list(
+            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks()
         )
+        assert sum(len(requested) for requested, _ in blocks) > 2 * 256
+        expected = reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
+        assert metrics_tuple(allocation_metrics(INDEX, "market", blocks)) == expected
 
     def test_residues_and_unrequested_acquirers(self):
         matrix, reference = QuotaRegistry(INDEX), DictQuotaRegistry(INDEX)
@@ -373,28 +374,50 @@ class TestCoverageKernelMatchesSnapshotPath:
             registry.grant("late", INDEX.vector({"gamma/cpu": 2.0}))
             registry.grant("quiet", INDEX.vector({"alpha/ram": 1.0}))
         demands = {"held": {"alpha/cpu": 4.0}, "quiet": {}, "nobody": {"beta/cpu": 1.0}}
-        outcome = market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix)
-        # "residue" gained only sub-tolerance entries, so it is not an acquirer.
-        assert outcome.teams() == ["held", "nobody", "late", "quiet"]
-        assert metrics_tuple(allocation_metrics(outcome)) == reference_market_metrics(
-            INDEX, demands, initial_snapshot, reference.snapshot()
+        blocks = list(
+            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks()
         )
+        requested, granted = (np.vstack(rows) for rows in zip(*blocks))
+        # Rows: "held", "nobody", then the acquirers "late" and "quiet";
+        # "residue" gained only sub-tolerance entries, so it is not an acquirer.
+        assert requested.tolist() == [
+            INDEX.vector(quantities).tolist()
+            for quantities in ({"alpha/cpu": 4.0}, {"beta/cpu": 1.0}, {}, {})
+        ]
+        assert granted.tolist() == [
+            INDEX.vector(quantities).tolist()
+            for quantities in ({}, {}, {"gamma/cpu": 2.0}, {"alpha/ram": 1.0})
+        ]
+        expected = reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
+        assert metrics_tuple(allocation_metrics(INDEX, "market", blocks)) == expected
 
-    def test_demand_checks_keep_quota_request_messages(self):
+    def test_demand_checks_name_the_team_or_the_quantity(self):
         matrix = QuotaRegistry(INDEX)
         initial = matrix.matrix()
-        for demands in (
-            {"": {"alpha/cpu": 1.0}},
-            {"t": {"alpha/cpu": 1.0, "beta/cpu": -2.0}},
-            {"t": {"alpha/cpu": math.inf}},
-            {"t": {"alpha/cpu": math.nan}},
+        for demands, message in (
+            ({"": {"alpha/cpu": 1.0}}, "team must be non-empty"),
+            (
+                {"t": {"alpha/cpu": 1.0, "beta/cpu": -2.0}},
+                "requested quantity of 'beta/cpu' must be finite and non-negative, got -2.0",
+            ),
+            (
+                {"t": {"alpha/cpu": math.inf}},
+                "requested quantity of 'alpha/cpu' must be finite and non-negative, got inf",
+            ),
+            (
+                {"t": {"alpha/cpu": math.nan}},
+                "requested quantity of 'alpha/cpu' must be finite and non-negative, got nan",
+            ),
         ):
-            (team, quantities), = demands.items()
-            with pytest.raises(ValueError) as expected:
-                QuotaRequest(team=team, quantities=quantities)
-            with pytest.raises(ValueError) as actual:
-                allocation_metrics(market_outcome_from_quota_delta(INDEX, demands, initial, matrix))
-            assert str(actual.value) == str(expected.value)
+            with pytest.raises(ValueError) as market:
+                allocation_metrics(
+                    INDEX,
+                    "market",
+                    market_outcome_from_quota_delta(INDEX, demands, initial, matrix).blocks(),
+                )
+            with pytest.raises(ValueError) as baseline:
+                demand_matrix(INDEX, list(demands.items()))
+            assert str(market.value) == str(baseline.value) == message
 
 
 # -- baseline outcomes ------------------------------------------------------------------------
@@ -414,21 +437,31 @@ class TestBaselineOutcomesKeepTheirBits:
     @settings(max_examples=60, deadline=None)
     @given(records=baseline_outcomes())
     def test_metrics_match_the_dict_loop(self, records):
-        outcome = AllocationOutcome(index=INDEX, policy="fixed-price")
+        # Rows in the order teams first appear; a team's records accumulate.
+        rows = {name: row for row, name in enumerate(dict.fromkeys(
+            f"team-{team}" for team, _, _ in records
+        ))}
+        requested, granted = np.zeros((len(rows), R)), np.zeros((len(rows), R))
+        reference_requested: dict[str, np.ndarray] = {}
+        reference_granted: dict[str, np.ndarray] = {}
         for team, wanted, got in records:
-            outcome.record(f"team-{team}", wanted, got)
-        expected = reference_metrics(INDEX, "fixed-price", outcome.requested, outcome.granted)
-        assert metrics_tuple(allocation_metrics(outcome)) == expected
+            name = f"team-{team}"
+            requested[rows[name]] += wanted
+            granted[rows[name]] += got
+            reference_requested[name] = reference_requested.get(name, np.zeros(R)) + wanted
+            reference_granted[name] = reference_granted.get(name, np.zeros(R)) + got
+        expected = reference_metrics(INDEX, "fixed-price", reference_requested, reference_granted)
+        metrics = allocation_metrics(INDEX, "fixed-price", row_blocks(requested, granted))
+        assert metrics_tuple(metrics) == expected
 
     def test_satisfaction_slack_is_one_in_a_million(self):
-        outcome = AllocationOutcome(index=INDEX, policy="priority")
         wanted = INDEX.vector({"alpha/cpu": 100.0})
-        outcome.record("within", wanted, wanted * (1.0 - 5e-7))
-        outcome.record("short", wanted, wanted * (1.0 - 5e-6))
-        metrics = allocation_metrics(outcome)
+        granted = {"within": wanted * (1.0 - 5e-7), "short": wanted * (1.0 - 5e-6)}
+        blocks = row_blocks(np.array([wanted, wanted]), np.array(list(granted.values())))
+        metrics = allocation_metrics(INDEX, "priority", blocks)
         assert metrics.satisfied_fraction == 0.5
         assert metrics_tuple(metrics) == reference_metrics(
-            INDEX, "priority", outcome.requested, outcome.granted
+            INDEX, "priority", {"within": wanted, "short": wanted}, granted
         )
 
 

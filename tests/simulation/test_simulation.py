@@ -1,10 +1,12 @@
 """Unit and integration tests for the workload helpers, scenario, and economy."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.agents.base import TeamAgent
 from repro.agents.population import PopulationSpec
 from repro.cluster.fleet_gen import FleetSpec
 from repro.simulation.catalog import get_scenario
@@ -118,14 +120,28 @@ class TestEconomySimulation:
         assert [metrics.policy for metrics in series] == ["market"] * 3
         assert all(0.0 <= metrics.satisfied_fraction <= 1.0 for metrics in series)
 
-    def test_agents_receive_feedback(self, history):
-        hist, scenario = history
-        assert any(agent.settlement_history for agent in scenario.agents)
+    def test_agents_receive_their_own_lines_each_auction(self, monkeypatch):
+        fed = collections.defaultdict(list)
+        observe = TeamAgent.observe_settlement
 
-    def test_platform_history_matches_periods(self, history):
-        hist, scenario = history
-        assert len(scenario.platform.history) == 3
-        assert scenario.platform.history[0].auction_id == 1
+        def spy(agent, lines, view):
+            fed[agent.name].append([line for line in lines if line.bidder == agent.name])
+            observe(agent, lines, view)
+
+        monkeypatch.setattr(TeamAgent, "observe_settlement", spy)
+        scenario = small_scenario(seed=4, team_count=25, cluster_count=8)
+        hist = MarketEconomySimulation(scenario).run(3)
+        assert sorted(fed) == sorted(agent.name for agent in scenario.agents)
+        for name, observed in fed.items():
+            assert observed == [
+                [line for line in period.settlement.lines if line.bidder == name]
+                for period in hist.periods
+            ]
+        assert any(any(observed) for observed in fed.values())
+
+    def test_each_period_holds_its_auction_record(self, history):
+        hist, _ = history
+        assert [period.record.auction_id for period in hist.periods] == [1, 2, 3]
 
     def test_utilization_evolves_between_auctions(self, history):
         hist, _ = history

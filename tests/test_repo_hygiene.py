@@ -87,8 +87,6 @@ PROGRAM_TREES = ("src", "examples", "bench", "benchmarks")
 #: Public definitions that only tests call, each with why it stays (module path
 #: under ``src/repro`` and qualified name).
 KEEP = {
-    "analysis/allocation.py:AllocationOutcome.grant_fraction":
-        "observation helper: the baseline-policy tests read each team's grant",
     "cluster/fleet_gen.py:small_fleet": "fixture: shared by the agent, cluster and conftest suites",
     "cluster/pools.py:ResourcePool.with_utilization":
         "reference: the specification PoolIndex.with_utilizations is tested against",
