@@ -11,9 +11,9 @@ EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
 # The packages `make devmode` runs under the interpreter's dev mode.
 DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis
 
-.PHONY: test doctest bench bench-smoke smoke chaos equivalence devmode golden check
+.PHONY: test doctest bench smoke chaos equivalence devmode golden check
 
-## tier-1: full unit/property/integration suite plus quick benchmarks
+## tier-1: the full unit/property/integration suite, paper-shape checks included
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -21,15 +21,12 @@ test:
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro/core src/repro/bidlang src/repro/cluster src/repro/market src/repro/simulation src/repro/results src/repro/mechanisms src/repro/exec src/repro/agents src/repro/analysis src/repro/cli.py -q
 
-## paper-scale benchmarks (regenerates the paper's tables/figures) and
-## records the headline timings into the BENCH_*.json trajectories (a plain
-## pytest run records nothing)
+## the repository benchmark (every workload of BENCHMARK.json, see
+## bench/README.md), then the scalar-vs-batch round timer, which appends one
+## entry to BENCH_batch_engine.json (see docs/benchmarks.md)
 bench:
-	REPRO_BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks -q
-
-## reduced-scale benchmark smoke check
-bench-smoke:
-	REPRO_BENCH_SCALE=test $(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) bench/run.py --all --seed 2009
+	$(PYTHON) benchmarks/batch_engine.py
 
 ## scenario CLI, example and paper-experiment smoke runs
 ## (docs, examples and experiments can't rot: every `examples/*.py` script

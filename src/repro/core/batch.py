@@ -154,10 +154,6 @@ class BatchResponse:
         """Number of bidders still demanding a bundle at these prices."""
         return int(np.count_nonzero(self.active))
 
-    def demand_map(self) -> dict[str, np.ndarray]:
-        """Per-bidder demand vectors keyed by bidder id (round-trace form)."""
-        return {name: self.quantities[i] for i, name in enumerate(self.bidders)}
-
 
 class BatchDemandEngine:
     """Evaluates every bidder's proxy response in one shot per round.

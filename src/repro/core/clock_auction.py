@@ -91,8 +91,9 @@ class AuctionConfig:
         If prices stop moving for this many consecutive rounds while excess
         demand persists, the auction aborts early (it would never clear).
     record_bidder_demands:
-        If ``True``, each round records every bidder's individual demand
-        vector (memory-heavier; useful for debugging and small experiments).
+        If ``True``, each round records every bid's demand as one row of a
+        ``(bids, R)`` matrix (memory-heavier; useful for debugging and small
+        experiments).
     engine:
         Which demand-collection path to use per round: ``"scalar"`` walks the
         per-bidder proxies, ``"batch"`` evaluates all bidders as dense matrix
@@ -136,9 +137,9 @@ class AuctionRound:
     prices: np.ndarray
     excess_demand: np.ndarray
     active_bidders: int
-    #: Individual bidder demand vectors, present only when
-    #: :attr:`AuctionConfig.record_bidder_demands` is set.
-    bidder_demands: dict[str, np.ndarray] | None = None
+    #: ``(bids, R)`` demand matrix, row ``i`` for the auction's bid ``i``,
+    #: present only when :attr:`AuctionConfig.record_bidder_demands` is set.
+    bidder_demands: np.ndarray | None = None
 
 
 @dataclass
@@ -148,7 +149,8 @@ class AuctionOutcome:
     index: PoolIndex
     converged: bool
     final_prices: np.ndarray
-    final_demands: dict[str, np.ndarray]
+    #: ``(bids, R)`` demand matrix of the cleared round, row ``i`` for bid ``i``.
+    final_demands: np.ndarray
     excess_demand: np.ndarray
     rounds: list[AuctionRound] = field(default_factory=list)
     reserve_prices: np.ndarray | None = None
@@ -161,10 +163,6 @@ class AuctionOutcome:
     def price_map(self) -> dict[str, float]:
         """Final prices keyed by pool name."""
         return {pool.name: float(self.final_prices[i]) for i, pool in enumerate(self.index)}
-
-    def active_bidder_counts(self) -> list[int]:
-        """Number of active (non-dropped-out) bidders per round."""
-        return [r.active_bidders for r in self.rounds]
 
 
 class AscendingClockAuction:
@@ -253,7 +251,7 @@ class AscendingClockAuction:
         #: Lazily built batch engine (only when the batch path is active).
         self._batch: BatchDemandEngine | None = None
         #: The last :class:`BatchResponse` collected (batch engine only);
-        #: backs :meth:`_last_demand_map` without re-materialising demands.
+        #: backs :meth:`_last_demands` without re-materialising demands.
         self._last_batch_response: BatchResponse | None = None
 
     # -- analysis helpers -----------------------------------------------------
@@ -268,11 +266,11 @@ class AscendingClockAuction:
 
         Dispatches to the scalar proxy loop or the vectorized batch engine
         according to the resolved :attr:`engine`; both return the same
-        values.  Per-bidder demand maps are *not* materialised here — at
-        stress scale a 100k-entry dict per round is pure overhead when nobody
-        records it; callers that need the individual demands (round
-        recording, the cleared round's final demands) ask
-        :meth:`_last_demand_map` afterwards.
+        values.  The per-bid demand matrix is *not* materialised here — at
+        stress scale stacking 100k proxy decisions per round is pure overhead
+        when nobody records it; callers that need the individual demands
+        (round recording, the cleared round's final demands) ask
+        :meth:`_last_demands` afterwards.
         """
         if self.engine == "scalar":
             return self._collect_scalar(prices)
@@ -299,24 +297,23 @@ class AscendingClockAuction:
         self._last_batch_response = response
         return response.total, response.active_count
 
-    def _last_demand_map(self) -> dict[str, np.ndarray]:
-        """Per-bidder demand snapshots from the most recent :meth:`_collect`.
+    def _last_demands(self) -> np.ndarray:
+        """The ``(bids, R)`` demand matrix of the most recent :meth:`_collect`.
 
-        Ownership contract: the returned dict and its arrays are **caller
-        owned** — no later round, engine call, or other caller mutates them —
-        so round recording can store them without defensive copies.  The
-        scalar path hands out the fresh arrays its proxies built for this
-        round; the batch path hands out views into this round's response
-        (every round builds new response arrays).
+        Row ``i`` is bid ``i``'s demand, in the order of :attr:`bids`, so a
+        team with several bids has several rows.  Ownership contract: the
+        matrix is **caller owned** — no later round, engine call, or other
+        caller mutates it — so round recording can store it without a
+        defensive copy.  The scalar path stacks its proxies' decisions into
+        a fresh matrix; the batch path hands out this round's response
+        matrix (every round builds a new one).
         """
         if self.engine == "scalar":
-            return {
-                proxy.bidder: proxy.last_decision.quantities
-                for proxy in self._proxies or ()
-                if proxy.last_decision is not None
-            }
+            if not self._proxies:
+                return np.zeros((0, len(self.index)), dtype=float)
+            return np.stack([proxy.last_decision.quantities for proxy in self._proxies])
         assert self._last_batch_response is not None
-        return self._last_batch_response.demand_map()
+        return self._last_batch_response.quantities
 
     def _cleared(self, excess: np.ndarray) -> bool:
         """Clearing test: every pool's excess demand is <= tolerance (scaled)."""
@@ -356,9 +353,9 @@ class AscendingClockAuction:
                     prices=prices.copy(),
                     excess_demand=excess.copy(),
                     active_bidders=active,
-                    # Caller-owned snapshots straight from the engine — see
-                    # the _last_demand_map ownership contract.
-                    bidder_demands=self._last_demand_map()
+                    # A caller-owned snapshot straight from the engine — see
+                    # the _last_demands ownership contract.
+                    bidder_demands=self._last_demands()
                     if cfg.record_bidder_demands
                     else None,
                 )
@@ -368,7 +365,7 @@ class AscendingClockAuction:
                     index=self.index,
                     converged=True,
                     final_prices=prices,
-                    final_demands=self._last_demand_map(),
+                    final_demands=self._last_demands(),
                     excess_demand=excess,
                     rounds=rounds,
                     reserve_prices=self.reserve_prices.copy(),

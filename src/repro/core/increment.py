@@ -14,8 +14,8 @@ Section III-C-2 of the paper discusses how to pick the increment function:
 All three are implemented here, plus a proportional policy that raises each
 price by a fraction of its current value scaled by relative excess demand —
 the most robust default for heterogeneous pools and the one the experiment
-drivers use unless told otherwise.  The ablation benchmark
-``benchmarks/test_bench_ablation_increment.py`` compares them.
+drivers use unless told otherwise.  The increment ablation
+(:mod:`repro.experiments.ablation_increment`) compares them.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Every driver exposes a ``run_*`` function returning a plain result object and a
 ``main()`` that prints the regenerated rows/series, so each experiment can be
-run standalone (``python -m repro.experiments.figure6``) or from the benchmark
-harness in ``benchmarks/``.  The economy drivers take a catalog
+run standalone (``python -m repro.experiments.figure6``);
+``tests/experiments/`` checks each artefact's shape at smoke and at paper
+scale.  The economy drivers take a catalog
 :class:`~repro.simulation.catalog.ScenarioSpec` (default: ``paper-reference``)
 and run it through :meth:`MarketEconomySimulation.from_spec
 <repro.simulation.economy.MarketEconomySimulation.from_spec>`, the same market

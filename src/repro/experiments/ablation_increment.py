@@ -90,9 +90,7 @@ def run_ablation_increment(
             converged = True
             rounds = outcome.round_count
             final = outcome.final_prices
-            active = sum(
-                1 for demand in outcome.final_demands.values() if np.any(np.abs(demand) > 0)
-            )
+            active = int(np.count_nonzero(np.any(np.abs(outcome.final_demands) > 0, axis=1)))
             settled = active / max(len(bids), 1)
         except ConvergenceError:
             converged = False

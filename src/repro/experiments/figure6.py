@@ -30,14 +30,6 @@ class Figure6Result:
     settled_fraction: float
     rounds: int
 
-    def congested_rows(self, threshold: float = 0.75) -> list[PriceRatioRow]:
-        """Rows of clusters whose mean utilization exceeds ``threshold``."""
-        return [row for row in self.rows if row.mean_utilization > threshold]
-
-    def idle_rows(self, threshold: float = 0.4) -> list[PriceRatioRow]:
-        """Rows of clusters whose mean utilization is below ``threshold``."""
-        return [row for row in self.rows if row.mean_utilization < threshold]
-
 
 def run_figure6(spec: ScenarioSpec = get_scenario("paper-reference")) -> Figure6Result:
     """Run one full auction over a synthetic fleet and compute the price ratios."""

@@ -29,16 +29,6 @@ class Figure7Result:
     trades: tuple[SettledTrade, ...]
     migration: dict[str, float]
 
-    def has_high_utilization_bid_outliers(self, *, threshold: float = 75.0) -> bool:
-        """Whether any bid-side trade landed in a pool above the ``threshold`` percentile.
-
-        These are the premium payers of the paper's narrative.
-        """
-        return any(
-            trade.side == "bid" and trade.utilization_percentile >= threshold
-            for trade in self.trades
-        )
-
 
 def run_figure7(
     spec: ScenarioSpec = get_scenario("paper-reference"), *, auctions: int = 1

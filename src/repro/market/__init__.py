@@ -4,7 +4,7 @@ This package reproduces Section V-A of the paper — the commercialization stack
 around the auction mechanism.  The original was an internal web application;
 here the same functionality is exposed as a programmatic API:
 
-* budget-dollar accounts and a transaction ledger (:mod:`repro.market.accounts`);
+* the ledger of budget-dollar accounts (:mod:`repro.market.accounts`);
 * per-team quota holdings updated by settlements (:mod:`repro.market.quotas`);
 * a service catalog translating high-level requests ("N units of a GFS-like
   storage service in cluster X") into covering CPU/RAM/disk bundles
@@ -21,7 +21,7 @@ The budget-disbursement policy that seeds the accounts is out of the
 paper's scope; teams are registered with the budget their scenario gives them.
 """
 
-from repro.market.accounts import Account, Ledger, InsufficientBudgetError, Transaction
+from repro.market.accounts import Account, Ledger, InsufficientBudgetError
 from repro.market.quotas import QuotaRegistry, QuotaError
 from repro.market.services import ServiceCatalog, ServiceSpec, ServiceRequest, default_catalog
 from repro.market.orderbook import OrderBook, Order, OrderSide, OrderStatus
@@ -46,7 +46,6 @@ __all__ = [
     "Account",
     "Ledger",
     "InsufficientBudgetError",
-    "Transaction",
     "QuotaRegistry",
     "QuotaError",
     "ServiceCatalog",

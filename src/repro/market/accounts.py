@@ -1,36 +1,20 @@
-"""Budget-dollar accounts and the transaction ledger.
+"""Budget-dollar accounts.
 
 "Engineering teams were given budget dollars and allowed to buy, sell, and
 trade resources with each other as well as the company itself."  The ledger
 tracks those budget dollars: initial endowments, auction payments and
 receipts, and ad-hoc transfers.  The full accounting/billing stack of the real
 system is explicitly out of the paper's scope; this module implements just
-enough for budgets to constrain bidding and for settlements to be recorded.
+enough for budgets to constrain bidding and for settlements to be posted.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class InsufficientBudgetError(RuntimeError):
     """A debit would push an account's balance below zero."""
-
-
-_txn_counter = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class Transaction:
-    """One ledger entry.  Positive ``amount`` credits the account, negative debits it."""
-
-    txn_id: int
-    account: str
-    amount: float
-    kind: str
-    memo: str = ""
-    auction_id: int | None = None
 
 
 @dataclass
@@ -46,11 +30,10 @@ class Account:
 
 
 class Ledger:
-    """All accounts plus an append-only transaction history."""
+    """All participants' budget-dollar accounts."""
 
     def __init__(self) -> None:
         self._accounts: dict[str, Account] = {}
-        self._transactions: list[Transaction] = []
 
     # -- account management -----------------------------------------------------
     def open_account(self, owner: str, endowment: float = 0.0) -> Account:
@@ -62,7 +45,7 @@ class Ledger:
         account = Account(owner=owner, balance=0.0)
         self._accounts[owner] = account
         if endowment:
-            self.credit(owner, endowment, kind="endowment", memo="initial budget endowment")
+            self.credit(owner, endowment)
         return account
 
     def account(self, owner: str) -> Account:
@@ -84,30 +67,13 @@ class Ledger:
         return list(self._accounts.values())
 
     # -- postings -------------------------------------------------------------------
-    def credit(
-        self, owner: str, amount: float, *, kind: str = "credit", memo: str = "", auction_id: int | None = None
-    ) -> Transaction:
+    def credit(self, owner: str, amount: float) -> None:
         """Add budget dollars to an account."""
         if amount < 0:
             raise ValueError("credit amount must be non-negative; use debit()")
-        account = self.account(owner)
-        account.balance += amount
-        txn = Transaction(
-            txn_id=next(_txn_counter), account=owner, amount=amount, kind=kind, memo=memo, auction_id=auction_id
-        )
-        self._transactions.append(txn)
-        return txn
+        self.account(owner).balance += amount
 
-    def debit(
-        self,
-        owner: str,
-        amount: float,
-        *,
-        kind: str = "debit",
-        memo: str = "",
-        auction_id: int | None = None,
-        allow_overdraft: bool = False,
-    ) -> Transaction:
+    def debit(self, owner: str, amount: float, *, allow_overdraft: bool = False) -> None:
         """Remove budget dollars from an account.
 
         Raises :class:`InsufficientBudgetError` unless ``allow_overdraft`` is
@@ -123,30 +89,15 @@ class Ledger:
                 f"{owner} has {account.balance:.2f} budget dollars, cannot pay {amount:.2f}"
             )
         account.balance -= amount
-        txn = Transaction(
-            txn_id=next(_txn_counter), account=owner, amount=-amount, kind=kind, memo=memo, auction_id=auction_id
-        )
-        self._transactions.append(txn)
-        return txn
 
-    def post_settlement(self, owner: str, payment: float, *, auction_id: int) -> Transaction:
-        """Record an auction settlement: positive payment debits, negative credits."""
+    def post_settlement(self, owner: str, payment: float) -> None:
+        """Post an auction settlement: positive payment debits, negative credits."""
         if payment >= 0:
-            return self.debit(
-                owner, payment, kind="settlement", memo="auction settlement", auction_id=auction_id,
-                allow_overdraft=True,
-            )
-        return self.credit(
-            owner, -payment, kind="settlement", memo="auction settlement", auction_id=auction_id
-        )
+            self.debit(owner, payment, allow_overdraft=True)
+        else:
+            self.credit(owner, -payment)
 
-    # -- history ------------------------------------------------------------------------
-    def transactions(self, owner: str | None = None) -> list[Transaction]:
-        """All transactions, optionally filtered to one account."""
-        if owner is None:
-            return list(self._transactions)
-        return [txn for txn in self._transactions if txn.account == owner]
-
+    # -- reporting ----------------------------------------------------------------------
     def total_outstanding(self) -> float:
         """Sum of all balances (the money supply of the internal economy)."""
         return float(sum(acct.balance for acct in self._accounts.values()))

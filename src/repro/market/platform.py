@@ -151,7 +151,7 @@ class TradingPlatform:
         if not self.ledger.has_account(team):
             self.ledger.open_account(team, endowment=budget)
         elif budget:
-            self.ledger.credit(team, budget, kind="endowment")
+            self.ledger.credit(team, budget)
         if initial_quota:
             self.quotas.grant(team, dict(initial_quota))
 
@@ -291,7 +291,7 @@ class TradingPlatform:
         self.order_book.mark_settled(result.settlement.lines)
         for line in result.settlement.winners:
             if self.ledger.has_account(line.bidder):
-                self.ledger.post_settlement(line.bidder, line.payment, auction_id=auction_id)
+                self.ledger.post_settlement(line.bidder, line.payment)
             self.quotas.apply_delta(line.bidder, line.allocation, allow_negative=True)
 
         self.displayed_prices = result.final_prices.as_map()

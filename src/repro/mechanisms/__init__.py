@@ -29,7 +29,6 @@ from repro.mechanisms.base import (
     DEFAULT_MECHANISM,
     MECHANISMS,
     AllocationMechanism,
-    baseline_mechanism_names,
     get_mechanism,
     mechanism_names,
     register_mechanism,
@@ -57,7 +56,6 @@ __all__ = [
     "BaselineMechanism",
     "BaselinePeriodResult",
     "MarketMechanism",
-    "baseline_mechanism_names",
     "get_mechanism",
     "mechanism_names",
     "one_shot_outcomes",

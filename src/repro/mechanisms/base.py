@@ -18,8 +18,6 @@ stay picklable across process pools) and the runner resolves it via
 True
 >>> get_mechanism("market").name
 'market'
->>> sorted(baseline_mechanism_names()) == sorted(n for n in mechanism_names() if n != "market")
-True
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ def mechanism_names() -> list[str]:
     """All registered mechanism names, the default first, then sorted."""
     rest = sorted(name for name in MECHANISMS if name != DEFAULT_MECHANISM)
     return ([DEFAULT_MECHANISM] if DEFAULT_MECHANISM in MECHANISMS else []) + rest
-
-
-def baseline_mechanism_names() -> list[str]:
-    """The registered non-market mechanisms, sorted."""
-    return [name for name in mechanism_names() if name != DEFAULT_MECHANISM]
 
 
 def get_mechanism(name: str) -> AllocationMechanism:

@@ -60,8 +60,7 @@ demand from hot pools and invite it into cold ones, shrinking both numbers.
 
 Premium and clearing-round series are degenerate by construction — every grant
 happens at the posted fixed price (premium 1.0) with no price discovery
-(0 clock rounds) — which is also why baseline runs are far cheaper than
-market runs (see ``benchmarks/test_bench_mechanisms.py``).
+(0 clock rounds).
 """
 
 from __future__ import annotations
@@ -249,8 +248,7 @@ class BaselineEconomySimulation:
         # requested quantity and a profile's growth is one multiplicative
         # factor per epoch, so epoch t's demand row is exactly
         # ``base * (1 + growth) ** (t - 1)``.  This is what keeps a baseline
-        # epoch allocator-bound instead of bid-entry-bound (see
-        # ``benchmarks/test_bench_mechanisms.py``).
+        # epoch allocator-bound instead of bid-entry-bound.
         self._base_demand = demand_matrix(self._initial_index, list(demands.items()))
         self._growth = [float(agents[team].demand.growth_rate) for team in self._teams]
         self._priorities = np.array([priorities.get(team, 0) for team in self._teams], dtype=int)
@@ -381,17 +379,9 @@ class BaselineMechanism:
     draws: bool = False
 
     def run(self, spec: "ScenarioSpec") -> "ScenarioRunResult":
-        return self.simulate(spec.build(), spec)
-
-    def simulate(self, scenario: Scenario, spec: "ScenarioSpec") -> "ScenarioRunResult":
-        """Run the policy against an already-built scenario (consumes it).
-
-        Split from :meth:`run` for the same reason as
-        :meth:`repro.mechanisms.market.MarketMechanism.simulate`: the
-        mechanism benchmark compares allocation work, not fleet generation.
-        """
         from repro.simulation.runner import ScenarioRunResult, _round, _round_list
 
+        scenario = spec.build()
         periods = BaselineEconomySimulation(
             scenario, self, drift_scale=spec.drift_scale
         ).run(spec.auctions)

@@ -25,17 +25,9 @@ class MarketMechanism:
     description = "periodic combinatorial clock auctions with adaptive bidders"
 
     def run(self, spec: "ScenarioSpec") -> "ScenarioRunResult":
-        return self.simulate(spec.build(), spec)
-
-    def simulate(self, scenario, spec: "ScenarioSpec") -> "ScenarioRunResult":
-        """Run the mechanism against an already-built scenario.
-
-        Split from :meth:`run` so the mechanism benchmark can time price
-        discovery and settlement without the (mechanism-independent) fleet
-        generation that dominates a cold start.  Consumes the scenario.
-        """
         from repro.simulation.economy import MarketEconomySimulation
         from repro.simulation.runner import ScenarioRunResult
 
+        scenario = spec.build()
         history = MarketEconomySimulation.from_spec(scenario, spec).run(spec.auctions)
         return ScenarioRunResult.from_history(spec, scenario, history)

@@ -21,12 +21,9 @@ Schema::
     metrics (run_id -> runs.id, metric, value,
              PRIMARY KEY (run_id, metric))
 
-Stores created before the mechanism dimension existed (no ``mechanism`` /
-``wall_time`` columns, four-column unique key) are migrated in place on open:
-their rows are market runs by construction, so they re-key under
-``mechanism='market'`` with unknown wall times.  Stores from before the
-execution-backend layer merely lack the nullable ``worker`` column, which is
-added in place.
+A store whose ``runs`` table predates the ``mechanism`` or ``worker``
+column is refused on open with a :class:`ValueError` naming the file and
+the missing columns; record into a new file instead.
 
 ``code_version`` defaults to the version of the working tree — ``git describe
 --always --dirty`` where the package lives inside a git checkout, the package
@@ -91,35 +88,8 @@ CREATE TABLE IF NOT EXISTS metrics (
 CREATE INDEX IF NOT EXISTS idx_runs_scenario ON runs (scenario, code_version, engine, mechanism);
 """
 
-#: Migration for stores written before the mechanism dimension existed: the
-#: old four-column unique key lives inside the table definition, so the table
-#: is rebuilt with the new shape and the rows re-keyed as market runs.  Run
-#: with foreign keys OFF (sqlite's documented table-rebuild recipe) so the
-#: ``metrics`` table's reference to ``runs`` survives the swap untouched.
-_MIGRATE_PRE_MECHANISM = """
-DROP INDEX IF EXISTS idx_runs_scenario;
-CREATE TABLE runs_migrated (
-    id           INTEGER PRIMARY KEY,
-    scenario     TEXT    NOT NULL,
-    seed         INTEGER NOT NULL,
-    code_version TEXT    NOT NULL,
-    engine       TEXT    NOT NULL,
-    mechanism    TEXT    NOT NULL DEFAULT 'market',
-    auctions     INTEGER NOT NULL,
-    recorded_at  TEXT    NOT NULL,
-    wall_time    REAL,
-    worker       TEXT,
-    result_json  TEXT    NOT NULL,
-    UNIQUE (scenario, seed, code_version, engine, mechanism)
-);
-INSERT INTO runs_migrated (id, scenario, seed, code_version, engine, mechanism,
-                           auctions, recorded_at, wall_time, worker, result_json)
-SELECT id, scenario, seed, code_version, engine, 'market', auctions,
-       recorded_at, NULL, NULL, result_json
-FROM runs;
-DROP TABLE runs;
-ALTER TABLE runs_migrated RENAME TO runs;
-"""
+#: Columns of ``runs`` that older stores lack: such a store is refused on open.
+_REQUIRED_COLUMNS = ("mechanism", "worker")
 
 
 def default_db_path() -> Path:
@@ -191,7 +161,7 @@ class StoredRun:
     mechanism: str
     auctions: int
     recorded_at: str
-    #: Observed wall time in seconds (``None`` for pre-migration rows).
+    #: Observed wall time in seconds (``None`` when the run recorded none).
     wall_time: float | None
     #: Execution lane that produced the run — ``serial:<pid>``,
     #: ``process:<pid>``, or a remote worker id (``None`` when unknown).
@@ -222,50 +192,22 @@ class ResultStore:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(":memory:" if self.path is None else str(self.path))
-        self._migrate_pre_mechanism()
-        self._migrate_pre_worker()
+        self._refuse_old_schema()
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
 
-    def _migrate_pre_mechanism(self) -> None:
-        """Rebuild a pre-mechanism ``runs`` table in place (no-op otherwise)."""
-        table_exists = self._conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'runs'"
-        ).fetchone()
-        if not table_exists:
-            return
-        columns = {
-            row[1] for row in self._conn.execute("PRAGMA table_info(runs)").fetchall()
-        }
-        if "mechanism" in columns:
-            return
-        # Foreign keys stay OFF during the rebuild so sqlite neither rewrites
-        # nor enforces the metrics -> runs reference mid-swap (run ids are
-        # preserved verbatim, so the reference is intact afterwards).
-        self._conn.execute("PRAGMA foreign_keys = OFF")
-        self._conn.executescript(_MIGRATE_PRE_MECHANISM)
-        self._conn.commit()
-
-    def _migrate_pre_worker(self) -> None:
-        """Add the nullable ``worker`` provenance column to older stores.
-
-        Unlike the mechanism migration this needs no table rebuild: the
-        column is not part of the unique key, so a plain ``ALTER TABLE``
-        suffices and existing rows keep ``NULL`` (worker unknown).
-        """
-        table_exists = self._conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'runs'"
-        ).fetchone()
-        if not table_exists:
-            return
-        columns = {
-            row[1] for row in self._conn.execute("PRAGMA table_info(runs)").fetchall()
-        }
-        if "worker" in columns:
-            return
-        self._conn.execute("ALTER TABLE runs ADD COLUMN worker TEXT")
-        self._conn.commit()
+    def _refuse_old_schema(self) -> None:
+        """Close and raise if an existing ``runs`` table lacks a current column."""
+        columns = {row[1] for row in self._conn.execute("PRAGMA table_info(runs)")}
+        missing = [name for name in _REQUIRED_COLUMNS if columns and name not in columns]
+        if missing:
+            self.close()
+            raise ValueError(
+                f"result store {self.path} predates the current schema: "
+                f"its runs table lacks the {', '.join(missing)} column(s); "
+                "record into a new store file"
+            )
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
@@ -388,8 +330,8 @@ class ResultStore:
         key matches :meth:`repro.simulation.catalog.ScenarioSpec.cost_key`:
         runs under a different engine or auction count are a different job
         and must not stand in for this one's cost.  Rows without a recorded
-        wall time (pre-migration stores) are ignored; versions are pooled on
-        purpose (timings drift slowly and more samples beat freshness).
+        wall time are ignored; versions are pooled on purpose (timings drift
+        slowly and more samples beat freshness).
         """
         rows = self._conn.execute(
             """

@@ -1,5 +1,8 @@
 """Unit tests for the vectorized batch demand engine (repro.core.batch)."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,7 +53,7 @@ class TestBatchResponse:
         engine = BatchDemandEngine(pool_index, [])
         response = engine.respond_all(unit_reserve(pool_index))
         assert response.active_count == 0
-        assert response.demand_map() == {}
+        assert response.quantities.shape == (0, len(pool_index))
         np.testing.assert_array_equal(response.total, np.zeros(len(pool_index)))
 
     def test_rejects_foreign_index_bid(self, pool_index, three_cluster_index):
@@ -152,3 +155,26 @@ class TestEngineSelection:
 # NOTE: the scalar/batch trace-equivalence tests live in
 # tests/core/test_engine_equivalence.py, which runs them over hand-built
 # populations and every catalog preset.
+
+
+class TestRoundTimingScript:
+    """``benchmarks/batch_engine.py``, the scalar-vs-batch round timer ``make bench`` runs."""
+
+    SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "batch_engine.py"
+
+    def test_one_point_holds_the_median_and_quartiles_of_each_engine(self):
+        spec = importlib.util.spec_from_file_location("batch_engine_script", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        record = script.BENCH_JSON.read_bytes()
+        point = script.measure_point(script.build_index(), 100, np.random.default_rng(99))
+        assert (point["bidders"], point["pools"]) == (100, 51)
+        assert point["repeats"] == script.REPEATS >= 5
+        medians = []
+        for engine in ("scalar", "batch"):
+            stats = point[f"{engine}_seconds_per_round"]
+            assert sorted(stats) == ["median", "q1", "q3"]
+            assert 0.0 < stats["q1"] <= stats["median"] <= stats["q3"]
+            medians.append(stats["median"])
+        assert point["speedup"] == medians[0] / medians[1]
+        assert script.BENCH_JSON.read_bytes() == record

@@ -133,8 +133,9 @@ class TestClearingBehaviour:
         i = pool_index.index_of("alpha/cpu")
         # seller supplies 10, buyer demands 10 -> net excess <= 0
         assert outcome.excess_demand[i] <= 1e-6
-        assert outcome.final_demands["buyer"][i] == pytest.approx(10.0)
-        assert outcome.final_demands["seller"][i] == pytest.approx(-10.0)
+        # one row per bid, in bid order: the buyer's, then the seller's
+        assert outcome.final_demands[0][i] == pytest.approx(10.0)
+        assert outcome.final_demands[1][i] == pytest.approx(-10.0)
 
     def test_operator_supply_absorbs_demand(self, pool_index):
         supply = np.zeros(len(pool_index))
@@ -175,7 +176,7 @@ class TestClearingBehaviour:
         ]
         auction = AscendingClockAuction(pool_index, bids, reserve_prices=unit_reserve(pool_index))
         outcome = auction.run()
-        counts = outcome.active_bidder_counts()
+        counts = [r.active_bidders for r in outcome.rounds]
         assert counts[0] == 5
         assert counts[-1] < 5
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -193,17 +194,23 @@ class TestOutcomeAccessors:
         assert len(traj) == outcome.round_count
         assert traj[-1] >= traj[0]
 
-    def test_bidder_demands_recorded_when_enabled(self, pool_index):
-        bids = [Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=1e6)]
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_each_bid_of_a_team_has_its_own_demand_row(self, pool_index, engine):
+        bids = [
+            Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=1e6),
+            Bid.buy("t", pool_index, [{"beta/ram": 5}], max_payment=1e6),
+        ]
         auction = AscendingClockAuction(
             pool_index,
             bids,
             reserve_prices=unit_reserve(pool_index),
-            config=AuctionConfig(record_bidder_demands=True),
+            supply=np.full(len(pool_index), 50.0),
+            config=AuctionConfig(engine=engine, record_bidder_demands=True),
         )
         outcome = auction.run()
-        assert outcome.rounds[0].bidder_demands is not None
-        assert "t" in outcome.rounds[0].bidder_demands
+        expected = np.array([bid.bundles.matrix[0] for bid in bids])
+        np.testing.assert_array_equal(outcome.rounds[0].bidder_demands, expected)
+        np.testing.assert_array_equal(outcome.final_demands, expected)
 
     def test_reserve_prices_stored_on_outcome(self, pool_index):
         auction = AscendingClockAuction(pool_index, [], reserve_prices=unit_reserve(pool_index, 3.0))
@@ -240,7 +247,7 @@ class TestProxies:
         assert built[0] == 0
         outcome = auction.run()
         assert built[0] == proxies
-        assert sorted(outcome.rounds[0].bidder_demands) == ["t0", "t1", "t2"]
+        assert outcome.rounds[0].bidder_demands.shape == (3, len(pool_index))
 
 
 class TestNonConvergence:

@@ -76,9 +76,8 @@ def assert_outcomes_identical(reference, other):
     assert reference.converged == other.converged
     assert reference.final_prices.tobytes() == other.final_prices.tobytes()
     assert reference.excess_demand.tobytes() == other.excess_demand.tobytes()
-    assert list(reference.final_demands) == list(other.final_demands)
-    for bidder, demand in reference.final_demands.items():
-        assert demand.tobytes() == other.final_demands[bidder].tobytes(), bidder
+    assert reference.final_demands.shape == other.final_demands.shape
+    assert reference.final_demands.tobytes() == other.final_demands.tobytes()
     for ra, rb in zip(reference.rounds, other.rounds):
         assert ra.round_index == rb.round_index
         assert ra.prices.tobytes() == rb.prices.tobytes(), ra.round_index
@@ -87,12 +86,8 @@ def assert_outcomes_identical(reference, other):
         if ra.bidder_demands is None:
             assert rb.bidder_demands is None
         else:
-            assert list(ra.bidder_demands) == list(rb.bidder_demands)
-            for bidder, demand in ra.bidder_demands.items():
-                assert demand.tobytes() == rb.bidder_demands[bidder].tobytes(), (
-                    ra.round_index,
-                    bidder,
-                )
+            assert ra.bidder_demands.shape == rb.bidder_demands.shape, ra.round_index
+            assert ra.bidder_demands.tobytes() == rb.bidder_demands.tobytes(), ra.round_index
 
 
 def run_spec_with_traces(spec, engine):
@@ -198,12 +193,12 @@ class TestAuctionTraceEquivalence:
 class TestDemandRecordOwnership:
     """The ownership contract behind copy-free round recording.
 
-    ``_collect`` does not materialise per-bidder demand dicts, and ``run``
-    does not defensively copy what it records: the arrays
-    ``_last_demand_map`` hands out are caller-owned snapshots.  These tests
-    pin that contract — if an engine ever starts handing out views into
-    buffers it later mutates in place, the early rounds' records would
-    silently decay into copies of the final round.
+    ``_collect`` does not materialise the per-bid demand matrix, and ``run``
+    does not defensively copy what it records: the matrix ``_last_demands``
+    hands out is a caller-owned snapshot.  These tests pin that contract —
+    if an engine ever starts handing out views into buffers it later
+    mutates in place, the early rounds' records would silently decay into
+    copies of the final round.
     """
 
     def competing_bids(self, pool_index):
@@ -232,13 +227,11 @@ class TestDemandRecordOwnership:
 
         fresh = BatchDemandEngine(pool_index, bids)
         for round_state in outcome.rounds:
-            expected = fresh.respond_all(round_state.prices).demand_map()
-            for bidder, demand in round_state.bidder_demands.items():
-                assert demand.tobytes() == expected[bidder].tobytes(), (
-                    engine,
-                    round_state.round_index,
-                    bidder,
-                )
+            expected = fresh.respond_all(round_state.prices).quantities
+            assert round_state.bidder_demands.tobytes() == expected.tobytes(), (
+                engine,
+                round_state.round_index,
+            )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_final_demands_are_stable_snapshots(self, pool_index, engine):
@@ -250,21 +243,20 @@ class TestDemandRecordOwnership:
             config=AuctionConfig(engine=engine),
         )
         outcome = auction.run()
-        snapshot = {k: v.copy() for k, v in outcome.final_demands.items()}
+        snapshot = outcome.final_demands.copy()
         # A later run on the same auction object must not corrupt the
         # previously returned outcome's demands.
         auction.run()
-        for bidder, demand in outcome.final_demands.items():
-            assert demand.tobytes() == snapshot[bidder].tobytes(), (engine, bidder)
+        assert outcome.final_demands.tobytes() == snapshot.tobytes(), engine
 
 
 class TestRoundZeroDropoutDemands:
     """Regression: bidders that exit in round 0 must still be recorded.
 
     ``AuctionRound.bidder_demands`` (under ``record_bidder_demands``) must
-    contain *every* bidder in every round — including bidders whose proxy
-    drops out at the reserve prices, whose recorded demand is the zero
-    vector — identically on both engines.
+    hold a row for *every* bid in every round — including bids whose proxy
+    drops out at the reserve prices, whose recorded row is the zero vector
+    — identically on both engines.
     """
 
     def test_round_zero_exit_recorded_by_every_engine(self, pool_index):
@@ -287,10 +279,9 @@ class TestRoundZeroDropoutDemands:
             outcomes[engine] = auction.run()
         for engine, outcome in outcomes.items():
             first = outcome.rounds[0]
-            assert set(first.bidder_demands) == {"rich", "out", "rich2"}, engine
-            assert not first.bidder_demands["out"].any(), engine
+            assert not first.bidder_demands[1].any(), engine
             for round_state in outcome.rounds:
-                assert set(round_state.bidder_demands) == {"rich", "out", "rich2"}, engine
+                assert round_state.bidder_demands.shape == (len(bids), len(pool_index)), engine
         assert_outcomes_identical(outcomes["scalar"], outcomes["batch"])
 
 

@@ -15,8 +15,15 @@ from repro.simulation.scenario import small_scenario
 
 
 @pytest.fixture(scope="module")
-def economy():
+def built():
     scenario = small_scenario(seed=13, team_count=30, cluster_count=8)
+    # The budget dollars on the accounts right after the build: the endowments.
+    return scenario, scenario.platform.ledger.total_outstanding()
+
+
+@pytest.fixture(scope="module")
+def economy(built):
+    scenario, _ = built
     sim = MarketEconomySimulation(scenario)
     history = sim.run(4)
     return scenario, history
@@ -30,12 +37,10 @@ class TestEconomyInvariants:
             assert result.outcome.converged
             assert result.constraints.satisfied, result.constraints.violations
 
-    def test_budget_dollars_are_conserved_up_to_operator_flows(self, economy):
+    def test_budget_dollars_are_conserved_up_to_operator_flows(self, built, economy):
+        _, endowed = built
         scenario, history = economy
         ledger = scenario.platform.ledger
-        endowed = sum(
-            t.amount for t in ledger.transactions() if t.kind == "endowment"
-        )
         operator_net = sum(
             period.settlement.total_payments() for period in history.periods
         )

@@ -14,7 +14,6 @@ class TestLedger:
         ledger = Ledger()
         ledger.open_account("ads", endowment=1000.0)
         assert ledger.balance("ads") == 1000.0
-        assert ledger.transactions("ads")[0].kind == "endowment"
 
     def test_duplicate_account_rejected(self):
         ledger = Ledger()
@@ -70,19 +69,18 @@ class TestLedger:
         ledger = Ledger()
         ledger.open_account("buyer", endowment=100.0)
         ledger.open_account("seller", endowment=50.0)
-        ledger.post_settlement("buyer", 30.0, auction_id=1)
-        ledger.post_settlement("seller", -30.0, auction_id=1)
+        ledger.post_settlement("buyer", 30.0)
+        ledger.post_settlement("seller", -30.0)
         assert ledger.total_outstanding() == pytest.approx(150.0)
 
     def test_post_settlement_debits_buyers_credits_sellers(self):
         ledger = Ledger()
         ledger.open_account("buyer", endowment=100.0)
         ledger.open_account("seller", endowment=0.0)
-        ledger.post_settlement("buyer", 30.0, auction_id=1)
-        ledger.post_settlement("seller", -25.0, auction_id=1)
+        ledger.post_settlement("buyer", 30.0)
+        ledger.post_settlement("seller", -25.0)
         assert ledger.balance("buyer") == pytest.approx(70.0)
         assert ledger.balance("seller") == pytest.approx(25.0)
-        assert all(t.auction_id == 1 for t in ledger.transactions() if t.kind == "settlement")
 
 
 class TestQuotaRegistry:

@@ -75,15 +75,14 @@ def assert_equivalent(scalar, batch):
         return
     assert scalar.round_count == batch.round_count
     np.testing.assert_array_equal(scalar.final_prices, batch.final_prices)
-    assert scalar.final_demands.keys() == batch.final_demands.keys()
-    for bidder, demand in scalar.final_demands.items():
-        np.testing.assert_array_equal(demand, batch.final_demands[bidder])
+    assert scalar.final_demands.shape == batch.final_demands.shape
+    assert scalar.final_demands.tobytes() == batch.final_demands.tobytes()
     for rs, rb in zip(scalar.rounds, batch.rounds):
         np.testing.assert_array_equal(rs.prices, rb.prices)
         np.testing.assert_array_equal(rs.excess_demand, rb.excess_demand)
         assert rs.active_bidders == rb.active_bidders
-        for bidder, demand in rs.bidder_demands.items():
-            np.testing.assert_array_equal(demand, rb.bidder_demands[bidder])
+        assert rs.bidder_demands.shape == rb.bidder_demands.shape
+        assert rs.bidder_demands.tobytes() == rb.bidder_demands.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -193,10 +193,10 @@ class TestRecordAndQuery:
             assert run.code_version == "v1"
 
 
-class TestPreMechanismMigration:
-    """Stores written before the mechanism dimension are migrated on open."""
+class TestOldSchemaIsRefused:
+    """A store whose ``runs`` table predates a current column is refused on open."""
 
-    _OLD_SCHEMA = """
+    _PRE_MECHANISM_SCHEMA = """
     CREATE TABLE runs (
         id           INTEGER PRIMARY KEY,
         scenario     TEXT    NOT NULL,
@@ -208,69 +208,7 @@ class TestPreMechanismMigration:
         result_json  TEXT    NOT NULL,
         UNIQUE (scenario, seed, code_version, engine)
     );
-    CREATE TABLE metrics (
-        run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-        metric TEXT    NOT NULL,
-        value  REAL    NOT NULL,
-        PRIMARY KEY (run_id, metric)
-    );
-    CREATE INDEX idx_runs_scenario ON runs (scenario, code_version, engine);
     """
-
-    def old_store(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "old.sqlite"
-        conn = sqlite3.connect(path)
-        conn.executescript(self._OLD_SCHEMA)
-        conn.execute(
-            "INSERT INTO runs (scenario, seed, code_version, engine, auctions,"
-            " recorded_at, result_json) VALUES ('smoke', 0, 'pr-3', 'auto', 2,"
-            " '2026-01-01T00:00:00', '{}')"
-        )
-        conn.execute(
-            "INSERT INTO metrics (run_id, metric, value) VALUES (1, 'total_revenue', 240.0)"
-        )
-        conn.commit()
-        conn.close()
-        return path
-
-    def test_old_rows_rekey_as_market_runs(self, tmp_path):
-        path = self.old_store(tmp_path)
-        with ResultStore(path) as store:
-            (run,) = store.runs()
-            assert run.mechanism == "market"
-            assert run.wall_time is None
-            assert run.run_id == 1  # ids survive, so metrics rows still attach
-            assert run.metrics == {"total_revenue": 240.0}
-
-    def test_migrated_store_accepts_mechanism_variants_of_the_same_key(
-        self, tmp_path, fake_run_result
-    ):
-        path = self.old_store(tmp_path)
-        with ResultStore(path) as store:
-            store.record(
-                fake_run_result(scenario="smoke", seed=0, mechanism="priority"),
-                code_version="pr-3",
-            )
-            assert len(store) == 2  # old unique key would have rejected this
-
-    def test_migration_is_idempotent(self, tmp_path):
-        path = self.old_store(tmp_path)
-        with ResultStore(path):
-            pass
-        with ResultStore(path) as store:  # second open must not re-migrate
-            assert len(store) == 1
-
-    def test_old_rows_carry_no_worker_provenance(self, tmp_path):
-        path = self.old_store(tmp_path)
-        with ResultStore(path) as store:
-            (run,) = store.runs()
-            assert run.worker is None
-
-
-class TestWorkerProvenance:
-    """The ``worker`` column records which execution lane produced each run."""
 
     _PRE_WORKER_SCHEMA = """
     CREATE TABLE runs (
@@ -286,13 +224,29 @@ class TestWorkerProvenance:
         result_json  TEXT    NOT NULL,
         UNIQUE (scenario, seed, code_version, engine, mechanism)
     );
-    CREATE TABLE metrics (
-        run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-        metric TEXT    NOT NULL,
-        value  REAL    NOT NULL,
-        PRIMARY KEY (run_id, metric)
-    );
     """
+
+    @pytest.mark.parametrize(
+        ("schema", "missing"),
+        [("_PRE_MECHANISM_SCHEMA", "mechanism, worker"), ("_PRE_WORKER_SCHEMA", "worker")],
+    )
+    def test_error_names_the_file_and_the_missing_columns(self, tmp_path, schema, missing):
+        import sqlite3
+
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(getattr(self, schema))
+        conn.close()
+        with pytest.raises(ValueError) as error:
+            ResultStore(path)
+        assert str(error.value) == (
+            f"result store {path} predates the current schema: its runs table "
+            f"lacks the {missing} column(s); record into a new store file"
+        )
+
+
+class TestWorkerProvenance:
+    """The ``worker`` column records which execution lane produced each run."""
 
     def test_record_persists_the_worker(self, fake_run_result):
         import dataclasses
@@ -320,32 +274,6 @@ class TestWorkerProvenance:
             )
             assert len(store) == 1  # same key: refreshed, not duplicated
             assert store.runs()[0].worker == "w2"
-
-    def test_pre_worker_store_migrates_in_place(self, tmp_path, fake_run_result):
-        import dataclasses
-        import sqlite3
-
-        path = tmp_path / "pre-worker.sqlite"
-        conn = sqlite3.connect(path)
-        conn.executescript(self._PRE_WORKER_SCHEMA)
-        conn.execute(
-            "INSERT INTO runs (scenario, seed, code_version, engine, mechanism,"
-            " auctions, recorded_at, wall_time, result_json) VALUES"
-            " ('smoke', 0, 'pr-4', 'auto', 'market', 2, '2026-01-01T00:00:00',"
-            " 1.5, '{}')"
-        )
-        conn.commit()
-        conn.close()
-        with ResultStore(path) as store:
-            (run,) = store.runs()
-            assert run.worker is None
-            assert run.wall_time == 1.5  # untouched by the column addition
-            store.record(
-                dataclasses.replace(fake_run_result(scenario="smoke", seed=1), worker="w1"),
-                code_version="pr-5",
-            )
-        with ResultStore(path) as store:  # idempotent on reopen
-            assert {run.worker for run in store.runs()} == {None, "w1"}
 
 
 class TestRunnerIntegration:

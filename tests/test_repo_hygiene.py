@@ -95,8 +95,6 @@ KEEP = {
     "core/bundles.py:Bundle.from_mapping": "fixture: the bundle tests build their bundles with it",
     "core/clock_auction.py:AuctionOutcome.price_map":
         "observation helper: the README quickstart and the clock tests read prices by pool",
-    "market/accounts.py:Ledger.transactions":
-        "observation helper: the full-stack conservation test sums the endowments",
     "market/accounts.py:Ledger.total_outstanding":
         "observation helper: the full-stack conservation test sums the balances",
     "market/platform.py:TradingPlatform.window_open":
