@@ -657,23 +657,26 @@ class RemoteBackend:
                 last_seen=now,
                 daemon=bool(first.get("daemon", False)),
             )
-            with self._registry_lock:
-                existing = self._workers.get(worker_id)
-                if existing is not None and existing.alive:
-                    self._transport.send(
-                        sock,
-                        {
-                            "type": "reject",
-                            "reason": f"worker id {worker_id!r} is already connected",
-                        },
-                    )
-                    sock.close()
-                    return
-                self._workers[worker_id] = worker
             welcome: dict = {"type": "welcome"}
             if nonce is not None:
                 welcome["mac"] = coordinator_mac(self.secret, nonce)
+            # Hold the send lock from before the dispatch loop can see the
+            # worker until the welcome is out: a job frame that overtook the
+            # welcome would fail the worker's handshake.
             with worker.send_lock:
+                with self._registry_lock:
+                    existing = self._workers.get(worker_id)
+                    if existing is not None and existing.alive:
+                        self._transport.send(
+                            sock,
+                            {
+                                "type": "reject",
+                                "reason": f"worker id {worker_id!r} is already connected",
+                            },
+                        )
+                        sock.close()
+                        return
+                    self._workers[worker_id] = worker
                 self._transport.send(sock, welcome)
             sock.settimeout(None)
             if self._sweeping.is_set():

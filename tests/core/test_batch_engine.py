@@ -1,6 +1,7 @@
 """Unit tests for the vectorized batch demand engine (repro.core.batch)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -162,10 +163,14 @@ class TestRoundTimingScript:
 
     SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "batch_engine.py"
 
-    def test_one_point_holds_the_median_and_quartiles_of_each_engine(self):
+    @pytest.fixture
+    def script(self):
         spec = importlib.util.spec_from_file_location("batch_engine_script", self.SCRIPT)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_one_point_holds_the_median_and_quartiles_of_each_engine(self, script):
         record = script.BENCH_JSON.read_bytes()
         point = script.measure_point(script.build_index(), 100, np.random.default_rng(99))
         assert (point["bidders"], point["pools"]) == (100, 51)
@@ -178,3 +183,28 @@ class TestRoundTimingScript:
             medians.append(stats["median"])
         assert point["speedup"] == medians[0] / medians[1]
         assert script.BENCH_JSON.read_bytes() == record
+
+    def test_entries_append_in_order_from_no_record(self, script, tmp_path):
+        path = tmp_path / "record.json"
+        for n in range(3):
+            script.append_entry(path, {"n": n})
+            assert json.loads(path.read_text()) == [{"n": m} for m in range(n + 1)]
+
+    def test_the_oldest_entries_roll_off_past_the_last_five(self, script, tmp_path):
+        path = tmp_path / "record.json"
+        for n in range(script.MAX_ENTRIES + 2):
+            script.append_entry(path, {"n": n})
+        assert script.MAX_ENTRIES == 5
+        assert json.loads(path.read_text()) == [{"n": n} for n in range(2, 7)]
+
+    def test_committed_record_holds_quartiles_per_bidder_count(self, script):
+        history = json.loads(script.BENCH_JSON.read_text())
+        assert 1 <= len(history) <= script.MAX_ENTRIES
+        entry = history[-1]
+        assert entry["cpu_count"] >= 1
+        assert [point["bidders"] for point in entry["points"]] == list(script.BIDDER_COUNTS)
+        for point in entry["points"]:
+            assert point["repeats"] >= 5
+            for engine in ("scalar", "batch"):
+                stats = point[f"{engine}_seconds_per_round"]
+                assert 0.0 < stats["q1"] <= stats["median"] <= stats["q3"]

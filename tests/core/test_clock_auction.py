@@ -194,6 +194,41 @@ class TestOutcomeAccessors:
         assert len(traj) == outcome.round_count
         assert traj[-1] >= traj[0]
 
+    def test_bidder_demands_recorded_when_enabled(self, pool_index):
+        bids = [Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=1e6)]
+        auction = AscendingClockAuction(
+            pool_index,
+            bids,
+            reserve_prices=unit_reserve(pool_index),
+            config=AuctionConfig(record_bidder_demands=True),
+        )
+        outcome = auction.run()
+        for round_ in outcome.rounds:
+            assert round_.bidder_demands.shape == (1, len(pool_index))
+        np.testing.assert_array_equal(outcome.rounds[-1].bidder_demands, outcome.final_demands)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_bidder_demands_absent_by_default(self, pool_index, engine):
+        bids = [Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=1e6)]
+        auction = AscendingClockAuction(
+            pool_index, bids, reserve_prices=unit_reserve(pool_index), config=AuctionConfig(engine=engine)
+        )
+        outcome = auction.run()
+        assert all(round_.bidder_demands is None for round_ in outcome.rounds)
+        assert outcome.final_demands.shape == (1, len(pool_index))
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_no_bids_leave_an_empty_demand_matrix(self, pool_index, engine):
+        auction = AscendingClockAuction(
+            pool_index,
+            [],
+            reserve_prices=unit_reserve(pool_index),
+            config=AuctionConfig(engine=engine, record_bidder_demands=True),
+        )
+        outcome = auction.run()
+        assert outcome.final_demands.shape == (0, len(pool_index))
+        assert outcome.rounds[0].bidder_demands.shape == (0, len(pool_index))
+
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_each_bid_of_a_team_has_its_own_demand_row(self, pool_index, engine):
         bids = [

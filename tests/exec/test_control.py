@@ -98,6 +98,43 @@ class TestHandshake:
             )
         backend.close()
 
+    def test_welcome_precedes_the_first_job_frame(self, monkeypatch):
+        """A worker that joins a waiting sweep gets its welcome before any
+        job frame, however long the welcome takes to build: a job frame that
+        overtook it would fail the worker's handshake."""
+        from repro.exec import coordinator
+
+        build_mac = coordinator.coordinator_mac
+
+        def slow_mac(secret, nonce):
+            time.sleep(0.3)  # three polls of a sweep waiting for workers
+            return build_mac(secret, nonce)
+
+        monkeypatch.setattr(coordinator, "coordinator_mac", slow_mac)
+        specs = [tiny_spec("tiny-welcome", seed=4)]
+        backend, address = backend_on_ephemeral_port(secret="hunter2", wait_timeout=5.0)
+        thread, outcome = execute_in_thread(backend, specs)
+        errors = []
+
+        def serve():
+            try:
+                run_worker(address, worker_id="w-welcome", secret="hunter2", retry_seconds=5.0)
+            except WorkerRejected as error:
+                errors.append(error)
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        try:
+            thread.join(timeout=30)
+            worker.join(timeout=5)
+            assert errors == []
+            assert not thread.is_alive() and outcome, "the sweep hung"
+            report = outcome[0]
+            assert not isinstance(report, Exception), report
+            assert [r.worker for r in report.results] == ["w-welcome"]
+        finally:
+            backend.close()
+
     def test_control_session_requires_secret_too(self):
         backend, address = backend_on_ephemeral_port(secret="right")
         backend.listen()

@@ -247,6 +247,22 @@ class TestAblations:
             assert row.converged
             assert row.settled_like_fraction == 1.0
 
+    def test_increment_ablation_counts_a_priced_out_bid_of_an_active_team(self, monkeypatch):
+        """A team's bid that demands nothing at the reserve counts against the rate."""
+        index, _ = first_auction_bids(6, PopulationSpec(team_count=15), seed=1)
+        cpu = [pool.name for pool in index.pools_of_type(ResourceType.CPU)]
+        bids = [
+            Bid.buy("team", index, [{cpu[0]: 1.0}], max_payment=1e12),
+            Bid.buy("team", index, [{cpu[1]: 1.0}], max_payment=1e-12),
+        ]
+        monkeypatch.setattr(
+            "repro.experiments.ablation_increment.first_auction_bids", lambda *_, **__: (index, bids)
+        )
+        result = run_ablation_increment(cluster_count=6, team_count=1, seed=1)
+        for row in result.rows:
+            assert row.converged
+            assert row.settled_like_fraction == 0.5
+
     @pytest.mark.parametrize(("spec", "slack"), [(SMOKE, 0.05), (PAPER, 0.0)], ids=SCALES)
     def test_reserve_ablation_steers_demand(self, spec, slack):
         result = run_ablation_reserve(spec)

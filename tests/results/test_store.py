@@ -231,18 +231,31 @@ class TestOldSchemaIsRefused:
         [("_PRE_MECHANISM_SCHEMA", "mechanism, worker"), ("_PRE_WORKER_SCHEMA", "worker")],
     )
     def test_error_names_the_file_and_the_missing_columns(self, tmp_path, schema, missing):
-        import sqlite3
-
-        path = tmp_path / "old.sqlite"
-        conn = sqlite3.connect(path)
-        conn.executescript(getattr(self, schema))
-        conn.close()
+        path = self.old_store(tmp_path, schema)
         with pytest.raises(ValueError) as error:
             ResultStore(path)
         assert str(error.value) == (
             f"result store {path} predates the current schema: its runs table "
             f"lacks the {missing} column(s); record into a new store file"
         )
+
+    @pytest.mark.parametrize("schema", ["_PRE_MECHANISM_SCHEMA", "_PRE_WORKER_SCHEMA"])
+    def test_refused_store_is_left_unchanged(self, tmp_path, schema):
+        path = self.old_store(tmp_path, schema)
+        before = path.read_bytes()
+        for _ in range(2):  # refusing neither migrates the file nor adds a table to it
+            with pytest.raises(ValueError):
+                ResultStore(path)
+        assert path.read_bytes() == before
+
+    def old_store(self, tmp_path, schema):
+        import sqlite3
+
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(getattr(self, schema))
+        conn.close()
+        return path
 
 
 class TestWorkerProvenance:
