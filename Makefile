@@ -9,7 +9,8 @@ EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
     baseline_comparison ablation_increment ablation_reserve
 
 # The packages `make devmode` runs under the interpreter's dev mode.
-DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis
+DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis \
+    tests/exec
 
 .PHONY: test doctest bench smoke chaos equivalence devmode golden check
 
@@ -81,11 +82,14 @@ chaos:
 equivalence:
 	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py -q
 
-## the auction core, cluster, market, simulation and analysis suites under
-## `python -X dev` (extra runtime checks, every warning shown) with an
-## unclosed file or socket (ResourceWarning) turned into an error
+## the auction core, cluster, market, simulation, analysis and execution
+## suites under `python -X dev` (extra runtime checks, every warning shown)
+## with an unclosed file or socket turned into an error: raised directly it is
+## a ResourceWarning, and collected by the garbage collector pytest reports it
+## as a PytestUnraisableExceptionWarning, so both are errors
 devmode:
-	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q $(DEVMODE_TESTS)
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q \
+	    -W error::pytest.PytestUnraisableExceptionWarning $(DEVMODE_TESTS)
 
 ## rewrite tests/golden/digests.json: one sha256 per pinned canonical report
 ## and per pinned experiment or tournament stdout (the only writer of that file;

@@ -21,9 +21,9 @@ Eight subcommands:
     cross-scenario report.  ``--mechanism`` crosses the selection with
     allocation mechanisms (``market``, ``fixed-price``, ``priority``,
     ``proportional``, ``lottery``, a comma list, or ``all``); ``--backend``
-    selects the execution backend (``serial``, ``process``, ``remote``, or
-    ``list`` to show them) — ``remote`` listens on ``--bind HOST:PORT`` and
-    streams jobs to connected ``worker`` daemons.
+    selects the execution backend (``process``, ``remote``, or ``list`` to
+    show them) — ``remote`` listens on ``--bind HOST:PORT`` and streams jobs
+    to connected ``worker`` daemons.
 ``worker``
     Serve jobs for a ``remote``-backend coordinator: ``python -m repro
     worker --connect HOST:PORT`` dials the sweep process, announces an id
@@ -245,7 +245,7 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
                      help="process backend: pool size (default: one per core; 1 = serial); "
                           "remote backend: workers to wait for before dispatching")
     cmd.add_argument("--backend", default=None, metavar="NAME",
-                     help="execution backend: serial, process (default), remote, "
+                     help="execution backend: process (default), remote, "
                           "or 'list' to show every registered backend")
     cmd.add_argument("--bind", default=None, metavar="HOST:PORT",
                      help="remote backend only: coordinator listen address "

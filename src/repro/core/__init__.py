@@ -46,6 +46,7 @@ from repro.core.clock_auction import (
     ConvergenceError,
 )
 from repro.core.settlement import (
+    AmbiguousBidderError,
     Settlement,
     SettlementLine,
     settle,
@@ -92,6 +93,7 @@ __all__ = [
     "ConvergenceError",
     "ENGINES",
     "sum_demand_rows",
+    "AmbiguousBidderError",
     "Settlement",
     "SettlementLine",
     "settle",

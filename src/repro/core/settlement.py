@@ -38,6 +38,14 @@ from repro.core.proxy import DROPOUT_SLACK
 _CHECK_BLOCK = 256
 
 
+class AmbiguousBidderError(LookupError):
+    """A by-name lookup of a bidder that placed several bids.
+
+    :func:`settle` emits one line per bid, so a team with several bids has
+    several lines; index :attr:`Settlement.lines` by bid position instead.
+    """
+
+
 @dataclass(frozen=True)
 class SettlementLine:
     """The settled outcome for one bidder."""
@@ -95,11 +103,20 @@ class Settlement:
         return [line for line in self.lines if line.won]
 
     def line_for(self, bidder: str) -> SettlementLine:
-        """The settlement line of one bidder."""
-        for line in self.lines:
-            if line.bidder == bidder:
-                return line
-        raise KeyError(f"no settlement line for bidder {bidder!r}")
+        """The settlement line of a bidder that placed exactly one bid.
+
+        Raises :class:`KeyError` for an unknown bidder and
+        :class:`AmbiguousBidderError` for one with several lines.
+        """
+        found = [line for line in self.lines if line.bidder == bidder]
+        if not found:
+            raise KeyError(f"no settlement line for bidder {bidder!r}")
+        if len(found) > 1:
+            raise AmbiguousBidderError(
+                f"bidder {bidder!r} has {len(found)} settlement lines, one per bid; "
+                "index Settlement.lines by bid position instead"
+            )
+        return found[0]
 
     # -- aggregates ----------------------------------------------------------------
     def total_allocated(self) -> np.ndarray:
@@ -125,7 +142,7 @@ class Settlement:
         return [v for v in values if v is not None]
 
     def allocation_map(self, bidder: str) -> dict[str, float]:
-        """Non-zero allocation of one bidder keyed by pool name."""
+        """Non-zero allocation of a one-bid bidder keyed by pool name (see :meth:`line_for`)."""
         return self.index.describe(self.line_for(bidder).allocation)
 
 

@@ -1,4 +1,4 @@
-"""Execution backends: one protocol over serial, process-pool, and multi-host runs.
+"""Execution backends: one protocol over process-pool and multi-host runs.
 
 The registry lets the runner/CLI/store pipeline treat "where jobs execute" as
 a first-class dimension, exactly like the demand engine and the allocation
@@ -8,7 +8,7 @@ command line, and the result store records which worker produced each run.
 
 >>> from repro.exec import backend_names, create_backend
 >>> backend_names()
-['serial', 'process', 'remote']
+['process', 'remote']
 >>> create_backend('process', workers=2).workers
 2
 """
@@ -34,7 +34,7 @@ from repro.exec.queue import (
     JobState,
     RetryBudgetExhausted,
 )
-from repro.exec.serial import SerialBackend, run_one
+from repro.exec.serial import run_one
 from repro.exec.wire import DEFAULT_TRANSPORT, Transport
 from repro.exec.worker import (
     WorkerError,
@@ -44,7 +44,6 @@ from repro.exec.worker import (
     run_worker,
 )
 
-register_backend(SerialBackend)
 register_backend(ProcessBackend)
 register_backend(RemoteBackend)
 
@@ -64,7 +63,6 @@ __all__ = [
     "ProcessBackend",
     "RemoteBackend",
     "RetryBudgetExhausted",
-    "SerialBackend",
     "Transport",
     "WorkerError",
     "WorkerRejected",

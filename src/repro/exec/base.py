@@ -1,7 +1,7 @@
 """The execution-backend protocol and registry.
 
-The parallel runner's job is scheduling — which scenario runs next, what the
-report looks like — not *where* the work happens.  An
+The parallel runner's job is scheduling — static longest-job-first order,
+what the report looks like — not *where* the work happens.  An
 :class:`ExecutionBackend` is the "where": anything that can take a list of
 :class:`~repro.simulation.catalog.ScenarioSpec` jobs plus a preferred
 dispatch order and deliver one :class:`~repro.simulation.runner.ScenarioRunResult`
@@ -16,26 +16,20 @@ report).
 Registered backends:
 
 ===========  ==============================================================
-``serial``   Run every job in the calling process, one after another.
-``process``  Fan jobs across a local :class:`~concurrent.futures.ProcessPoolExecutor`
-             (falls back to serial where subprocesses are forbidden).
+``process``  Fan jobs across a local :class:`~concurrent.futures.ProcessPoolExecutor`;
+             ``workers=1``, or a sandbox that forbids subprocesses, runs
+             them one after another in the calling process.
 ``remote``   Stream jobs over TCP to ``python -m repro worker`` daemons on
              any number of hosts, with heartbeats, retry budgets, an
              optional shared-secret handshake, and a control plane
              (``repro workers list|drain|scale``) for persistent fleets.
 ===========  ==============================================================
 
-Backends may additionally expose an optional ``set_worker_speeds(mapping)``
-hook; when present, :class:`~repro.simulation.runner.ParallelRunner` feeds it
-per-worker speed factors derived from the result store's wall-time histories
-so dispatch can be host-aware (the remote backend sends the heaviest job to
-the fastest free worker).
-
 >>> from repro.exec import backend_names, get_backend_factory
 >>> backend_names()
-['serial', 'process', 'remote']
->>> get_backend_factory('serial').name
-'serial'
+['process', 'remote']
+>>> get_backend_factory('process').name
+'process'
 """
 
 from __future__ import annotations
@@ -112,7 +106,7 @@ def register_backend(factory: BackendFactory) -> BackendFactory:
 
 
 def backend_names() -> list[str]:
-    """All registered backend names, in registration order (serial first)."""
+    """All registered backend names, in registration order."""
     return list(BACKENDS)
 
 
@@ -129,8 +123,8 @@ def create_backend(name: str, **options) -> ExecutionBackend:
     """Instantiate a registry backend with backend-specific ``options``.
 
     Options every backend accepts: ``workers`` (pool size for ``process``,
-    minimum connected workers for ``remote``, ignored by ``serial``).  The
-    remote backend additionally takes ``bind`` and its timeout knobs — see
+    minimum connected workers for ``remote``).  The remote backend
+    additionally takes ``bind`` and its timeout knobs — see
     :class:`repro.exec.coordinator.RemoteBackend`.
     """
     return get_backend_factory(name)(**options)

@@ -10,12 +10,10 @@ The coordinator owns all scheduling state; workers (see
    ``python -m repro workers``).
 2. :meth:`RemoteBackend.execute` waits until at least ``workers`` daemons are
    connected (late joiners are welcome mid-sweep), builds a
-   :class:`~repro.exec.queue.JobQueue` from the caller's longest-job-first
-   order — fed by the result store's measured wall times exactly like the
-   process pool — and dispatches: the heaviest QUEUED job goes to the
-   fastest free worker (per-worker speed factors from the store's
-   ``runs.worker`` wall-time histories; unknown workers count as average),
-   each loaded up to its advertised in-flight capacity.
+   :class:`~repro.exec.queue.JobQueue` from the caller's static
+   longest-job-first order — the same order the process pool submits in —
+   and dispatches: the heaviest QUEUED job goes to the earliest-joined free
+   worker, each loaded up to its advertised in-flight capacity.
 3. Results are emitted (in the caller's thread) as they land.  A worker that
    misses its heartbeat window or drops its socket is declared lost: its
    in-flight jobs move RUNNING → QUEUED at the *front* of the queue (burning
@@ -52,7 +50,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.base import EmitFn
 from repro.exec.queue import DEFAULT_RETRY_BUDGET, JobQueue, JobState
@@ -83,7 +81,7 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 DEFAULT_WAIT_TIMEOUT = 30.0
 
 #: How long a connecting peer gets to finish its hello/auth exchange.
-DEFAULT_HANDSHAKE_TIMEOUT = 10.0
+HANDSHAKE_TIMEOUT = 10.0
 
 
 @dataclass
@@ -127,9 +125,6 @@ class RemoteBackend:
     wait_timeout:
         Seconds to wait for the initial workers — and, mid-sweep, for a
         replacement when every worker has been lost with jobs still pending.
-    max_in_flight:
-        Coordinator-side ceiling on any worker's in-flight jobs (the
-        effective cap is ``min(worker capacity, max_in_flight)``).
     secret:
         Shared secret for the HMAC handshake.  ``None`` (default) accepts
         any peer — localhost trust; with a secret set every worker and
@@ -143,8 +138,6 @@ class RemoteBackend:
         without retiring daemon workers.
     retry_budget:
         Worker-loss requeues allowed per job before the sweep aborts.
-    handshake_timeout:
-        Seconds a connecting peer gets to complete hello/auth.
     transport:
         Wire transport override (the chaos harness' injection seam).
     """
@@ -159,18 +152,14 @@ class RemoteBackend:
         workers: int | None = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
-        max_in_flight: int | None = None,
         quiet: bool = False,
         secret: str | None = None,
         persistent: bool = False,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
-        handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
         transport: Transport | None = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive seconds")
         if retry_budget < 0:
@@ -179,12 +168,10 @@ class RemoteBackend:
         self.min_workers = workers or 1
         self.heartbeat_timeout = heartbeat_timeout
         self.wait_timeout = wait_timeout
-        self.max_in_flight = max_in_flight
         self.quiet = quiet
         self.secret = secret
         self.persistent = persistent
         self.retry_budget = retry_budget
-        self.handshake_timeout = handshake_timeout
         #: The bound ``HOST:PORT`` once listening (ephemeral port resolved).
         self.address: str | None = None
         self._transport = transport or DEFAULT_TRANSPORT
@@ -197,7 +184,6 @@ class RemoteBackend:
         self._events: queue.Queue = queue.Queue()
         self._workers: dict[str, _Worker] = {}
         self._registry_lock = threading.Lock()
-        self._worker_speeds: dict[str, float] = {}
         #: The active sweep's job queue (control-plane snapshots read it).
         self._queue: JobQueue | None = None
         #: Dispatch/requeue counters of the most recently finished sweep.
@@ -242,18 +228,6 @@ class RemoteBackend:
         with self._registry_lock:
             return sum(1 for worker in self._workers.values() if worker.alive)
 
-    def set_worker_speeds(self, speeds: Mapping[str, float]) -> None:
-        """Install per-worker speed factors for host-aware dispatch.
-
-        ``speeds`` maps worker ids to mean relative wall time (1.0 = fleet
-        average, smaller = faster) as computed by
-        :meth:`repro.results.store.ResultStore.worker_speeds`;
-        :meth:`~repro.simulation.runner.ParallelRunner.run_specs` calls this
-        automatically when it has a result store.  Unknown workers schedule
-        as average.
-        """
-        self._worker_speeds = dict(speeds)
-
     def close(self, *, final: bool = False) -> None:
         """Stop listening and end the current service.
 
@@ -294,8 +268,7 @@ class RemoteBackend:
             if deadline is not None and time.monotonic() >= deadline:
                 break
             time.sleep(poll)
-        with self._registry_lock:
-            count = sum(1 for worker in self._workers.values() if worker.alive)
+        count = self.connected_workers()
         self._shutdown_workers(final=True)
         self._drained.set()
         self._say(f"fleet drained ({count} worker(s) retired)")
@@ -347,9 +320,7 @@ class RemoteBackend:
                 continue
             self._retire_worker(victim)
             stopped += 1
-        with self._registry_lock:
-            alive = sum(1 for worker in self._workers.values() if worker.alive)
-        return {"alive": alive, "stopped": stopped, "needed": 0}
+        return {"alive": self.connected_workers(), "stopped": stopped, "needed": 0}
 
     # -- backend contract --------------------------------------------------------------
     def execute(
@@ -383,8 +354,7 @@ class RemoteBackend:
     def _wait_for_workers(self) -> None:
         deadline = time.monotonic() + self.wait_timeout
         while True:
-            with self._registry_lock:
-                connected = sum(1 for w in self._workers.values() if w.alive)
+            connected = self.connected_workers()
             if connected >= self.min_workers:
                 return
             if time.monotonic() >= deadline:
@@ -400,20 +370,10 @@ class RemoteBackend:
                     f"`python -m repro worker --connect {self.address}`"
                 )
             event = self._drain_event(timeout=0.1)
-            if event is None:
-                continue
-            if event[0] == "lost":
+            if event is not None and event[0] == "lost":
                 # A worker that came and went before dispatch: drop it so it
                 # does not count toward (or receive) anything.
                 self._remove_worker(event[1], event[2])
-            elif event[0] == "msg":
-                # Heartbeats must keep last_seen fresh even before dispatch:
-                # assembling a fleet can take longer than heartbeat_timeout,
-                # and a stale timestamp here would get a healthy worker
-                # declared lost on the first liveness check.
-                worker = self._workers.get(event[1])
-                if worker is not None:
-                    worker.last_seen = time.monotonic()
 
     def _dispatch_all(self, specs, pending_order: list[int], emit: EmitFn) -> None:
         jobs = JobQueue(
@@ -462,12 +422,7 @@ class RemoteBackend:
             self._queue = None
 
     def _assign(self, specs, jobs: JobQueue) -> None:
-        """Hand QUEUED jobs to free worker slots, fastest worker first.
-
-        Host-aware: the heaviest queued job goes to the free worker with the
-        best measured speed factor (ties broken by join order, so the
-        no-history fleet behaves exactly as before).
-        """
+        """Hand QUEUED jobs to free worker slots, earliest-joined worker first."""
         while True:
             index = jobs.next_job()
             if index is None:
@@ -487,10 +442,7 @@ class RemoteBackend:
                 ]
                 if not candidates:
                     return
-                worker = min(
-                    candidates,
-                    key=lambda w: (self._worker_speeds.get(w.worker_id, 1.0), w.joined_at),
-                )
+                worker = min(candidates, key=lambda w: w.joined_at)
                 worker.in_flight[index] = time.monotonic()
             spec = specs[index]
             try:
@@ -518,8 +470,6 @@ class RemoteBackend:
     def _on_message(self, worker_id, message, emit: EmitFn, jobs: JobQueue) -> bool:
         """Apply one worker message; True when it completed a job."""
         worker = self._workers.get(worker_id)
-        if worker is not None:
-            worker.last_seen = time.monotonic()
         kind = message["type"]
         if kind not in ("result", "error"):
             return False
@@ -554,11 +504,11 @@ class RemoteBackend:
         worker.alive = False
         worker.sock.close()
         # in_flight is insertion-ordered, i.e. the order the scheduler chose
-        # (longest job first under measured costs); re-queue at the front in
-        # that same order so the heaviest forfeited job restarts first.  Only
-        # jobs still RUNNING *on this worker* go back: a straggler result may
-        # already have completed one, and a prematurely-declared-lost worker's
-        # jobs may already be running elsewhere.
+        # (longest job first); re-queue at the front in that same order so
+        # the heaviest forfeited job restarts first.  Only jobs still RUNNING
+        # *on this worker* go back: a straggler result may already have
+        # completed one, and a prematurely-declared-lost worker's jobs may
+        # already be running elsewhere.
         requeued = [
             job
             for job in worker.in_flight
@@ -626,7 +576,7 @@ class RemoteBackend:
     def _serve_connection(self, sock: socket.socket) -> None:
         worker_id = None
         try:
-            sock.settimeout(self.handshake_timeout)
+            sock.settimeout(HANDSHAKE_TIMEOUT)
             # Small latency-sensitive frames; see the matching setting in
             # the worker's dial path.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -646,8 +596,6 @@ class RemoteBackend:
                 return
             nonce = self._authenticate(sock)  # BEFORE any registration/jobs
             worker_id = str(first["worker"])
-            if self.max_in_flight is not None:
-                capacity = min(capacity, self.max_in_flight)
             now = time.monotonic()
             worker = _Worker(
                 worker_id=worker_id,
@@ -686,9 +634,11 @@ class RemoteBackend:
                 if message is None:
                     self._on_connection_closed(worker_id, "connection closed")
                     return
-                # The reader thread refreshes liveness itself so heartbeats
-                # count even while no sweep loop is draining events (a
-                # persistent fleet spends most of its life idle).
+                # The reader thread refreshes liveness, before it enqueues the
+                # frame, so heartbeats count whether or not a sweep loop is
+                # draining events (a persistent fleet spends most of its life
+                # idle, and assembling a fleet can outlast the heartbeat
+                # window).
                 worker.last_seen = time.monotonic()
                 if self._sweeping.is_set():
                     self._events.put(("msg", worker_id, message))

@@ -1,18 +1,15 @@
 """The process-pool execution backend (one machine, many cores).
 
-This is the pool logic that used to live inside
-:class:`~repro.simulation.runner.ParallelRunner`, extracted behind the
-:class:`~repro.exec.base.ExecutionBackend` contract so multi-host execution
-could slot in beside it.  Semantics are unchanged:
-
 * jobs are submitted to the pool in the caller's dispatch order (longest job
   first) so heavyweight scenarios never become the makespan tail;
 * results are emitted as they land (completion order), the caller reassembles
   submission order;
+* ``workers=1`` runs every job serially in the calling process (the serial
+  lane, provenance ``serial:<pid>``), with no pool at all;
 * if the pool cannot be created at all, or a worker dies mid-run (restricted
   sandboxes that forbid subprocesses), the backend degrades to running the
-  unfinished jobs serially — ``emit`` still fires exactly once per job and
-  the report is identical either way.
+  unfinished jobs on the serial lane — ``emit`` still fires exactly once per
+  job and the report is identical either way.
 """
 
 from __future__ import annotations
@@ -41,11 +38,12 @@ class ProcessBackend:
     """Fan jobs across a local :class:`~concurrent.futures.ProcessPoolExecutor`.
 
     ``workers=None`` uses every core up to the job count; ``workers=1`` runs
-    the jobs serially in-process without creating a pool.
+    the jobs serially in-process without creating a pool.  The serial lane is
+    the reference every other lane's report bytes are checked against.
     """
 
     name = "process"
-    description = "fan jobs across a local process pool (serial fallback)"
+    description = "fan jobs across a local process pool (workers=1: serially in-process)"
 
     def __init__(self, *, workers: int | None = None):
         if workers is not None and workers < 1:

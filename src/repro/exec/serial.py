@@ -1,12 +1,14 @@
-"""The serial execution backend: every job runs in the calling process."""
+"""The serial lane: run one job in the calling process.
+
+:func:`run_one` is the single-job path of the process backend's serial lane
+(``workers=1``, or a sandbox without subprocesses) and of the remote worker
+daemon.
+"""
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
-
-from repro.exec.base import EmitFn
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.catalog import ScenarioSpec
@@ -15,9 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def run_one(spec: "ScenarioSpec", *, worker: str):
     """Run one spec in-process and stamp its (non-canonical) worker provenance.
 
-    The shared single-job path of the serial backend, the process pool's
-    worker entry point, and the remote worker daemon — a scenario failure is
-    wrapped in ``RuntimeError`` naming the scenario, whichever backend hit it.
+    A scenario failure is wrapped in ``RuntimeError`` naming the scenario,
+    whichever lane hit it.
     """
     from repro.simulation.runner import run_scenario
 
@@ -26,31 +27,3 @@ def run_one(spec: "ScenarioSpec", *, worker: str):
     except Exception as error:
         raise RuntimeError(f"scenario {spec.name!r} failed: {error}") from error
     return replace(result, worker=worker)
-
-
-class SerialBackend:
-    """Run jobs one after another in the calling process.
-
-    The reference implementation of the backend contract: what every other
-    backend's report bytes are checked against.  ``workers`` is accepted for
-    interface uniformity and ignored.
-    """
-
-    name = "serial"
-    description = "run every job in the calling process, one after another"
-
-    def __init__(self, *, workers: int | None = None):
-        del workers  # accepted for uniformity with the other backends
-
-    def execute(
-        self,
-        specs: Sequence["ScenarioSpec"],
-        *,
-        order: Sequence[int],
-        emit: EmitFn,
-    ) -> None:
-        """Run jobs in submission order (dispatch order buys nothing serially)."""
-        del order  # one lane: makespan is the same whatever the order
-        label = f"serial:{os.getpid()}"
-        for i, spec in enumerate(specs):
-            emit(i, run_one(spec, worker=label))

@@ -2,8 +2,8 @@
 
 A worker is deliberately dumb: it dials the coordinator, announces itself
 (``hello`` with its id and in-flight capacity), then loops — receive a job,
-run it with the very same :func:`~repro.exec.serial.run_one` path every other
-backend uses, ship the result back.  A background thread emits heartbeats so
+run it with the very same :func:`~repro.exec.serial.run_one` path the process
+backend's serial lane uses, ship the result back.  A background thread emits heartbeats so
 the coordinator can tell "busy with a long scenario" from "host died".  All
 scheduling intelligence (dispatch order, retry, caps) lives coordinator-side;
 a worker never needs the scenario catalog, the result store, or any state

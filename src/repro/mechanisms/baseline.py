@@ -162,7 +162,8 @@ def proportional_grants(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grant each row ``min(1, available/demand)`` of what it asks for in each pool."""
     total_demand = running_sum(np.zeros(len(available)), requested)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal demand overflows the ratio to inf, and min(1, inf) is 1.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(total_demand > 0, np.minimum(1.0, available / total_demand), 1.0)
     return np.arange(len(requested)), requested * scale
 

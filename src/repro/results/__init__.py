@@ -10,8 +10,8 @@ durable and comparable:
 * :mod:`repro.results.store` — a sqlite-backed :class:`ResultStore` keyed by
   ``(scenario, seed, code_version, engine, mechanism)`` that the parallel
   runner and the ``python -m repro`` CLI write into, replacing throwaway JSON
-  reports as the canonical record (observed wall times included, for
-  measured-cost scheduling);
+  reports as the canonical record (observed wall times and workers
+  included, as provenance);
 * :mod:`repro.results.stats` — replicate statistics (mean / stddev / 95%
   confidence intervals per metric), version-to-version comparison with
   regression flagging, and cross-mechanism comparison, surfaced by

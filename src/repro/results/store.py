@@ -6,12 +6,12 @@ used, and the allocation mechanism that produced the outcome; recording the
 same key twice replaces the earlier row (re-running an experiment under
 unchanged code is a refresh, not a new observation).  Each run stores the
 full canonical trajectory report (as JSON, for provenance), the scalar
-metrics of :mod:`repro.results.metrics` (as rows, for querying), the
-observed wall time (for measured-cost scheduling), and the executing worker
-(``serial:<pid>``, ``process:<pid>``, or a remote worker id — placement
-provenance for distributed sweeps).  Wall time and worker are deliberately
-*outside* the canonical JSON, which must stay deterministic: where and how
-fast a run executed must never change its bytes.
+metrics of :mod:`repro.results.metrics` (as rows, for querying), and two
+provenance columns that nothing schedules from: the observed wall time and
+the executing worker (``serial:<pid>``, ``process:<pid>``, or a remote
+worker id).  Wall time and worker are deliberately *outside* the canonical
+JSON, which must stay deterministic: where and how fast a run executed must
+never change its bytes.
 
 Schema::
 
@@ -321,69 +321,6 @@ class ResultStore:
             f"SELECT DISTINCT mechanism FROM runs {clauses} ORDER BY mechanism", params
         )
         return [row[0] for row in rows.fetchall()]
-
-    def mean_wall_times(self) -> dict[tuple[str, str, str, int], float]:
-        """Observed mean wall seconds per (scenario, mechanism, engine, auctions).
-
-        The measured costs the parallel runner prefers over static
-        ``cost_estimate()`` ranking when scheduling longest-job-first.  The
-        key matches :meth:`repro.simulation.catalog.ScenarioSpec.cost_key`:
-        runs under a different engine or auction count are a different job
-        and must not stand in for this one's cost.  Rows without a recorded
-        wall time are ignored; versions are pooled on purpose (timings drift
-        slowly and more samples beat freshness).
-        """
-        rows = self._conn.execute(
-            """
-            SELECT scenario, mechanism, engine, auctions, AVG(wall_time)
-            FROM runs
-            WHERE wall_time IS NOT NULL
-            GROUP BY scenario, mechanism, engine, auctions
-            """
-        ).fetchall()
-        return {
-            (scenario, mechanism, engine, int(auctions)): float(seconds)
-            for scenario, mechanism, engine, auctions, seconds in rows
-        }
-
-    def worker_speeds(self) -> dict[str, float]:
-        """Mean relative speed per worker id (1.0 = fleet average, lower = faster).
-
-        Host-aware scheduling input for the remote backend: for every job key
-        that at least two distinct workers have timed, each worker's mean wall
-        time is divided by the key's fleet-wide mean, and those ratios are
-        averaged per worker.  Comparing only *within* a key keeps the factor a
-        pure host-speed signal — a worker that happened to draw the heavy
-        scenarios is not "slow", it just ran bigger jobs.  Keys timed by a
-        single worker say nothing about relative speed and are skipped, so a
-        store with no multi-worker history returns ``{}`` (every worker then
-        schedules as average).
-        """
-        rows = self._conn.execute(
-            """
-            SELECT worker, scenario, mechanism, engine, auctions, AVG(wall_time)
-            FROM runs
-            WHERE wall_time IS NOT NULL AND worker IS NOT NULL
-            GROUP BY worker, scenario, mechanism, engine, auctions
-            """
-        ).fetchall()
-        by_key: dict[tuple, list[tuple[str, float]]] = {}
-        for worker, scenario, mechanism, engine, auctions, seconds in rows:
-            key = (scenario, mechanism, engine, int(auctions))
-            by_key.setdefault(key, []).append((str(worker), float(seconds)))
-        ratios: dict[str, list[float]] = {}
-        for pairs in by_key.values():
-            if len(pairs) < 2:
-                continue
-            key_mean = sum(seconds for _, seconds in pairs) / len(pairs)
-            if key_mean <= 0:
-                continue
-            for worker, seconds in pairs:
-                ratios.setdefault(worker, []).append(seconds / key_mean)
-        return {
-            worker: sum(values) / len(values)
-            for worker, values in sorted(ratios.items())
-        }
 
     def scenarios(self) -> list[str]:
         """Distinct scenario names present in the store, sorted."""

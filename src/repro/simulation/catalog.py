@@ -147,8 +147,7 @@ class ScenarioSpec:
     #: Static cost discount for non-market mechanisms: baselines skip price
     #: discovery entirely, so an epoch costs a small fraction of a market
     #: auction's clock rounds.  Only the *ranking* matters (see
-    #: :meth:`cost_estimate`); measured wall times from the result store
-    #: override this estimate when available.
+    #: :meth:`cost_estimate`).
     BASELINE_COST_FACTOR = 0.05
 
     def cost_estimate(self) -> float:
@@ -172,16 +171,6 @@ class ScenarioSpec:
         if self.mechanism != "market":
             weight *= self.BASELINE_COST_FACTOR
         return weight
-
-    def cost_key(self) -> tuple[str, str, str, int]:
-        """The result-store key measured wall times are looked up under.
-
-        Includes the engine and auction count alongside the scenario and
-        mechanism: a one-auction smoke of a heavy scenario, or a scalar-engine
-        run of a batch-engine workload, is not a valid cost measurement for
-        the full job and must not poison sweep ordering.
-        """
-        return (self.name, self.mechanism, self.config.auction_engine, self.auctions)
 
     def summary(self) -> dict[str, object]:
         """The scalar facts ``python -m repro list`` displays."""

@@ -4,21 +4,21 @@ Each catalog scenario is an independent economy — its own fleet, population,
 seed, allocation mechanism, and auction sequence — so a sweep over scenarios
 (or over replicate seeds of one scenario, or over mechanisms) is
 embarrassingly parallel.  :class:`ParallelRunner` owns the *scheduling* of
-such a sweep — longest-job-first dispatch order fed by the result store's
-measured wall times, streaming aggregation, store persistence — and delegates
-the *execution* to a pluggable :class:`~repro.exec.base.ExecutionBackend`
-(``serial``, ``process``, or the multi-host ``remote`` fabric; see
-:mod:`repro.exec`).  The assembled :class:`SweepReport`'s canonical JSON is
-**byte-identical** regardless of backend, worker count, or completion order:
-every job carries its own seed, results are ordered by submission, and
-wall-clock timings are kept out of the canonical report (each result's
-measured wall time rides along in the non-canonical ``wall_time_seconds``
-field, which the result store persists so later sweeps can schedule from
-measured costs; likewise the executing worker's identity in ``worker``).
+such a sweep — static longest-job-first dispatch order, streaming
+aggregation, store persistence — and delegates the *execution* to a
+pluggable :class:`~repro.exec.base.ExecutionBackend` (the local ``process``
+pool or the multi-host ``remote`` fabric; see :mod:`repro.exec`).  The
+assembled :class:`SweepReport`'s canonical JSON is **byte-identical**
+regardless of backend, worker count, or completion order: every job carries
+its own seed, results are ordered by submission, and wall-clock timings are
+kept out of the canonical report (each result's measured wall time rides
+along in the non-canonical ``wall_time_seconds`` field, and the executing
+worker's identity in ``worker``; the result store persists both as
+provenance).
 
 With ``workers=1`` (or when a process pool cannot be created) the default
-backend runs the very same job list serially, which is what makes the
-determinism guarantee checkable:
+backend runs the very same job list serially in-process, which is what makes
+the determinism guarantee checkable:
 ``run(names, workers=4).to_json() == run(names, workers=1).to_json()``.
 
 >>> from repro.simulation.catalog import get_scenario
@@ -113,7 +113,7 @@ class ScenarioRunResult:
     team_scores: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Measured wall time of the run in seconds.  Deliberately *not* part of
     #: the canonical report (or equality): timings vary run to run, reports
-    #: must not.  The result store persists it for measured-cost scheduling.
+    #: must not.  The result store persists it as provenance.
     wall_time_seconds: float | None = field(default=None, compare=False)
     #: Which execution lane produced the run (``serial:<pid>``,
     #: ``process:<pid>``, or a remote worker id).  Provenance only: like the
@@ -310,62 +310,22 @@ def expand_mechanisms(
     ]
 
 
-def job_costs(
-    specs: Sequence[ScenarioSpec],
-    measured: Mapping[tuple[str, str, str, int], float] | None = None,
-) -> list[float]:
-    """Scheduling cost per spec: measured wall time where known, estimate otherwise.
+def longest_job_first(specs: Sequence[ScenarioSpec]) -> list[int]:
+    """Dispatch order for a backend: heaviest scenario first.
 
-    ``measured`` maps ``(scenario, mechanism, engine, auctions)`` — a spec's
-    :meth:`~repro.simulation.catalog.ScenarioSpec.cost_key` — to observed
-    mean wall seconds (see
-    :meth:`repro.results.store.ResultStore.mean_wall_times`).  Static
-    estimates are in arbitrary work units, so jobs without a measurement get
-    their estimate rescaled into seconds by the mean seconds-per-unit ratio of
-    the jobs that *do* have one — keeping the two populations rankable against
-    each other instead of comparing seconds to unit counts.
-    """
-    estimates = [spec.cost_estimate() for spec in specs]
-    if not measured:
-        return estimates
-    ratios = [
-        measured[spec.cost_key()] / estimate
-        for spec, estimate in zip(specs, estimates)
-        if spec.cost_key() in measured and estimate > 0
-    ]
-    scale = float(np.mean(ratios)) if ratios else 1.0
-    return [
-        measured.get(spec.cost_key(), estimate * scale)
-        for spec, estimate in zip(specs, estimates)
-    ]
-
-
-def longest_job_first(
-    specs: Sequence[ScenarioSpec],
-    measured: Mapping[tuple[str, str, str, int], float] | None = None,
-) -> list[int]:
-    """Submission order for a process pool: heaviest scenario first.
-
-    Returns indices into ``specs`` sorted by descending cost (stable for
-    ties).  Cost is the observed mean wall time recorded in the result store
-    when one exists for the job's
-    :meth:`~repro.simulation.catalog.ScenarioSpec.cost_key`, else the static
-    :meth:`~repro.simulation.catalog.ScenarioSpec.cost_estimate` (see
-    :func:`job_costs`).  Submitting the longest jobs first tightens the
-    pool's makespan: a 10k-bidder stress scenario starts on a worker
-    immediately instead of becoming the tail after every quick scenario has
-    already finished.  The *report* order is unaffected — results are always
-    assembled in the caller's submission order.
+    Returns indices into ``specs`` sorted by descending static
+    :meth:`~repro.simulation.catalog.ScenarioSpec.cost_estimate` (stable for
+    ties).  Submitting the longest jobs first tightens the makespan: a
+    10k-bidder stress scenario starts on a worker immediately instead of
+    becoming the tail after every quick scenario has already finished.  The
+    *report* order is unaffected — results are always assembled in the
+    caller's submission order.
 
     >>> from repro.simulation.catalog import get_scenario
-    >>> specs = [get_scenario("smoke"), get_scenario("10k-bidder-stress")]
-    >>> longest_job_first(specs)
+    >>> longest_job_first([get_scenario("smoke"), get_scenario("10k-bidder-stress")])
     [1, 0]
-    >>> longest_job_first(specs, {specs[0].cost_key(): 60.0,
-    ...                           specs[1].cost_key(): 1.0})
-    [0, 1]
     """
-    costs = job_costs(specs, measured)
+    costs = [spec.cost_estimate() for spec in specs]
     return sorted(range(len(specs)), key=lambda i: (-costs[i], i))
 
 
@@ -440,8 +400,8 @@ class SweepReport:
 class ParallelRunner:
     """Schedule independent scenario jobs onto an execution backend.
 
-    ``backend`` selects where jobs run: a registry name (``serial``,
-    ``process``, ``remote`` — see :mod:`repro.exec`), an already-configured
+    ``backend`` selects where jobs run: a registry name (``process`` or
+    ``remote`` — see :mod:`repro.exec`), an already-configured
     :class:`~repro.exec.base.ExecutionBackend` instance, or ``None`` for the
     default ``process`` backend.  ``workers`` is forwarded to the backend:
     pool size for ``process`` (``None`` uses every core up to the job count;
@@ -485,16 +445,12 @@ class ParallelRunner:
         ``store`` is an optional :class:`repro.results.ResultStore`: each
         result is persisted as it lands, under ``code_version`` (derived from
         the working tree when ``None`` — see
-        :func:`repro.results.default_code_version`), and the store's observed
-        mean wall times take precedence over static cost estimates when
-        ordering pool submission (measured-cost scheduling).
+        :func:`repro.results.default_code_version`).
         """
         specs = list(specs)
-        measured: dict[tuple[str, str], float] = {}
         if store is not None:
             from repro.results.store import default_code_version
 
-            measured = store.mean_wall_times()
             version = code_version if code_version is not None else default_code_version()
             inner = on_result
 
@@ -515,14 +471,7 @@ class ParallelRunner:
         # Heaviest jobs first: dispatch order decides the backend's makespan,
         # the ``results`` slot index keeps the report in submission order.
         backend = self._resolve_backend()
-        if store is not None:
-            set_speeds = getattr(backend, "set_worker_speeds", None)
-            if set_speeds is not None:
-                # Host-aware dispatch: backends that track per-worker speed
-                # (remote) get the store's measured factors; scheduling stays
-                # a pure performance hint, invisible in the report bytes.
-                set_speeds(store.worker_speeds())
-        backend.execute(specs, order=longest_job_first(specs, measured), emit=emit)
+        backend.execute(specs, order=longest_job_first(specs), emit=emit)
         return SweepReport(results=tuple(r for r in results if r is not None))
 
     def run_replicates(

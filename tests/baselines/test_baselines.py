@@ -1,6 +1,7 @@
 """Unit tests for the traditional-allocation baselines and the comparison metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,16 @@ class TestPolicyOrders:
         for row in granted:
             assert row[idle_index.index_of("alpha/cpu")] == pytest.approx(250.0)
             assert row[idle_index.index_of("beta/ram")] == pytest.approx(100.0)
+
+    def test_proportional_grants_a_subnormal_demand_in_full_without_warning(self):
+        requested = np.array([[5e-324, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            served, granted = proportional_grants(
+                np.array([5.0, 1.0]), requested, np.zeros(1, dtype=int), np.ones(1), None
+            )
+        assert served.tolist() == [0]
+        assert granted.tolist() == requested.tolist()
 
     def test_lottery_of_no_requests_draws_nothing(self):
         rng = np.random.default_rng(0)

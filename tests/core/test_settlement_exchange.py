@@ -8,7 +8,12 @@ from repro.core.bundles import BundleSet
 from repro.core.exchange import BidValidationError, CombinatorialExchange
 from repro.core.prices import PriceTable, price_ratios
 from repro.core.reserve import PAPER_PHI_1, FlatWeight, ReservePricer
-from repro.core.settlement import Settlement, settle, verify_system_constraints
+from repro.core.settlement import (
+    AmbiguousBidderError,
+    Settlement,
+    settle,
+    verify_system_constraints,
+)
 
 
 def flat_prices(pool_index, value=1.0):
@@ -71,6 +76,17 @@ class TestSettle:
         settlement = settle(pool_index, [], flat_prices(pool_index))
         with pytest.raises(KeyError):
             settlement.line_for("ghost")
+
+    @pytest.mark.parametrize("lookup", ["line_for", "allocation_map"])
+    def test_by_name_lookup_of_a_team_with_two_bids_raises(self, pool_index, lookup):
+        bids = [
+            Bid.buy("t", pool_index, [{"alpha/cpu": 10}], max_payment=1.0),
+            Bid.buy("t", pool_index, [{"beta/cpu": 10}], max_payment=100.0),
+        ]
+        settlement = settle(pool_index, bids, flat_prices(pool_index))
+        assert [line.won for line in settlement.lines] == [False, True]
+        with pytest.raises(AmbiguousBidderError, match="bidder 't' has 2 settlement lines"):
+            getattr(settlement, lookup)("t")
 
     def test_wrong_price_shape_rejected(self, pool_index):
         with pytest.raises(ValueError):

@@ -20,8 +20,7 @@ import pytest
 from chaos import ChaosEvent, ChaosKill, ChaosTransport
 from repro.exec import ControlClient
 from repro.simulation.runner import ParallelRunner
-from test_control import wait_for
-from test_remote import backend_on_ephemeral_port, start_worker, tiny_spec
+from test_remote import backend_on_ephemeral_port, tiny_spec, wait_for
 
 # Millisecond-scale timings (satellite: heartbeat knobs are parameters now).
 FAST_HEARTBEAT = 0.05

@@ -17,7 +17,7 @@ from repro.exec.queue import JobQueue
 from repro.exec.wire import auth_mac, recv_message, send_message
 from repro.exec.worker import WorkerRejected, parse_hostport
 from repro.simulation.runner import ParallelRunner
-from test_remote import backend_on_ephemeral_port, start_worker, tiny_spec
+from test_remote import backend_on_ephemeral_port, start_worker, tiny_spec, wait_for
 
 
 def execute_in_thread(backend, specs) -> tuple[threading.Thread, list]:
@@ -35,15 +35,6 @@ def execute_in_thread(backend, specs) -> tuple[threading.Thread, list]:
     return thread, outcome
 
 
-def wait_for(predicate, timeout: float = 5.0, message: str = "condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"timed out waiting for {message}")
-
-
 class TestHandshake:
     def test_matching_secret_serves_jobs(self):
         specs = [tiny_spec("tiny-auth", seed=3)]
@@ -58,14 +49,14 @@ class TestHandshake:
         backend, address = backend_on_ephemeral_port(secret="right")
         backend.listen()
         host, port = parse_hostport(address)
-        sock = socket.create_connection((host, port), timeout=5.0)
-        send_message(sock, {"type": "hello", "worker": "mallory", "capacity": 1, "pid": 0})
-        challenge = recv_message(sock)
-        assert challenge["type"] == "challenge"
-        send_message(sock, {"type": "auth", "mac": auth_mac("wrong", challenge["nonce"])})
-        reply = recv_message(sock)
-        assert reply == {"type": "reject", "reason": "authentication failed"}
-        assert recv_message(sock) is None  # connection closed; nothing followed
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            send_message(sock, {"type": "hello", "worker": "mallory", "capacity": 1, "pid": 0})
+            challenge = recv_message(sock)
+            assert challenge["type"] == "challenge"
+            send_message(sock, {"type": "auth", "mac": auth_mac("wrong", challenge["nonce"])})
+            reply = recv_message(sock)
+            assert reply == {"type": "reject", "reason": "authentication failed"}
+            assert recv_message(sock) is None  # connection closed; nothing followed
         assert backend.connected_workers() == 0
         backend.close()
 
@@ -311,7 +302,10 @@ class TestScale:
             assert not isinstance(report, Exception), report
             assert report.to_json() == ParallelRunner(workers=1).run_specs(specs).to_json()
             wait_for(lambda: replies, message="scale-down reply")
-            assert replies == [{"alive": 1, "stopped": 1, "needed": 0}]
+            registered = [row["worker"] for row in backend._fleet_snapshot()["workers"]]
+            assert replies == [{"alive": 1, "stopped": 1, "needed": 0}], (
+                f"scale-down replied {replies}; registered workers now: {registered}"
+            )
         finally:
             backend.drain()
             backend.close()

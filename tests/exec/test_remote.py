@@ -42,6 +42,15 @@ def backend_on_ephemeral_port(**kwargs) -> tuple[RemoteBackend, str]:
     return backend, backend.listen()
 
 
+def wait_for(predicate, timeout: float = 5.0, message: str = "condition"):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
 def start_worker(address: str, worker_id: str, **kwargs) -> threading.Thread:
     thread = threading.Thread(
         target=run_worker,
@@ -151,30 +160,29 @@ class TestWorkerLoss:
         report = ParallelRunner(backend=backend).run_specs([tiny_spec()])
         assert [r.worker for r in report.results] == ["patient"]
 
-    def test_wait_phase_refreshes_last_seen_from_heartbeats(self):
-        """Unit view of the same guarantee: heartbeat events drained while
-        waiting for more workers must advance the sender's ``last_seen``
-        (a dropped-on-the-floor heartbeat would leave a stale timestamp
-        and get a healthy worker killed at dispatch)."""
-        import socket as socket_mod
-
-        from repro.exec.coordinator import _Worker
-
-        backend, _ = backend_on_ephemeral_port(workers=2, wait_timeout=0.5)
+    def test_reader_refreshes_last_seen_before_it_enqueues_a_frame(self):
+        """Liveness is refreshed by the connection's reader thread before a
+        frame reaches the sweep loop, so neither the wait phase nor the
+        dispatch loop has to write ``last_seen`` itself."""
+        backend, address = backend_on_ephemeral_port()
+        host, port = parse_hostport(address)
+        backend._sweeping.set()  # the reader enqueues frames only mid-sweep
         try:
-            a, b = socket_mod.socketpair()
-            stale = time.monotonic() - 60.0
-            worker = _Worker(
-                worker_id="early", sock=a, capacity=1, joined_at=stale, last_seen=stale
-            )
-            backend._workers["early"] = worker
-            backend._events.put(("msg", "early", {"type": "heartbeat"}))
-            backend._wait_for_workers()  # times out waiting for a second worker
-            assert worker.last_seen > stale, (
-                "a heartbeat drained during the wait phase must refresh last_seen"
-            )
-            b.close()
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                send_message(
+                    sock, {"type": "hello", "worker": "scripted", "capacity": 1, "pid": 0}
+                )
+                assert recv_message(sock)["type"] == "welcome"
+                assert backend._events.get(timeout=5.0) == ("joined", "scripted")
+                worker = backend._workers["scripted"]
+                stale = time.monotonic() - 60.0
+                worker.last_seen = stale
+                send_message(sock, {"type": "heartbeat"})
+                event = backend._events.get(timeout=5.0)
+                assert event == ("msg", "scripted", {"type": "heartbeat"})
+                assert worker.last_seen > stale
         finally:
+            backend._sweeping.clear()
             backend.close()
 
     def test_silent_worker_is_declared_lost_by_heartbeat(self):
@@ -273,6 +281,21 @@ class TestHandshake:
             assert recv_message(bad) is None
         backend.close()
 
+    def test_silent_peer_is_dropped_after_the_handshake_timeout(self, monkeypatch):
+        """A peer that connects and never says hello is cut off once
+        ``HANDSHAKE_TIMEOUT`` passes instead of holding its connection
+        thread forever."""
+        import repro.exec.coordinator as coordinator_mod
+
+        monkeypatch.setattr(coordinator_mod, "HANDSHAKE_TIMEOUT", 0.2)
+        backend, address = backend_on_ephemeral_port()
+        try:
+            host, port = parse_hostport(address)
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                assert recv_message(sock) is None  # closed by the coordinator
+        finally:
+            backend.close()
+
     def test_worker_with_no_coordinator_gives_up(self):
         with pytest.raises(WorkerError, match="no coordinator"):
             run_worker("127.0.0.1:1", worker_id="orphan", retry_seconds=0.3)
@@ -332,43 +355,47 @@ class TestDispatchPolicy:
         assert sorted(seen) == [0, 1, 2]
         assert len(report.results) == 3
 
-    def test_max_in_flight_caps_advertised_capacity(self):
-        backend, address = backend_on_ephemeral_port(max_in_flight=1)
-        specs = [tiny_spec(f"tiny-{i}", seed=i) for i in range(2)]
+    @staticmethod
+    def join_in_order(backend, address, worker_ids) -> None:
+        for count, worker_id in enumerate(worker_ids, start=1):
+            start_worker(address, worker_id)
+            wait_for(lambda: backend.connected_workers() == count, message=worker_id)
 
-        def scripted_worker():
-            from repro.exec.serial import run_one
-            from repro.exec.wire import decode_spec_b64, result_to_wire
-
-            host, port = parse_hostport(address)
-            sock = socket.create_connection((host, port))
-            # Advertise a huge capacity; the coordinator must still send one
-            # job at a time because of its own cap.
-            send_message(
-                sock, {"type": "hello", "worker": "greedy", "capacity": 99, "pid": 0}
-            )
-            assert recv_message(sock)["type"] == "welcome"
-            first = recv_message(sock)
-            sock.settimeout(0.5)
-            try:
-                recv_message(sock)
-                raise AssertionError("second job arrived despite max_in_flight=1")
-            except TimeoutError:
-                pass
-            sock.settimeout(None)
-            while first is not None and first["type"] == "job":
-                result = run_one(decode_spec_b64(first["spec"]), worker="greedy")
-                send_message(
-                    sock, {"type": "result", "job": first["job"], **result_to_wire(result)}
-                )
-                first = recv_message(sock)
-            sock.close()
-
-        thread = threading.Thread(target=scripted_worker, daemon=True)
-        thread.start()
+    def test_heaviest_job_goes_to_the_earliest_joiner(self):
+        """One dispatch rule: the heaviest queued job goes to the
+        earliest-joined free worker, the next one to the next free worker."""
+        specs = [tiny_spec("small", auctions=1), tiny_spec("big", auctions=2)]
+        backend, address = backend_on_ephemeral_port(workers=2)
+        self.join_in_order(backend, address, ["w-early", "w-late"])
         report = ParallelRunner(backend=backend).run_specs(specs)
-        thread.join(timeout=10)
-        assert len(report.results) == 2
+        assert {r.scenario: r.worker for r in report.results} == {
+            "big": "w-early",
+            "small": "w-late",
+        }
+
+    def test_store_history_does_not_steer_dispatch(self, tmp_path):
+        """Stored wall times are provenance only: a store whose history marks
+        the later joiner as the faster host still sees a single job go to the
+        earliest joiner."""
+        import dataclasses
+
+        from repro.results.store import ResultStore
+        from repro.simulation.runner import run_scenario
+
+        spec = tiny_spec()
+        backend, address = backend_on_ephemeral_port(workers=2)
+        self.join_in_order(backend, address, ["w-early", "w-late"])
+        with ResultStore(tmp_path / "history.sqlite") as store:
+            result = run_scenario(spec)
+            for version, worker, seconds in (("v0", "w-early", 10.0), ("v1", "w-late", 1.0)):
+                store.record(
+                    dataclasses.replace(result, worker=worker, wall_time_seconds=seconds),
+                    code_version=version,
+                )
+            report = ParallelRunner(backend=backend).run_specs(
+                [spec], store=store, code_version="v2"
+            )
+        assert [r.worker for r in report.results] == ["w-early"]
 
 
 class TestScenarioFailure:

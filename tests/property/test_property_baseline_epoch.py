@@ -98,7 +98,7 @@ def reference_grants(policy, index, requests, rng):
         total_demand = np.zeros(len(index))
         for vec in vectors:
             total_demand += vec
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scale = np.where(
                 total_demand > 0, np.minimum(1.0, index.available() / total_demand), 1.0
             )

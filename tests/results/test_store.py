@@ -146,27 +146,13 @@ class TestRecordAndQuery:
             store.record(fake_run_result(seed=0, mechanism="fixed-price"), code_version="v1")
             assert store.mechanisms() == ["fixed-price", "market"]
 
-    def test_wall_time_persists_and_averages(self, fake_run_result):
+    def test_wall_time_persists(self, fake_run_result):
         with ResultStore(":memory:") as store:
             store.record(fake_run_result(seed=0, wall_time_seconds=2.0), code_version="v1")
             store.record(fake_run_result(seed=1, wall_time_seconds=4.0), code_version="v1")
-            store.record(
-                fake_run_result(seed=0, mechanism="priority", wall_time_seconds=0.5),
-                code_version="v1",
-            )
+            store.record(fake_run_result(seed=2), code_version="v1")  # no wall time
             runs = store.runs(mechanism="market")
-            assert [r.wall_time for r in runs] == [2.0, 4.0]
-            # keyed like ScenarioSpec.cost_key(): engine and auction count
-            # distinguish differently-shaped runs of the same scenario
-            assert store.mean_wall_times() == {
-                ("tiny", "market", "auto", 2): 3.0,
-                ("tiny", "priority", "auto", 2): 0.5,
-            }
-
-    def test_unmeasured_runs_are_absent_from_mean_wall_times(self, fake_run_result):
-        with ResultStore(":memory:") as store:
-            store.record(fake_run_result(seed=0), code_version="v1")  # no wall time
-            assert store.mean_wall_times() == {}
+            assert [r.wall_time for r in runs] == [2.0, 4.0, None]
 
     def test_summary_groups_by_scenario_version_engine(self, fake_run_result):
         with ResultStore(":memory:") as store:

@@ -136,10 +136,3 @@ class TestMechanismField:
         market_cost = spec.cost_estimate()
         baseline_cost = spec.with_overrides(mechanism="priority").cost_estimate()
         assert baseline_cost == pytest.approx(market_cost * ScenarioSpec.BASELINE_COST_FACTOR)
-
-    def test_cost_key_identifies_the_job_shape(self):
-        # Scenario + mechanism + engine + auction count: a one-auction smoke
-        # of a scenario is a different job than its full run.
-        spec = get_scenario("smoke").with_overrides(mechanism="fixed-price")
-        assert spec.cost_key() == ("smoke", "fixed-price", "auto", 3)
-        assert spec.with_overrides(auctions=1).cost_key() != spec.cost_key()

@@ -129,18 +129,19 @@ class TestStorePersistence:
 class TestBackendCLI:
     def test_backend_list_names_every_backend(self, capsys):
         assert main(["sweep", "--backend", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("serial", "process", "remote"):
-            assert name in out
+        rows = capsys.readouterr().out.splitlines()[2:]  # header and rule first
+        assert [row.split()[0] for row in rows] == ["process", "remote"]
 
     def test_backend_list_works_on_run_too(self, capsys):
         assert main(["run", "smoke", "--backend", "list"]) == 0
         assert "remote" in capsys.readouterr().out
 
-    def test_unknown_backend_exits_2_with_available(self, capsys):
-        assert main(["run", "smoke", "--backend", "teleport"]) == 2
+    # ``serial`` is no backend: ``--workers 1`` is the serial path.
+    @pytest.mark.parametrize("name", ["teleport", "serial"])
+    def test_unknown_backend_exits_2_with_available(self, capsys, name):
+        assert main(["run", "smoke", "--backend", name]) == 2
         err = capsys.readouterr().err
-        assert "serial" in err and "remote" in err
+        assert f"unknown backend {name!r}; available: process, remote" in err
 
     def test_bind_without_remote_backend_exits_2(self, capsys):
         assert main(["run", "smoke", "--bind", "127.0.0.1:7077"]) == 2
@@ -150,9 +151,9 @@ class TestBackendCLI:
         assert main(["sweep", "smoke", "--backend", "remote", "--bind", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_explicit_serial_backend_runs_and_stamps_provenance(self, tmp_path):
+    def test_single_worker_runs_serially_and_stamps_provenance(self, tmp_path):
         db = tmp_path / "store.sqlite"
-        assert main(["run", "smoke", "--backend", "serial", "--auctions", "1",
+        assert main(["run", "smoke", "--workers", "1", "--auctions", "1",
                      "--db", str(db)]) == 0
         with ResultStore(db) as store:
             (run,) = store.runs()

@@ -142,9 +142,10 @@ class TestLongestJobFirst:
         specs = [tiny_spec(f"tiny-{i}", seed=i) for i in range(4)]  # equal costs
         assert longest_job_first(specs) == [0, 1, 2, 3]
 
-    def test_pool_submission_uses_longest_job_first(self, monkeypatch):
-        """The pool path hands jobs to the executor in cost order, while the
-        report stays in submission order."""
+    @staticmethod
+    def record_pool_submissions(monkeypatch) -> list[str]:
+        """Swap the process pool for an in-process fake that records the
+        scenario names in the order they were submitted."""
         import repro.exec.process as process_mod
         from concurrent.futures import Future
 
@@ -170,11 +171,41 @@ class TestLongestJobFirst:
                 pass
 
         monkeypatch.setattr(process_mod, "ProcessPoolExecutor", FakeExecutor)
+        return submitted
+
+    def test_pool_submission_uses_longest_job_first(self, monkeypatch):
+        """The pool path hands jobs to the executor in cost order, while the
+        report stays in submission order."""
+        submitted = self.record_pool_submissions(monkeypatch)
         small = tiny_spec("small", seed=1, auctions=1)
         big = tiny_spec("big", seed=2, auctions=3)  # 3x the cost estimate
         report = ParallelRunner(workers=2).run_specs([small, big])
         assert submitted == ["big", "small"]
         assert [r.scenario for r in report.results] == ["small", "big"]
+
+    def test_pool_submission_ignores_store_wall_times(self, monkeypatch, tmp_path):
+        """Stored wall times are provenance only: a store whose history
+        contradicts the static estimates leaves pool submission in
+        longest-job-first order."""
+        import dataclasses
+
+        from repro.results.store import ResultStore
+
+        submitted = self.record_pool_submissions(monkeypatch)
+        small = tiny_spec("small", seed=1, auctions=1)
+        big = tiny_spec("big", seed=2, auctions=3)
+        with ResultStore(tmp_path / "measured.sqlite") as store:
+            # Seed observed costs that contradict the static estimates.
+            store.record(
+                dataclasses.replace(run_scenario(small), wall_time_seconds=60.0),
+                code_version="v0",
+            )
+            store.record(
+                dataclasses.replace(run_scenario(big), wall_time_seconds=1.0),
+                code_version="v0",
+            )
+            ParallelRunner(workers=2).run_specs([small, big], store=store)
+        assert submitted == ["big", "small"]  # estimate order, whatever the store says
 
 
 class TestSweepReport:
@@ -266,92 +297,3 @@ class TestWallTimes:
 
         a = run_scenario(tiny_spec(seed=5))
         assert dataclasses.replace(a, wall_time_seconds=99.0) == a
-
-
-class TestMeasuredCostScheduling:
-    def test_job_costs_prefer_measured_wall_times(self):
-        from repro.simulation.runner import job_costs
-
-        small = tiny_spec("small", auctions=1)
-        big = tiny_spec("big", auctions=3)
-        measured = {small.cost_key(): 60.0, big.cost_key(): 1.0}
-        assert job_costs([small, big], measured) == [60.0, 1.0]
-
-    def test_unmeasured_jobs_are_rescaled_into_seconds(self):
-        from repro.simulation.runner import job_costs
-
-        measured_spec = tiny_spec("known", auctions=2)
-        unknown = tiny_spec("unknown", auctions=4)  # 2x the static estimate
-        measured = {measured_spec.cost_key(): 10.0}
-        costs = job_costs([measured_spec, unknown], measured)
-        assert costs[0] == 10.0
-        # unknown's estimate is scaled by known's seconds-per-unit ratio: 2x
-        assert costs[1] == pytest.approx(20.0)
-
-    def test_no_measurements_falls_back_to_static_estimates(self):
-        from repro.simulation.runner import job_costs
-
-        specs = [tiny_spec("a", auctions=1), tiny_spec("b", auctions=2)]
-        assert job_costs(specs, {}) == [s.cost_estimate() for s in specs]
-
-    def test_longest_job_first_flips_under_measured_costs(self):
-        small = tiny_spec("small", auctions=1)
-        big = tiny_spec("big", auctions=3)
-        assert longest_job_first([small, big]) == [1, 0]
-        measured = {small.cost_key(): 60.0, big.cost_key(): 1.0}
-        assert longest_job_first([small, big], measured) == [0, 1]
-
-    def test_measurements_of_a_different_job_shape_are_ignored(self):
-        # A one-auction smoke of a heavy scenario must not stand in for the
-        # full job's cost: the cost key includes engine and auction count.
-        from repro.simulation.runner import job_costs
-
-        full = tiny_spec("heavy", auctions=3)
-        smoke_of_it = full.with_overrides(auctions=1)
-        measured = {smoke_of_it.cost_key(): 0.001}  # fast because it is tiny
-        assert job_costs([full], measured) == [full.cost_estimate()]
-
-    def test_pool_submission_prefers_store_measurements(self, monkeypatch, tmp_path):
-        """A store with observed wall times reorders pool submission."""
-        import repro.exec.process as process_mod
-        from concurrent.futures import Future
-        from repro.results.store import ResultStore
-
-        submitted: list[str] = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, spec):
-                submitted.append(spec.name)
-                future = Future()
-                future.set_result(fn(spec))
-                return future
-
-            def shutdown(self, **kwargs):
-                pass
-
-        monkeypatch.setattr(process_mod, "ProcessPoolExecutor", FakeExecutor)
-        small = tiny_spec("small", seed=1, auctions=1)
-        big = tiny_spec("big", seed=2, auctions=3)
-        with ResultStore(tmp_path / "measured.sqlite") as store:
-            # Seed observed costs that contradict the static estimates.
-            import dataclasses
-
-            store.record(
-                dataclasses.replace(run_scenario(small), wall_time_seconds=60.0),
-                code_version="v0",
-            )
-            store.record(
-                dataclasses.replace(run_scenario(big), wall_time_seconds=1.0),
-                code_version="v0",
-            )
-            ParallelRunner(workers=2).run_specs([small, big], store=store)
-        assert submitted == ["small", "big"]  # measured order, not estimate order
