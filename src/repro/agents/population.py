@@ -10,6 +10,7 @@ and a strategy drawn from a configurable mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -83,12 +84,16 @@ class PopulationSpec:
             raise ValueError("team_count must be >= 1")
         if self.budget_per_team < 0:
             raise ValueError("budget_per_team must be non-negative")
+        if not math.isfinite(self.congested_home_bias):
+            raise ValueError("congested_home_bias must be finite")
         if not self.strategy_mix:
             raise ValueError("strategy_mix must not be empty")
+        if not all(math.isfinite(weight) for weight in self.strategy_mix.values()):
+            raise ValueError("strategy weights must be finite")
         if any(weight < 0 for weight in self.strategy_mix.values()):
             raise ValueError("strategy weights must be non-negative")
-        if sum(self.strategy_mix.values()) <= 0:
-            raise ValueError("strategy weights must sum to a positive value")
+        if not 0 < sum(self.strategy_mix.values()) < math.inf:
+            raise ValueError("strategy weights must sum to a finite positive value")
         if self.roster is not None:
             if len(self.roster) != self.team_count:
                 raise ValueError(
@@ -97,6 +102,27 @@ class PopulationSpec:
             names = [genome.name for genome in self.roster]
             if len(set(names)) != len(names):
                 raise ValueError("roster genome names must be unique")
+
+
+def _choice_cdf(weights: np.ndarray, error: str) -> np.ndarray:
+    """The CDF that ``Generator.choice`` draws from with ``p=weights / weights.sum()``.
+
+    ``choice`` checks ``p`` and builds this CDF on every call.  A build checks
+    the weights once, before it divides, and builds the CDF the same way:
+    ``p.cumsum()``, then divided in place by its last element.  So
+    ``cdf.searchsorted(rng.random(), side="right")`` picks the index ``choice``
+    would, from the same stream value.  ``error`` is the ``ValueError`` text
+    for weights that are not all non-negative with a finite positive sum.
+
+    >>> _choice_cdf(np.array([1.0, 0.0, 3.0]), "bad weights").tolist()
+    [0.25, 0.25, 1.0]
+    """
+    total = weights.sum()
+    if not (np.isfinite(total) and total > 0 and np.all(weights >= 0)):
+        raise ValueError(error)
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _make_strategy(kind: str, rng: np.random.Generator) -> BiddingStrategy:
@@ -152,10 +178,18 @@ def build_population(
     cpu_utils = np.array(
         [fleet.pool_index.pool(f"{c}/cpu").utilization for c in clusters], dtype=float
     )
-    weights = spec.congested_home_bias * cpu_utils + (1 - spec.congested_home_bias)
-    weights = weights / weights.sum()
+    home_cdf = _choice_cdf(
+        spec.congested_home_bias * cpu_utils + (1 - spec.congested_home_bias),
+        f"congested_home_bias={spec.congested_home_bias!r} gives home-cluster weights "
+        "that are not all non-negative with a finite positive sum on this fleet",
+    )
+
+    def pick(options: list[str], cdf: np.ndarray) -> str:
+        # The pick Generator.choice makes with p, from one rng.random() draw.
+        return options[int(cdf.searchsorted(rng.random(), side="right"))]
 
     services = catalog.names()
+    service_count = len(services)
 
     def draw_demand(home: str) -> DemandProfile:
         # Demand: one or two service requests sized as a fraction of the home cluster.
@@ -163,7 +197,8 @@ def build_population(
         request_count = int(rng.integers(1, 3))
         requests = []
         for _ in range(request_count):
-            service = str(rng.choice(services))
+            # The pick Generator.choice makes without p: one integers(0, n) draw.
+            service = services[int(rng.integers(0, service_count))]
             coverage_cpu = catalog.spec(service).coverage.cpu
             target_cpu = home_cpu_capacity * spec.demand_scale * float(rng.lognormal(0.0, 0.6))
             quantity = max(target_cpu / max(coverage_cpu, 1e-6), 1.0)
@@ -180,7 +215,7 @@ def build_population(
         # Scripted path: kinds and strategy parameters come from the genomes;
         # only market conditions (home, demand) are drawn from the rng.
         for genome in spec.roster:
-            home = str(rng.choice(clusters, p=weights))
+            home = pick(clusters, home_cdf)
             demand = draw_demand(home)
             strategy_seed = int(rng.integers(0, 2**31 - 1))
             agent = TeamAgent(
@@ -196,12 +231,14 @@ def build_population(
         return agents
 
     kinds = list(spec.strategy_mix)
-    kind_weights = np.array([spec.strategy_mix[k] for k in kinds], dtype=float)
-    kind_weights = kind_weights / kind_weights.sum()
+    kind_cdf = _choice_cdf(
+        np.array([spec.strategy_mix[k] for k in kinds], dtype=float),
+        "strategy_mix weights must be non-negative with a finite positive sum",
+    )
 
     for i in range(spec.team_count):
-        home = str(rng.choice(clusters, p=weights))
-        kind = str(rng.choice(kinds, p=kind_weights))
+        home = pick(clusters, home_cdf)
+        kind = pick(kinds, kind_cdf)
         demand = draw_demand(home)
         agent = TeamAgent(
             name=f"team-{i:03d}",

@@ -127,16 +127,10 @@ def generate_fleet(
     base_targets = np.linspace(lo, hi, spec.cluster_count)
     rng.shuffle(base_targets)
 
+    log_machines_lo = np.log(spec.machines_range[0])
+    log_machines_hi = np.log(spec.machines_range[1])
     for i in range(spec.cluster_count):
-        machine_count = int(
-            round(
-                np.exp(
-                    rng.uniform(
-                        np.log(spec.machines_range[0]), np.log(spec.machines_range[1])
-                    )
-                )
-            )
-        )
+        machine_count = int(round(np.exp(rng.uniform(log_machines_lo, log_machines_hi))))
         cpu = float(rng.uniform(*spec.machine_cpu))
         ram = cpu * float(rng.uniform(*spec.ram_per_cpu))
         disk = cpu * float(rng.uniform(*spec.disk_per_cpu))
@@ -146,10 +140,11 @@ def generate_fleet(
             machine_capacity=cpu_ram_disk(cpu, ram, disk),
             site=sites[i % spec.sites].name,
         )
+        base_target = float(base_targets[i])
         loads: dict[ResourceType, float] = {}
         for rtype in RESOURCE_TYPES:
             jitter = float(rng.normal(0.0, spec.dimension_jitter))
-            loads[rtype] = float(np.clip(base_targets[i] + jitter, 0.02, 0.99))
+            loads[rtype] = min(max(base_target + jitter, 0.02), 0.99)
         cluster.set_load(loads)
         topology.add_cluster(cluster)
 

@@ -1,5 +1,8 @@
 """Unit tests for the agent framework: relocation costs, learning, strategies, population."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,6 +311,45 @@ class TestPopulation:
             PopulationSpec(strategy_mix={"market_tracker": -1.0})
         with pytest.raises(ValueError):
             PopulationSpec(budget_per_team=-1.0)
+        for bias in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="congested_home_bias must be finite"):
+                PopulationSpec(congested_home_bias=bias)
+        for mix in ({"seller": float("nan")}, {"seller": float("inf"), "lowball": 1.0}):
+            with pytest.raises(ValueError, match="strategy weights must be finite"):
+                PopulationSpec(strategy_mix=mix)
+        with pytest.raises(ValueError, match="strategy weights must sum to a finite positive value"):
+            PopulationSpec(strategy_mix={"seller": 1e308, "lowball": 1e308})
+
+    def test_negative_bias_stays_valid(self, fleet):
+        agents = build_population(fleet, PopulationSpec(team_count=20, congested_home_bias=-2.0), seed=5)
+        assert len(agents) == 20
+
+    @pytest.mark.parametrize(
+        "bias, utils",
+        [
+            # One cluster below 1/3 CPU utilization: its weight 1.5u - 0.5 is negative.
+            (1.5, None),
+            # Every weight 1.0 * 0 + 0: nothing to normalise by.
+            (1.0, [0.0, 0.0, 0.0, 0.0]),
+            # Every weight negative: dividing by their sum would invert the bias.
+            (1.5, [0.3, 0.2, 0.1, 0.0]),
+        ],
+        ids=["one-negative-weight", "all-loads-zero", "all-weights-negative"],
+    )
+    def test_bad_home_weights_rejected_before_any_draw(self, fleet, bias, utils):
+        if utils is None:
+            assert min(p.utilization for p in fleet.pool_index if p.name.endswith("/cpu")) < 1 / 3
+        else:
+            index = fleet.pool_index.with_utilizations(
+                {f"{c}/cpu": u for c, u in zip(fleet.cluster_names(), utils)}
+            )
+            fleet = dataclasses.replace(fleet, pool_index=index)
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="congested_home_bias"):
+                build_population(fleet, PopulationSpec(congested_home_bias=bias), seed=rng)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
     def test_unknown_strategy_kind_rejected(self, fleet):
         with pytest.raises(KeyError):
