@@ -15,13 +15,22 @@ every line, so a mismatch can name the first line that moved.  The
 ``scaling`` experiment's ``seconds`` column and fitted exponents are
 wall-clock readings; they are masked before hashing.
 
+It also pins clock-auction round traces, which the reports summarise
+only as final prices and round counts.  Each pinned auction is kept as one
+sha256 over its convergence flag, every round's prices, excess demand and
+active-bidder count (and per-bid demands, when recorded) and the cleared
+round's demand matrix, plus a short digest of every round, so a mismatch
+can name the auction and the first round that moved.  ``make equivalence``
+proves the scalar engine's traces equal the batch engine's within a commit,
+so these pin both engines across commits.
+
 The bits depend on the platform as well as the code (a BLAS kernel may round
 a product differently), so the Python version, NumPy version and BLAS build
 are stored beside the digests and reported on a mismatch.
 
 Rewrite the file with ``make golden`` (``python tests/golden/golden.py``), and
-only when a change is meant to move a report; list each changed entry and
-the reason in CHANGES.md.
+only when a change is meant to move a report, output or trace; list each
+changed entry and the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ LINE_DIGEST_CHARS = 8
 #: The tournament whose canonical report is pinned, and the command that prints it.
 TOURNAMENT = "smoke-tournament"
 TOURNAMENT_ARGV = ("tournament", TOURNAMENT, "--workers", "1", "--no-store", "--json")
+#: The stress preset whose auction traces are pinned (at STRESS_TEAMS, STRESS_AUCTIONS).
+TRACE_STRESS_PRESET = "10k-bidder-stress"
+#: Hex digits kept of each per-round digest of a pinned trace.
+ROUND_DIGEST_CHARS = 8
 #: Wall-clock readings masked out of an output before hashing, by output key.
 MASKS = {
     "experiment/scaling": (
@@ -154,6 +167,82 @@ def golden_outputs() -> list[GoldenOutput]:
     ]
 
 
+@dataclass(frozen=True)
+class GoldenTrace:
+    """The clock-auction round traces of one pinned run.
+
+    A ``kind`` of ``economy`` runs a catalog preset's market economy at a seed
+    (``teams`` and ``auctions`` override the preset's sizes) and pins each
+    binding auction's trace.  ``clock_rounds`` re-runs the Figure 1 reference
+    auction of :mod:`repro.experiments.clock_rounds` at a seed with
+    ``AuctionConfig(record_bidder_demands=True)``, so every round's per-bid
+    demand matrix is pinned too.
+    """
+
+    kind: str
+    preset: str
+    seed: int
+    teams: int | None = None
+    auctions: int | None = None
+
+    @property
+    def key(self) -> str:
+        return f"{self.preset}/{self.seed}"
+
+    def outcomes(self) -> list:
+        """The run's auction outcomes, in auction order."""
+        if self.kind == "clock_rounds":
+            from repro.experiments.clock_rounds import run_clock_rounds
+
+            return [run_clock_rounds(seed=self.seed, record_bidder_demands=True).outcome]
+        from repro.simulation.economy import MarketEconomySimulation
+
+        spec = GoldenRun(self.preset, "market", self.seed, self.teams, self.auctions).spec()
+        history = MarketEconomySimulation.from_spec(spec.build(), spec).run(spec.auctions)
+        return [period.record.result.outcome for period in history.periods]
+
+
+def golden_traces() -> list[GoldenTrace]:
+    """The pinned traces: the reference economy, a stress epoch, the Figure 1 auction."""
+    traces = [GoldenTrace("economy", "paper-reference", seed) for seed in SEEDS]
+    traces += [
+        GoldenTrace("economy", TRACE_STRESS_PRESET, seed, STRESS_TEAMS, STRESS_AUCTIONS)
+        for seed in SEEDS
+    ]
+    traces.append(GoldenTrace("clock_rounds", "clock_rounds", 0))
+    return traces
+
+
+def _array_bytes(array) -> bytes:
+    """An array's shape and its float64 values, little-endian, as bytes."""
+    import numpy
+
+    return repr(array.shape).encode() + numpy.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
+def _round_bytes(auction_round) -> bytes:
+    parts = [
+        repr((auction_round.round_index, auction_round.active_bidders)).encode(),
+        _array_bytes(auction_round.prices),
+        _array_bytes(auction_round.excess_demand),
+    ]
+    if auction_round.bidder_demands is not None:
+        parts.append(_array_bytes(auction_round.bidder_demands))
+    return b"".join(parts)
+
+
+def trace_record(outcome) -> dict[str, object]:
+    """One auction's trace digest and a short digest per round."""
+    whole = hashlib.sha256(repr(outcome.converged).encode())
+    rounds = []
+    for auction_round in outcome.rounds:
+        data = _round_bytes(auction_round)
+        whole.update(data)
+        rounds.append(hashlib.sha256(data).hexdigest()[:ROUND_DIGEST_CHARS])
+    whole.update(_array_bytes(outcome.final_demands))
+    return {"sha256": whole.hexdigest(), "rounds": rounds}
+
+
 def platform_facts() -> dict[str, str]:
     """What besides the code decides the bits: interpreter, NumPy, BLAS."""
     import numpy
@@ -206,17 +295,35 @@ def load() -> dict[str, object]:
     return json.loads(DIGESTS_PATH.read_text())
 
 
+def platform_note(recorded: dict[str, str]) -> str:
+    """How the running platform differs from the ``recorded`` one, for a failure message."""
+    drift = [
+        f"{name}: recorded {recorded.get(name)!r}, running {value!r}"
+        for name, value in platform_facts().items()
+        if recorded.get(name) != value
+    ]
+    if drift:
+        return "; platform differs from the recorded one: " + "; ".join(drift)
+    return "; platform matches the recorded one"
+
+
 def write() -> int:
-    """Recompute every pinned run and output and rewrite the digest file."""
-    runs, outputs = golden_runs(), golden_outputs()
+    """Recompute every pinned run, output and trace and rewrite the digest file."""
+    runs, outputs, traces = golden_runs(), golden_outputs(), golden_traces()
     payload = {
         "platform": platform_facts(),
         "reports": {run.key: record(run.report()) for run in runs},
         "outputs": {output.key: record_output(output.text()) for output in outputs},
+        "traces": {
+            trace.key: [trace_record(outcome) for outcome in trace.outcomes()]
+            for trace in traces
+        },
     }
     DIGESTS_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    auctions = sum(len(entry) for entry in payload["traces"].values())
     print(
-        f"wrote {len(runs)} report digests and {len(outputs)} output digests to {DIGESTS_PATH}"
+        f"wrote {len(runs)} report digests, {len(outputs)} output digests and "
+        f"{auctions} auction-trace digests to {DIGESTS_PATH}"
     )
     return 0
 

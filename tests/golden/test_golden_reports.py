@@ -18,29 +18,13 @@ from golden import (
     key_digests,
     line_digests,
     load,
-    platform_facts,
+    platform_note,
     sha256,
 )
 
 RUNS = golden_runs()
 OUTPUTS = golden_outputs()
 RECORDED = load()
-
-
-def _platform_drift() -> list[str]:
-    recorded = RECORDED["platform"]
-    return [
-        f"{name}: recorded {recorded.get(name)!r}, running {value!r}"
-        for name, value in platform_facts().items()
-        if recorded.get(name) != value
-    ]
-
-
-def _platform_note() -> str:
-    drift = _platform_drift()
-    if drift:
-        return "; platform differs from the recorded one: " + "; ".join(drift)
-    return "; platform matches the recorded one"
 
 
 def test_digest_file_pins_exactly_the_golden_runs():
@@ -70,7 +54,8 @@ def test_report_keeps_its_bytes(run: GoldenRun):
     pytest.fail(
         f"report of preset {run.preset!r}, mechanism {run.mechanism!r}, seed {run.seed} "
         f"changed; first differing key: {moved[0] if moved else '(none: whitespace only)'}"
-        f" ({len(moved)} of {len(expected['keys'])} keys differ)" + _platform_note(),
+        f" ({len(moved)} of {len(expected['keys'])} keys differ)"
+        + platform_note(RECORDED["platform"]),
         pytrace=False,
     )
 
@@ -95,6 +80,6 @@ def test_output_keeps_its_bytes(output: GoldenOutput):
         where = "line: none (line endings only)"
     pytest.fail(
         f"stdout of {output.kind} {output.name!r} changed; first differing {where}"
-        + _platform_note(),
+        + platform_note(RECORDED["platform"]),
         pytrace=False,
     )
