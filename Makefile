@@ -77,10 +77,11 @@ chaos:
 
 ## differential-equivalence harness: the scalar and batch demand engines
 ## must produce byte-identical canonical reports and round traces on every
-## non-stress catalog preset — engine drift fails the build here, not just
-## in the benchmarks
+## non-stress catalog preset, and every pinned clock auction must keep the
+## round trace digested in tests/golden/digests.json — engine drift and trace
+## drift across commits fail the build here, not just in the benchmarks
 equivalence:
-	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py -q
+	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py tests/golden/test_golden_traces.py -q
 
 ## the auction core, cluster, market, simulation, analysis, execution and
 ## agent suites under `python -X dev` (extra runtime checks, every warning shown)
@@ -91,9 +92,9 @@ devmode:
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q \
 	    -W error::pytest.PytestUnraisableExceptionWarning $(DEVMODE_TESTS)
 
-## rewrite tests/golden/digests.json: one sha256 per pinned canonical report
-## and per pinned experiment or tournament stdout (the only writer of that file;
-## tier-1 checks every digest)
+## rewrite tests/golden/digests.json: one sha256 per pinned canonical report,
+## per pinned experiment or tournament stdout and per pinned clock-auction round
+## trace (the only writer of that file; tier-1 checks every digest)
 golden:
 	$(PYTHON) tests/golden/golden.py
 

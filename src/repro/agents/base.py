@@ -59,7 +59,7 @@ class MarketView:
 
     def utilization(self, pool_name: str) -> float:
         """Current utilization of one pool."""
-        return self.index.pool(pool_name).utilization
+        return float(self.index.utilizations()[self.index.index_of(pool_name)])
 
 
 @dataclass

@@ -82,8 +82,13 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.team_count < 1:
             raise ValueError("team_count must be >= 1")
+        if not math.isfinite(self.budget_per_team):
+            raise ValueError("budget_per_team must be finite")
         if self.budget_per_team < 0:
             raise ValueError("budget_per_team must be non-negative")
+        # A negative demand_scale stays valid: every request takes the 1.0 floor.
+        if not math.isfinite(self.demand_scale):
+            raise ValueError("demand_scale must be finite")
         if not math.isfinite(self.congested_home_bias):
             raise ValueError("congested_home_bias must be finite")
         if not self.strategy_mix:

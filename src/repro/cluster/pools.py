@@ -85,18 +85,23 @@ class PoolIndex:
     market asks for them per bid and per request, and each accessor hands
     out a fresh copy the caller owns.  An index derived by
     :meth:`with_utilizations` shares its parent's name-derived state,
-    capacities and unit costs.
+    capacities and unit costs, and builds its :class:`ResourcePool` objects
+    only when :attr:`pools`, :meth:`pool` or iteration first asks for them.
     """
 
     def __init__(self, pools: Sequence[ResourcePool]):
         if not pools:
             raise ValueError("PoolIndex requires at least one pool")
-        self._pools: tuple[ResourcePool, ...] = tuple(pools)
+        self._pools: tuple[ResourcePool, ...] | None = tuple(pools)
+        #: The pools this index family was built from: every field but the
+        #: utilization of a derived index's pools comes from these.
+        self._base_pools = self._pools
         self._names: tuple[str, ...] = tuple(pool.name for pool in self._pools)
         self._by_name: dict[str, int] = {name: i for i, name in enumerate(self._names)}
         if len(self._by_name) != len(self._names):
             dupes = sorted({n for n in self._names if self._names.count(n) > 1})
             raise ValueError(f"duplicate pool names: {dupes}")
+        self._rtypes: tuple[ResourceType, ...] = tuple(pool.rtype for pool in self._pools)
         self._clusters: tuple[str, ...] = tuple(dict.fromkeys(pool.cluster for pool in self._pools))
         self._cluster_set: frozenset[str] = frozenset(self._clusters)
         self._capacities = np.array([pool.capacity for pool in self._pools], dtype=float)
@@ -105,12 +110,18 @@ class PoolIndex:
         self._capacities.setflags(write=False)
         self._unit_costs.setflags(write=False)
         self._utilizations = np.array([pool.utilization for pool in self._pools], dtype=float)
+        self._utilizations.setflags(write=False)
         self._available = np.array([pool.available for pool in self._pools], dtype=float)
 
     # -- basic accessors -------------------------------------------------------
     @property
     def pools(self) -> tuple[ResourcePool, ...]:
         """All pools in index order."""
+        if self._pools is None:
+            self._pools = tuple(
+                ResourcePool(pool.cluster, pool.rtype, pool.capacity, pool.unit_cost, utilization)
+                for pool, utilization in zip(self._base_pools, self._utilizations.tolist())
+            )
         return self._pools
 
     @property
@@ -119,10 +130,10 @@ class PoolIndex:
         return list(self._names)
 
     def __len__(self) -> int:
-        return len(self._pools)
+        return len(self._names)
 
     def __iter__(self) -> Iterator[ResourcePool]:
-        return iter(self._pools)
+        return iter(self.pools)
 
     def index_of(self, name: str) -> int:
         """Dense index of the pool named ``name``."""
@@ -130,14 +141,18 @@ class PoolIndex:
 
     def pool(self, name: str) -> ResourcePool:
         """The pool named ``name``."""
-        return self._pools[self._by_name[name]]
+        return self.pools[self._by_name[name]]
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
+    def rtypes(self) -> list[ResourceType]:
+        """Resource type of each pool, in index order."""
+        return list(self._rtypes)
+
     def pools_of_type(self, rtype: ResourceType) -> list[ResourcePool]:
         """All pools of one resource dimension across clusters."""
-        return [pool for pool in self._pools if pool.rtype == rtype]
+        return [pool for pool in self.pools if pool.rtype == rtype]
 
     def clusters(self) -> list[str]:
         """Cluster names present in the index, in first-appearance order."""
@@ -182,7 +197,7 @@ class PoolIndex:
         >>> index.matrix([{"a/cpu": 2}, {"b/cpu": 2, "b/ram": 8}]).tolist()
         [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 8.0]]
         """
-        out = np.zeros((len(rows), len(self._pools)), dtype=float)
+        out = np.zeros((len(rows), len(self._names)), dtype=float)
         for i, quantities in enumerate(rows):
             for name, qty in quantities.items():
                 j = self._by_name.get(name)
@@ -193,8 +208,8 @@ class PoolIndex:
 
     def describe(self, vec: np.ndarray, *, tol: float = 1e-12) -> dict[str, float]:
         """Invert :meth:`vector`: the non-zero entries of ``vec`` keyed by pool name."""
-        if vec.shape != (len(self._pools),):
-            raise ValueError(f"vector has shape {vec.shape}, expected ({len(self._pools)},)")
+        if vec.shape != (len(self._names),):
+            raise ValueError(f"vector has shape {vec.shape}, expected ({len(self._names)},)")
         return {self._names[i]: float(vec[i]) for i in np.flatnonzero(np.abs(vec) > tol)}
 
     # -- replacement -------------------------------------------------------------
@@ -203,9 +218,9 @@ class PoolIndex:
 
         A mapping may name any subset of the pools; naming a pool the index
         does not hold raises ``KeyError``.  Values are clipped to [0, 1]; a NaN
-        raises ``ValueError`` as :class:`ResourcePool` does.  The new index
-        shares this one's names, name lookup, cluster order, capacities and
-        unit costs.
+        raises ``ValueError`` here, as :class:`ResourcePool` does.  The new
+        index shares this one's names, name lookup, cluster order, capacities
+        and unit costs; its pool objects are built on first read.
 
         Examples
         --------
@@ -216,7 +231,7 @@ class PoolIndex:
         50.0
         """
         if isinstance(utilizations, np.ndarray):
-            if utilizations.shape != (len(self._pools),):
+            if utilizations.shape != (len(self._names),):
                 raise ValueError("utilization vector has wrong length")
             values = np.array(utilizations, dtype=float)
         else:
@@ -228,17 +243,17 @@ class PoolIndex:
             for name, value in named.items():
                 values[self._by_name[name]] = value
         # One clip over the vector gives each pool the value
-        # ResourcePool.with_utilization's scalar clip would.
+        # ResourcePool.with_utilization's scalar clip would; only a NaN
+        # survives it outside [0, 1].
         np.clip(values, 0.0, 1.0, out=values)
-        pools = tuple(
-            ResourcePool(pool.cluster, pool.rtype, pool.capacity, pool.unit_cost, utilization)
-            for pool, utilization in zip(self._pools, values.tolist())
-        )
+        if np.isnan(values).any():
+            raise ValueError("pool utilization must lie in [0, 1], got nan")
+        values.setflags(write=False)
         # Only utilizations changed: share the name-derived state and the
         # capacity and unit-cost vectors, which nothing ever mutates.
         derived = PoolIndex.__new__(PoolIndex)
         derived.__dict__.update(self.__dict__)
-        derived._pools = pools
+        derived._pools = None
         derived._utilizations = values
         derived._available = self._capacities * (1.0 - values)
         return derived

@@ -42,7 +42,8 @@ Numerical-identity notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -84,17 +85,19 @@ def sum_demand_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def cheapest_rows(
-    costs: np.ndarray, starts: np.ndarray, segment_ids: np.ndarray
+    costs: np.ndarray, starts: np.ndarray, segment_ids: np.ndarray, row_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each bid's cheapest bundle over a flat vector of bundle-row costs.
 
     Row ``k`` of ``costs`` belongs to bid ``segment_ids[k]``, whose rows start
-    at ``starts[segment_ids[k]]``; every bid has at least one row.  Returns
-    the per-bid minimum cost (a segmented ``np.minimum.reduceat``, so NaN
-    propagates as in ``np.min``) and the global row :func:`numpy.argmin`
-    picks within each bid: the lowest-index minimum, or the first NaN of a
-    bid whose costs hold one.  This is the tie-break
-    :meth:`repro.core.bundles.BundleSet.cheapest` applies one bid at a time.
+    at ``starts[segment_ids[k]]``; every bid has at least one row.
+    ``row_ids`` is ``np.arange(len(costs))``, which a caller that runs many
+    rounds over the same rows builds once.  Returns the per-bid minimum cost
+    (a segmented ``np.minimum.reduceat``, so NaN propagates as in
+    ``np.min``) and the global row :func:`numpy.argmin` picks within each
+    bid: the lowest-index minimum, or the first NaN of a bid whose costs hold
+    one.  This is the tie-break :meth:`repro.core.bundles.BundleSet.cheapest`
+    applies one bid at a time.
 
     Examples
     --------
@@ -102,7 +105,7 @@ def cheapest_rows(
     >>> costs = np.array([3.0, 1.0, 1.0, 2.0, np.nan, 0.0])
     >>> starts = np.array([0, 3])
     >>> segment_ids = np.array([0, 0, 0, 1, 1, 1])
-    >>> cheapest, rows = cheapest_rows(costs, starts, segment_ids)
+    >>> cheapest, rows = cheapest_rows(costs, starts, segment_ids, np.arange(6))
     >>> cheapest.tolist(), rows.tolist()
     ([1.0, nan], [1, 4])
     """
@@ -111,8 +114,7 @@ def cheapest_rows(
     # past-the-end sentinel K, then take the segmented minimum of row ids.
     hits = costs == cheapest[segment_ids]
     hits |= np.isnan(costs)
-    k = len(costs)
-    candidates = np.where(hits, np.arange(k, dtype=np.intp), k)
+    candidates = np.where(hits, row_ids, len(costs))
     return cheapest, np.minimum.reduceat(candidates, starts)
 
 
@@ -133,26 +135,44 @@ class BatchResponse:
         (positive) / offered (negative) quantities, all zeros on drop-out.
     total:
         Length-``R`` market-wide demand ``sum_u G_u(p)``.
-    bundle_indices:
-        Chosen bundle index within each bidder's own bundle set, ``-1`` for
-        bidders that dropped out.
-    costs:
-        Chosen-bundle cost ``q.p`` per bidder (``0.0`` on drop-out).
     active:
         Boolean drop-out mask: ``True`` where the bidder is still in.
+    chosen_rows:
+        The stacked bundle row each bidder's cheapest-bundle choice picked
+        (dropped-out bidders included).
+    row_costs:
+        Every stacked bundle row's cost ``q.p`` at these prices.
+    starts:
+        First stacked bundle row of each bidder's segment.
+
+    :attr:`bundle_indices` and :attr:`costs` are derived from these on first
+    read; the clock reads neither, so its rounds do not pay for them.
     """
 
     bidders: tuple[str, ...]
     quantities: np.ndarray
     total: np.ndarray
-    bundle_indices: np.ndarray
-    costs: np.ndarray
     active: np.ndarray
+    chosen_rows: np.ndarray = field(repr=False)
+    row_costs: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
     @property
     def active_count(self) -> int:
         """Number of bidders still demanding a bundle at these prices."""
         return int(np.count_nonzero(self.active))
+
+    @cached_property
+    def bundle_indices(self) -> np.ndarray:
+        """Chosen bundle index within each bidder's own bundle set, ``-1`` on drop-out."""
+        return np.where(self.active, self.chosen_rows - self.starts, -1)
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """Chosen-bundle cost ``q.p`` per bidder (``0.0`` on drop-out)."""
+        chosen = self.row_costs[self.chosen_rows]
+        chosen[~self.active] = 0.0
+        return chosen
 
 
 class BatchDemandEngine:
@@ -206,6 +226,8 @@ class BatchDemandEngine:
             self._matrix = np.vstack([bid.bundles.matrix for bid in bids]).astype(float, copy=False)
             counts = np.array([len(bid.bundles) for bid in bids], dtype=np.intp)
         self._limits = np.array([bid.limit for bid in bids], dtype=float)
+        #: The drop-out rule's bound per bidder: ``limit + DROPOUT_SLACK``.
+        self._dropout_limits = self._limits + DROPOUT_SLACK
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         #: First bundle row of each bidder's segment.
@@ -213,6 +235,8 @@ class BatchDemandEngine:
         self._k = int(offsets[-1])
         #: Which bidder each bundle row belongs to.
         self._segment_ids = np.repeat(np.arange(n, dtype=np.intp), counts)
+        #: Every bundle row's id, the argmin candidates of :func:`cheapest_rows`.
+        self._row_ids = np.arange(self._k, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.bidders)
@@ -241,33 +265,32 @@ class BatchDemandEngine:
         and the same ``limit + DROPOUT_SLACK`` drop-out rule is applied.
         """
         prices = np.asarray(prices, dtype=float)
-        n = len(self.bidders)
-        r = len(self.index)
-        if n == 0:
+        if not self.bidders:
+            r = len(self.index)
             return BatchResponse(
                 bidders=(),
                 quantities=np.zeros((0, r), dtype=float),
                 total=np.zeros(r, dtype=float),
-                bundle_indices=np.zeros(0, dtype=np.intp),
-                costs=np.zeros(0, dtype=float),
                 active=np.zeros(0, dtype=bool),
+                chosen_rows=np.zeros(0, dtype=np.intp),
+                row_costs=np.zeros(0, dtype=float),
+                starts=self._starts,
             )
         costs = self._matrix @ prices
-        cheapest, chosen_rows = cheapest_rows(costs, self._starts, self._segment_ids)
-        active = cheapest <= self._limits + DROPOUT_SLACK
-        dropped = ~active
-        bundle_indices = np.where(active, chosen_rows - self._starts, -1)
+        cheapest, chosen_rows = cheapest_rows(costs, self._starts, self._segment_ids, self._row_ids)
+        active = cheapest <= self._dropout_limits
         # Gather the chosen rows (a fresh copy), then zero dropped-out bidders
         # in place — far cheaper than a masked np.where over a temporary.
         quantities = self._matrix[chosen_rows]
-        quantities[dropped] = 0.0
-        chosen_costs = costs[chosen_rows]
-        chosen_costs[dropped] = 0.0
+        quantities[~active] = 0.0
         return BatchResponse(
             bidders=self.bidders,
             quantities=quantities,
-            total=sum_demand_rows(quantities),
-            bundle_indices=bundle_indices,
-            costs=chosen_costs,
+            # sum_demand_rows's reduction, on a matrix known to be a
+            # non-empty float array.
+            total=np.add.reduce(quantities, axis=0),
             active=active,
+            chosen_rows=chosen_rows,
+            row_costs=costs,
+            starts=self._starts,
         )

@@ -29,7 +29,7 @@ compares them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,7 +131,12 @@ class AuctionConfig:
 
 @dataclass(frozen=True)
 class AuctionRound:
-    """State of one round ``t`` of the clock auction."""
+    """State of one round ``t`` of the clock auction.
+
+    ``prices`` and ``excess_demand`` are read-only: the clock stores each
+    round's vectors as it computed them, without a copy, so a write into a
+    recorded round raises ``ValueError`` instead of editing the trace.
+    """
 
     round_index: int
     prices: np.ndarray
@@ -144,7 +149,11 @@ class AuctionRound:
 
 @dataclass
 class AuctionOutcome:
-    """Result of running the clock auction to completion."""
+    """Result of running the clock auction to completion.
+
+    ``final_prices`` and ``excess_demand`` are the cleared round's read-only
+    vectors: ``rounds[-1].prices is final_prices``.
+    """
 
     index: PoolIndex
     converged: bool
@@ -264,22 +273,27 @@ class AscendingClockAuction:
     def _collect(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
         """One 'collect bids' step: total demand and the active-bidder count.
 
-        Dispatches to the scalar proxy loop or the vectorized batch engine
-        according to the resolved :attr:`engine`; both return the same
-        values.  The per-bid demand matrix is *not* materialised here — at
-        stress scale stacking 100k proxy decisions per round is pure overhead
-        when nobody records it; callers that need the individual demands
-        (round recording, the cleared round's final demands) ask
-        :meth:`_last_demands` afterwards.
+        Runs the resolved :attr:`engine`'s step (see :meth:`_collector`);
+        both engines return the same values.  The per-bid demand matrix is
+        *not* materialised here — at stress scale stacking 100k proxy
+        decisions per round is pure overhead when nobody records it; callers
+        that need the individual demands (round recording, the cleared
+        round's final demands) ask :meth:`_last_demands` afterwards.
         """
+        return self._collector()(prices)
+
+    def _collector(self) -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
+        """The resolved engine's collect step, its proxies or matrices built on first use."""
         if self.engine == "scalar":
-            return self._collect_scalar(prices)
-        return self._collect_batch(prices)
+            if self._proxies is None:
+                self._proxies = [BidderProxy(bid) for bid in self.bids]
+            return self._collect_scalar
+        if self._batch is None:
+            self._batch = BatchDemandEngine(self.index, self.bids)
+        return self._collect_batch
 
     def _collect_scalar(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
         """Reference path: evaluate each :class:`BidderProxy` in turn."""
-        if self._proxies is None:
-            self._proxies = [BidderProxy(bid) for bid in self.bids]
         total = np.zeros(len(self.index), dtype=float)
         active = 0
         for proxy in self._proxies:
@@ -291,8 +305,6 @@ class AscendingClockAuction:
 
     def _collect_batch(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
         """Vectorized path: evaluate every bidder in one shot."""
-        if self._batch is None:
-            self._batch = BatchDemandEngine(self.index, self.bids)
         response = self._batch.respond_all(prices)
         self._last_batch_response = response
         return response.total, response.active_count
@@ -306,7 +318,11 @@ class AscendingClockAuction:
         caller mutates it — so round recording can store it without a
         defensive copy.  The scalar path stacks its proxies' decisions into
         a fresh matrix; the batch path hands out this round's response
-        matrix (every round builds a new one).
+        matrix (every round builds a new one).  The round's prices and
+        excess demand are fresh too, and :meth:`run` stores them read-only
+        without a copy, so the last :class:`AuctionRound` and the
+        :class:`AuctionOutcome` share ``final_prices`` and ``excess_demand``
+        (and ``final_demands``, when demands are recorded).
         """
         if self.engine == "scalar":
             if not self._proxies:
@@ -314,11 +330,6 @@ class AscendingClockAuction:
             return np.stack([proxy.last_decision.quantities for proxy in self._proxies])
         assert self._last_batch_response is not None
         return self._last_batch_response.quantities
-
-    def _cleared(self, excess: np.ndarray) -> bool:
-        """Clearing test: every pool's excess demand is <= tolerance (scaled)."""
-        scale = np.maximum(self.index.capacities(), 1.0)
-        return bool(np.all(excess <= self.config.tolerance * scale + self.config.tolerance))
 
     def _convergence_error(self, reason: str, excess: np.ndarray) -> ConvergenceError:
         """A :class:`ConvergenceError` carrying the last round's excess demand."""
@@ -340,18 +351,28 @@ class AscendingClockAuction:
             Section III-C-3).
         """
         cfg = self.config
+        collect = self._collector()
+        increment = self.increment.increment
+        supply = self.supply
+        # Clearing test: every pool's excess demand is <= tolerance, scaled
+        # by the pool's capacity (at least 1).  A per-auction constant.
+        threshold = cfg.tolerance * np.maximum(self.index.capacities(), 1.0) + cfg.tolerance
         prices = self.reserve_prices.copy()
         rounds: list[AuctionRound] = []
         stalled = 0
 
         for t in range(cfg.max_rounds):
-            total_demand, active = self._collect(prices)
-            excess = total_demand - self.supply
+            total_demand, active = collect(prices)
+            excess = total_demand - supply
+            # Both vectors are fresh this round and nothing writes to them:
+            # the round keeps them, read-only, without a copy.
+            prices.setflags(write=False)
+            excess.setflags(write=False)
             rounds.append(
                 AuctionRound(
                     round_index=t,
-                    prices=prices.copy(),
-                    excess_demand=excess.copy(),
+                    prices=prices,
+                    excess_demand=excess,
                     active_bidders=active,
                     # A caller-owned snapshot straight from the engine — see
                     # the _last_demands ownership contract.
@@ -360,7 +381,7 @@ class AscendingClockAuction:
                     else None,
                 )
             )
-            if self._cleared(excess):
+            if (excess <= threshold).all():
                 return AuctionOutcome(
                     index=self.index,
                     converged=True,
@@ -370,15 +391,16 @@ class AscendingClockAuction:
                     rounds=rounds,
                     reserve_prices=self.reserve_prices.copy(),
                 )
-            step = np.asarray(self.increment.increment(excess, prices), dtype=float)
-            if np.any(step < 0) or not np.all(np.isfinite(step)):
+            step = np.asarray(increment(excess, prices), dtype=float)
+            # Rejects a negative step, ±inf and NaN (a NaN makes min() NaN).
+            if not (step.min() >= 0.0 and step.max() < np.inf):
                 raise ValueError(
                     f"increment policy {self.increment.describe()} returned an invalid step"
                 )
             # Only over-demanded pools move (Algorithm 1 line 9 with g >= 0
             # supported on the positive part of excess demand).
             step = np.where(excess > 0, step, 0.0)
-            if float(step.max(initial=0.0)) <= 0.0:
+            if step.max() <= 0.0:
                 stalled += 1
                 if stalled >= cfg.stall_rounds:
                     raise self._convergence_error(

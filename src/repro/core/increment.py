@@ -39,8 +39,8 @@ class IncrementPolicy(Protocol):
 
 
 def _positive_part(excess_demand: np.ndarray) -> np.ndarray:
-    """``z+ = max(z, 0)`` taken component-wise."""
-    return np.clip(np.asarray(excess_demand, dtype=float), 0.0, None)
+    """``z+ = max(z, 0)`` taken component-wise (``-0.0`` becomes ``+0.0``, NaN stays NaN)."""
+    return np.maximum(np.asarray(excess_demand, dtype=float), 0.0)
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,17 @@ class ProportionalIncrement:
     def increment(self, excess_demand: np.ndarray, prices: np.ndarray) -> np.ndarray:
         prices = np.asarray(prices, dtype=float)
         positive = _positive_part(excess_demand)
+        over = positive > 0
         relative = self.alpha * positive / self.scale
-        fraction = np.clip(relative, 0.0, self.cap_fraction)
+        # ``relative`` is +0.0 or more (or NaN), so clipping it to
+        # [0, cap_fraction] is taking its minimum with the cap.
+        fraction = np.minimum(relative, self.cap_fraction)
         # Floor the relative step on over-demanded pools so the clock cannot crawl.
-        fraction = np.where(positive > 0, np.maximum(fraction, self.min_fraction), fraction)
+        fraction = np.where(over, np.maximum(fraction, self.min_fraction), fraction)
         step = np.maximum(prices, 1e-6) * fraction
         # Guarantee strictly positive movement on over-demanded pools so the
         # auction cannot stall at a zero price.
-        step = np.where(positive > 0, np.maximum(step, self.min_step), step)
-        return step
+        return np.where(over, np.maximum(step, self.min_step), step)
 
     def describe(self) -> str:
         return f"proportional(alpha={self.alpha}, delta={self.cap_fraction})"

@@ -45,7 +45,7 @@ class PriceTable:
     # -- lookups ---------------------------------------------------------------
     def as_map(self) -> dict[str, float]:
         """Prices keyed by pool name."""
-        return {pool.name: float(self.prices[i]) for i, pool in enumerate(self.index)}
+        return dict(zip(self.index.names, self.prices.tolist()))
 
 
 def price_ratios(

@@ -269,8 +269,8 @@ class ReservePricer:
         """The weight ``phi_r(psi(r))`` per pool."""
         inputs = self.utilization_inputs(index)
         result = np.empty(len(index), dtype=float)
-        for i, pool in enumerate(index):
-            result[i] = self._phi_for(pool.rtype)(float(inputs[i]))
+        for i, rtype in enumerate(index.rtypes()):
+            result[i] = self._phi_for(rtype)(float(inputs[i]))
         return result
 
     def reserve_prices(self, index: PoolIndex) -> np.ndarray:

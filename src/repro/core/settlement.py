@@ -155,7 +155,8 @@ def _bundle_costs(
     :meth:`~repro.core.bundles.BundleSet.costs` computes, so each cost has the
     bits the proxy sees (one stacked product may round some rows
     differently).  Returns ``(costs, starts, segment_ids)`` in the form
-    :func:`~repro.core.batch.cheapest_rows` takes.
+    :func:`~repro.core.batch.cheapest_rows` takes, beside the row ids
+    ``np.arange(len(costs))``.
     """
     costs = np.concatenate([matrix @ prices for matrix in matrices])
     counts, starts = _segments(matrices)
@@ -212,7 +213,7 @@ def settle(
     if bids:
         matrices = [bid.bundles.matrix for bid in bids]
         costs, starts, segment_ids = _bundle_costs(matrices, prices)
-        _, rows = cheapest_rows(costs, starts, segment_ids)
+        _, rows = cheapest_rows(costs, starts, segment_ids, np.arange(len(costs), dtype=np.intp))
         chosen_costs = costs[rows]
         limits = np.array([bid.limit for bid in bids], dtype=float)
         active = chosen_costs <= limits + DROPOUT_SLACK
@@ -286,7 +287,9 @@ def verify_system_constraints(
         line_bids = [paired[i] for i in known]
         matrices = [bid.bundles.matrix for bid in line_bids]
         costs, starts, segment_ids = _bundle_costs(matrices, np.asarray(prices, dtype=float))
-        min_costs, rows = cheapest_rows(costs, starts, segment_ids)
+        min_costs, rows = cheapest_rows(
+            costs, starts, segment_ids, np.arange(len(costs), dtype=np.intp)
+        )
         limits = np.array([bid.limit for bid in line_bids], dtype=float)
         payments = np.array([lines[i].payment for i in known], dtype=float)
         won = np.array([bool(lines[i].won) for i in known], dtype=bool)

@@ -319,10 +319,20 @@ class TestPopulation:
                 PopulationSpec(strategy_mix=mix)
         with pytest.raises(ValueError, match="strategy weights must sum to a finite positive value"):
             PopulationSpec(strategy_mix={"seller": 1e308, "lowball": 1e308})
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="demand_scale must be finite"):
+                PopulationSpec(demand_scale=value)
+            with pytest.raises(ValueError, match="budget_per_team must be finite"):
+                PopulationSpec(budget_per_team=value)
 
     def test_negative_bias_stays_valid(self, fleet):
         agents = build_population(fleet, PopulationSpec(team_count=20, congested_home_bias=-2.0), seed=5)
         assert len(agents) == 20
+
+    def test_negative_demand_scale_stays_valid(self, fleet):
+        agents = build_population(fleet, PopulationSpec(team_count=20, demand_scale=-0.5), seed=5)
+        assert len(agents) == 20
+        assert {r.quantity for agent in agents for r in agent.demand.requests} == {1.0}
 
     @pytest.mark.parametrize(
         "bias, utils",

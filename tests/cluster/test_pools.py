@@ -280,6 +280,21 @@ class TestWithUtilizationsMatchesThePoolLoop:
             DESCRIBE_INDEX.with_utilizations(bad)
         assert str(got.value) == str(expected.value)
 
+    def test_pool_objects_are_built_on_first_read(self, monkeypatch):
+        built = []
+        post_init = ResourcePool.__post_init__
+        monkeypatch.setattr(
+            ResourcePool, "__post_init__", lambda pool: (built.append(pool), post_init(pool))
+        )
+        derived = FLEET_INDEX.with_utilizations(np.full(len(FLEET_INDEX), 0.5))
+        derived = derived.with_utilizations({"cluster-00/cpu": 0.25})
+        assert len(derived) == len(FLEET_INDEX) and derived.utilizations()[0] == 0.25
+        assert derived.rtypes() == [pool.rtype for pool in FLEET_INDEX.pools]
+        assert built == []
+        assert derived.pool("cluster-00/cpu").utilization == 0.25
+        assert len(built) == len(FLEET_INDEX)
+        assert list(derived) == list(derived.pools) and len(built) == len(FLEET_INDEX)
+
     def test_shared_vectors_are_read_only(self):
         derived = DESCRIBE_INDEX.with_utilizations(np.full(len(DESCRIBE_INDEX), 0.5))
         assert derived._capacities is DESCRIBE_INDEX._capacities

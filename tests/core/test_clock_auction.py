@@ -247,6 +247,23 @@ class TestOutcomeAccessors:
         np.testing.assert_array_equal(outcome.rounds[0].bidder_demands, expected)
         np.testing.assert_array_equal(outcome.final_demands, expected)
 
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_recorded_rounds_are_read_only_and_shared_with_the_outcome(self, pool_index, engine):
+        bids = [Bid.buy("t", pool_index, [{"alpha/cpu": 100}], max_payment=5000.0)]
+        outcome = AscendingClockAuction(
+            pool_index, bids, reserve_prices=unit_reserve(pool_index), config=AuctionConfig(engine=engine)
+        ).run()
+        assert outcome.round_count > 1
+        assert outcome.rounds[-1].prices is outcome.final_prices
+        assert outcome.rounds[-1].excess_demand is outcome.excess_demand
+        for round_ in outcome.rounds:
+            with pytest.raises(ValueError, match="read-only"):
+                round_.prices[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                round_.excess_demand[0] = 0.0
+        # Each round kept its own prices: the clock moved them between rounds.
+        assert outcome.rounds[0].prices[pool_index.index_of("alpha/cpu")] == 1.0
+
     def test_reserve_prices_stored_on_outcome(self, pool_index):
         auction = AscendingClockAuction(pool_index, [], reserve_prices=unit_reserve(pool_index, 3.0))
         outcome = auction.run()
@@ -286,6 +303,26 @@ class TestProxies:
 
 
 class TestNonConvergence:
+    @pytest.mark.parametrize(
+        "bad", [-1e-12, -np.inf, np.inf, np.nan], ids=["negative", "-inf", "inf", "nan"]
+    )
+    def test_invalid_step_rejected(self, pool_index, bad):
+        class BadIncrement:
+            def increment(self, excess_demand, prices):
+                step = np.full(len(prices), 0.5)
+                step[1] = bad
+                return step
+
+            def describe(self):
+                return "bad"
+
+        bid = Bid.buy("t", pool_index, [{"alpha/cpu": 100}], max_payment=1e12)
+        auction = AscendingClockAuction(
+            pool_index, [bid], reserve_prices=unit_reserve(pool_index), increment=BadIncrement()
+        )
+        with pytest.raises(ValueError, match="increment policy bad returned an invalid step"):
+            auction.run()
+
     def test_round_limit_raises_convergence_error(self, pool_index):
         # A tiny additive increment with a huge valuation cannot clear within
         # a handful of rounds.

@@ -95,6 +95,30 @@ class TestProportionalIncrement:
         with pytest.raises(ValueError):
             ProportionalIncrement(scale=np.array([0.0]), alpha=1.0)
 
+    def test_same_bits_as_the_clip_formulation(self):
+        # The policy as first written, with np.clip for both clamps.  The
+        # policy takes np.maximum and np.minimum instead; its steps must keep
+        # every bit, the sign of every zero included.
+        def clipped(policy, excess, prices):
+            positive = np.clip(np.asarray(excess, dtype=float), 0.0, None)
+            fraction = np.clip(policy.alpha * positive / policy.scale, 0.0, policy.cap_fraction)
+            fraction = np.where(positive > 0, np.maximum(fraction, policy.min_fraction), fraction)
+            step = np.maximum(prices, 1e-6) * fraction
+            return np.where(positive > 0, np.maximum(step, policy.min_step), step)
+
+        rng = np.random.default_rng(7)
+        special = np.array([-0.0, 0.0, -1e-300, 5e-324, np.inf, -np.inf, np.nan, -1.0, 1e12])
+        policy = ProportionalIncrement(scale=rng.uniform(0.5, 1e4, size=64), alpha=2.0)
+        for _ in range(20):
+            excess = rng.normal(0.0, 200.0, size=64)
+            excess[rng.integers(0, 64, size=12)] = rng.choice(special, size=12)
+            prices = rng.choice([-0.0, 0.0, 1e-7, 3.5, 1e6], size=64)
+            expected = clipped(policy, excess, prices)
+            actual = policy.increment(excess, prices)
+            nan = np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(actual), nan)
+            assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
     def test_default_increment_handles_zero_capacity(self):
         policy = default_increment(np.array([0.0, 10.0]))
         step = policy.increment(np.array([1.0, 1.0]), np.array([1.0, 1.0]))

@@ -90,6 +90,11 @@ KEEP = {
     "cluster/fleet_gen.py:small_fleet": "fixture: shared by the agent, cluster and conftest suites",
     "cluster/pools.py:ResourcePool.with_utilization":
         "reference: the specification PoolIndex.with_utilizations is tested against",
+    "core/batch.py:BatchResponse.bundle_indices":
+        "observation helper: the batch tests read each bidder's chosen bundle index",
+    "core/batch.py:sum_demand_rows":
+        "reference: the batch tests sum the proxies' demand rows with it, the reduction"
+        " respond_all's total must equal",
     "core/bids.py:Bid.bidder_class":
         "observation helper: the agent, bidlang and bid tests read a bid's class",
     "core/bundles.py:Bundle.from_mapping": "fixture: the bundle tests build their bundles with it",
