@@ -28,9 +28,10 @@ it in underneath the existing round-trace contract (``AuctionRound`` /
 Numerical-identity notes
 ------------------------
 
-* Demand *totals* are accumulated with :func:`sum_demand_rows`
-  (``np.add.reduce`` over axis 0), which is bit-identical to the scalar
-  path's sequential ``total += quantities`` accumulation for IEEE floats.
+* Demand *totals* are accumulated with ``np.add.reduce`` over axis 0 (the
+  reduction :func:`sum_demand_rows` applies), which is bit-identical to the
+  scalar path's sequential ``total += quantities`` accumulation for IEEE
+  floats.
 * Bundle *costs* come from one stacked matrix-vector product instead of one
   small product per bidder; BLAS may order the per-row dot products'
   partial sums differently, so costs can differ from the scalar path in the
@@ -286,8 +287,8 @@ class BatchDemandEngine:
         return BatchResponse(
             bidders=self.bidders,
             quantities=quantities,
-            # sum_demand_rows's reduction, on a matrix known to be a
-            # non-empty float array.
+            # sum_demand_rows's reduction, without its checks: the matrix
+            # is a non-empty float array.
             total=np.add.reduce(quantities, axis=0),
             active=active,
             chosen_rows=chosen_rows,
