@@ -3,9 +3,12 @@
 The per-round demand-collection step is the dominant cost of every clock
 auction.  This script times one full round of demand collection (every
 bidder's proxy evaluated at the reserve prices) under the scalar proxy loop
-and under the vectorized batch engine, at 100, 1 000 and 10 000 bidders over
-51 pools.  Each point alternates the two engines :data:`REPEATS` times and
-keeps the median and quartiles of each, so a timing is never one sample.
+and under the vectorized batch engine, at 8, 24, 100, 1 000 and 10 000
+bidders over 51 pools.  The two small sizes are auctions that a bid-count
+rule once kept on the scalar loop, on the claim that batch's fixed cost is
+not repaid there; they check that batch wins at that scale too.  Each point
+alternates the two engines :data:`REPEATS` times and keeps the median and
+quartiles of each, so a timing is never one sample.
 
 Run from the root of a checkout::
 
@@ -14,8 +17,8 @@ Run from the root of a checkout::
 It prints one row per bidder count and appends one entry to
 ``BENCH_batch_engine.json`` at the repository root, keeping the last
 :data:`MAX_ENTRIES` entries.  ``make bench`` runs it after ``bench/run.py``;
-``docs/engines.md`` cites its last entry and ``docs/benchmarks.md``
-describes the entry format.
+``docs/engines.md`` copies the figures it relies on into its own text, since
+entries roll off, and ``docs/benchmarks.md`` describes the entry format.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.clock_auction import AscendingClockAuction, AuctionConfig
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_batch_engine.json"
 
-BIDDER_COUNTS = (100, 1_000, 10_000)
+BIDDER_COUNTS = (8, 24, 100, 1_000, 10_000)
 CLUSTERS = 17  # x3 resource types = 51 pools
 #: Timed rounds per engine and bidder count.
 REPEATS = 15
@@ -88,13 +91,15 @@ def measure_point(index: PoolIndex, count: int, rng: np.random.Generator) -> dic
         )
         for engine in ("scalar", "batch")
     }
-    for auction in auctions.values():
-        auction._collect(reserve)  # build proxies and stacked matrices off the clock
+    # Building the collectors builds the proxies and stacked matrices off the clock.
+    collectors = {engine: auction._collector() for engine, auction in auctions.items()}
+    for collect in collectors.values():
+        collect(reserve)
     samples: dict[str, list[float]] = {engine: [] for engine in auctions}
     for _ in range(REPEATS):
-        for engine, auction in auctions.items():
+        for engine, collect in collectors.items():
             start = time.perf_counter()
-            auction._collect(reserve)
+            collect(reserve)
             samples[engine].append(time.perf_counter() - start)
     scalar, batch = quartiles(samples["scalar"]), quartiles(samples["batch"])
     return {

@@ -36,7 +36,6 @@ from repro.cluster import (
     generate_fleet,
 )
 from repro.core import (
-    Bundle,
     BundleSet,
     Bid,
     BidderProxy,
@@ -66,7 +65,6 @@ __all__ = [
     "PoolIndex",
     "FleetSpec",
     "generate_fleet",
-    "Bundle",
     "BundleSet",
     "Bid",
     "BidderProxy",

@@ -254,7 +254,7 @@ def build_population(
         )
         # Sellers and arbitrageurs need starting holdings to offer: endow them
         # with quota equal to their current footprint in their home cluster.
-        if kind in ("seller", "arbitrageur"):
+        if kind in ENDOWED_KINDS:
             agent.holdings = demand.covering_bundle(catalog, fleet.pool_index, home)
         agents.append(agent)
     return agents

@@ -8,7 +8,7 @@ individual pieces are importable for finer-grained use and for the ablation
 experiments.
 """
 
-from repro.core.bundles import Bundle, BundleSet, bundle_kind, BundleKind
+from repro.core.bundles import BundleSet, bundle_kind, BundleKind
 from repro.core.bids import Bid, BidderClass, classify_bidder, validate_bid
 from repro.core.proxy import BidderProxy, ProxyDecision
 from repro.core.increment import (
@@ -37,7 +37,6 @@ from repro.core.batch import (
     sum_demand_rows,
 )
 from repro.core.clock_auction import (
-    BATCH_AUTO_THRESHOLD,
     ENGINES,
     AscendingClockAuction,
     AuctionConfig,
@@ -57,7 +56,6 @@ from repro.core.exchange import CombinatorialExchange, ExchangeResult
 from repro.core.prices import PriceTable, price_ratios
 
 __all__ = [
-    "Bundle",
     "BundleSet",
     "BundleKind",
     "bundle_kind",
@@ -87,7 +85,6 @@ __all__ = [
     "AuctionConfig",
     "AuctionOutcome",
     "AuctionRound",
-    "BATCH_AUTO_THRESHOLD",
     "BatchDemandEngine",
     "BatchResponse",
     "ConvergenceError",

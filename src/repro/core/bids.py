@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.cluster.pools import PoolIndex
-from repro.core.bundles import Bundle, BundleKind, BundleSet
+from repro.core.bundles import BundleKind, BundleSet
 
 
 class BidderClass(str, enum.Enum):
@@ -74,7 +74,7 @@ class Bid:
     def buy(
         bidder: str,
         index: PoolIndex,
-        bundles: Sequence[Mapping[str, float] | np.ndarray | Bundle],
+        bundles: Sequence[Mapping[str, float] | np.ndarray],
         max_payment: float,
         **metadata: object,
     ) -> "Bid":
@@ -95,7 +95,7 @@ class Bid:
     def sell(
         bidder: str,
         index: PoolIndex,
-        bundles: Sequence[Mapping[str, float] | np.ndarray | Bundle],
+        bundles: Sequence[Mapping[str, float] | np.ndarray],
         min_revenue: float,
         **metadata: object,
     ) -> "Bid":
@@ -119,9 +119,7 @@ class Bid:
             raise ValueError("min_revenue must be non-negative for a sell bid")
         normalized: list[np.ndarray] = []
         for item in bundles:
-            if isinstance(item, Bundle):
-                vec = np.asarray(item.quantities, dtype=float)
-            elif isinstance(item, Mapping):
+            if isinstance(item, Mapping):
                 vec = index.vector(item)
             else:
                 vec = np.asarray(item, dtype=float)

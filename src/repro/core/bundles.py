@@ -1,17 +1,17 @@
-"""Bundles and indifference (XOR) sets of bundles.
+"""Indifference (XOR) sets of bundles.
 
 A *bundle* is an R-component vector over resource pools where positive entries
 are quantities demanded and negative entries are quantities offered (paper
 Section II).  A user's bid names a set of bundles over which the user is
 indifferent — the user wants exactly one of them (XOR semantics) — plus one
-willingness-to-pay scalar.
+willingness-to-pay scalar.  :class:`BundleSet` holds such a set as one
+``(k, R)`` matrix, a bundle per row; it is the only bundle format.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,105 +62,6 @@ def bundle_kind(quantities: np.ndarray, *, tol: float = _KIND_TOL) -> BundleKind
     return BundleKind.EMPTY
 
 
-@dataclass(frozen=True)
-class Bundle:
-    """One R-component bundle of resource quantities.
-
-    ``quantities`` is stored as an immutable float array of length
-    ``len(index)``.  Positive entries are demands, negative entries offers.
-
-    Examples
-    --------
-    >>> from repro.cluster.pools import demo_pool_index
-    >>> index = demo_pool_index()
-    >>> b = Bundle.from_mapping(index, {"a/cpu": 10, "a/ram": 40})
-    >>> b.kind.value
-    'buy'
-    >>> b.cost(np.array([2.0, 0.5, 0.0, 0.0]))
-    40.0
-    >>> b.describe()
-    {'a/cpu': 10.0, 'a/ram': 40.0}
-    """
-
-    index: PoolIndex
-    quantities: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.quantities, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != len(self.index):
-            raise ValueError(
-                f"bundle has {arr.shape} quantities, expected ({len(self.index)},)"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("bundle quantities must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "quantities", arr)
-
-    # -- constructors ----------------------------------------------------------
-    @staticmethod
-    def from_mapping(index: PoolIndex, quantities: Mapping[str, float], label: str = "") -> "Bundle":
-        """Build a bundle from a ``{pool name: quantity}`` mapping."""
-        return Bundle(index=index, quantities=index.vector(quantities), label=label)
-
-    @staticmethod
-    def empty(index: PoolIndex, label: str = "") -> "Bundle":
-        """The all-zero bundle."""
-        return Bundle(index=index, quantities=np.zeros(len(index)), label=label)
-
-    # -- properties -------------------------------------------------------------
-    @property
-    def kind(self) -> BundleKind:
-        """Buy / sell / trade / empty classification."""
-        return bundle_kind(self.quantities)
-
-    def cost(self, prices: np.ndarray) -> float:
-        """Linear cost ``q . p`` of this bundle at the given unit prices.
-
-        Positive cost means the bidder pays; negative cost means the bidder
-        is paid (it is offering more value than it demands).
-        """
-        prices = np.asarray(prices, dtype=float)
-        if prices.shape != self.quantities.shape:
-            raise ValueError(f"price vector shape {prices.shape} != bundle shape {self.quantities.shape}")
-        return float(self.quantities @ prices)
-
-    def offered(self) -> np.ndarray:
-        """Magnitude of the negative part (quantities offered)."""
-        return np.clip(-self.quantities, 0.0, None)
-
-    def pools_touched(self, *, tol: float = 1e-12) -> list[str]:
-        """Names of pools with non-zero quantities."""
-        return [
-            self.index.pools[i].name
-            for i in np.flatnonzero(np.abs(self.quantities) > tol)
-        ]
-
-    def describe(self) -> dict[str, float]:
-        """Human-readable ``{pool name: quantity}`` for non-zero entries."""
-        return self.index.describe(self.quantities)
-
-    def scaled(self, factor: float) -> "Bundle":
-        """A new bundle with every quantity multiplied by ``factor``."""
-        return Bundle(index=self.index, quantities=self.quantities * float(factor), label=self.label)
-
-    def __add__(self, other: "Bundle") -> "Bundle":
-        if other.index is not self.index and other.index.names != self.index.names:
-            raise ValueError("cannot add bundles over different pool indexes")
-        return Bundle(index=self.index, quantities=self.quantities + other.quantities)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bundle):
-            return NotImplemented
-        return self.index.names == other.index.names and np.array_equal(
-            self.quantities, other.quantities
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.index.names), self.quantities.tobytes()))
-
-
 #: Kind from (has a demand, has an offer) flags, as in :func:`bundle_kind`; a
 #: set's aggregate kind is the kind of its rows' flags or-ed together.
 _KIND_OF_FLAGS: dict[tuple[bool, bool], BundleKind] = {
@@ -174,11 +75,11 @@ _KIND_OF_FLAGS: dict[tuple[bool, bool], BundleKind] = {
 class BundleSet:
     """An XOR indifference set of bundles ``q_u^1 XOR q_u^2 XOR ...``.
 
-    Internally stores a 2-D array of shape ``(k, R)`` so that evaluating the
-    cost of every bundle at a price vector is a single matrix-vector product —
-    the inner loop of the clock auction.  ``bundles`` is either a sequence of
-    bundles (each a :class:`Bundle`, a length-``R`` array or a ``{pool name:
-    quantity}`` mapping) or one ``(k, R)`` array.
+    Internally stores a 2-D array of shape ``(k, R)``, row ``i`` the ``i``-th
+    bundle, so that evaluating the cost of every bundle at a price vector is
+    a single matrix-vector product — the inner loop of the clock auction.
+    ``bundles`` is either one ``(k, R)`` array or a sequence of bundles, each
+    a length-``R`` array or a ``{pool name: quantity}`` mapping.
 
     The set is immutable, so its sign structure (each row's kind, the set's
     aggregate kind, whether anything is offered, whether every quantity is
@@ -203,7 +104,7 @@ class BundleSet:
     def __init__(
         self,
         index: PoolIndex,
-        bundles: Sequence[Bundle | np.ndarray | Mapping[str, float]] | np.ndarray,
+        bundles: Sequence[np.ndarray | Mapping[str, float]] | np.ndarray,
     ):
         if len(bundles) == 0:
             raise ValueError("a BundleSet needs at least one bundle")
@@ -212,29 +113,19 @@ class BundleSet:
             if bundles.shape[1] != len(index):
                 raise ValueError(f"bundle matrix has shape {bundles.shape}, expected (k, {len(index)})")
             matrix = np.array(bundles, dtype=float)
-            labels = [""] * len(matrix)
         else:
             rows: list[np.ndarray] = []
-            labels = []
             for item in bundles:
-                if isinstance(item, Bundle):
-                    if item.index.names != index.names:
-                        raise ValueError("bundle defined over a different pool index")
-                    rows.append(np.asarray(item.quantities, dtype=float))
-                    labels.append(item.label)
-                elif isinstance(item, Mapping):
+                if isinstance(item, Mapping):
                     rows.append(index.vector(item))
-                    labels.append("")
                 else:
                     arr = np.asarray(item, dtype=float)
                     if arr.shape != (len(index),):
                         raise ValueError(f"bundle array has shape {arr.shape}, expected ({len(index)},)")
                     rows.append(arr)
-                    labels.append("")
             matrix = np.vstack(rows)
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._labels = labels
         # The sign structure, once.  fmax/fmin skip NaN as bundle_kind's
         # comparisons do (an all-NaN row reduces to NaN, which compares
         # False), and infinities compare as in bundle_kind.
@@ -255,14 +146,6 @@ class BundleSet:
 
     def __len__(self) -> int:
         return self._matrix.shape[0]
-
-    def __iter__(self) -> Iterator[Bundle]:
-        for i in range(len(self)):
-            yield self.bundle(i)
-
-    def bundle(self, i: int) -> Bundle:
-        """The ``i``-th bundle as a :class:`Bundle`."""
-        return Bundle(index=self.index, quantities=self._matrix[i], label=self._labels[i])
 
     def costs(self, prices: np.ndarray) -> np.ndarray:
         """Vector of bundle costs ``Q p`` at the given prices (length k)."""

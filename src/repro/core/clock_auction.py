@@ -16,14 +16,13 @@ Key properties implemented/verified here:
 * the full round-by-round trace (prices, excess demand, active bidders) is
   recorded for analysis and for the Figure 1 / Algorithm 1 reproduction.
 
-Demand collection runs on one of two interchangeable engines selected by
-:attr:`AuctionConfig.engine`: the scalar per-proxy loop (the reference
-implementation) and the vectorized
-:class:`repro.core.batch.BatchDemandEngine`, which evaluates all bidders as
-dense matrix operations and scales to tens of thousands of bidders.  Both
-honor the same round-trace contract and produce identical
-:class:`AuctionRound` / :class:`AuctionOutcome` objects; ``docs/engines.md``
-compares them.
+Demand collection runs on the engine :attr:`AuctionConfig.engine` names:
+the vectorized :class:`repro.core.batch.BatchDemandEngine` (the default),
+which evaluates all bidders as dense matrix operations, or the scalar
+per-proxy loop, the reference implementation that the equivalence tests and
+``--engine scalar`` force.  Both honor the same round-trace contract and
+produce identical :class:`AuctionRound` / :class:`AuctionOutcome` objects;
+``docs/engines.md`` compares them.
 """
 
 from __future__ import annotations
@@ -40,12 +39,7 @@ from repro.core.increment import IncrementPolicy, default_increment
 from repro.core.proxy import BidderProxy
 
 #: Valid values of :attr:`AuctionConfig.engine`.
-ENGINES = ("auto", "scalar", "batch")
-
-#: With ``engine="auto"``, auctions with at least this many bidders use the
-#: vectorized batch engine; smaller ones stay on the scalar path, whose
-#: per-round fixed overhead is lower.
-BATCH_AUTO_THRESHOLD = 32
+ENGINES = ("scalar", "batch")
 
 
 class ConvergenceError(RuntimeError):
@@ -95,28 +89,27 @@ class AuctionConfig:
         ``(bids, R)`` matrix (memory-heavier; useful for debugging and small
         experiments).
     engine:
-        Which demand-collection path to use per round: ``"scalar"`` walks the
-        per-bidder proxies, ``"batch"`` evaluates all bidders as dense matrix
-        operations (:class:`repro.core.batch.BatchDemandEngine`), and
-        ``"auto"`` (default) picks batch once the auction has at least
-        :data:`BATCH_AUTO_THRESHOLD` bidders.  Both engines produce identical
-        round traces.
+        Which demand-collection path to use per round: ``"batch"`` (default)
+        evaluates all bidders as dense matrix operations
+        (:class:`repro.core.batch.BatchDemandEngine`); ``"scalar"`` walks the
+        per-bidder proxies, the reference the equivalence tests force.  Both
+        engines produce identical round traces.
 
     Examples
     --------
-    >>> AuctionConfig(max_rounds=100, engine="batch").engine
+    >>> AuctionConfig(max_rounds=100).engine
     'batch'
-    >>> AuctionConfig(engine="turbo")
+    >>> AuctionConfig(engine="auto")
     Traceback (most recent call last):
         ...
-    ValueError: engine must be one of ('auto', 'scalar', 'batch'), got 'turbo'
+    ValueError: engine must be one of ('scalar', 'batch'), got 'auto'
     """
 
     max_rounds: int = 10_000
     tolerance: float = 1e-9
     stall_rounds: int = 50
     record_bidder_demands: bool = False
-    engine: str = "auto"
+    engine: str = "batch"
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -210,8 +203,8 @@ class AscendingClockAuction:
     ...     reserve_prices=np.ones(len(index)),
     ...     supply=np.full(len(index), 50.0),
     ... )
-    >>> auction.engine            # "auto" resolves by bidder count
-    'scalar'
+    >>> auction.engine
+    'batch'
     >>> outcome = auction.run()
     >>> outcome.converged, outcome.round_count
     (True, 1)
@@ -251,10 +244,7 @@ class AscendingClockAuction:
                 raise ValueError("supply must be non-negative")
         self.increment = increment or default_increment(index.capacities())
         self.config = config or AuctionConfig()
-        if self.config.engine == "auto":
-            self.engine = "batch" if len(self.bids) >= BATCH_AUTO_THRESHOLD else "scalar"
-        else:
-            self.engine = self.config.engine
+        self.engine = self.config.engine
         #: Lazily built proxies, one per bid (only when the scalar path is active).
         self._proxies: list[BidderProxy] | None = None
         #: Lazily built batch engine (only when the batch path is active).
@@ -270,20 +260,16 @@ class AscendingClockAuction:
 
 
     # -- core loop --------------------------------------------------------------
-    def _collect(self, prices: np.ndarray) -> tuple[np.ndarray, int]:
-        """One 'collect bids' step: total demand and the active-bidder count.
-
-        Runs the resolved :attr:`engine`'s step (see :meth:`_collector`);
-        both engines return the same values.  The per-bid demand matrix is
-        *not* materialised here — at stress scale stacking 100k proxy
-        decisions per round is pure overhead when nobody records it; callers
-        that need the individual demands (round recording, the cleared
-        round's final demands) ask :meth:`_last_demands` afterwards.
-        """
-        return self._collector()(prices)
-
     def _collector(self) -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
-        """The resolved engine's collect step, its proxies or matrices built on first use."""
+        """The engine's 'collect bids' step, its proxies or matrices built on first use.
+
+        The step returns the total demand and the active-bidder count; both
+        engines return the same values.  The per-bid demand matrix is *not*
+        materialised there — at stress scale stacking 100k proxy decisions
+        per round is pure overhead when nobody records it; callers that need
+        the individual demands (round recording, the cleared round's final
+        demands) ask :meth:`_last_demands` afterwards.
+        """
         if self.engine == "scalar":
             if self._proxies is None:
                 self._proxies = [BidderProxy(bid) for bid in self.bids]
@@ -310,7 +296,7 @@ class AscendingClockAuction:
         return response.total, response.active_count
 
     def _last_demands(self) -> np.ndarray:
-        """The ``(bids, R)`` demand matrix of the most recent :meth:`_collect`.
+        """The ``(bids, R)`` demand matrix of the most recent collect step.
 
         Row ``i`` is bid ``i``'s demand, in the order of :attr:`bids`, so a
         team with several bids has several rows.  Ownership contract: the

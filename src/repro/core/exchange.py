@@ -35,6 +35,16 @@ class BidValidationError(ValueError):
     """A submitted bid failed structural validation."""
 
 
+def require_valid_bid(bid: Bid) -> None:
+    """Raise :class:`BidValidationError` if :func:`~repro.core.bids.validate_bid` finds problems.
+
+    The message names the bidder and every problem.
+    """
+    problems = validate_bid(bid)
+    if problems:
+        raise BidValidationError(f"bid from {bid.bidder!r} is invalid: {'; '.join(problems)}")
+
+
 @dataclass
 class ExchangeResult:
     """Everything produced by one auction event."""
@@ -130,17 +140,11 @@ class CombinatorialExchange:
         return self.index.available() * self.operator_supply_fraction
 
     def _validated(self, bids: Sequence[Bid]) -> list[Bid]:
-        accepted: list[Bid] = []
-        for bid in bids:
-            problems = validate_bid(bid)
-            if problems:
-                if self.strict_validation:
-                    raise BidValidationError(
-                        f"bid from {bid.bidder!r} is invalid: {'; '.join(problems)}"
-                    )
-                continue
-            accepted.append(bid)
-        return accepted
+        if self.strict_validation:
+            for bid in bids:
+                require_valid_bid(bid)
+            return list(bids)
+        return [bid for bid in bids if not validate_bid(bid)]
 
     # -- main entry point --------------------------------------------------------------
     def run(self, bids: Sequence[Bid]) -> ExchangeResult:

@@ -11,10 +11,9 @@ sizes and fits the growth exponent, so the benchmark can check the scaling is
 close to linear (exponent well below quadratic) and that the paper's reference
 size (100 x 100) solves quickly.
 
-Only :meth:`AscendingClockAuction.run` is timed, on the batch engine at every
-grid point: validation, reserve pricing, settlement and the SYSTEM check do
-not scale with the round count, and the ``auto`` engine would switch from the
-scalar to the batch engine inside the bidder sweep.
+Only :meth:`AscendingClockAuction.run` is timed, on the batch engine (the
+default) at every grid point: validation, reserve pricing, settlement and the
+SYSTEM check do not scale with the round count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.agents.population import PopulationSpec
 from repro.core.bids import validate_bid
-from repro.core.clock_auction import AscendingClockAuction, AuctionConfig
+from repro.core.clock_auction import AscendingClockAuction
 from repro.core.exchange import CombinatorialExchange
 from repro.core.increment import default_increment
 from repro.experiments import first_auction_bids
@@ -94,7 +93,6 @@ def _one_auction(bidders: int, clusters: int, *, seed: int) -> ScalingPoint:
             reserve_prices=result.reserve_prices,
             supply=result.operator_supply,
             increment=exchange.increment,
-            config=AuctionConfig(engine="batch"),
         )
         start = time.perf_counter()
         auction.run()

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.bids import Bid, BidderClass, classify_bidder
 from repro.core.settlement import SettlementLine
 
@@ -71,13 +73,13 @@ class Order:
         return self.bid.bidder
 
     def clusters_touched(self) -> set[str]:
-        """Clusters referenced by any bundle of the underlying bid."""
-        clusters: set[str] = set()
-        index = self.bid.index
-        for bundle in self.bid.bundles:
-            for name in bundle.pools_touched():
-                clusters.add(index.pool(name).cluster)
-        return clusters
+        """Clusters of the pools any bundle of the bid holds a non-zero quantity of.
+
+        A quantity counts when its magnitude exceeds ``1e-12``; a NaN does not.
+        """
+        pools = self.bid.index.pools
+        touched = (np.abs(self.bid.bundles.matrix) > 1e-12).any(axis=0)
+        return {pools[i].cluster for i in np.flatnonzero(touched)}
 
 
 class OrderBook:

@@ -36,7 +36,7 @@ from repro.cluster.pools import PoolIndex
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 from repro.core.clock_auction import AuctionConfig
-from repro.core.exchange import CombinatorialExchange, ExchangeResult
+from repro.core.exchange import CombinatorialExchange, ExchangeResult, require_valid_bid
 from repro.core.increment import IncrementPolicy
 from repro.core.prices import PriceTable
 from repro.core.reserve import ReservePricer, WeightingFunction
@@ -239,8 +239,15 @@ class TradingPlatform:
 
     # -- raw bid submission --------------------------------------------------------------------
     def submit_bid(self, bid: Bid) -> Order:
-        """Submit a sealed bid, enforcing budget (buys) and quota (sells) feasibility."""
+        """Submit a sealed bid, enforcing validity, budget (buys) and quota (sells) feasibility.
+
+        A bid that :func:`~repro.core.bids.validate_bid` rejects raises
+        :class:`~repro.core.exchange.BidValidationError` here
+        (:func:`~repro.core.exchange.require_valid_bid`): admitted, it would
+        fail the binding auction for every team.
+        """
         self._require_window()
+        require_valid_bid(bid)
         if bid.limit > 0 and self.ledger.has_account(bid.bidder):
             balance = self.ledger.balance(bid.bidder)
             if bid.limit > balance + 1e-9:

@@ -80,6 +80,7 @@ from repro.analysis.allocation import (
     running_sum,
     utilization_imbalance,
 )
+from repro.analysis.utilization_stats import migration_summary
 from repro.simulation.scenario import Scenario
 from repro.simulation.workload import (
     apply_settlement_to_utilization,
@@ -174,16 +175,10 @@ def proportional_grants(
 def zero_migration_summary() -> dict[str, float]:
     """The migration block of a mechanism that never moves load.
 
-    Key-compatible with :func:`repro.analysis.utilization_stats.migration_summary`
-    but all-zero (and NaN-free, so canonical reports stay JSON-round-trippable).
+    The keys of :func:`repro.analysis.utilization_stats.migration_summary`,
+    all zero (and NaN-free, so canonical reports stay JSON-round-trippable).
     """
-    return {
-        "median_bid_percentile": 0.0,
-        "median_offer_percentile": 0.0,
-        "bid_quantity_share_in_underutilized": 0.0,
-        "bid_count": 0.0,
-        "offer_count": 0.0,
-    }
+    return {key: 0.0 for key in migration_summary(())}
 
 
 @dataclass

@@ -29,14 +29,11 @@ class ScenarioConfig:
     fleet: FleetSpec = field(default_factory=FleetSpec)
     population: PopulationSpec = field(default_factory=PopulationSpec)
     weighting: WeightingFunction = PAPER_PHI_1
-    use_percentile_reserves: bool = False
-    operator_supply_fraction: float = 0.9
-    increment_cap_fraction: float = 0.10
-    increment_alpha: float = 2.0
-    #: Demand-collection engine for every auction in the scenario: "auto"
-    #: (default), "scalar", or "batch" — see
+    #: Demand-collection engine for every auction in the scenario, as
+    #: reports label it: "auto" (default) and "batch" run the batch engine,
+    #: "scalar" the reference proxy loop — see
     #: :attr:`repro.core.clock_auction.AuctionConfig.engine`.  Two retired
-    #: labels still name the stress presets' engine; they run batch (see
+    #: labels still name the stress presets' engine; they run batch too (see
     #: :func:`build_scenario`).
     auction_engine: str = "auto"
     seed: int = 0
@@ -62,12 +59,12 @@ class Scenario:
 def build_scenario(config: ScenarioConfig | None = None) -> Scenario:
     """Build a scenario from a config: fleet, agents, and a registered platform."""
     config = config or ScenarioConfig()
-    # The stress presets still carry two retired engine labels, because
-    # bench/pins.json hashes their canonical reports and a report records its
-    # engine label.  Both run batch; this mapping goes when a benchmark
-    # change re-pins those reports.
+    # "auto" is the default label and the stress presets still carry two
+    # retired engine labels, because bench/pins.json hashes canonical
+    # reports and a report records its engine label.  All three run batch;
+    # the retired two go when a benchmark change re-pins those reports.
     engine = config.auction_engine
-    if engine in ("incremental", "sharded"):
+    if engine in ("auto", "incremental", "sharded"):
         engine = "batch"
     rng = np.random.default_rng(config.seed)
     fleet = generate_fleet(config.fleet, seed=rng)
@@ -77,16 +74,13 @@ def build_scenario(config: ScenarioConfig | None = None) -> Scenario:
     platform = TradingPlatform(
         fleet.pool_index,
         catalog=catalog,
-        weighting=ReservePricer(
-            weighting=config.weighting, use_percentiles=config.use_percentile_reserves
-        ),
-        increment=default_increment(
-            fleet.pool_index.capacities(),
-            cap_fraction=config.increment_cap_fraction,
-            alpha=config.increment_alpha,
-        ),
+        weighting=ReservePricer(weighting=config.weighting),
+        increment=default_increment(fleet.pool_index.capacities()),
         auction_config=AuctionConfig(engine=engine),
-        operator_supply_fraction=config.operator_supply_fraction,
+        # The operator sells 0.9 of each pool's free capacity and keeps a
+        # tenth out of the market.  Every scenario runs with this value, and
+        # the pinned reports depend on it.
+        operator_supply_fraction=0.9,
         fixed_prices=fleet.fixed_prices,
     )
     for agent in agents:

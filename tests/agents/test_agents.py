@@ -180,7 +180,7 @@ class TestStrategies:
         agent = make_agent(fleet, PremiumPayerStrategy(premium=2.0), home=home)
         bid = agent.prepare_bids(view)[0]
         assert len(bid.bundles) == 1
-        assert all(name.startswith(home) for name in bid.bundles.bundle(0).pools_touched())
+        assert all(name.startswith(home) for name in view.index.describe(bid.bundles.matrix[0]))
         cost = float(bid.bundles.matrix[0] @ np.array([view.displayed_prices[n] for n in view.index.names]))
         assert bid.limit > cost * 1.5
 
@@ -203,7 +203,7 @@ class TestStrategies:
             home=home,
         )
         bid = agent.prepare_bids(view)[0]
-        touched_clusters = {index.pool(n).cluster for b in bid.bundles for n in b.pools_touched()}
+        touched_clusters = {index.pool(n).cluster for row in bid.bundles.matrix for n in index.describe(row)}
         assert home in touched_clusters and cheap in touched_clusters
 
     def test_relocator_stays_home_when_moving_is_prohibitive(self, fleet, view):
@@ -223,7 +223,7 @@ class TestStrategies:
         bids = agent.prepare_bids(view)
         if index.pool(f"{congested}/cpu").utilization >= 0.7:
             assert len(bids) == 1
-            offered = bids[0].bundles.bundle(0).describe()
+            offered = index.describe(bids[0].bundles.matrix[0])
             assert f"{congested}/cpu" in offered
             assert f"{idle}/cpu" not in offered
             assert offered[f"{congested}/cpu"] == pytest.approx(-50.0)

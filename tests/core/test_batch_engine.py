@@ -10,11 +10,7 @@ import pytest
 from repro.core.batch import BatchDemandEngine, sum_demand_rows
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
-from repro.core.clock_auction import (
-    BATCH_AUTO_THRESHOLD,
-    AscendingClockAuction,
-    AuctionConfig,
-)
+from repro.core.clock_auction import AscendingClockAuction, AuctionConfig
 from repro.core.proxy import BidderProxy
 
 
@@ -127,9 +123,9 @@ class TestBatchResponse:
 
 class TestEngineSelection:
     def test_config_rejects_unknown_engine(self):
-        # "incremental" and "sharded" are retired labels that only
-        # build_scenario still accepts (it maps them to batch).
-        for engine in ("turbo", "incremental", "sharded"):
+        # "auto", "incremental" and "sharded" are scenario labels that only
+        # build_scenario accepts (it maps them to batch).
+        for engine in ("turbo", "auto", "incremental", "sharded"):
             with pytest.raises(ValueError, match="engine must be one of"):
                 AuctionConfig(engine=engine)
 
@@ -142,15 +138,37 @@ class TestEngineSelection:
             )
             assert auction.engine == engine
 
-    def test_auto_threshold(self, pool_index):
-        small = [Bid.buy(f"t{i}", pool_index, [{"alpha/cpu": 1}], max_payment=10.0) for i in range(3)]
-        large = [
-            Bid.buy(f"t{i}", pool_index, [{"alpha/cpu": 1}], max_payment=10.0)
-            for i in range(BATCH_AUTO_THRESHOLD)
-        ]
-        reserve = unit_reserve(pool_index)
-        assert AscendingClockAuction(pool_index, small, reserve_prices=reserve).engine == "scalar"
-        assert AscendingClockAuction(pool_index, large, reserve_prices=reserve).engine == "batch"
+    @pytest.mark.parametrize("count", [0, 1, 3, 31])
+    def test_default_config_runs_batch_at_every_bid_count(self, pool_index, count):
+        bids = [Bid.buy(f"t{i}", pool_index, [{"alpha/cpu": 1}], max_payment=10.0) for i in range(count)]
+        auction = AscendingClockAuction(
+            pool_index, bids, reserve_prices=unit_reserve(pool_index), supply=np.full(len(pool_index), 50.0)
+        )
+        assert AuctionConfig().engine == auction.engine == "batch"
+        outcome = auction.run()
+        assert outcome.converged
+        assert auction._batch is not None and auction._proxies is None
+        assert outcome.final_demands.shape == (count, len(pool_index))
+
+    @pytest.mark.parametrize(
+        ("label", "engine"),
+        [("auto", "batch"), ("incremental", "batch"), ("sharded", "batch"), ("batch", "batch"), ("scalar", "scalar")],
+    )
+    def test_build_scenario_runs_each_label_on_its_engine(self, monkeypatch, label, engine):
+        from repro.simulation.catalog import get_scenario
+        from repro.simulation.runner import run_scenario
+
+        engines = []
+        collector = AscendingClockAuction._collector
+
+        def recording_collector(auction):
+            engines.append(auction.engine)
+            return collector(auction)
+
+        monkeypatch.setattr(AscendingClockAuction, "_collector", recording_collector)
+        result = run_scenario(get_scenario("smoke").with_overrides(auctions=1, engine=label))
+        assert result.engine == label  # the report keeps the scenario's label
+        assert engines and set(engines) == {engine}
 
 
 # NOTE: the scalar/batch trace-equivalence tests live in

@@ -23,8 +23,12 @@ class TestBidConstruction:
         with pytest.raises(ValueError):
             Bid.buy("team-a", pool_index, [{"alpha/cpu": 10}], max_payment=-5.0)
 
-    def test_sell_bid_negates_positive_quantities(self, pool_index):
-        bid = Bid.sell("team-b", pool_index, [{"alpha/cpu": 10}], min_revenue=50.0)
+    @pytest.mark.parametrize("as_array", [False, True], ids=["mapping", "array"])
+    def test_sell_bid_negates_positive_quantities(self, pool_index, as_array):
+        offer = {"alpha/cpu": 10}
+        bid = Bid.sell(
+            "team-b", pool_index, [pool_index.vector(offer) if as_array else offer], min_revenue=50.0
+        )
         assert bid.limit == -50.0
         assert bid.bidder_class is BidderClass.PURE_SELLER
         assert bid.bundles.matrix[0, pool_index.index_of("alpha/cpu")] == -10.0
@@ -104,7 +108,7 @@ class TestBidderProxy:
         prices[pool_index.index_of("alpha/cpu")] = 3.0
         decision = proxy.respond(prices)
         assert decision.active
-        assert bid.bundles.bundle(decision.bundle_index).describe() == {"beta/cpu": 10.0}
+        assert pool_index.describe(bid.bundles.matrix[decision.bundle_index]) == {"beta/cpu": 10.0}
 
     def test_seller_stays_in_as_prices_rise(self, pool_index):
         bid = Bid.sell("s", pool_index, [{"alpha/cpu": 10}], min_revenue=20.0)

@@ -1,9 +1,9 @@
-"""Unit tests for bundles and XOR bundle sets."""
+"""Unit tests for bundle classification and XOR bundle sets."""
 
 import numpy as np
 import pytest
 
-from repro.core.bundles import Bundle, BundleKind, BundleSet, bundle_kind
+from repro.core.bundles import BundleKind, BundleSet, bundle_kind
 
 
 class TestBundleKind:
@@ -17,80 +17,19 @@ class TestBundleKind:
         assert bundle_kind(np.array([1e-15, -1e-15])) is BundleKind.EMPTY
 
 
-class TestBundle:
-    def test_from_mapping_and_describe_round_trip(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 10, "alpha/ram": 40})
-        assert bundle.describe() == {"alpha/cpu": 10.0, "alpha/ram": 40.0}
-
-    def test_empty_constructor(self, pool_index):
-        assert Bundle.empty(pool_index).kind is BundleKind.EMPTY
-
-    def test_wrong_length_rejected(self, pool_index):
-        with pytest.raises(ValueError):
-            Bundle(index=pool_index, quantities=np.zeros(2))
-
-    def test_non_finite_rejected(self, pool_index):
-        vec = np.zeros(len(pool_index))
-        vec[0] = np.nan
-        with pytest.raises(ValueError):
-            Bundle(index=pool_index, quantities=vec)
-
-    def test_quantities_are_immutable(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 1})
-        with pytest.raises(ValueError):
-            bundle.quantities[0] = 5.0
-
-    def test_cost_is_dot_product(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 10, "beta/disk": 100})
-        prices = np.ones(len(pool_index)) * 2.0
-        assert bundle.cost(prices) == pytest.approx(220.0)
-
-    def test_cost_rejects_mismatched_prices(self, pool_index):
-        bundle = Bundle.empty(pool_index)
-        with pytest.raises(ValueError):
-            bundle.cost(np.ones(2))
-
-    def test_demanded_and_offered_split(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 5, "beta/cpu": -3})
-        assert bundle.offered().sum() == pytest.approx(3.0)
-
-    def test_pools_touched(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 5, "beta/cpu": -3})
-        assert set(bundle.pools_touched()) == {"alpha/cpu", "beta/cpu"}
-
-    def test_scaled(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 5})
-        assert bundle.scaled(2.0).describe() == {"alpha/cpu": 10.0}
-
-    def test_addition(self, pool_index):
-        a = Bundle.from_mapping(pool_index, {"alpha/cpu": 5})
-        b = Bundle.from_mapping(pool_index, {"alpha/cpu": 2, "beta/ram": 1})
-        assert (a + b).describe() == {"alpha/cpu": 7.0, "beta/ram": 1.0}
-
-    def test_equality_and_hash(self, pool_index):
-        a = Bundle.from_mapping(pool_index, {"alpha/cpu": 5})
-        b = Bundle.from_mapping(pool_index, {"alpha/cpu": 5})
-        c = Bundle.from_mapping(pool_index, {"alpha/cpu": 6})
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-
-    def test_kind_property(self, pool_index):
-        assert Bundle.from_mapping(pool_index, {"alpha/cpu": 5}).kind is BundleKind.BUY
-        assert Bundle.from_mapping(pool_index, {"alpha/cpu": -5}).kind is BundleKind.SELL
-
-
 class TestBundleSet:
     def test_requires_at_least_one_bundle(self, pool_index):
         with pytest.raises(ValueError):
             BundleSet(pool_index, [])
 
     def test_accepts_mixed_input_forms(self, pool_index):
-        bundle = Bundle.from_mapping(pool_index, {"alpha/cpu": 1})
         vec = pool_index.vector({"beta/cpu": 2})
         mapping = {"beta/ram": 3}
-        bundle_set = BundleSet(pool_index, [bundle, vec, mapping])
-        assert len(bundle_set) == 3
-        assert bundle_set.matrix.shape == (3, len(pool_index))
+        bundle_set = BundleSet(pool_index, [vec, mapping])
+        assert len(bundle_set) == 2
+        np.testing.assert_array_equal(
+            bundle_set.matrix, pool_index.matrix([{"beta/cpu": 2}, {"beta/ram": 3}])
+        )
 
     def test_rejects_wrong_shape_array(self, pool_index):
         with pytest.raises(ValueError):
@@ -104,8 +43,8 @@ class TestBundleSet:
         bundle_set = BundleSet(pool_index, bundles)
         prices = rng.uniform(0.1, 10.0, size=len(pool_index))
         costs = bundle_set.costs(prices)
-        for i in range(len(bundle_set)):
-            assert costs[i] == pytest.approx(bundle_set.bundle(i).cost(prices))
+        for i, row in enumerate(bundle_set.matrix):
+            assert costs[i] == pytest.approx(row @ prices)
 
     def test_cheapest_breaks_ties_deterministically(self, pool_index):
         same = {"alpha/cpu": 5}
@@ -133,10 +72,6 @@ class TestBundleSet:
         bundle_set = BundleSet(pool_index, [{"alpha/cpu": 5, "beta/cpu": -2}, {"alpha/cpu": 3}])
         i_beta = pool_index.index_of("beta/cpu")
         assert bundle_set.max_offer()[i_beta] == 2.0
-
-    def test_iteration_yields_bundles(self, pool_index):
-        bundle_set = BundleSet(pool_index, [{"alpha/cpu": 1}, {"beta/cpu": 2}])
-        assert [b.describe() for b in bundle_set] == [{"alpha/cpu": 1.0}, {"beta/cpu": 2.0}]
 
     def test_matrix_is_read_only(self, pool_index):
         bundle_set = BundleSet(pool_index, [{"alpha/cpu": 1}])

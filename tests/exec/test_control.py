@@ -6,6 +6,7 @@ snapshots the fleet, ``drain`` waits out in-flight jobs before retiring
 anyone, and ``scale`` shrinks the fleet without losing a single queued job.
 """
 
+import queue
 import socket
 import threading
 import time
@@ -18,6 +19,9 @@ from repro.exec.wire import auth_mac, recv_message, send_message
 from repro.exec.worker import WorkerRejected, parse_hostport
 from repro.simulation.runner import ParallelRunner
 from test_remote import backend_on_ephemeral_port, start_worker, tiny_spec, wait_for
+
+#: How long a sweep may go without finishing a job before a test calls it hung.
+STALL_SECONDS = 60.0
 
 
 def execute_in_thread(backend, specs) -> tuple[threading.Thread, list]:
@@ -239,10 +243,21 @@ class TestDrain:
 
 
 class TestScale:
-    def test_scale_down_mid_sweep_loses_no_jobs(self):
+    def test_scale_down_mid_sweep_loses_no_jobs(self, monkeypatch):
         """Shrinking the fleet to one worker mid-sweep still completes every
         job, byte-identical to a serial run."""
         specs = [tiny_spec(f"tiny-{i}", seed=i) for i in range(6)]
+        # Follow the sweep by its queue's DONE transitions rather than by a
+        # wall-clock join: however slow a loaded host runs each job, the
+        # test waits for the next one to finish.
+        finished = queue.Queue()
+        mark_done = JobQueue.mark_done
+
+        def recording_mark_done(jobs, index):
+            mark_done(jobs, index)
+            finished.put(index)
+
+        monkeypatch.setattr(JobQueue, "mark_done", recording_mark_done)
         backend, address = backend_on_ephemeral_port(workers=2, persistent=True)
         start_worker(address, "w-keep", daemon=True)
         start_worker(address, "w-shed", daemon=True)
@@ -253,8 +268,17 @@ class TestScale:
                 reply = fleet.scale(1)
             assert reply["alive"] == 1
             assert reply["stopped"] == 1
-            thread.join(timeout=30)
-            assert not thread.is_alive() and outcome, "the sweep hung after the scale-down"
+            done = set()
+            while len(done) < len(specs):
+                try:
+                    done.add(finished.get(timeout=STALL_SECONDS))
+                except queue.Empty:
+                    raise AssertionError(
+                        f"no job finished in {STALL_SECONDS} s after the scale-down; "
+                        f"done: {sorted(done)}; outcome: {outcome}"
+                    ) from None
+            thread.join(timeout=STALL_SECONDS)  # every job is DONE: the sweep is returning
+            assert not thread.is_alive() and outcome, "the sweep hung after its last job"
             report = outcome[0]
             assert not isinstance(report, Exception), report
             serial = ParallelRunner(workers=1).run_specs(specs)
@@ -308,6 +332,30 @@ class TestScale:
             )
         finally:
             backend.drain()
+            backend.close()
+
+    def test_a_retired_daemon_reads_its_final_shutdown_despite_racing_heartbeats(self):
+        """Retirement closes the coordinator's socket right after the final
+        shutdown, while a daemon beating every millisecond keeps writing to
+        it, so the close often resets the connection.  The frame still
+        arrives before the reset: the daemon exits instead of redialling."""
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        served = []
+        worker = threading.Thread(
+            target=lambda: served.append(
+                run_worker(address, worker_id="w-beat", daemon=True, retry_seconds=5.0,
+                           heartbeat_interval=0.001)
+            ),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            wait_for(lambda: backend.connected_workers() == 1, message="worker join")
+            assert backend.scale_to(0) == {"alive": 0, "stopped": 1, "needed": 0}
+            worker.join(timeout=10)
+            assert not worker.is_alive() and served == [0], "the retired daemon redialled"
+            assert backend.connected_workers() == 0
+        finally:
             backend.close()
 
     def test_scale_up_is_advisory(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.bidlang import cluster_bundle, xor
 from repro.core.bids import Bid, BidderClass
 from repro.core.bundles import BundleSet
+from repro.core.exchange import BidValidationError
 from repro.market.platform import BidWindowError, TradingPlatform
 from repro.market.services import ServiceRequest
 
@@ -171,6 +172,28 @@ class TestAuctionRuns:
             OrderStatus.SETTLED,
             OrderStatus.UNSETTLED,
         ]
+
+    @pytest.mark.parametrize(
+        ("bundle", "limit", "problem"),
+        [
+            ({"beta/cpu": 1.0, "alpha/cpu": float("nan")}, 10.0, "bundle quantities contain non-finite values"),
+            ({}, 0.0, "bid contains only empty bundles"),
+        ],
+        ids=["nan", "empty"],
+    )
+    def test_an_invalid_bid_is_refused_at_submission_and_the_valid_bid_settles(
+        self, platform, pool_index, bundle, limit, problem
+    ):
+        platform.open_bid_window()
+        platform.submit_bid(Bid.buy("buyer", pool_index, [{"beta/cpu": 10}], max_payment=5_000.0))
+        bad = Bid(bidder="bad", bundles=BundleSet(pool_index, [bundle]), limit=limit)
+        with pytest.raises(BidValidationError, match=rf"^bid from 'bad' is invalid: {problem}$"):
+            platform.submit_bid(bad)
+        assert len(platform.order_book) == 1
+        summary = platform.market_summary()
+        assert sum(row.active_bids for row in summary.rows) == 1
+        record = platform.finalize_auction()
+        assert [(line.bidder, line.won) for line in record.result.settlement.lines] == [("buyer", True)]
 
     def test_consecutive_auctions_increment_id(self, platform):
         self._fill_orders(platform)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.resources import cpu_ram_disk
 from repro.core.bids import Bid
+from repro.core.bundles import BundleSet
 from repro.core.settlement import SettlementLine
 from repro.market.orderbook import OrderBook, OrderSide, OrderStatus, side_of
 from repro.market.services import ServiceCatalog, ServiceRequest, ServiceSpec, default_catalog
@@ -91,6 +92,28 @@ class TestOrderBook:
         }
         sell = Bid.sell("s", pool_index, [{"beta/cpu": 1}], min_revenue=0.0)
         assert book.submit(sell).clusters_touched() == {"beta"}
+
+    def test_quantities_within_the_tolerance_touch_no_cluster(self, three_cluster_index):
+        index = three_cluster_index
+        xor_set = np.array(
+            [index.vector({"low/cpu": 1, "high/ram": 1e-13}), index.vector({"mid/disk": -1e-12, "mid/ram": 2})]
+        )
+        order = OrderBook().submit(Bid("b", BundleSet(index, xor_set), limit=1.0))
+        assert order.clusters_touched() == {"low", "mid"}
+
+    def test_a_nan_quantity_touches_no_cluster(self, three_cluster_index):
+        # A book may hold a bid with a NaN (the exchange refuses it at the
+        # auction); the summary still counts the clusters of its other rows.
+        index = three_cluster_index
+        nan_row = index.vector({"mid/cpu": 1.0})
+        nan_row[index.index_of("high/cpu")] = np.nan
+        book = OrderBook()
+        order = book.submit(Bid("n", BundleSet(index, [nan_row, index.vector({"low/ram": 1.0})]), limit=1.0))
+        assert order.clusters_touched() == {"mid", "low"}
+        assert book.counts_by_cluster() == {
+            "mid": {OrderSide.BID: 1, OrderSide.OFFER: 0, OrderSide.TRADE: 0},
+            "low": {OrderSide.BID: 1, OrderSide.OFFER: 0, OrderSide.TRADE: 0},
+        }
 
     def test_counts_by_cluster(self, pool_index):
         book = OrderBook()

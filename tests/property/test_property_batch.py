@@ -7,6 +7,8 @@ per-round excess demand, the same final demands, and the same convergence
 behavior (including raising :class:`ConvergenceError` on the same instances).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,16 @@ def random_population(pool_index, rng, *, buyers, sellers, traders):
 
 
 def run_engine(pool_index, bids, engine, *, max_rounds=3000):
+    """Run the clock on ``engine``, or on the default config's engine when it is ``None``."""
+    config = AuctionConfig(max_rounds=max_rounds, record_bidder_demands=True)
+    if engine is not None:
+        config = replace(config, engine=engine)
     auction = AscendingClockAuction(
         pool_index,
         bids,
         reserve_prices=np.ones(len(pool_index)),
         supply=np.full(len(pool_index), 40.0),
-        config=AuctionConfig(engine=engine, max_rounds=max_rounds, record_bidder_demands=True),
+        config=config,
     )
     try:
         return auction.run()
@@ -142,11 +148,9 @@ def test_nonconvergent_trader_raises_in_both_engines(pool_index):
             auction.run()
 
 
-def test_auto_engine_trace_matches_forced_engines(pool_index):
+def test_default_engine_trace_matches_the_scalar_reference(pool_index):
     rng = np.random.default_rng(4000)
-    bids = random_population(pool_index, rng, buyers=40, sellers=4, traders=0)  # >= threshold
-    auto = run_engine(pool_index, bids, "auto")
+    bids = random_population(pool_index, rng, buyers=40, sellers=4, traders=0)
     scalar = run_engine(pool_index, bids, "scalar")
-    batch = run_engine(pool_index, bids, "batch")
-    assert_equivalent(scalar, batch)
-    assert_equivalent(scalar, auto)
+    default = run_engine(pool_index, bids, None)
+    assert_equivalent(scalar, default)

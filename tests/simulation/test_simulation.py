@@ -79,13 +79,11 @@ class TestScenario:
         config = ScenarioConfig(
             fleet=FleetSpec(cluster_count=5, machines_range=(5, 10)),
             population=PopulationSpec(team_count=7),
-            operator_supply_fraction=0.5,
             seed=3,
         )
         scenario = build_scenario(config)
         assert len(scenario.fleet.clusters) == 5
         assert len(scenario.agents) == 7
-        assert scenario.platform._operator_supply_fraction == 0.5
 
 
 class TestEconomySimulation:

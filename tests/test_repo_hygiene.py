@@ -97,7 +97,8 @@ KEEP = {
         " respond_all's total must equal",
     "core/bids.py:Bid.bidder_class":
         "observation helper: the agent, bidlang and bid tests read a bid's class",
-    "core/bundles.py:Bundle.from_mapping": "fixture: the bundle tests build their bundles with it",
+    "core/bundles.py:bundle_kind":
+        "reference: the property suite checks BundleSet.kinds() against it",
     "core/clock_auction.py:AuctionOutcome.price_map":
         "observation helper: the README quickstart and the clock tests read prices by pool",
     "market/accounts.py:Ledger.total_outstanding":
