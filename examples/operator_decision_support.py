@@ -58,7 +58,7 @@ def main() -> None:
     index = fleet.pool_index
     bids = collect_bids(fleet, index, seed=17)
 
-    result = CombinatorialExchange(index, strict_validation=False).run(bids)
+    result = CombinatorialExchange(index).run(bids)
     recommendations = recommend_capacity_actions(result)
     print("Capacity recommendations after auction #1:", summarize_actions(recommendations))
     for rec in recommendations:
@@ -67,7 +67,7 @@ def main() -> None:
 
     before = congestion_premium(result, index)
     expanded = apply_recommendations(index, recommendations, only=CapacityAction.GROW)
-    result_after = CombinatorialExchange(expanded, strict_validation=False).run(bids)
+    result_after = CombinatorialExchange(expanded).run(bids)
     after = congestion_premium(result_after, expanded)
     print(f"\nMean price/cost ratio in congested pools: {before:.2f}x before build-out, {after:.2f}x after")
 

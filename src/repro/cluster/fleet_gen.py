@@ -10,25 +10,35 @@ imbalance (a cluster can be CPU-bound while its disk sits idle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.pools import PoolIndex, pools_from_topology
-from repro.cluster.resources import (
-    DEFAULT_UNIT_COSTS,
-    RESOURCE_TYPES,
-    ResourceType,
-    cpu_ram_disk,
-)
+from repro.cluster.resources import RESOURCE_TYPES, ResourceType, cpu_ram_disk
 from repro.cluster.topology import FleetTopology, Site
+
+#: Machine shapes, drawn uniformly per cluster: CPUs per machine, then RAM
+#: and disk per CPU, so clusters differ in their RAM:CPU and disk:CPU ratios.
+MACHINE_CPU = (16.0, 64.0)
+RAM_PER_CPU = (2.0, 6.0)
+DISK_PER_CPU = (50.0, 250.0)
+
+#: Standard deviation of the per-resource jitter around a cluster's base
+#: utilization target, so CPU, RAM and disk utilization differ within a
+#: cluster.
+DIMENSION_JITTER = 0.12
 
 
 @dataclass(frozen=True)
 class FleetSpec:
     """Parameters controlling synthetic fleet generation.
+
+    Machine shapes and the per-dimension utilization jitter are the module
+    constants :data:`MACHINE_CPU`, :data:`RAM_PER_CPU`, :data:`DISK_PER_CPU`
+    and :data:`DIMENSION_JITTER`; pools are priced at
+    :data:`repro.cluster.resources.DEFAULT_UNIT_COSTS`.
 
     Attributes
     ----------
@@ -38,32 +48,16 @@ class FleetSpec:
         Number of geographic sites; clusters are assigned round-robin.
     machines_range:
         Inclusive range of machines per cluster (log-uniform draw).
-    machine_cpu / ram_per_cpu / disk_per_cpu:
-        Machine shapes; RAM and disk scale with CPU so clusters differ in
-        their RAM:CPU and disk:CPU ratios.
     utilization_range:
         Overall spread of target utilizations assigned to clusters.  The
         defaults generate a fleet with both heavily congested (>0.9) and
         nearly idle (<0.2) clusters.
-    dimension_jitter:
-        Per-resource-dimension jitter applied to a cluster's base target so
-        CPU, RAM, and disk utilization differ within a cluster.
-    unit_costs:
-        Operator unit costs c(r); defaults to
-        :data:`repro.cluster.resources.DEFAULT_UNIT_COSTS`.
     """
 
     cluster_count: int = 34
     sites: int = 8
     machines_range: tuple[int, int] = (50, 400)
-    machine_cpu: tuple[float, float] = (16.0, 64.0)
-    ram_per_cpu: tuple[float, float] = (2.0, 6.0)
-    disk_per_cpu: tuple[float, float] = (50.0, 250.0)
     utilization_range: tuple[float, float] = (0.10, 0.97)
-    dimension_jitter: float = 0.12
-    unit_costs: Mapping[ResourceType, float] = field(
-        default_factory=lambda: dict(DEFAULT_UNIT_COSTS)
-    )
 
     def __post_init__(self) -> None:
         if self.cluster_count < 1:
@@ -131,9 +125,9 @@ def generate_fleet(
     log_machines_hi = np.log(spec.machines_range[1])
     for i in range(spec.cluster_count):
         machine_count = int(round(np.exp(rng.uniform(log_machines_lo, log_machines_hi))))
-        cpu = float(rng.uniform(*spec.machine_cpu))
-        ram = cpu * float(rng.uniform(*spec.ram_per_cpu))
-        disk = cpu * float(rng.uniform(*spec.disk_per_cpu))
+        cpu = float(rng.uniform(*MACHINE_CPU))
+        ram = cpu * float(rng.uniform(*RAM_PER_CPU))
+        disk = cpu * float(rng.uniform(*DISK_PER_CPU))
         cluster = Cluster.homogeneous(
             f"cluster-{i:02d}",
             machine_count=machine_count,
@@ -143,12 +137,12 @@ def generate_fleet(
         base_target = float(base_targets[i])
         loads: dict[ResourceType, float] = {}
         for rtype in RESOURCE_TYPES:
-            jitter = float(rng.normal(0.0, spec.dimension_jitter))
+            jitter = float(rng.normal(0.0, DIMENSION_JITTER))
             loads[rtype] = min(max(base_target + jitter, 0.02), 0.99)
         cluster.set_load(loads)
         topology.add_cluster(cluster)
 
-    pool_index = pools_from_topology(topology, unit_costs=spec.unit_costs)
+    pool_index = pools_from_topology(topology)
     # The pre-market fixed price: the operator charged plain cost c(r) per
     # unit regardless of congestion.
     fixed_prices = {pool.name: pool.unit_cost for pool in pool_index}

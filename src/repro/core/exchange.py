@@ -74,6 +74,9 @@ class ExchangeResult:
 class CombinatorialExchange:
     """Runs one complete auction event over a pool index.
 
+    :meth:`run` raises :class:`BidValidationError` on the first structurally
+    invalid bid, before any price is computed.
+
     Parameters
     ----------
     index:
@@ -91,9 +94,6 @@ class CombinatorialExchange:
         market (the company "acts as a seller of resources").  1.0 offers
         everything that is currently free; 0.0 makes the operator a pure
         price-setter and all supply must come from selling teams.
-    strict_validation:
-        If ``True`` (default), structurally invalid bids raise
-        :class:`BidValidationError`; if ``False`` they are silently dropped.
 
     Examples
     --------
@@ -116,7 +116,6 @@ class CombinatorialExchange:
         increment: IncrementPolicy | None = None,
         auction_config: AuctionConfig | None = None,
         operator_supply_fraction: float = 1.0,
-        strict_validation: bool = True,
     ):
         if not (0.0 <= operator_supply_fraction <= 1.0):
             raise ValueError("operator_supply_fraction must lie in [0, 1]")
@@ -128,7 +127,6 @@ class CombinatorialExchange:
         self.increment = increment or default_increment(index.capacities())
         self.auction_config = auction_config or AuctionConfig()
         self.operator_supply_fraction = operator_supply_fraction
-        self.strict_validation = strict_validation
 
     # -- components ----------------------------------------------------------------
     def reserve_prices(self) -> np.ndarray:
@@ -140,11 +138,9 @@ class CombinatorialExchange:
         return self.index.available() * self.operator_supply_fraction
 
     def _validated(self, bids: Sequence[Bid]) -> list[Bid]:
-        if self.strict_validation:
-            for bid in bids:
-                require_valid_bid(bid)
-            return list(bids)
-        return [bid for bid in bids if not validate_bid(bid)]
+        for bid in bids:
+            require_valid_bid(bid)
+        return list(bids)
 
     # -- main entry point --------------------------------------------------------------
     def run(self, bids: Sequence[Bid]) -> ExchangeResult:

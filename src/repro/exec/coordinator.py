@@ -39,10 +39,19 @@ own connection threads at any time the coordinator is listening — mid-sweep
 or idle — over the same wire protocol as job traffic, behind the same
 shared-secret handshake.  See ``docs/distributed.md`` for the frame table
 and the trust model.
+
+Each connection has one owner: its reader thread.  Only the reader closes
+the socket and removes the worker from the registry, when its ``recv``
+ends.  Every other path — a missed heartbeat, a failed job send, drain,
+scale-down, :meth:`RemoteBackend.close` — ends a connection through
+:meth:`RemoteBackend._hang_up`, which sends an optional last frame and then
+shuts the socket down.  The shutdown wakes the blocked ``recv``, so even a
+peer that never writes or closes again is reaped at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import secrets as secrets_mod
 import socket
@@ -100,6 +109,8 @@ class _Worker:
     in_flight: dict[int, float] = field(default_factory=dict)
     #: Jobs this worker completed over the connection's lifetime.
     jobs_done: int = 0
+    #: False once hung up or disconnected.  A hung-up worker stays in the
+    #: registry until its reader exits, so every count filters on this.
     alive: bool = True
     #: Scale-down marked this worker for retirement: no new jobs.
     draining: bool = False
@@ -244,7 +255,6 @@ class RemoteBackend:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
             self._accept_thread = None
-        self._events = queue.Queue()
 
     def drain(self, *, poll: float = 0.05, timeout: float | None = None) -> int:
         """Stop dispatching, wait out in-flight jobs, retire every worker.
@@ -318,7 +328,8 @@ class RemoteBackend:
             if victim.in_flight and victim.alive:
                 victim.draining = False  # could not drain in time; keep it
                 continue
-            self._retire_worker(victim)
+            self._hang_up(victim, {"type": "shutdown", "final": True})
+            self._say(f"worker {victim.worker_id} retired")
             stopped += 1
         return {"alive": self.connected_workers(), "stopped": stopped, "needed": 0}
 
@@ -334,13 +345,15 @@ class RemoteBackend:
             return
         self.listen()
         self._sweep_epoch += 1
+        # Readers reap their own connections, so anything left in the old
+        # queue is stale: each sweep reads a fresh one.
+        self._events = queue.Queue()
         self._sweeping.set()
         try:
             self._wait_for_workers()
             self._dispatch_all(specs, list(order), emit)
         finally:
             self._sweeping.clear()
-            self._flush_events()
             with self._registry_lock:
                 # An aborted sweep's in-flight jobs are dead either way; a
                 # persistent fleet must not carry them into the next sweep's
@@ -369,11 +382,7 @@ class RemoteBackend:
                     f"{self.wait_timeout:.0f}s; start some with "
                     f"`python -m repro worker --connect {self.address}`"
                 )
-            event = self._drain_event(timeout=0.1)
-            if event is not None and event[0] == "lost":
-                # A worker that came and went before dispatch: drop it so it
-                # does not count toward (or receive) anything.
-                self._remove_worker(event[1], event[2])
+            self._drain_event(timeout=0.1)  # wakes early when a worker joins
 
     def _dispatch_all(self, specs, pending_order: list[int], emit: EmitFn) -> None:
         jobs = JobQueue(
@@ -393,11 +402,11 @@ class RemoteBackend:
                     if kind == "joined":
                         last_progress = now
                     elif kind == "lost":
-                        _, worker_id, reason = event
-                        self._on_worker_lost(worker_id, reason, jobs)
+                        _, worker, reason = event
+                        self._on_worker_lost(worker, reason, jobs)
                     elif kind == "msg":
-                        _, worker_id, message = event
-                        if self._on_message(worker_id, message, emit, jobs):
+                        _, worker, message = event
+                        if self._on_message(worker, message, emit, jobs):
                             last_progress = now
                 self._check_heartbeats(jobs)
                 if jobs.finished:
@@ -457,19 +466,17 @@ class RemoteBackend:
                             "spec": encode_spec_b64(spec),
                         },
                     )
-            except OSError as error:
-                # The job never left: it stays QUEUED (no retry burned) and
-                # the dead lane is reported like any other loss.
+            except OSError:
+                # The job never left: it stays QUEUED (no retry burned).  The
+                # hang-up wakes the reader, which reports the loss.
                 del worker.in_flight[index]
-                self._events.put(("lost", worker.worker_id, f"send failed: {error}"))
-                worker.alive = False
+                self._hang_up(worker)
                 continue
             jobs.mark_running(index, worker=worker.worker_id)
             self._say(f"dispatch job {index} ({spec.name}) -> {worker.worker_id}")
 
-    def _on_message(self, worker_id, message, emit: EmitFn, jobs: JobQueue) -> bool:
+    def _on_message(self, worker: _Worker, message, emit: EmitFn, jobs: JobQueue) -> bool:
         """Apply one worker message; True when it completed a job."""
-        worker = self._workers.get(worker_id)
         kind = message["type"]
         if kind not in ("result", "error"):
             return False
@@ -482,7 +489,7 @@ class RemoteBackend:
         if (sweep is not None and int(sweep) != self._sweep_epoch) or job not in jobs:
             return False
         if kind == "result":
-            if worker is not None and worker.in_flight.pop(job, None) is not None:
+            if worker.in_flight.pop(job, None) is not None:
                 worker.jobs_done += 1
             if jobs.state(job) is JobState.DONE:
                 return False  # duplicate/straggler: the bytes already landed
@@ -493,20 +500,20 @@ class RemoteBackend:
         detail = message.get("message", "unknown error")
         jobs.mark_error(job, str(detail))
         raise RuntimeError(
-            f"scenario {scenario!r} failed on worker {worker_id!r}: {detail}"
+            f"scenario {scenario!r} failed on worker {worker.worker_id!r}: {detail}"
         )
 
-    def _on_worker_lost(self, worker_id, reason, jobs: JobQueue) -> None:
-        with self._registry_lock:
-            worker = self._workers.pop(worker_id, None)
-        if worker is None:
-            return
-        worker.alive = False
-        worker.sock.close()
+    def _on_worker_lost(self, worker: _Worker, reason, jobs: JobQueue) -> None:
+        """Requeue a lost connection's jobs and hang it up.
+
+        Runs where the loss is detected — a missed heartbeat — and again
+        when the connection's reader reports it; the second call finds
+        nothing left to requeue.
+        """
         # in_flight is insertion-ordered, i.e. the order the scheduler chose
         # (longest job first); re-queue at the front in that same order so
         # the heaviest forfeited job restarts first.  Only jobs still RUNNING
-        # *on this worker* go back: a straggler result may already have
+        # *on this connection* go back: a straggler result may already have
         # completed one, and a prematurely-declared-lost worker's jobs may
         # already be running elsewhere.
         requeued = [
@@ -514,23 +521,22 @@ class RemoteBackend:
             for job in worker.in_flight
             if job in jobs
             and jobs.state(job) is JobState.RUNNING
-            and jobs.job(job).worker == worker_id
+            and jobs.job(job).worker == worker.worker_id
         ]
         for job in reversed(requeued):
             jobs.requeue(job, front=True)
+        worker.in_flight.clear()
+        self._hang_up(worker)
         self._say(
-            f"worker {worker_id} lost ({reason}); requeued {len(requeued)} job(s)"
+            f"worker {worker.worker_id} lost ({reason}); requeued {len(requeued)} job(s)"
         )
 
     def _check_heartbeats(self, jobs: JobQueue) -> None:
         cutoff = time.monotonic() - self.heartbeat_timeout
         for worker in self._alive_workers():
             if worker.last_seen < cutoff:
-                worker.alive = False
                 self._on_worker_lost(
-                    worker.worker_id,
-                    f"no heartbeat for {self.heartbeat_timeout:g}s",
-                    jobs,
+                    worker, f"no heartbeat for {self.heartbeat_timeout:g}s", jobs
                 )
 
     # -- connection handling -----------------------------------------------------------
@@ -547,7 +553,10 @@ class RemoteBackend:
             # handshake sets its own deadline and then clears it.
             sock.settimeout(None)
             threading.Thread(
-                target=self._serve_connection, args=(sock,), daemon=True
+                target=self._serve_connection,
+                args=(sock,),
+                name="coordinator-conn",
+                daemon=True,
             ).start()
 
     def _authenticate(self, sock: socket.socket) -> str | None:
@@ -555,7 +564,7 @@ class RemoteBackend:
 
         Returns the nonce (for the welcome's counter-MAC) on success, or
         raises :class:`_HandshakeFailed` after sending the reject — the
-        caller closes the socket.  Without a secret, returns ``None``.
+        reader then closes the socket.  Without a secret, returns ``None``.
         """
         if self.secret is None:
             return None
@@ -574,7 +583,12 @@ class RemoteBackend:
         return nonce
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        worker_id = None
+        """Read one connection until it ends; the only code that closes it."""
+        # Guards the socket against a send or shutdown racing its close:
+        # once closed, its descriptor number may belong to a new peer.
+        send_lock = threading.Lock()
+        worker: _Worker | None = None
+        reason = "connection closed"
         try:
             sock.settimeout(HANDSHAKE_TIMEOUT)
             # Small latency-sensitive frames; see the matching setting in
@@ -582,7 +596,6 @@ class RemoteBackend:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             first = self._transport.recv(sock)
             if first is None:
-                sock.close()
                 return
             if first.get("type") == "control":
                 self._serve_control(sock)
@@ -592,26 +605,23 @@ class RemoteBackend:
                 self._transport.send(
                     sock, {"type": "reject", "reason": "malformed hello"}
                 )
-                sock.close()
                 return
-            nonce = self._authenticate(sock)  # BEFORE any registration/jobs
+            welcome = self._welcome(self._authenticate(sock))  # BEFORE registration
             worker_id = str(first["worker"])
             now = time.monotonic()
-            worker = _Worker(
+            joining = _Worker(
                 worker_id=worker_id,
                 sock=sock,
                 capacity=capacity,
                 joined_at=now,
                 last_seen=now,
                 daemon=bool(first.get("daemon", False)),
+                send_lock=send_lock,
             )
-            welcome: dict = {"type": "welcome"}
-            if nonce is not None:
-                welcome["mac"] = coordinator_mac(self.secret, nonce)
             # Hold the send lock from before the dispatch loop can see the
             # worker until the welcome is out: a job frame that overtook the
             # welcome would fail the worker's handshake.
-            with worker.send_lock:
+            with send_lock:
                 with self._registry_lock:
                     existing = self._workers.get(worker_id)
                     if existing is not None and existing.alive:
@@ -622,18 +632,13 @@ class RemoteBackend:
                                 "reason": f"worker id {worker_id!r} is already connected",
                             },
                         )
-                        sock.close()
                         return
-                    self._workers[worker_id] = worker
+                    self._workers[worker_id] = worker = joining
                 self._transport.send(sock, welcome)
             sock.settimeout(None)
             if self._sweeping.is_set():
                 self._events.put(("joined", worker_id))
-            while True:
-                message = self._transport.recv(sock)
-                if message is None:
-                    self._on_connection_closed(worker_id, "connection closed")
-                    return
+            while (message := self._transport.recv(sock)) is not None:
                 # The reader thread refreshes liveness, before it enqueues the
                 # frame, so heartbeats count whether or not a sweep loop is
                 # draining events (a persistent fleet spends most of its life
@@ -641,51 +646,62 @@ class RemoteBackend:
                 # window).
                 worker.last_seen = time.monotonic()
                 if self._sweeping.is_set():
-                    self._events.put(("msg", worker_id, message))
-        except _HandshakeFailed:
-            sock.close()
-        except (OSError, WireError) as error:
-            if worker_id is not None:
-                self._on_connection_closed(worker_id, str(error))
-            else:
+                    self._events.put(("msg", worker, message))
+        except (_HandshakeFailed, OSError, WireError) as error:
+            reason = str(error)
+        finally:
+            with send_lock:
                 sock.close()
+            if worker is not None:
+                with self._registry_lock:
+                    worker.alive = False
+                    # A daemon that redialled under the same id keeps its
+                    # new entry.
+                    if self._workers.get(worker.worker_id) is worker:
+                        del self._workers[worker.worker_id]
+                if self._sweeping.is_set():
+                    self._events.put(("lost", worker, reason))
+                self._say(f"worker {worker.worker_id} disconnected ({reason})")
+
+    def _welcome(self, nonce: str | None) -> dict:
+        """The ``welcome`` frame, with the counter-MAC when a secret is set."""
+        welcome: dict = {"type": "welcome"}
+        if nonce is not None:
+            welcome["mac"] = coordinator_mac(self.secret, nonce)
+        return welcome
 
     def _serve_control(self, sock: socket.socket) -> None:
         """One ``repro workers`` session: authenticate, then answer commands."""
-        try:
-            nonce = self._authenticate(sock)
-            welcome: dict = {"type": "welcome"}
-            if nonce is not None:
-                welcome["mac"] = coordinator_mac(self.secret, nonce)
-            self._transport.send(sock, welcome)
-            sock.settimeout(None)  # a drain legitimately takes a while
-            while True:
-                command = self._transport.recv(sock)
-                if command is None:
-                    return
-                kind = command.get("type")
-                if kind == "workers-list":
-                    self._transport.send(sock, self._fleet_snapshot())
-                elif kind == "drain":
-                    retired = self.drain(timeout=command.get("timeout"))
-                    self._transport.send(sock, {"type": "drained", "workers": retired})
-                elif kind == "scale":
-                    outcome = self.scale_to(int(command.get("count", 0)))
-                    self._transport.send(sock, {"type": "scaled", **outcome})
-                else:
-                    self._transport.send(
-                        sock,
-                        {
-                            "type": "control-error",
-                            "message": f"unknown control command {kind!r}",
-                        },
-                    )
-        except _HandshakeFailed:
-            pass
-        except (OSError, WireError):
-            pass
-        finally:
-            sock.close()
+        self._transport.send(sock, self._welcome(self._authenticate(sock)))
+        sock.settimeout(None)  # a drain legitimately takes a while
+        while (command := self._transport.recv(sock)) is not None:
+            self._transport.send(sock, self._control_reply(command))
+
+    def _control_reply(self, command: dict) -> dict:
+        """Run one control command and return its reply frame.
+
+        A ``drain`` or ``scale`` argument is checked before anything runs;
+        a bad one gets a ``control-error`` naming it, and the session goes
+        on serving.
+        """
+        kind = command.get("type")
+        if kind == "workers-list":
+            return self._fleet_snapshot()
+        if kind == "drain":
+            timeout = command.get("timeout")
+            if timeout is not None and not _finite_seconds(timeout):
+                return _control_error(
+                    f"drain timeout must be null or a finite number >= 0, not {timeout!r}"
+                )
+            return {"type": "drained", "workers": self.drain(timeout=timeout)}
+        if kind == "scale":
+            count = command.get("count")
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                return _control_error(
+                    f"scale count must be an integer >= 0, not {count!r}"
+                )
+            return {"type": "scaled", **self.scale_to(count)}
+        return _control_error(f"unknown control command {kind!r}")
 
     def _fleet_snapshot(self) -> dict:
         """The ``fleet`` frame: per-worker rows plus the queue's state counts."""
@@ -721,52 +737,27 @@ class RemoteBackend:
             "queue": None if jobs is None else jobs.counts(),
         }
 
-    def _on_connection_closed(self, worker_id: str, reason: str) -> None:
-        """A worker's socket ended: route to the sweep loop or reap directly."""
-        if self._sweeping.is_set():
-            self._events.put(("lost", worker_id, reason))
-        else:
-            self._remove_worker(worker_id, reason)
+    def _hang_up(self, worker: _Worker, frame: dict | None = None) -> None:
+        """End a connection from any thread but its reader.
 
-    def _remove_worker(self, worker_id: str, reason: str) -> None:
-        with self._registry_lock:
-            worker = self._workers.pop(worker_id, None)
-        if worker is None:
-            return
-        worker.alive = False
-        worker.sock.close()
-        self._say(f"worker {worker_id} disconnected ({reason})")
-
-    def _retire_worker(self, worker: _Worker) -> None:
-        """Send a final shutdown and forget the worker (drain / scale-down)."""
-        with self._registry_lock:
-            self._workers.pop(worker.worker_id, None)
-        if worker.alive:
-            try:
-                with worker.send_lock:
-                    self._transport.send(
-                        worker.sock, {"type": "shutdown", "final": True}
-                    )
-            except OSError:
-                pass
-        worker.alive = False
-        worker.sock.close()
-        self._say(f"worker {worker.worker_id} retired")
+        Marks the worker dead, sends ``frame`` last (if the worker was
+        alive), then shuts the socket down: the peer reads the frame and
+        then EOF, and the reader's blocked ``recv`` returns, so the reader
+        closes the socket and reaps the worker.
+        """
+        with worker.send_lock:
+            was_alive, worker.alive = worker.alive, False
+            with contextlib.suppress(OSError):  # a dead peer takes no frame
+                if frame is not None and was_alive:
+                    self._transport.send(worker.sock, frame)
+            with contextlib.suppress(OSError):  # the reader already closed it
+                worker.sock.shutdown(socket.SHUT_RDWR)
 
     def _shutdown_workers(self, *, final: bool) -> None:
         with self._registry_lock:
             workers = list(self._workers.values())
-            self._workers.clear()
         for worker in workers:
-            if worker.alive:
-                try:
-                    with worker.send_lock:
-                        self._transport.send(
-                            worker.sock, {"type": "shutdown", "final": final}
-                        )
-                except OSError:
-                    pass
-            worker.sock.close()
+            self._hang_up(worker, {"type": "shutdown", "final": final})
 
     # -- helpers -----------------------------------------------------------------------
     def _alive_workers(self) -> list[_Worker]:
@@ -779,17 +770,6 @@ class RemoteBackend:
         except queue.Empty:
             return None
 
-    def _flush_events(self) -> None:
-        """Process leftovers after a sweep so stale frames cannot leak into
-        the next one: losses reap their workers, everything else is stale."""
-        while True:
-            try:
-                event = self._events.get_nowait()
-            except queue.Empty:
-                return
-            if event[0] == "lost":
-                self._remove_worker(event[1], event[2])
-
     def _say(self, message: str) -> None:
         if not self.quiet:
             print(f"[remote] {message}", file=sys.stderr)
@@ -797,6 +777,23 @@ class RemoteBackend:
 
 class _HandshakeFailed(Exception):
     """A peer failed hello/auth; the reject has already been sent."""
+
+
+def _control_error(message: str) -> dict:
+    return {"type": "control-error", "message": message}
+
+
+def _finite_seconds(value) -> bool:
+    """Whether ``value`` is a number of seconds >= 0 that fits a float (a bool is not).
+
+    >>> [_finite_seconds(v) for v in (0, 2.5, -1, float("nan"), float("inf"), 10**400, True, "5")]
+    [True, True, False, False, False, False, False, False]
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max
+    )
 
 
 def _hello_capacity(message: dict) -> int | None:

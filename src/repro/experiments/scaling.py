@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.agents.population import PopulationSpec
-from repro.core.bids import validate_bid
 from repro.core.clock_auction import AscendingClockAuction
 from repro.core.exchange import CombinatorialExchange
 from repro.core.increment import default_increment
@@ -80,16 +79,13 @@ def _one_auction(bidders: int, clusters: int, *, seed: int) -> ScalingPoint:
     index, bids = first_auction_bids(
         clusters, PopulationSpec(team_count=bidders, budget_per_team=1e6), seed=seed
     )
-    exchange = CombinatorialExchange(
-        index, increment=default_increment(index.capacities()), strict_validation=False
-    )
+    exchange = CombinatorialExchange(index, increment=default_increment(index.capacities()))
     result = exchange.run(bids)
-    accepted = [bid for bid in bids if not validate_bid(bid)]
     timings = []
     for _ in range(TIMED_RUNS):
         auction = AscendingClockAuction(
             index,
-            accepted,
+            bids,
             reserve_prices=result.reserve_prices,
             supply=result.operator_supply,
             increment=exchange.increment,

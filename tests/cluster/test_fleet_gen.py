@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.fleet_gen import (
+    DISK_PER_CPU,
+    MACHINE_CPU,
+    RAM_PER_CPU,
     FleetSpec,
     congested_fleet_spec,
     generate_fleet,
@@ -77,10 +80,13 @@ class TestGenerateFleet:
         assert len(names) == len(set(names)) == 10
 
     def test_machine_shapes_within_spec(self):
-        spec = FleetSpec(cluster_count=4, machines_range=(5, 10), machine_cpu=(8.0, 16.0))
+        spec = FleetSpec(cluster_count=4, machines_range=(5, 10))
         fleet = generate_fleet(spec, seed=5)
         for cluster in fleet.clusters:
-            assert 8.0 <= cluster.machine_capacity.cpu <= 16.0
+            shape = cluster.machine_capacity
+            assert MACHINE_CPU[0] <= shape.cpu <= MACHINE_CPU[1]
+            assert RAM_PER_CPU[0] <= shape.ram / shape.cpu <= RAM_PER_CPU[1]
+            assert DISK_PER_CPU[0] <= shape.disk / shape.cpu <= DISK_PER_CPU[1]
             assert 5 <= cluster.machine_count <= 10
 
     def test_generator_accepts_generator_instance(self):

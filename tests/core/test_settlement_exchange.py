@@ -190,17 +190,11 @@ class TestCombinatorialExchange:
         with pytest.raises(ValueError):
             CombinatorialExchange(pool_index, operator_supply_fraction=1.5)
 
-    def test_invalid_bid_raises_in_strict_mode(self, pool_index):
+    def test_invalid_bid_raises_bid_validation_error(self, pool_index):
         empty_bid = Bid(bidder="bad", bundles=BundleSet(pool_index, [np.zeros(len(pool_index))]), limit=1.0)
-        exchange = CombinatorialExchange(pool_index, strict_validation=True)
+        exchange = CombinatorialExchange(pool_index)
         with pytest.raises(BidValidationError):
             exchange.run([empty_bid])
-
-    def test_invalid_bid_dropped_in_lenient_mode(self, pool_index):
-        empty_bid = Bid(bidder="bad", bundles=BundleSet(pool_index, [np.zeros(len(pool_index))]), limit=1.0)
-        exchange = CombinatorialExchange(pool_index, strict_validation=False)
-        result = exchange.run([empty_bid])
-        assert result.settlement.lines == []
 
     def test_accepts_reserve_pricer_instance(self, pool_index):
         pricer = ReservePricer(weighting=FlatWeight(1.0))

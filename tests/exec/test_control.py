@@ -7,6 +7,7 @@ anyone, and ``scale`` shrinks the fleet without losing a single queued job.
 """
 
 import queue
+import re
 import socket
 import threading
 import time
@@ -18,7 +19,14 @@ from repro.exec.queue import JobQueue
 from repro.exec.wire import auth_mac, recv_message, send_message
 from repro.exec.worker import WorkerRejected, parse_hostport
 from repro.simulation.runner import ParallelRunner
-from test_remote import backend_on_ephemeral_port, start_worker, tiny_spec, wait_for
+from test_remote import (
+    backend_on_ephemeral_port,
+    coordinator_readers,
+    scripted_peer,
+    start_worker,
+    tiny_spec,
+    wait_for,
+)
 
 #: How long a sweep may go without finishing a job before a test calls it hung.
 STALL_SECONDS = 60.0
@@ -378,6 +386,134 @@ class TestScale:
         assert reply["stopped"] == 1
         assert backend.connected_workers() == 0
         backend.close()
+
+
+class TestHangUp:
+    """Retiring a worker shuts its socket down after the last frame, so the
+    peer reads EOF and the coordinator's reader ends even when the peer
+    never writes or closes again."""
+
+    def test_a_retired_peer_that_goes_silent_reads_eof(self):
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        before = coordinator_readers()
+        peer = scripted_peer(address, "w-mute", daemon=True)
+        try:
+            assert backend.scale_to(0) == {"alive": 0, "stopped": 1, "needed": 0}
+            peer.settimeout(1.0)
+            assert recv_message(peer) == {"type": "shutdown", "final": True}
+            assert recv_message(peer) is None  # EOF, although the peer stays open
+            wait_for(
+                lambda: not coordinator_readers() - before,
+                timeout=1.0,
+                message="the retired peer's reader to end",
+            )
+        finally:
+            peer.close()
+            backend.close()
+
+    @pytest.mark.parametrize("retire", ["drain", "close"])
+    def test_retiring_the_fleet_ends_every_reader_of_silent_peers(self, retire):
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        before = coordinator_readers()
+        peers = [scripted_peer(address, f"w-mute-{i}", daemon=True) for i in range(3)]
+        try:
+            getattr(backend, retire)()
+            for peer in peers:
+                peer.settimeout(1.0)
+                assert recv_message(peer) == {"type": "shutdown", "final": retire == "drain"}
+                assert recv_message(peer) is None
+            wait_for(
+                lambda: not coordinator_readers() - before,
+                timeout=1.0,
+                message="every reader to end",
+            )
+        finally:
+            for peer in peers:
+                peer.close()
+            backend.close()
+
+
+#: Control frames whose argument is unusable, and the error each must get.
+BAD_CONTROL_COMMANDS = [
+    pytest.param(
+        {"type": "drain", "timeout": "soon"},
+        "drain timeout must be null or a finite number >= 0, not 'soon'",
+        id="drain-timeout-text",
+    ),
+    pytest.param(
+        {"type": "drain", "timeout": float("nan")},
+        "drain timeout must be null or a finite number >= 0, not nan",
+        id="drain-timeout-nan",
+    ),
+    pytest.param(
+        {"type": "drain", "timeout": True},
+        "drain timeout must be null or a finite number >= 0, not True",
+        id="drain-timeout-bool",
+    ),
+    pytest.param(
+        {"type": "scale", "count": "many"},
+        "scale count must be an integer >= 0, not 'many'",
+        id="scale-count-text",
+    ),
+    pytest.param(
+        {"type": "scale", "count": -1},
+        "scale count must be an integer >= 0, not -1",
+        id="scale-count-negative",
+    ),
+    pytest.param(
+        {"type": "scale"},
+        "scale count must be an integer >= 0, not None",
+        id="scale-count-missing",
+    ),
+]
+
+
+class TestControlArguments:
+    """A bad ``drain`` or ``scale`` argument gets a ``control-error`` that
+    names it, before anything runs: the fleet keeps serving, and so does
+    the session."""
+
+    @pytest.mark.parametrize("command, error", BAD_CONTROL_COMMANDS)
+    def test_a_bad_argument_is_refused_and_the_session_serves_on(self, command, error):
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        start_worker(address, "w-args", daemon=True)
+        wait_for(lambda: backend.connected_workers() == 1, message="worker join")
+        try:
+            with socket.create_connection(parse_hostport(address), timeout=5.0) as sock:
+                send_message(sock, {"type": "control"})
+                assert recv_message(sock)["type"] == "welcome"
+                send_message(sock, command)
+                assert recv_message(sock) == {"type": "control-error", "message": error}
+                send_message(sock, {"type": "workers-list"})
+                view = recv_message(sock)
+            assert [row["worker"] for row in view["workers"]] == ["w-args"]
+            assert view["draining"] is False
+        finally:
+            backend.drain()
+            backend.close()
+
+    def test_bad_arguments_through_the_client_leave_the_fleet_serving(self):
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        start_worker(address, "w-client-args", daemon=True)
+        wait_for(lambda: backend.connected_workers() == 1, message="worker join")
+        try:
+            timeout_error = "drain timeout must be null or a finite number >= 0, not "
+            count_error = "scale count must be an integer >= 0, not "
+            with ControlClient(address) as fleet:
+                with pytest.raises(ControlError, match=re.escape(timeout_error + "'soon'")):
+                    fleet.drain(timeout="soon")
+                with pytest.raises(ControlError, match=re.escape(count_error + "-1")):
+                    fleet.scale(-1)
+                with pytest.raises(ControlError, match=re.escape(count_error + "'many'")):
+                    # The client's own int() stops a text count; send it raw.
+                    fleet._command({"type": "scale", "count": "many"}, expect="scaled")
+                assert [row["worker"] for row in fleet.list()["workers"]] == ["w-client-args"]
+            specs = [tiny_spec("tiny-args", seed=5)]
+            report = ParallelRunner(backend=backend).run_specs(specs)
+            assert [r.worker for r in report.results] == ["w-client-args"]
+        finally:
+            backend.drain()
+            backend.close()
 
 
 class TestWorkersCLI:

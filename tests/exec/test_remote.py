@@ -51,6 +51,21 @@ def wait_for(predicate, timeout: float = 5.0, message: str = "condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
+def coordinator_readers() -> set[threading.Thread]:
+    """The coordinator connection readers now running, one per connection."""
+    return {thread for thread in threading.enumerate() if thread.name == "coordinator-conn"}
+
+
+def scripted_peer(address: str, worker_id: str, **hello) -> socket.socket:
+    """A hand-driven worker connection, registered and past its welcome."""
+    sock = socket.create_connection(parse_hostport(address), timeout=5.0)
+    send_message(
+        sock, {"type": "hello", "worker": worker_id, "capacity": 1, "pid": 0, **hello}
+    )
+    assert recv_message(sock)["type"] == "welcome"
+    return sock
+
+
 def start_worker(address: str, worker_id: str, **kwargs) -> threading.Thread:
     thread = threading.Thread(
         target=run_worker,
@@ -178,8 +193,9 @@ class TestWorkerLoss:
                 stale = time.monotonic() - 60.0
                 worker.last_seen = stale
                 send_message(sock, {"type": "heartbeat"})
-                event = backend._events.get(timeout=5.0)
-                assert event == ("msg", "scripted", {"type": "heartbeat"})
+                kind, sender, message = backend._events.get(timeout=5.0)
+                assert (kind, message) == ("msg", {"type": "heartbeat"})
+                assert sender is worker  # events name the connection, not the id
                 assert worker.last_seen > stale
         finally:
             backend._sweeping.clear()
@@ -211,6 +227,32 @@ class TestWorkerLoss:
         report = ParallelRunner(backend=backend).run_specs(specs)
         assert {r.worker for r in report.results} == {"healthy"}
 
+    def test_a_worker_lost_by_heartbeat_is_hung_up(self):
+        """Declaring a silent worker lost shuts its socket down: the peer,
+        which keeps its socket open, reads EOF after the job it took, and
+        the coordinator's reader for it ends instead of outliving the
+        sweep."""
+        specs = [tiny_spec(f"tiny-{i}", seed=i) for i in range(2)]
+        backend, address = backend_on_ephemeral_port(workers=2, heartbeat_timeout=1.0)
+        before = coordinator_readers()
+        silent = scripted_peer(address, "silent")  # the earliest joiner
+        try:
+            start_worker(address, "healthy", heartbeat_interval=0.05)
+            report = ParallelRunner(backend=backend).run_specs(specs)
+            assert {r.worker for r in report.results} == {"healthy"}
+            silent.settimeout(1.0)
+            frames = []
+            while (frame := recv_message(silent)) is not None:
+                frames.append(frame["type"])
+            assert frames == ["job"]  # then EOF: a lost worker gets no shutdown
+            wait_for(
+                lambda: not coordinator_readers() - before,
+                timeout=1.0,
+                message="the coordinator's readers to end",
+            )
+        finally:
+            silent.close()
+            backend.close()
 
     def test_corrupt_job_spec_ends_a_one_shot_worker_with_worker_error(self):
         """A job frame whose spec does not unpickle is a broken frame: the
