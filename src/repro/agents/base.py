@@ -11,13 +11,14 @@ settlement via :meth:`TeamAgent.observe_settlement`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.cluster.pools import PoolIndex
 from repro.cluster.topology import FleetTopology
 from repro.core.bids import Bid
 from repro.core.settlement import SettlementLine
-from repro.market.services import ServiceCatalog, ServiceRequest
+from repro.market.services import ServiceCatalog, ServiceRequest, named_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.agents.strategies import BiddingStrategy
@@ -29,7 +30,10 @@ class MarketView:
 
     Mirrors the information on the trading-platform front end: the pool index
     (capacities and utilizations), the currently displayed prices, the former
-    fixed prices, and which auction number this is.
+    fixed prices, and which auction number this is.  A view is not changed
+    after it is built, so what strategies read from it by position (the
+    prices in index order, the utilizations, the cluster rankings) is
+    derived once per view.
     """
 
     index: PoolIndex
@@ -57,9 +61,23 @@ class MarketView:
             self._cluster_rankings[by] = ordered
         return list(ordered) if limit is None else ordered[:limit]
 
+    @cached_property
+    def displayed_price_list(self) -> list[float]:
+        """The displayed prices in index order, read from the mapping once per view."""
+        return [self.displayed_prices[name] for name in self.index.names]
+
+    @cached_property
+    def fixed_price_list(self) -> list[float]:
+        """The former fixed prices in index order, read from the mapping once per view."""
+        return [self.fixed_prices[name] for name in self.index.names]
+
+    @cached_property
+    def _utilization_list(self) -> list[float]:
+        return self.index.utilizations().tolist()
+
     def utilization(self, pool_name: str) -> float:
         """Current utilization of one pool."""
-        return float(self.index.utilizations()[self.index.index_of(pool_name)])
+        return self._utilization_list[self.index.index_of(pool_name)]
 
 
 @dataclass
@@ -103,16 +121,12 @@ class DemandProfile:
     def covering_bundle(self, catalog: ServiceCatalog, index: PoolIndex, cluster: str | None = None) -> dict[str, float]:
         """Aggregate covering bundle of all requests, optionally re-homed to ``cluster``.
 
-        Each pool's quantity is the sum of the requests' covering quantities
-        in request order.  Every team-level covering bundle (bids, baseline
-        demands, starting holdings) comes from here.
+        The name-keyed view of :meth:`ServiceCatalog.covering_amounts`: each
+        pool's quantity is the sum of the requests' covering quantities in
+        request order.  Baseline demands and starting holdings come from
+        here; strategies place the same amounts at pool columns.
         """
-        target = cluster or self.home_cluster
-        bundle: dict[str, float] = {}
-        for req in self.requests:
-            for name, qty in catalog.cover(req.service, target, req.quantity, index).items():
-                bundle[name] = bundle.get(name, 0.0) + qty
-        return bundle
+        return named_bundle(catalog.covering_amounts(self.requests), cluster or self.home_cluster, index)
 
 
 class TeamAgent:

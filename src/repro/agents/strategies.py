@@ -16,6 +16,7 @@ import numpy as np
 from repro.agents.base import MarketView, TeamAgent
 from repro.agents.learning import AdaptiveMarginModel
 from repro.agents.relocation import RelocationCostModel
+from repro.cluster.resources import RESOURCE_TYPES
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 from repro.core.settlement import SettlementLine
@@ -33,19 +34,57 @@ class BiddingStrategy(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _home_bundle(agent: TeamAgent, view: MarketView, cluster: str | None = None) -> dict[str, float]:
-    """The agent's aggregate covering bundle, homed at ``cluster`` (default: home)."""
-    return agent.demand.covering_bundle(agent.catalog, view.index, cluster)
+#: Covering amounts by resource position, or a bundle by pool column, as
+#: ``(int, float)`` pairs; a bundle's cost sums its pairs in order.
+Pairs = list[tuple[int, float]]
 
 
-def _bundle_cost(bundle: dict[str, float], prices) -> float:
-    return float(sum(qty * prices[name] for name, qty in bundle.items()))
+def _covering_amounts(agent: TeamAgent) -> Pairs:
+    """The agent's ``(resource position, amount)`` covering pairs, summed over its requests."""
+    return agent.catalog.covering_amounts(agent.demand.requests)
 
 
-def _buy_bid(agent: TeamAgent, view: MarketView, bundles: list[dict[str, float]], limit: float, **metadata: object) -> Bid:
+def _place(amounts: Pairs, view: MarketView, cluster: str) -> Pairs:
+    """Covering ``amounts`` placed at ``cluster``'s pool columns, in the same order."""
+    if not amounts:
+        return []
+    columns = view.index.cluster_columns(cluster)
+    placed: Pairs = []
+    for position, amount in amounts:
+        column = columns[position]
+        if column is None:
+            raise KeyError(f"unknown pool '{cluster}/{RESOURCE_TYPES[position].value}'")
+        placed.append((column, amount))
+    return placed
+
+
+def _home_bundle(agent: TeamAgent, view: MarketView, cluster: str | None = None) -> Pairs:
+    """The agent's aggregate covering bundle placed in ``cluster`` (default: home)."""
+    return _place(_covering_amounts(agent), view, cluster or agent.demand.home_cluster)
+
+
+def _bundle_cost(bundle: Pairs, prices: list[float]) -> float:
+    """Cost of ``bundle`` at ``prices`` (in index order).
+
+    Python's ``sum`` over the pairs in their order keeps the float order of
+    the name-keyed cost; a NumPy dot or reduction may pair the additions.
+    """
+    return float(sum(amount * prices[column] for column, amount in bundle))
+
+
+def _rows(view: MarketView, bundles: list[Pairs]) -> np.ndarray:
+    """The ``(k, R)`` array whose row ``i`` holds ``bundles[i]``."""
+    matrix = np.zeros((len(bundles), len(view.index)))
+    for row, bundle in zip(matrix, bundles):
+        for column, amount in bundle:
+            row[column] = amount
+    return matrix
+
+
+def _buy_bid(agent: TeamAgent, view: MarketView, bundles: list[Pairs], limit: float, **metadata: object) -> Bid:
     return Bid(
         bidder=agent.name,
-        bundles=BundleSet(view.index, view.index.matrix(bundles)),
+        bundles=BundleSet(view.index, _rows(view, bundles)),
         limit=float(max(limit, 0.0)),
         metadata={"strategy": type(agent.strategy).__name__, **metadata},
     )
@@ -68,7 +107,7 @@ class FixedPriceAnchorStrategy:
         bundle = _home_bundle(agent, view)
         if not bundle:
             return []
-        anchor = _bundle_cost(bundle, view.fixed_prices)
+        anchor = _bundle_cost(bundle, view.fixed_price_list)
         noise = float(self.rng.uniform(-self.jitter, self.jitter))
         limit = agent.affordable_limit(anchor * (1.0 + max(self.margin + noise, 0.0)))
         return [_buy_bid(agent, view, [bundle], limit, anchor="fixed_price")]
@@ -96,11 +135,11 @@ class MarketTrackerStrategy:
             for cluster in view.cheapest_clusters(limit=self.alternatives + 1):
                 if cluster != home and len(clusters) < self.alternatives + 1:
                     clusters.append(cluster)
-        bundles = [_home_bundle(agent, view, c) for c in clusters]
-        bundles = [b for b in bundles if b]
-        if not bundles:
+        amounts = _covering_amounts(agent)
+        if not amounts:
             return []
-        cheapest_cost = min(_bundle_cost(b, view.displayed_prices) for b in bundles)
+        bundles = [_place(amounts, view, c) for c in clusters]
+        cheapest_cost = min(_bundle_cost(b, view.displayed_price_list) for b in bundles)
         limit = agent.affordable_limit(self.margins.limit_for(cheapest_cost))
         return [_buy_bid(agent, view, bundles, limit, anchor="market_price")]
 
@@ -128,7 +167,7 @@ class LowballStrategy:
         bundle = _home_bundle(agent, view)
         if not bundle:
             return []
-        cost = _bundle_cost(bundle, view.displayed_prices)
+        cost = _bundle_cost(bundle, view.displayed_price_list)
         limit = agent.affordable_limit(cost * self.fraction * float(self.rng.uniform(0.5, 1.0)))
         return [_buy_bid(agent, view, [bundle], limit, anchor="lowball")]
 
@@ -155,7 +194,7 @@ class PremiumPayerStrategy:
         bundle = _home_bundle(agent, view)
         if not bundle:
             return []
-        cost = _bundle_cost(bundle, view.displayed_prices)
+        cost = _bundle_cost(bundle, view.displayed_price_list)
         limit = agent.affordable_limit(cost * (1.0 + self.premium * float(self.rng.uniform(0.8, 1.2))))
         return [_buy_bid(agent, view, [bundle], limit, anchor="premium", relocatable=False)]
 
@@ -182,18 +221,20 @@ class RelocatorStrategy:
 
     def prepare_bids(self, agent: TeamAgent, view: MarketView) -> list[Bid]:
         home = agent.demand.home_cluster
-        home_bundle = _home_bundle(agent, view, home)
-        if not home_bundle:
+        amounts = _covering_amounts(agent)
+        if not amounts:
             return []
-        home_cost = _bundle_cost(home_bundle, view.displayed_prices)
+        prices = view.displayed_price_list
+        home_bundle = _place(amounts, view, home)
+        home_cost = _bundle_cost(home_bundle, prices)
         workload_size = agent.demand.total_quantity()
 
-        alternatives: list[tuple[str, dict[str, float], float]] = [(home, home_bundle, home_cost)]
+        alternatives: list[tuple[str, Pairs, float]] = [(home, home_bundle, home_cost)]
         for cluster in view.cheapest_clusters(limit=self.candidate_count + 1):
             if cluster == home:
                 continue
-            bundle = _home_bundle(agent, view, cluster)
-            recurring = _bundle_cost(bundle, view.displayed_prices)
+            bundle = _place(amounts, view, cluster)
+            recurring = _bundle_cost(bundle, prices)
             move = self.relocation.move_cost(
                 view.topology, home, cluster, workload_size=workload_size, mobile=agent.demand.mobile
             )
@@ -242,21 +283,21 @@ class SellerStrategy:
     def prepare_bids(self, agent: TeamAgent, view: MarketView) -> list[Bid]:
         if not agent.holdings:
             return []
-        offered: dict[str, float] = {}
+        offered: Pairs = []
         for name, quantity in agent.holdings.items():
             if quantity <= 0:
                 continue
             if view.utilization(name) >= self.utilization_threshold:
-                offered[name] = quantity * self.offer_fraction
+                offered.append((view.index.index_of(name), quantity * self.offer_fraction))
         if not offered:
             return []
-        value = _bundle_cost(offered, view.displayed_prices)
+        value = _bundle_cost(offered, view.displayed_price_list)
         min_revenue = max(value * self.reserve_discount, 0.0)
         return [
             Bid.sell(
                 agent.name,
                 view.index,
-                [offered],
+                _rows(view, [offered]),
                 min_revenue=min_revenue,
                 strategy=type(self).__name__,
                 anchor="sell_congested",
@@ -286,16 +327,16 @@ class ArbitrageurStrategy:
     def prepare_bids(self, agent: TeamAgent, view: MarketView) -> list[Bid]:
         bids: list[Bid] = []
         # Sell any holding whose displayed price has risen past the markup.
-        to_sell: dict[str, float] = {}
+        to_sell: Pairs = []
         for name, quantity in agent.holdings.items():
             basis = self.cost_basis.get(name)
             if quantity > 0 and basis is not None and view.price(name) >= basis * self.sell_markup:
-                to_sell[name] = quantity
+                to_sell.append((view.index.index_of(name), quantity))
         if to_sell:
-            value = _bundle_cost(to_sell, view.displayed_prices)
+            value = _bundle_cost(to_sell, view.displayed_price_list)
             bids.append(
                 Bid.sell(
-                    agent.name, view.index, [to_sell], min_revenue=value * 0.8,
+                    agent.name, view.index, _rows(view, [to_sell]), min_revenue=value * 0.8,
                     strategy=type(self).__name__, anchor="arbitrage_sell",
                 )
             )
@@ -303,7 +344,7 @@ class ArbitrageurStrategy:
         cheapest = view.cheapest_clusters(limit=1)[0]
         bundle = _home_bundle(agent, view, cheapest)
         if bundle:
-            cost = _bundle_cost(bundle, view.displayed_prices)
+            cost = _bundle_cost(bundle, view.displayed_price_list)
             limit = agent.affordable_limit(
                 min(cost * 1.05, agent.budget * self.buy_budget_fraction if agent.budget > 0 else cost * 1.05)
             )

@@ -17,14 +17,14 @@ yields the six boxplots of the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.boxplot import BoxplotStats, boxplot_stats
 from repro.cluster.resources import ResourceType
 from repro.cluster.utilization import snapshot_pools
-from repro.core.settlement import Settlement
+from repro.core.settlement import Settlement, SettlementLine
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,19 @@ class SettledTrade:
     utilization_fraction: float
 
 
+#: Winners whose allocations one array pass stacks: bounds the temporary
+#: ``(block, R)`` arrays at 100k-bidder scale.
+_TRADE_BLOCK = 256
+
+
+def _traded_blocks(winners: Sequence[SettlementLine], tol: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(first, allocations, traded)`` per block of winners: the block's
+    stacked ``(b, R)`` allocations and the mask of entries beyond ``tol``."""
+    for first in range(0, len(winners), _TRADE_BLOCK):
+        allocations = np.stack([line.allocation for line in winners[first : first + _TRADE_BLOCK]])
+        yield first, allocations, np.abs(allocations) > tol
+
+
 def settled_trades(
     settlement: Settlement,
     *,
@@ -51,28 +64,32 @@ def settled_trades(
     """Expand a settlement into per-pool settled-trade observations.
 
     ``percentiles`` overrides the pool utilization percentiles (by default they
-    are computed fleet-relative from the settlement's own pool index).
+    are computed fleet-relative from the settlement's own pool index); only
+    the pools a trade touches are looked up.  Trades come in row-major order
+    of the winners' allocations: winners in line order, then pools in index
+    order.
     """
     index = settlement.index
     if percentiles is None:
         percentiles = snapshot_pools(index).percentiles
     names = index.names
+    pools = index.pools
+    # Per touched pool: its name, cluster, type, percentile and utilization.
+    touched: dict[int, tuple[str, str, ResourceType, float, float]] = {}
+    winners = settlement.winners
     trades: list[SettledTrade] = []
-    for line in settlement.winners:
-        for i in np.flatnonzero(np.abs(line.allocation) > tol):
-            pool = index.pools[int(i)]
-            name = names[i]
-            quantity = float(line.allocation[i])
+    for first, allocations, traded in _traded_blocks(winners, tol):
+        rows, columns = np.nonzero(traded)
+        for row, i, quantity in zip(rows.tolist(), columns.tolist(), allocations[rows, columns].tolist()):
+            facts = touched.get(i)
+            if facts is None:
+                name, pool = names[i], pools[i]
+                facts = touched[i] = (name, pool.cluster, pool.rtype, float(percentiles[name]), pool.utilization)
+            name, cluster, rtype, percentile, utilization = facts
+            side = "bid" if quantity > 0 else "offer"
             trades.append(
                 SettledTrade(
-                    bidder=line.bidder,
-                    pool=name,
-                    cluster=pool.cluster,
-                    rtype=pool.rtype,
-                    side="bid" if quantity > 0 else "offer",
-                    quantity=abs(quantity),
-                    utilization_percentile=float(percentiles[name]),
-                    utilization_fraction=pool.utilization,
+                    winners[first + row].bidder, name, cluster, rtype, side, abs(quantity), percentile, utilization
                 )
             )
     return trades
@@ -80,7 +97,7 @@ def settled_trades(
 
 def settled_trade_count(settlement: Settlement, *, tol: float = 1e-9) -> int:
     """``len(settled_trades(settlement, tol=tol))``, without building the trades."""
-    return sum(int(np.count_nonzero(np.abs(line.allocation) > tol)) for line in settlement.winners)
+    return sum(int(np.count_nonzero(traded)) for _, _, traded in _traded_blocks(settlement.winners, tol))
 
 
 def utilization_percentile_groups(

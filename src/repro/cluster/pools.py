@@ -18,6 +18,9 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.resources import DEFAULT_UNIT_COSTS, RESOURCE_TYPES, ResourceType
 from repro.cluster.topology import FleetTopology
 
+#: Position of each resource type in ``RESOURCE_TYPES``.
+_POSITIONS: dict[ResourceType, int] = {rtype: i for i, rtype in enumerate(RESOURCE_TYPES)}
+
 
 @dataclass(frozen=True)
 class ResourcePool:
@@ -80,13 +83,14 @@ class PoolIndex:
     prices, and excess-demand vectors are all numpy arrays of length
     ``len(index)`` whose ``i``-th entry refers to ``index.pools[i]``.
 
-    The pools are frozen, so the names, the name lookup, the cluster order
-    and the vector views are derived once, when the index is built.  The
-    market asks for them per bid and per request, and each accessor hands
-    out a fresh copy the caller owns.  An index derived by
-    :meth:`with_utilizations` shares its parent's name-derived state,
-    capacities and unit costs, and builds its :class:`ResourcePool` objects
-    only when :attr:`pools`, :meth:`pool` or iteration first asks for them.
+    The pools are frozen, so the names, the name lookup, the cluster order,
+    each cluster's pool columns and the vector views are derived once, when
+    the index is built.  The market asks for them per bid and per request,
+    and each accessor hands out a fresh copy the caller owns (or a tuple).
+    An index derived by :meth:`with_utilizations` shares its parent's
+    name-derived state, capacities and unit costs, and builds its
+    :class:`ResourcePool` objects only when :attr:`pools`, :meth:`pool` or
+    iteration first asks for them.
     """
 
     def __init__(self, pools: Sequence[ResourcePool]):
@@ -104,6 +108,12 @@ class PoolIndex:
         self._rtypes: tuple[ResourceType, ...] = tuple(pool.rtype for pool in self._pools)
         self._clusters: tuple[str, ...] = tuple(dict.fromkeys(pool.cluster for pool in self._pools))
         self._cluster_set: frozenset[str] = frozenset(self._clusters)
+        columns: dict[str, list[int | None]] = {c: [None] * len(RESOURCE_TYPES) for c in self._clusters}
+        for column, pool in enumerate(self._pools):
+            columns[pool.cluster][_POSITIONS[pool.rtype]] = column
+        self._cluster_columns: dict[str, tuple[int | None, ...]] = {
+            cluster: tuple(row) for cluster, row in columns.items()
+        }
         self._capacities = np.array([pool.capacity for pool in self._pools], dtype=float)
         self._unit_costs = np.array([pool.unit_cost for pool in self._pools], dtype=float)
         # Shared with every index derived by with_utilizations.
@@ -161,6 +171,22 @@ class PoolIndex:
     def has_cluster(self, cluster: str) -> bool:
         """Whether any pool of the index belongs to ``cluster``."""
         return cluster in self._cluster_set
+
+    def cluster_columns(self, cluster: str) -> tuple[int | None, ...]:
+        """Column of each resource type's pool in ``cluster``, in ``RESOURCE_TYPES`` order.
+
+        ``None`` stands where the index holds no pool of that type in the
+        cluster; a cluster the index does not hold raises ``KeyError``.
+
+        Examples
+        --------
+        >>> demo_pool_index().cluster_columns("b")      # cpu, ram, no disk pool
+        (2, 3, None)
+        """
+        try:
+            return self._cluster_columns[cluster]
+        except KeyError:
+            raise KeyError(f"unknown cluster {cluster!r}") from None
 
     # -- vector views ----------------------------------------------------------
     def capacities(self) -> np.ndarray:

@@ -14,6 +14,7 @@ sellers: a bundle is acceptable at prices ``p`` iff its cost ``q.p <= pi_u``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -66,7 +67,7 @@ class Bid:
     def __post_init__(self) -> None:
         if not self.bidder:
             raise ValueError("bidder id must be non-empty")
-        if not np.isfinite(self.limit):
+        if not math.isfinite(self.limit):
             raise ValueError("bid limit (pi_u) must be finite")
 
     # -- convenience constructors ------------------------------------------------

@@ -11,6 +11,7 @@ willingness-to-pay scalar.  :class:`BundleSet` holds such a set as one
 from __future__ import annotations
 
 import enum
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,8 +84,9 @@ class BundleSet:
 
     The set is immutable, so its sign structure (each row's kind, the set's
     aggregate kind, whether anything is offered, whether every quantity is
-    finite) is derived once, in one vectorised pass when the set is built;
-    bid classification, validation and admission read those cached facts.
+    finite) is derived once, from one ``max`` and one ``min`` pass over the
+    rows when the set is built; bid classification, validation and admission
+    read those cached facts.
 
     Examples
     --------
@@ -126,17 +128,22 @@ class BundleSet:
             matrix = np.vstack(rows)
         matrix.setflags(write=False)
         self._matrix = matrix
-        # The sign structure, once.  fmax/fmin skip NaN as bundle_kind's
+        # The sign structure, once, from each row's max and min: every entry
+        # is finite exactly when all of them are.  A set that is not finite
+        # takes them again with fmax/fmin, which skip NaN as bundle_kind's
         # comparisons do (an all-NaN row reduces to NaN, which compares
-        # False), and infinities compare as in bundle_kind.
-        row_max = np.fmax.reduce(matrix, axis=1).tolist()
-        row_min = np.fmin.reduce(matrix, axis=1).tolist()
+        # False); infinities compare as in bundle_kind.
+        row_max = matrix.max(axis=1).tolist()
+        row_min = matrix.min(axis=1).tolist()
+        self._finite = all(map(math.isfinite, row_max)) and all(map(math.isfinite, row_min))
+        if not self._finite:
+            row_max = np.fmax.reduce(matrix, axis=1).tolist()
+            row_min = np.fmin.reduce(matrix, axis=1).tolist()
         has_demand = [high > _KIND_TOL for high in row_max]
         has_offer = [low < -_KIND_TOL for low in row_min]
         self._kinds = tuple(_KIND_OF_FLAGS[flags] for flags in zip(has_demand, has_offer))
         self._aggregate = _KIND_OF_FLAGS[(any(has_demand), any(has_offer))]
         self._offers = any(low < 0 for low in row_min)
-        self._finite = bool(np.isfinite(matrix).all())
 
     # -- accessors ----------------------------------------------------------------
     @property

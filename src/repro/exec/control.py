@@ -93,10 +93,12 @@ class ControlClient:
 
         Returns the ``scaled`` frame: ``alive`` (fleet size now), ``stopped``
         (workers retired), ``needed`` (how many more must be started by hand
-        — the coordinator cannot spawn processes on remote hosts).
+        — the coordinator cannot spawn processes on remote hosts).  The count
+        goes out as given: one that is not an integer >= 0 comes back as a
+        :class:`ControlError` naming it, and nobody is retired.
         """
         self._sock.settimeout(None)  # waits for busy victims to finish
-        return self._command({"type": "scale", "count": int(count)}, expect="scaled")
+        return self._command({"type": "scale", "count": count}, expect="scaled")
 
     # -- plumbing ----------------------------------------------------------------------
     def _command(self, frame: dict, *, expect: str) -> dict:

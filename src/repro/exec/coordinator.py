@@ -298,8 +298,11 @@ class RemoteBackend:
         it, so no QUEUED or RUNNING job is ever lost.  Scale-up cannot spawn
         processes on remote hosts: the reply's ``needed`` says how many more
         workers must be started (``python -m repro worker --connect …``).
+        A ``count`` that is not an integer >= 0 raises ``ValueError`` before
+        anyone is retired.
         """
-        count = max(0, int(count))
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"scale count must be an integer >= 0, not {count!r}")
         with self._registry_lock:
             eligible = [
                 worker
@@ -695,12 +698,10 @@ class RemoteBackend:
                 )
             return {"type": "drained", "workers": self.drain(timeout=timeout)}
         if kind == "scale":
-            count = command.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                return _control_error(
-                    f"scale count must be an integer >= 0, not {count!r}"
-                )
-            return {"type": "scaled", **self.scale_to(count)}
+            try:
+                return {"type": "scaled", **self.scale_to(command.get("count"))}
+            except ValueError as error:
+                return _control_error(str(error))
         return _control_error(f"unknown control command {kind!r}")
 
     def _fleet_snapshot(self) -> dict:

@@ -208,10 +208,7 @@ class TradingPlatform:
         """
         clusters = [request.cluster, *(alternative_clusters or [])]
         bundles = tuple(
-            self.catalog.covering_bundle(
-                ServiceRequest(service=request.service, cluster=c, quantity=request.quantity), self.index
-            )
-            for c in clusters
+            self.catalog.cover(request.service, c, request.quantity, self.index) for c in clusters
         )
         touched = sorted({name for bundle in bundles for name in bundle})
         prices = {name: self.displayed_prices[name] for name in touched}

@@ -15,8 +15,9 @@ any positive covering vectors exercise the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from repro.cluster.pools import PoolIndex
 from repro.cluster.resources import RESOURCE_TYPES, ResourceVector, cpu_ram_disk
@@ -58,15 +59,32 @@ class ServiceRequest:
     quantity: float
 
     def __post_init__(self) -> None:
-        if self.quantity <= 0:
-            raise ValueError("service request quantity must be positive")
+        _check_quantity(self.quantity)
 
 
-#: Pool-name suffix of each resource type, in the order a
+def _check_quantity(quantity: float) -> None:
+    # ``nan <= 0`` is False and ``inf`` is positive: test finiteness explicitly.
+    if not (math.isfinite(quantity) and quantity > 0):
+        raise ValueError(f"service request quantity must be finite and > 0, got {quantity!r}")
+
+
+#: Pool-name suffix of each resource position, in the order a
 #: :class:`ResourceVector` iterates its components (``RESOURCE_TYPES``).
-#: Read once here: an enum member's ``.value`` is a descriptor call, and
-#: covering runs for every request in every candidate cluster.
+#: Read once here: an enum member's ``.value`` is a descriptor call.
 _POOL_SUFFIXES: tuple[str, ...] = tuple(rtype.value for rtype in RESOURCE_TYPES)
+
+
+def named_bundle(amounts: Sequence[tuple[int, float]], cluster: str, index: PoolIndex) -> dict[str, float]:
+    """``{pool name: quantity}`` view of covering ``amounts`` placed in ``cluster``.
+
+    ``amounts`` are :meth:`ServiceCatalog.covering_amounts` pairs; the names
+    keep their order.  A cluster the index does not hold raises ``KeyError``
+    when there is something to place.  The names are not checked against the
+    index's pools: a bid built from them is.
+    """
+    if amounts and not index.has_cluster(cluster):
+        raise KeyError(f"unknown cluster {cluster!r}")
+    return {f"{cluster}/{_POOL_SUFFIXES[position]}": amount for position, amount in amounts}
 
 
 class ServiceCatalog:
@@ -74,10 +92,15 @@ class ServiceCatalog:
 
     def __init__(self, specs: Mapping[str, ServiceSpec] | None = None):
         self._specs: dict[str, ServiceSpec] = dict(specs or {})
+        #: Each service's per-unit coverage, one float per resource position.
+        self._coverages: dict[str, tuple[float, ...]] = {
+            name: tuple(spec.coverage) for name, spec in self._specs.items()
+        }
 
     def register(self, spec: ServiceSpec) -> None:
         """Add or replace a service type."""
         self._specs[spec.name] = spec
+        self._coverages[spec.name] = tuple(spec.coverage)
 
     def spec(self, name: str) -> ServiceSpec:
         """Look up a service type."""
@@ -94,15 +117,45 @@ class ServiceCatalog:
         return name in self._specs
 
     # -- the two-step bid entry translation --------------------------------------------
+    def covering_amounts(self, requests: Iterable[ServiceRequest]) -> list[tuple[int, float]]:
+        """Step 1 of bid entry: the covering amount of each resource type a team needs.
+
+        Returns ``(resource position, amount)`` pairs, a position indexing
+        ``RESOURCE_TYPES``, in the order the positions first appear.  Each
+        amount is ``0.0 + a1 + a2 + ...`` in request order, where a request's
+        ``a`` is the service's per-unit coverage times its quantity; an ``a``
+        that is not ``> 0`` is left out.  The requests' clusters are not read:
+        :func:`named_bundle` or a pool index's columns place the amounts.
+
+        Examples
+        --------
+        >>> catalog = ServiceCatalog()
+        >>> catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
+        >>> catalog.register(ServiceSpec("archive", "TiB", cpu_ram_disk(0.0, 2.0, 1024.0)))
+        >>> catalog.covering_amounts([ServiceRequest("archive", "a", 1.0), ServiceRequest("cache", "a", 8.0)])
+        [(1, 10.0), (2, 1024.0), (0, 4.0)]
+        """
+        totals: dict[int, float] = {}
+        for request in requests:
+            quantity = request.quantity
+            _check_quantity(quantity)
+            coverage = self._coverages.get(request.service)
+            if coverage is None:
+                self.spec(request.service)  # raises the unknown-service KeyError
+            for position, per_unit in enumerate(coverage):
+                amount = per_unit * quantity
+                if amount > 0:
+                    totals[position] = totals.get(position, 0.0) + amount
+        return list(totals.items())
+
     def covering_bundle(self, request: ServiceRequest, index: PoolIndex) -> dict[str, float]:
-        """Step 1 of bid entry: the ``{pool name: quantity}`` bundle covering a request.
+        """The ``{pool name: quantity}`` bundle covering one request.
 
         Dimensions the service does not use are left out of the bundle.
 
         Examples
         --------
         >>> from repro.cluster.pools import demo_pool_index
-        >>> from repro.cluster.resources import cpu_ram_disk
         >>> index = demo_pool_index()               # clusters a and b, CPU and RAM pools
         >>> catalog = ServiceCatalog()
         >>> catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
@@ -113,26 +166,15 @@ class ServiceCatalog:
             ...
         KeyError: "unknown cluster 'z'"
         """
-        return self.cover(request.service, request.cluster, request.quantity, index)
+        return named_bundle(self.covering_amounts([request]), request.cluster, index)
 
     def cover(self, service: str, cluster: str, quantity: float, index: PoolIndex) -> dict[str, float]:
         """:meth:`covering_bundle` of ``quantity`` units of ``service`` in ``cluster``.
 
-        Takes the request's fields rather than a :class:`ServiceRequest`, so
-        a team re-homing its requests to several clusters builds no request
-        objects.  ``quantity`` must be positive, as in a request.
+        ``quantity`` must be finite and positive, as in a request.
         """
-        if quantity <= 0:
-            raise ValueError("service request quantity must be positive")
-        coverage = self.spec(service).coverage
-        if not index.has_cluster(cluster):
-            raise KeyError(f"unknown cluster {cluster!r}")
-        bundle: dict[str, float] = {}
-        for suffix, per_unit in zip(_POOL_SUFFIXES, coverage):
-            qty = per_unit * quantity
-            if qty > 0:
-                bundle[f"{cluster}/{suffix}"] = qty
-        return bundle
+        return self.covering_bundle(ServiceRequest(service, cluster, quantity), index)
+
 
 def default_catalog() -> ServiceCatalog:
     """A catalog of four synthetic service types spanning distinct resource shapes."""

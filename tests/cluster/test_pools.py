@@ -190,6 +190,18 @@ class TestDerivedDataIsCallerOwned:
         pools = [make_pool("b"), make_pool("a"), make_pool("b", rtype=ResourceType.RAM)]
         assert PoolIndex(pools).clusters() == ["b", "a"]
 
+    def test_cluster_columns_match_the_name_lookup(self):
+        pools = [make_pool("b", rtype=ResourceType.DISK), make_pool("a"), make_pool("b")]
+        index = PoolIndex(pools)
+        for cluster in index.clusters():
+            expected = tuple(index._by_name.get(f"{cluster}/{rtype.value}") for rtype in ResourceType)
+            assert index.cluster_columns(cluster) == expected
+        assert index.cluster_columns("b") == (2, None, 0)
+        with pytest.raises(KeyError, match="unknown cluster 'c'"):
+            index.cluster_columns("c")
+        derived = index.with_utilizations({"a/cpu": 0.9})
+        assert derived._cluster_columns is index._cluster_columns
+
     @settings(max_examples=200, deadline=None)
     @given(inputs=describe_inputs())
     @example(inputs=edge_inputs(1e-12))

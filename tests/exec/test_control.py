@@ -516,6 +516,42 @@ class TestControlArguments:
             backend.close()
 
 
+class TestScaleCounts:
+    """``scale_to`` checks its count itself, so no caller can coerce a bad
+    one into a fleet size: it raises before anyone is retired."""
+
+    @staticmethod
+    def two_worker_fleet():
+        backend, address = backend_on_ephemeral_port(persistent=True)
+        start_worker(address, "w-one", daemon=True)
+        start_worker(address, "w-two", daemon=True)
+        wait_for(lambda: backend.connected_workers() == 2, message="both workers to join")
+        return backend, address
+
+    @pytest.mark.parametrize("count", [-1, 1.5, True], ids=["negative", "fraction", "bool"])
+    def test_scale_to_refuses_a_bad_count_and_retires_nobody(self, count):
+        backend, _ = self.two_worker_fleet()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer >= 0, not {count!r}")):
+                backend.scale_to(count)
+            assert backend.connected_workers() == 2
+        finally:
+            backend.drain()
+            backend.close()
+
+    def test_a_fractional_count_through_the_client_keeps_the_fleet(self):
+        backend, address = self.two_worker_fleet()
+        try:
+            with ControlClient(address) as fleet:
+                with pytest.raises(ControlError, match=re.escape("not 1.9")):
+                    fleet.scale(1.9)
+                assert sorted(row["worker"] for row in fleet.list()["workers"]) == ["w-one", "w-two"]
+            assert backend.connected_workers() == 2
+        finally:
+            backend.drain()
+            backend.close()
+
+
 class TestWorkersCLI:
     def test_workers_list_renders_fleet_table(self, capsys):
         from repro.cli import main

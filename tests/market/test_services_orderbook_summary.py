@@ -1,5 +1,7 @@
 """Unit tests for the service catalog, order book, and market summary."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ class TestServiceSpec:
         with pytest.raises(ValueError):
             ServiceRequest(service="gfs_storage", cluster="c0", quantity=0)
 
+    @pytest.mark.parametrize("quantity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_quantity_refused_at_construction(self, quantity):
+        with pytest.raises(ValueError, match=f"finite and > 0, got {quantity!r}"):
+            ServiceRequest(service="gfs_storage", cluster="c0", quantity=quantity)
+
+    @pytest.mark.parametrize("quantity", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_covering_kernel_refuses_what_a_request_would(self, quantity):
+        # A request-shaped object that skipped ServiceRequest's own check.
+        request = SimpleNamespace(service="web_serving", cluster="c0", quantity=quantity)
+        good = ServiceRequest(service="batch_compute", cluster="c0", quantity=1.0)
+        with pytest.raises(ValueError, match=f"finite and > 0, got {quantity!r}"):
+            default_catalog().covering_amounts([good, request])
+
 
 class TestServiceCatalog:
     def test_default_catalog_has_four_services(self):
@@ -68,6 +83,19 @@ class TestServiceCatalog:
     def test_gfs_is_disk_dominant(self, pool_index):
         bundle = default_catalog().covering_bundle(ServiceRequest("gfs_storage", "alpha", 1), pool_index)
         assert bundle["alpha/disk"] > 100 * bundle["alpha/cpu"]
+
+    def test_covering_amounts_sum_in_request_order_by_first_appearance(self):
+        catalog = ServiceCatalog()
+        catalog.register(ServiceSpec("archive", "TiB", cpu_ram_disk(0.0, 2.0, 1024.0)))
+        catalog.register(ServiceSpec("cache", "GiB", cpu_ram_disk(0.5, 1.0, 0.0)))
+        requests = [
+            ServiceRequest("archive", "a", 0.1),
+            ServiceRequest("cache", "b", 0.2),
+            ServiceRequest("archive", "b", 0.3),
+        ]
+        ram = 0.0 + 2.0 * 0.1 + 1.0 * 0.2 + 2.0 * 0.3
+        assert catalog.covering_amounts(requests) == [(1, ram), (2, 0.0 + 1024.0 * 0.1 + 1024.0 * 0.3), (0, 0.0 + 0.5 * 0.2)]
+        assert catalog.covering_amounts([]) == []
 
     def test_register_replaces_spec(self):
         catalog = ServiceCatalog()

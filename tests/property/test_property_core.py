@@ -9,7 +9,10 @@ randomly generated bid populations rather than hand-picked examples:
 * winners never pay more than their limit and always get their cheapest bundle;
 * the premium gamma_u is non-negative whenever defined;
 * a bundle set's cached sign structure matches classifying each row on its
-  own, and a team's covering bundle matches covering each request in turn.
+  own, and a team's covering bundle matches covering each request in turn;
+* the rows strategies write at pool columns, and the costs they sum by
+  position, equal the name-keyed covering bundle's vector and cost bit for
+  bit, and placing amounts keeps the name-keyed path's errors.
 """
 
 from __future__ import annotations
@@ -19,16 +22,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.base import DemandProfile
-from repro.cluster.pools import PoolIndex, ResourcePool
-from repro.cluster.resources import ResourceType
+from repro.agents.base import DemandProfile, MarketView, TeamAgent
+from repro.agents.learning import AdaptiveMarginModel
+from repro.agents.relocation import RelocationCostModel
+from repro.agents.strategies import (
+    ArbitrageurStrategy,
+    FixedPriceAnchorStrategy,
+    LowballStrategy,
+    MarketTrackerStrategy,
+    PremiumPayerStrategy,
+    RelocatorStrategy,
+    SellerStrategy,
+    _bundle_cost,
+    _buy_bid,
+    _home_bundle,
+)
+from repro.cluster.pools import PoolIndex, ResourcePool, demo_pool_index
+from repro.cluster.resources import RESOURCE_TYPES, ResourceType, cpu_ram_disk
 from repro.core.bids import Bid, validate_bid
 from repro.core.bundles import BundleKind, BundleSet, bundle_kind
 from repro.core.clock_auction import AscendingClockAuction, AuctionConfig
 from repro.core.increment import default_increment
 from repro.core.reserve import PAPER_PHI_1, ReservePricer
 from repro.core.settlement import settle, verify_system_constraints
-from repro.market.services import ServiceRequest, default_catalog
+from repro.market.services import ServiceCatalog, ServiceRequest, ServiceSpec, default_catalog
 
 # A deliberately small, fixed pool index so hypothesis explores bid space, not fleet space.
 _POOLS = PoolIndex(
@@ -214,16 +231,88 @@ def _per_request_covering(profile, catalog, cluster):
 
 
 @st.composite
-def demand_profiles(draw):
+def demand_profiles(draw, catalog=_CATALOG):
     requests = [
         ServiceRequest(
-            service=draw(st.sampled_from(_CATALOG.names())),
+            service=draw(st.sampled_from(catalog.names())),
             cluster=draw(st.sampled_from(_POOLS.clusters())),
             quantity=draw(st.floats(min_value=1e-6, max_value=1e6)),
         )
         for _ in range(draw(st.integers(min_value=0, max_value=4)))
     ]
     return DemandProfile(home_cluster=draw(st.sampled_from(_POOLS.clusters())), requests=requests)
+
+
+# Both clusters hold all three pools; c1 lists them disk, ram, cpu, so a
+# resource's position and its pool's column differ.
+_POOLS_3 = PoolIndex(
+    [
+        ResourcePool(cluster="c0", rtype=rtype, capacity=1_000.0, unit_cost=1.0, utilization=0.6)
+        for rtype in (ResourceType.CPU, ResourceType.RAM, ResourceType.DISK)
+    ]
+    + [
+        ResourcePool(cluster="c1", rtype=rtype, capacity=1_000.0, unit_cost=1.0, utilization=0.3)
+        for rtype in (ResourceType.DISK, ResourceType.RAM, ResourceType.CPU)
+    ]
+)
+
+# Services that skip CPU or disk: a team whose first request is "ram_disk"
+# covers ram, disk and only then cpu, not in RESOURCE_TYPES order.
+_SKIPPING_CATALOG = ServiceCatalog()
+for _name, _coverage in (
+    ("ram_only", cpu_ram_disk(0.0, 2.5, 0.0)),
+    ("ram_disk", cpu_ram_disk(0.0, 1.5, 300.0)),
+    ("cpu_ram", cpu_ram_disk(3.0, 5.0, 0.0)),
+    ("disk_cpu", cpu_ram_disk(0.7, 0.0, 50.0)),
+):
+    _SKIPPING_CATALOG.register(ServiceSpec(_name, "unit", _coverage))
+
+_CATALOGS = [pytest.param(_CATALOG, id="default"), pytest.param(_SKIPPING_CATALOG, id="skipping")]
+
+_prices = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=len(_POOLS_3), max_size=len(_POOLS_3))
+
+
+def _reference_cost(bundle, prices):
+    """The name-keyed cost: Python's sum over the bundle's pools in its order."""
+    return float(sum(qty * prices[name] for name, qty in bundle.items()))
+
+
+def _view(displayed, fixed):
+    return MarketView(
+        index=_POOLS_3,
+        displayed_prices=dict(zip(_POOLS_3.names, displayed)),
+        fixed_prices=dict(zip(_POOLS_3.names, fixed)),
+        auction_number=1,
+    )
+
+
+def _zero_margin():
+    return AdaptiveMarginModel(initial_margin=0.0, floor=0.0)
+
+
+def _hex(value):
+    return float(value).hex()
+
+
+def _buy_strategies():
+    return [
+        FixedPriceAnchorStrategy(),
+        LowballStrategy(),
+        PremiumPayerStrategy(),
+        MarketTrackerStrategy(alternatives=1),
+        RelocatorStrategy(),
+        ArbitrageurStrategy(),
+    ]
+
+
+def _rng_state(strategy):
+    rng = getattr(strategy, "rng", None)
+    return None if rng is None else rng.bit_generator.state
+
+
+def _demo_view(index):
+    prices = {name: pool.unit_cost for name, pool in zip(index.names, index.pools)}
+    return MarketView(index=index, displayed_prices=prices, fixed_prices=dict(prices), auction_number=1)
 
 
 class TestCoveringBundleProperties:
@@ -246,3 +335,127 @@ class TestCoveringBundleProperties:
             return
         with pytest.raises(KeyError, match="unknown cluster 'nowhere'"):
             profile.covering_bundle(_CATALOG, _POOLS, "nowhere")
+
+    # Strategies place covering amounts at pool columns and price them by
+    # position: each row and each cost must equal the name-keyed reference
+    # (``_per_request_covering``, ``index.vector`` and a sum over the dict)
+    # bit for bit, whatever order the resources first appear in.
+    @pytest.mark.parametrize("catalog", _CATALOGS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_costs_in_every_cluster(self, catalog, data):
+        profile = data.draw(demand_profiles(catalog))
+        displayed, fixed = data.draw(_prices), data.draw(_prices)
+        view = _view(displayed, fixed)
+        agent = TeamAgent("t", demand=profile, strategy=None, catalog=catalog)
+        amounts = catalog.covering_amounts(profile.requests)
+        assert [(RESOURCE_TYPES[position].value, _hex(amount)) for position, amount in amounts] == [
+            (name.split("/")[1], _hex(qty)) for name, qty in _per_request_covering(profile, catalog, "c0").items()
+        ]
+        for cluster in _POOLS_3.clusters():
+            reference = _per_request_covering(profile, catalog, cluster)
+            bundle = _home_bundle(agent, view, cluster)
+            if not reference:
+                assert bundle == []
+                continue
+            row = _buy_bid(agent, view, [bundle], 0.0).bundles.matrix[0]
+            assert row.tobytes() == _POOLS_3.vector(reference).tobytes()
+            for prices, price_list in ((view.displayed_prices, view.displayed_price_list),
+                                       (view.fixed_prices, view.fixed_price_list)):
+                assert _hex(_bundle_cost(bundle, price_list)) == _hex(_reference_cost(reference, prices))
+
+    @pytest.mark.parametrize("catalog", _CATALOGS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_strategy_prices_the_reference(self, catalog, data):
+        profile = data.draw(demand_profiles(catalog))
+        view = _view(data.draw(_prices), data.draw(_prices))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+        home = profile.home_cluster
+        reference = {c: _per_request_covering(profile, catalog, c) for c in _POOLS_3.clusters()}
+        cost = {c: _reference_cost(reference[c], view.displayed_prices) for c in reference}
+
+        def bids(strategy, holdings=None):
+            agent = TeamAgent("t", demand=profile, strategy=strategy, catalog=catalog)
+            agent.holdings = dict(holdings or {})
+            return agent.prepare_bids(view)
+
+        def assert_rows(bid, clusters, sign=1.0):
+            expected = [sign * np.abs(_POOLS_3.vector(reference[c])) for c in clusters]
+            assert [row.tobytes() for row in bid.bundles.matrix] == [row.tobytes() for row in expected]
+
+        if not profile.requests:
+            for strategy in (FixedPriceAnchorStrategy(), LowballStrategy(), PremiumPayerStrategy(),
+                             MarketTrackerStrategy(), RelocatorStrategy()):
+                assert bids(strategy) == []
+            return
+
+        (bid,) = bids(FixedPriceAnchorStrategy(margin=0.0, jitter=0.0))
+        assert_rows(bid, [home])
+        assert _hex(bid.limit) == _hex(_reference_cost(reference[home], view.fixed_prices))
+
+        (bid,) = bids(PremiumPayerStrategy(premium=0.0))
+        assert _hex(bid.limit) == _hex(cost[home])
+
+        fraction = 0.35
+        (bid,) = bids(LowballStrategy(fraction=fraction, rng=np.random.default_rng(seed)))
+        draw = float(np.random.default_rng(seed).uniform(0.5, 1.0))
+        assert _hex(bid.limit) == _hex(cost[home] * fraction * draw)
+
+        (bid,) = bids(MarketTrackerStrategy(margins=_zero_margin(), alternatives=1))
+        clusters = [home] + [c for c in view.cheapest_clusters() if c != home]
+        assert_rows(bid, clusters)
+        assert _hex(bid.limit) == _hex(min(cost[c] for c in clusters))
+
+        free_moves = RelocationCostModel(base_cost=0.0, cost_per_distance=0.0, cost_per_unit=0.0)
+        (bid,) = bids(RelocatorStrategy(relocation=free_moves, margins=_zero_margin()))
+        candidates = bid.metadata["candidates"]
+        assert candidates == [home] + [c for c in view.cheapest_clusters() if c != home and cost[c] < cost[home]]
+        assert_rows(bid, candidates)
+        assert _hex(bid.limit) == _hex(min(cost[c] for c in candidates))
+
+        holdings = reference[home]
+        (bid,) = bids(SellerStrategy(offer_fraction=1.0, reserve_discount=1.0, utilization_threshold=0.0), holdings)
+        assert_rows(bid, [home], sign=-1.0)
+        assert _hex(bid.limit) == _hex(-_reference_cost(holdings, view.displayed_prices))
+
+        arbitrageur = ArbitrageurStrategy(cost_basis={name: 0.0 for name in holdings})
+        sell, buy = bids(arbitrageur, holdings)
+        assert_rows(sell, [home], sign=-1.0)
+        assert _hex(sell.limit) == _hex(-(_reference_cost(holdings, view.displayed_prices) * 0.8))
+        cheapest = view.cheapest_clusters(limit=1)[0]
+        assert_rows(buy, [cheapest])
+        assert _hex(buy.limit) == _hex(cost[cheapest] * 1.05)
+
+    # Placing amounts at columns keeps the errors of the name-keyed path.
+    @pytest.mark.parametrize("strategy", _buy_strategies(), ids=lambda s: type(s).__name__)
+    def test_a_cluster_without_a_covered_pool_names_the_pool(self, strategy):
+        index = demo_pool_index()  # cpu and ram pools only
+        demand = DemandProfile("a", [ServiceRequest("batch_compute", "a", 2.0)])
+        agent = TeamAgent("t", demand=demand, strategy=strategy, catalog=default_catalog())
+        with pytest.raises(KeyError, match="(a|b)/disk"):
+            agent.prepare_bids(_demo_view(index))
+        with pytest.raises(KeyError, match="a/disk"):
+            _home_bundle(agent, _demo_view(index))
+
+    @pytest.mark.parametrize("strategy", _buy_strategies()[:5], ids=lambda s: type(s).__name__)
+    def test_an_unknown_cluster_raises_only_when_something_is_requested(self, strategy):
+        demand = DemandProfile("nowhere", [ServiceRequest("batch_compute", "nowhere", 2.0)])
+        agent = TeamAgent("t", demand=demand, strategy=strategy, catalog=default_catalog())
+        with pytest.raises(KeyError, match="unknown cluster 'nowhere'"):
+            agent.prepare_bids(_view([1.0] * len(_POOLS_3), [1.0] * len(_POOLS_3)))
+        agent.demand = DemandProfile("nowhere", [])
+        state = _rng_state(strategy)
+        assert agent.prepare_bids(_view([1.0] * len(_POOLS_3), [1.0] * len(_POOLS_3))) == []
+        assert _rng_state(strategy) == state  # returned before drawing
+
+    def test_a_view_without_a_price_names_the_pool(self):
+        index = demo_pool_index()
+        catalog = ServiceCatalog()
+        catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
+        agent = TeamAgent("t", demand=DemandProfile("a", [ServiceRequest("cache", "a", 8.0)]),
+                          strategy=PremiumPayerStrategy(), catalog=catalog)
+        view = _demo_view(index)
+        del view.displayed_prices["b/ram"]
+        with pytest.raises(KeyError, match="b/ram"):
+            agent.prepare_bids(view)
