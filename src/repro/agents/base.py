@@ -18,7 +18,7 @@ from repro.cluster.pools import PoolIndex
 from repro.cluster.topology import FleetTopology
 from repro.core.bids import Bid
 from repro.core.settlement import SettlementLine
-from repro.market.services import ServiceCatalog, ServiceRequest, named_bundle
+from repro.market.services import ServiceCatalog, ServiceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.agents.strategies import BiddingStrategy
@@ -118,15 +118,25 @@ class DemandProfile:
         """Sum of request quantities (a crude workload-size proxy)."""
         return float(sum(req.quantity for req in self.requests))
 
-    def covering_bundle(self, catalog: ServiceCatalog, index: PoolIndex, cluster: str | None = None) -> dict[str, float]:
+    def covering_columns(
+        self, catalog: ServiceCatalog, index: PoolIndex, cluster: str | None = None
+    ) -> list[tuple[int, float]]:
         """Aggregate covering bundle of all requests, optionally re-homed to ``cluster``.
 
-        The name-keyed view of :meth:`ServiceCatalog.covering_amounts`: each
-        pool's quantity is the sum of the requests' covering quantities in
-        request order.  Baseline demands and starting holdings come from
-        here; strategies place the same amounts at pool columns.
+        :meth:`ServiceCatalog.covering_amounts` placed at the cluster's pool
+        columns by :meth:`PoolIndex.place`: ``(column, amount)`` pairs, each
+        amount the sum of the requests' covering quantities in request order.
+        Strategies bid on it and the epoch's demand rows are built from it.
         """
-        return named_bundle(catalog.covering_amounts(self.requests), cluster or self.home_cluster, index)
+        return index.place(catalog.covering_amounts(self.requests), cluster or self.home_cluster)
+
+    def covering_bundle(self, catalog: ServiceCatalog, index: PoolIndex, cluster: str | None = None) -> dict[str, float]:
+        """The ``{pool name: quantity}`` view of :meth:`covering_columns`.
+
+        The population's starting holdings come from here.
+        """
+        names = index.names
+        return {names[column]: amount for column, amount in self.covering_columns(catalog, index, cluster)}
 
 
 class TeamAgent:

@@ -16,7 +16,6 @@ import numpy as np
 from repro.agents.base import MarketView, TeamAgent
 from repro.agents.learning import AdaptiveMarginModel
 from repro.agents.relocation import RelocationCostModel
-from repro.cluster.resources import RESOURCE_TYPES
 from repro.core.bids import Bid
 from repro.core.bundles import BundleSet
 from repro.core.settlement import SettlementLine
@@ -44,23 +43,9 @@ def _covering_amounts(agent: TeamAgent) -> Pairs:
     return agent.catalog.covering_amounts(agent.demand.requests)
 
 
-def _place(amounts: Pairs, view: MarketView, cluster: str) -> Pairs:
-    """Covering ``amounts`` placed at ``cluster``'s pool columns, in the same order."""
-    if not amounts:
-        return []
-    columns = view.index.cluster_columns(cluster)
-    placed: Pairs = []
-    for position, amount in amounts:
-        column = columns[position]
-        if column is None:
-            raise KeyError(f"unknown pool '{cluster}/{RESOURCE_TYPES[position].value}'")
-        placed.append((column, amount))
-    return placed
-
-
 def _home_bundle(agent: TeamAgent, view: MarketView, cluster: str | None = None) -> Pairs:
     """The agent's aggregate covering bundle placed in ``cluster`` (default: home)."""
-    return _place(_covering_amounts(agent), view, cluster or agent.demand.home_cluster)
+    return agent.demand.covering_columns(agent.catalog, view.index, cluster)
 
 
 def _bundle_cost(bundle: Pairs, prices: list[float]) -> float:
@@ -72,19 +57,10 @@ def _bundle_cost(bundle: Pairs, prices: list[float]) -> float:
     return float(sum(amount * prices[column] for column, amount in bundle))
 
 
-def _rows(view: MarketView, bundles: list[Pairs]) -> np.ndarray:
-    """The ``(k, R)`` array whose row ``i`` holds ``bundles[i]``."""
-    matrix = np.zeros((len(bundles), len(view.index)))
-    for row, bundle in zip(matrix, bundles):
-        for column, amount in bundle:
-            row[column] = amount
-    return matrix
-
-
 def _buy_bid(agent: TeamAgent, view: MarketView, bundles: list[Pairs], limit: float, **metadata: object) -> Bid:
     return Bid(
         bidder=agent.name,
-        bundles=BundleSet(view.index, _rows(view, bundles)),
+        bundles=BundleSet(view.index, view.index.rows(bundles)),
         limit=float(max(limit, 0.0)),
         metadata={"strategy": type(agent.strategy).__name__, **metadata},
     )
@@ -138,7 +114,7 @@ class MarketTrackerStrategy:
         amounts = _covering_amounts(agent)
         if not amounts:
             return []
-        bundles = [_place(amounts, view, c) for c in clusters]
+        bundles = [view.index.place(amounts, c) for c in clusters]
         cheapest_cost = min(_bundle_cost(b, view.displayed_price_list) for b in bundles)
         limit = agent.affordable_limit(self.margins.limit_for(cheapest_cost))
         return [_buy_bid(agent, view, bundles, limit, anchor="market_price")]
@@ -225,7 +201,7 @@ class RelocatorStrategy:
         if not amounts:
             return []
         prices = view.displayed_price_list
-        home_bundle = _place(amounts, view, home)
+        home_bundle = view.index.place(amounts, home)
         home_cost = _bundle_cost(home_bundle, prices)
         workload_size = agent.demand.total_quantity()
 
@@ -233,7 +209,7 @@ class RelocatorStrategy:
         for cluster in view.cheapest_clusters(limit=self.candidate_count + 1):
             if cluster == home:
                 continue
-            bundle = _place(amounts, view, cluster)
+            bundle = view.index.place(amounts, cluster)
             recurring = _bundle_cost(bundle, prices)
             move = self.relocation.move_cost(
                 view.topology, home, cluster, workload_size=workload_size, mobile=agent.demand.mobile
@@ -297,7 +273,7 @@ class SellerStrategy:
             Bid.sell(
                 agent.name,
                 view.index,
-                _rows(view, [offered]),
+                view.index.rows([offered]),
                 min_revenue=min_revenue,
                 strategy=type(self).__name__,
                 anchor="sell_congested",
@@ -336,7 +312,7 @@ class ArbitrageurStrategy:
             value = _bundle_cost(to_sell, view.displayed_price_list)
             bids.append(
                 Bid.sell(
-                    agent.name, view.index, _rows(view, [to_sell]), min_revenue=value * 0.8,
+                    agent.name, view.index, view.index.rows([to_sell]), min_revenue=value * 0.8,
                     strategy=type(self).__name__, anchor="arbitrage_sell",
                 )
             )

@@ -52,6 +52,7 @@ counts.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -75,13 +76,22 @@ _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 #: Canonical rounding for scores (matches the runner's report digit budget).
 _DIGITS = 6
 
+#: Fraction of each strategy kind's population surviving as elites.
+ELITE_FRACTION = 0.25
+#: Std-dev of the Gaussian trait mutation (within trait bounds).
+MUTATION_SCALE = 0.15
+#: Score weights (see the module docstring's scoring section).
+SURPLUS_WEIGHT = 1.0
+DISCIPLINE_WEIGHT = 1.0
+SATISFIED_WEIGHT = 0.5
+
 
 @dataclass(frozen=True)
 class TournamentConfig:
     """Everything one tournament needs, as a declarative value.
 
     ``base_scenario`` names the catalog preset supplying the fleet, budgets,
-    and auction knobs; ``kind_mix`` defaults to that preset's strategy mix.
+    auction knobs and strategy-kind mix.
     Generation ``g`` runs as scenario ``<name>-g<g>`` so store provenance
     separates generations while replicate seeds key the runs within one.
 
@@ -108,16 +118,6 @@ class TournamentConfig:
     #: Root seed for genome creation/mutation *and* the replicate runs;
     #: ``None`` uses the base scenario's seed.
     seed: int | None = None
-    #: Fraction of each strategy kind's population surviving as elites.
-    elite_fraction: float = 0.25
-    #: Std-dev of the Gaussian trait mutation (within trait bounds).
-    mutation_scale: float = 0.15
-    #: Score weights (see the module docstring's scoring section).
-    surplus_weight: float = 1.0
-    discipline_weight: float = 1.0
-    satisfied_weight: float = 0.5
-    #: Relative strategy-kind weights; ``None`` = base scenario's mix.
-    kind_mix: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -132,15 +132,6 @@ class TournamentConfig:
             raise ValueError("population_size must be >= 2")
         if self.auctions is not None and self.auctions < 1:
             raise ValueError("auctions must be >= 1")
-        if not (0.0 < self.elite_fraction <= 1.0):
-            raise ValueError("elite_fraction must lie in (0, 1]")
-        if self.mutation_scale < 0:
-            raise ValueError("mutation_scale must be non-negative")
-        if self.kind_mix is not None:
-            if not self.kind_mix or any(w < 0 for w in self.kind_mix.values()):
-                raise ValueError("kind_mix weights must be non-negative and non-empty")
-            if sum(self.kind_mix.values()) <= 0:
-                raise ValueError("kind_mix weights must sum to a positive value")
 
     def summary(self) -> dict[str, object]:
         """The scalar facts the CLI's tournament listing displays."""
@@ -160,8 +151,10 @@ def apportion_kinds(kind_mix: Mapping[str, float], size: int) -> dict[str, int]:
 
     Sampling kind counts would make generation 0 depend on rng draw order;
     apportioning them keeps the ecology of a tournament a pure function of
-    ``(kind_mix, size)``.  Kinds are processed in sorted order and remainder
-    seats go to the largest fractional parts (ties to the earlier name).
+    ``(kind_mix, size)``, whatever the order of its keys: kinds are processed
+    in sorted order, the weights are summed exactly (``math.fsum``), and
+    remainder seats go to the largest fractional parts (ties to the earlier
+    name).
 
     >>> apportion_kinds({"a": 0.5, "b": 0.3, "c": 0.2}, 10)
     {'a': 5, 'b': 3, 'c': 2}
@@ -171,7 +164,7 @@ def apportion_kinds(kind_mix: Mapping[str, float], size: int) -> dict[str, int]:
     if size < 1:
         raise ValueError("size must be >= 1")
     kinds = sorted(kind_mix)
-    total = float(sum(kind_mix.values()))
+    total = math.fsum(kind_mix.values())
     quotas = {kind: size * float(kind_mix[kind]) / total for kind in kinds}
     counts = {kind: int(quotas[kind]) for kind in kinds}
     leftover = size - sum(counts.values())
@@ -208,13 +201,12 @@ def next_generation(
     rng: np.random.Generator,
     *,
     generation: int,
-    elite_fraction: float = 0.25,
-    mutation_scale: float = 0.15,
 ) -> list[AgentGenome]:
     """Produce generation ``generation`` by stratified clone/mutate/select.
 
     Selection is *within* each strategy kind: every kind's sub-population
-    keeps its size, its elites survive as exact clones, and the remaining
+    keeps its size, its elites (the top :data:`ELITE_FRACTION`) survive as
+    exact clones, and the remaining
     slots are filled with mutated children of those elites.  Stratifying
     preserves the market's ecology — an all-seller market has nothing to
     clear — while still letting each kind's bidding posture evolve.
@@ -233,7 +225,7 @@ def next_generation(
     children: list[AgentGenome] = []
     for kind in sorted({g.kind for g in genomes}):
         members = [g for g in genomes if g.kind == kind]
-        elites = select_elites(members, scores, fraction=elite_fraction)
+        elites = select_elites(members, scores, fraction=ELITE_FRACTION)
         names = _slot_names(kind, len(members), generation=generation)
         survivors = min(len(elites), len(members))
         children.extend(clone_genomes(elites, names[:survivors], generation=generation))
@@ -244,7 +236,7 @@ def next_generation(
                     names[survivors:],
                     rng,
                     generation=generation,
-                    scale=mutation_scale,
+                    scale=MUTATION_SCALE,
                 )
             )
     return children
@@ -254,9 +246,6 @@ def genome_score(
     outcome: Mapping[str, float],
     *,
     budget: float,
-    surplus_weight: float = 1.0,
-    discipline_weight: float = 1.0,
-    satisfied_weight: float = 0.5,
 ) -> float:
     """One genome's fitness from one run's per-team outcome record.
 
@@ -272,9 +261,9 @@ def genome_score(
     """
     scale = max(float(budget), 1.0)
     raw = (
-        surplus_weight * float(outcome.get("surplus", 0.0))
-        - discipline_weight * float(outcome.get("overcommitment", 0.0))
-    ) / scale + satisfied_weight * float(outcome.get("satisfied_fraction", 0.0))
+        SURPLUS_WEIGHT * float(outcome.get("surplus", 0.0))
+        - DISCIPLINE_WEIGHT * float(outcome.get("overcommitment", 0.0))
+    ) / scale + SATISFIED_WEIGHT * float(outcome.get("satisfied_fraction", 0.0))
     return round(raw, _DIGITS)
 
 
@@ -409,18 +398,10 @@ class TournamentEngine:
     def _score_roster(
         self, roster: Sequence[AgentGenome], results: Sequence["ScenarioRunResult"], budget: float
     ) -> dict[str, float]:
-        cfg = self.config
         scores: dict[str, float] = {}
         for genome in roster:
             per_replicate = [
-                genome_score(
-                    result.team_scores[genome.name],
-                    budget=budget,
-                    surplus_weight=cfg.surplus_weight,
-                    discipline_weight=cfg.discipline_weight,
-                    satisfied_weight=cfg.satisfied_weight,
-                )
-                for result in results
+                genome_score(result.team_scores[genome.name], budget=budget) for result in results
             ]
             scores[genome.name] = round(float(np.mean(per_replicate)), _DIGITS)
         return scores
@@ -443,14 +424,11 @@ class TournamentEngine:
             if cfg.population_size is None
             else cfg.population_size
         )
-        kind_mix = dict(
-            base.config.population.strategy_mix if cfg.kind_mix is None else cfg.kind_mix
-        )
         seed = base.config.seed if cfg.seed is None else cfg.seed
         # One generator drives genome creation and every mutation, consumed in
         # a fixed order in this process only — workers never touch it.
         rng = np.random.default_rng(seed)
-        roster = initial_roster(kind_mix, size, rng)
+        roster = initial_roster(base.config.population.strategy_mix, size, rng)
 
         reports: list[GenerationReport] = []
         for generation in range(cfg.generations):
@@ -471,12 +449,5 @@ class TournamentEngine:
             if on_generation is not None:
                 on_generation(report)
             if generation + 1 < cfg.generations:
-                roster = next_generation(
-                    roster,
-                    scores,
-                    rng,
-                    generation=generation + 1,
-                    elite_fraction=cfg.elite_fraction,
-                    mutation_scale=cfg.mutation_scale,
-                )
+                roster = next_generation(roster, scores, rng, generation=generation + 1)
         return TournamentReport(config=cfg, generations=tuple(reports))

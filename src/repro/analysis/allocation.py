@@ -4,12 +4,11 @@ The paper's headline qualitative claim is that the market reduces "the
 excessive shortages and surpluses of more traditional allocation methods" and
 evens out utilization across pools.  This module holds what the baseline
 policies (:mod:`repro.mechanisms.baseline`) and the market economy
-(:mod:`repro.simulation.economy`) share: the checked ``(teams, R)`` demand
-matrix (:func:`demand_matrix`), the market's cumulative grants (a
-:class:`MarketOutcome`, read from two holdings matrices), and the metrics
-behind the claim: :func:`allocation_metrics` is one kernel over
-``(requested, granted)`` row blocks, so both mechanisms are measured by the
-same code.
+(:mod:`repro.simulation.economy`) share: the market's cumulative grants (a
+:class:`MarketOutcome`, read from two holdings matrices beside the epoch's
+``(teams, R)`` demand matrix), and the metrics behind the claim:
+:func:`allocation_metrics` is one kernel over ``(requested, granted)`` row
+blocks, so both mechanisms are measured by the same code.
 
 Two complementary families of measures live here:
 
@@ -24,9 +23,8 @@ Two complementary families of measures live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,27 +58,29 @@ class MarketOutcome:
     magnitude at most :data:`~repro.market.quotas.ZERO_HOLDING` read as zero
     in both, as in the registry's name-keyed views.
 
-    Teams are measured in ``demands`` order, skipping empty demands, and then
-    every other registered team that acquired quota, in registration order.
-    The registry is read when the outcome is, one block of teams at a time.
+    Teams are measured in ``teams`` order, row ``i`` of ``demand`` for
+    ``teams[i]`` (a team the registry does not hold was granted nothing),
+    and then every other registered team that acquired quota, in
+    registration order.  The registry is read when the outcome is, one block
+    of teams at a time.
     """
 
     index: PoolIndex
-    demands: Mapping[str, Mapping[str, float]]
+    teams: Sequence[str]
+    demand: np.ndarray
     initial: np.ndarray
     quotas: QuotaRegistry
 
     def __post_init__(self) -> None:
-        self._requested = [(team, bundle) for team, bundle in self.demands.items() if bundle]
-        unrequested = np.array(
-            [row for team, row in self.quotas.rows().items() if not self.demands.get(team)],
-            dtype=np.intp,
-        )
+        registry = self.quotas.rows()
+        self._rows = np.array([registry.get(team, -1) for team in self.teams], dtype=np.intp)
+        requested = np.zeros(len(registry), dtype=bool)
+        requested[self._rows[self._rows >= 0]] = True
         self._acquirers = np.concatenate(
             [np.zeros(0, dtype=np.intp)]
             + [
                 block[(self._grants(block) > 0).any(axis=1)]
-                for (block,) in row_blocks(unrequested)
+                for (block,) in row_blocks(np.flatnonzero(~requested))
             ]
         )
 
@@ -97,16 +97,9 @@ class MarketOutcome:
         return np.clip(final - initial, 0.0, None)
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams.
-
-        Demand rows are checked as :func:`demand_matrix` checks them.
-        """
-        rows = self.quotas.rows()
-        for start in range(0, len(self._requested), BLOCK_TEAMS):
-            chunk = self._requested[start : start + BLOCK_TEAMS]
-            yield demand_matrix(self.index, chunk), self._grants(
-                np.array([rows.get(team, -1) for team, _ in chunk], dtype=np.intp)
-            )
+        """``(requested, granted)`` row blocks of at most :data:`BLOCK_TEAMS` teams."""
+        for requested, rows in row_blocks(self.demand, self._rows):
+            yield requested, self._grants(rows)
         for (block,) in row_blocks(self._acquirers):
             yield np.zeros((len(block), len(self.index))), self._grants(block)
 
@@ -115,27 +108,6 @@ def row_blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """Blocks of at most :data:`BLOCK_TEAMS` aligned rows of each of ``arrays``."""
     for start in range(0, len(arrays[0]), BLOCK_TEAMS):
         yield tuple(array[start : start + BLOCK_TEAMS] for array in arrays)
-
-
-def demand_matrix(
-    index: PoolIndex, demands: Sequence[tuple[str, Mapping[str, float]]]
-) -> np.ndarray:
-    """Each ``(team, {pool name: quantity})`` demand as a row over ``index``.
-
-    Every team must be named and every quantity finite and non-negative.
-    """
-    matrix = index.matrix([bundle for _, bundle in demands])
-    if not all(team for team, _ in demands):
-        raise ValueError("team must be non-empty")
-    valid = np.isfinite(matrix) & (matrix >= 0)
-    if not valid.all():
-        _, bundle = demands[int(np.flatnonzero(~valid.all(axis=1))[0])]
-        for pool, qty in bundle.items():
-            if not (math.isfinite(qty) and qty >= 0):
-                raise ValueError(
-                    f"requested quantity of {pool!r} must be finite and non-negative, got {qty!r}"
-                )
-    return matrix
 
 
 def utilization_imbalance(
@@ -263,7 +235,8 @@ def allocation_metrics(
 
 def market_outcome_from_quota_delta(
     index: PoolIndex,
-    demands: Mapping[str, Mapping[str, float]],
+    teams: Sequence[str],
+    demand: np.ndarray,
     initial: np.ndarray,
     quotas: QuotaRegistry,
 ) -> MarketOutcome:
@@ -274,8 +247,8 @@ def market_outcome_from_quota_delta(
     one-shot baseline policy is the *cumulative* quota each team acquired:
     its holdings in ``quotas`` now minus its row of ``initial`` (the
     registry's :meth:`~repro.market.quotas.QuotaRegistry.matrix` when the
-    market started), clipped to acquisitions.  ``demands`` maps team ->
-    {pool name: quantity}.
+    market started), clipped to acquisitions.  ``teams`` and ``demand`` are
+    :func:`~repro.simulation.workload.demands_from_agents`' pair: row ``i``
+    of the ``(teams, R)`` matrix is what ``teams[i]`` asked for.
     """
-    return MarketOutcome(index=index, demands=demands, initial=initial, quotas=quotas)
-
+    return MarketOutcome(index=index, teams=teams, demand=demand, initial=initial, quotas=quotas)

@@ -107,7 +107,6 @@ class PoolIndex:
             raise ValueError(f"duplicate pool names: {dupes}")
         self._rtypes: tuple[ResourceType, ...] = tuple(pool.rtype for pool in self._pools)
         self._clusters: tuple[str, ...] = tuple(dict.fromkeys(pool.cluster for pool in self._pools))
-        self._cluster_set: frozenset[str] = frozenset(self._clusters)
         columns: dict[str, list[int | None]] = {c: [None] * len(RESOURCE_TYPES) for c in self._clusters}
         for column, pool in enumerate(self._pools):
             columns[pool.cluster][_POSITIONS[pool.rtype]] = column
@@ -168,26 +167,6 @@ class PoolIndex:
         """Cluster names present in the index, in first-appearance order."""
         return list(self._clusters)
 
-    def has_cluster(self, cluster: str) -> bool:
-        """Whether any pool of the index belongs to ``cluster``."""
-        return cluster in self._cluster_set
-
-    def cluster_columns(self, cluster: str) -> tuple[int | None, ...]:
-        """Column of each resource type's pool in ``cluster``, in ``RESOURCE_TYPES`` order.
-
-        ``None`` stands where the index holds no pool of that type in the
-        cluster; a cluster the index does not hold raises ``KeyError``.
-
-        Examples
-        --------
-        >>> demo_pool_index().cluster_columns("b")      # cpu, ram, no disk pool
-        (2, 3, None)
-        """
-        try:
-            return self._cluster_columns[cluster]
-        except KeyError:
-            raise KeyError(f"unknown cluster {cluster!r}") from None
-
     # -- vector views ----------------------------------------------------------
     def capacities(self) -> np.ndarray:
         """Vector of pool capacities."""
@@ -231,6 +210,60 @@ class PoolIndex:
                     raise KeyError(f"unknown pool {name!r}; known pools: {sorted(self._by_name)[:5]}...")
                 out[i, j] = float(qty)
         return out
+
+    def place(self, amounts: Sequence[tuple[int, float]], cluster: str) -> list[tuple[int, float]]:
+        """Covering ``amounts`` placed at ``cluster``'s pool columns, in the same order.
+
+        ``amounts`` are ``(resource position, amount)`` pairs, a position
+        indexing ``RESOURCE_TYPES``, as
+        :meth:`~repro.market.services.ServiceCatalog.covering_amounts` returns
+        them; the result holds ``(column, amount)`` pairs.  With nothing to
+        place it returns ``[]`` without reading ``cluster``.  A cluster the
+        index does not hold raises ``KeyError``, and so does one without a
+        pool for a covered resource, naming that pool.
+
+        Examples
+        --------
+        >>> index = demo_pool_index()               # cpu and ram pools in a and b
+        >>> index.place([(1, 8.0), (0, 4.0)], "b")
+        [(3, 8.0), (2, 4.0)]
+        >>> index.place([(2, 1.0)], "b")
+        Traceback (most recent call last):
+            ...
+        KeyError: "unknown pool 'b/disk'"
+        >>> index.place([], "z")
+        []
+        """
+        if not amounts:
+            return []
+        try:
+            columns = self._cluster_columns[cluster]
+        except KeyError:
+            raise KeyError(f"unknown cluster {cluster!r}") from None
+        placed: list[tuple[int, float]] = []
+        for position, amount in amounts:
+            column = columns[position]
+            if column is None:
+                raise KeyError(f"unknown pool '{cluster}/{RESOURCE_TYPES[position].value}'")
+            placed.append((column, amount))
+        return placed
+
+    def rows(self, bundles: Sequence[Sequence[tuple[int, float]]]) -> np.ndarray:
+        """The ``(k, R)`` array whose row ``i`` holds the ``(column, amount)`` pairs of ``bundles[i]``.
+
+        Each amount is stored as given, one scalar assignment per pair, so a
+        row holds the caller's floats bit for bit.
+
+        Examples
+        --------
+        >>> demo_pool_index().rows([[(0, 2.0)], [(3, 8.0), (2, 2.0)]]).tolist()
+        [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 8.0]]
+        """
+        matrix = np.zeros((len(bundles), len(self._names)))
+        for row, bundle in zip(matrix, bundles):
+            for column, amount in bundle:
+                row[column] = amount
+        return matrix
 
     def describe(self, vec: np.ndarray, *, tol: float = 1e-12) -> dict[str, float]:
         """Invert :meth:`vector`: the non-zero entries of ``vec`` keyed by pool name."""

@@ -27,7 +27,6 @@ import numpy as np
 from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
-    demand_matrix,
     market_outcome_from_quota_delta,
     row_blocks,
 )
@@ -65,14 +64,12 @@ def run_baseline_comparison(
     """
     scenario = spec.build()
     index = scenario.pool_index
-    demands = demands_from_agents(scenario.agents, index)
+    teams, demand = demands_from_agents(scenario.agents, index)
     priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
     metrics = {
         policy: allocation_metrics(index, policy, row_blocks(requested, granted))
         for policy, requested, granted in one_shot_outcomes(
-            scenario,
-            demand_matrix(index, list(demands.items())),
-            np.array([priorities.get(team, 0) for team in demands], dtype=int),
+            scenario, demand, np.array([priorities.get(team, 0) for team in teams], dtype=int)
         )
     }
 
@@ -84,7 +81,7 @@ def run_baseline_comparison(
         index,
         "market",
         market_outcome_from_quota_delta(
-            index, demands, initial_holdings, scenario.platform.quotas
+            index, teams, demand, initial_holdings, scenario.platform.quotas
         ).blocks(),
     )
     balance = utilization_balance_improvement(history.periods[0].settlement)

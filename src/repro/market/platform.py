@@ -207,8 +207,10 @@ class TradingPlatform:
         'bid'
         """
         clusters = [request.cluster, *(alternative_clusters or [])]
+        amounts = self.catalog.covering_amounts([request])
+        names = self.index.names
         bundles = tuple(
-            self.catalog.cover(request.service, c, request.quantity, self.index) for c in clusters
+            {names[column]: amount for column, amount in self.index.place(amounts, c)} for c in clusters
         )
         touched = sorted({name for bundle in bundles for name in bundle})
         prices = {name: self.displayed_prices[name] for name in touched}

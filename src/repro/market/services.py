@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from repro.cluster.pools import PoolIndex
 from repro.cluster.resources import RESOURCE_TYPES, ResourceVector, cpu_ram_disk
 
 
@@ -40,6 +39,9 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("service name must be non-empty")
+        for per_unit in self.coverage:
+            if not math.isfinite(per_unit):
+                raise ValueError(f"service {self.name!r} coverage must be finite, got {per_unit!r}")
         if not self.coverage.is_nonnegative() or self.coverage.is_zero():
             raise ValueError("service coverage must be non-negative and non-zero")
 
@@ -66,25 +68,6 @@ def _check_quantity(quantity: float) -> None:
     # ``nan <= 0`` is False and ``inf`` is positive: test finiteness explicitly.
     if not (math.isfinite(quantity) and quantity > 0):
         raise ValueError(f"service request quantity must be finite and > 0, got {quantity!r}")
-
-
-#: Pool-name suffix of each resource position, in the order a
-#: :class:`ResourceVector` iterates its components (``RESOURCE_TYPES``).
-#: Read once here: an enum member's ``.value`` is a descriptor call.
-_POOL_SUFFIXES: tuple[str, ...] = tuple(rtype.value for rtype in RESOURCE_TYPES)
-
-
-def named_bundle(amounts: Sequence[tuple[int, float]], cluster: str, index: PoolIndex) -> dict[str, float]:
-    """``{pool name: quantity}`` view of covering ``amounts`` placed in ``cluster``.
-
-    ``amounts`` are :meth:`ServiceCatalog.covering_amounts` pairs; the names
-    keep their order.  A cluster the index does not hold raises ``KeyError``
-    when there is something to place.  The names are not checked against the
-    index's pools: a bid built from them is.
-    """
-    if amounts and not index.has_cluster(cluster):
-        raise KeyError(f"unknown cluster {cluster!r}")
-    return {f"{cluster}/{_POOL_SUFFIXES[position]}": amount for position, amount in amounts}
 
 
 class ServiceCatalog:
@@ -124,8 +107,10 @@ class ServiceCatalog:
         ``RESOURCE_TYPES``, in the order the positions first appear.  Each
         amount is ``0.0 + a1 + a2 + ...`` in request order, where a request's
         ``a`` is the service's per-unit coverage times its quantity; an ``a``
-        that is not ``> 0`` is left out.  The requests' clusters are not read:
-        :func:`named_bundle` or a pool index's columns place the amounts.
+        that is not ``> 0`` is left out.  An amount that overflows to ``inf``
+        raises ``ValueError`` naming its resource.  The requests' clusters are
+        not read: :meth:`~repro.cluster.pools.PoolIndex.place` places the
+        amounts at a cluster's pool columns.
 
         Examples
         --------
@@ -146,34 +131,13 @@ class ServiceCatalog:
                 amount = per_unit * quantity
                 if amount > 0:
                     totals[position] = totals.get(position, 0.0) + amount
-        return list(totals.items())
-
-    def covering_bundle(self, request: ServiceRequest, index: PoolIndex) -> dict[str, float]:
-        """The ``{pool name: quantity}`` bundle covering one request.
-
-        Dimensions the service does not use are left out of the bundle.
-
-        Examples
-        --------
-        >>> from repro.cluster.pools import demo_pool_index
-        >>> index = demo_pool_index()               # clusters a and b, CPU and RAM pools
-        >>> catalog = ServiceCatalog()
-        >>> catalog.register(ServiceSpec("cache", "GiB cached", cpu_ram_disk(0.5, 1.0, 0.0)))
-        >>> catalog.covering_bundle(ServiceRequest("cache", "a", 8.0), index)
-        {'a/cpu': 4.0, 'a/ram': 8.0}
-        >>> catalog.covering_bundle(ServiceRequest("cache", "z", 8.0), index)
-        Traceback (most recent call last):
-            ...
-        KeyError: "unknown cluster 'z'"
-        """
-        return named_bundle(self.covering_amounts([request]), request.cluster, index)
-
-    def cover(self, service: str, cluster: str, quantity: float, index: PoolIndex) -> dict[str, float]:
-        """:meth:`covering_bundle` of ``quantity`` units of ``service`` in ``cluster``.
-
-        ``quantity`` must be finite and positive, as in a request.
-        """
-        return self.covering_bundle(ServiceRequest(service, cluster, quantity), index)
+        amounts = list(totals.items())
+        for position, total in amounts:
+            if not math.isfinite(total):
+                raise ValueError(
+                    f"covering amount of {RESOURCE_TYPES[position].value} must be finite, got {total!r}"
+                )
+        return amounts
 
 
 def default_catalog() -> ServiceCatalog:

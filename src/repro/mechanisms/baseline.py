@@ -74,7 +74,6 @@ import numpy as np
 from repro.analysis.allocation import (
     AllocationMetrics,
     allocation_metrics,
-    demand_matrix,
     row_blocks,
     row_costs,
     running_sum,
@@ -234,18 +233,16 @@ class BaselineEconomySimulation:
         self._rng = (
             np.random.default_rng(int(scenario.rng.integers(2**63))) if mechanism.draws else None
         )
-        demands = demands_from_agents(scenario.agents, self._initial_index)
-        #: The teams with a demand, in demand order; every per-team array and
-        #: the rows of every ``(teams, R)`` matrix below follow it.
-        self._teams = tuple(demands)
-        agents = {agent.name: agent for agent in scenario.agents}
         # Demand is re-derived analytically each epoch instead of re-running
         # the covering-bundle translation: covering bundles are linear in the
         # requested quantity and a profile's growth is one multiplicative
         # factor per epoch, so epoch t's demand row is exactly
         # ``base * (1 + growth) ** (t - 1)``.  This is what keeps a baseline
-        # epoch allocator-bound instead of bid-entry-bound.
-        self._base_demand = demand_matrix(self._initial_index, list(demands.items()))
+        # epoch allocator-bound instead of bid-entry-bound.  ``_teams`` holds
+        # the teams with a demand, in agent order; every per-team array and
+        # the rows of every ``(teams, R)`` matrix below follow it.
+        self._teams, self._base_demand = demands_from_agents(scenario.agents, self._initial_index)
+        agents = {agent.name: agent for agent in scenario.agents}
         self._growth = [float(agents[team].demand.growth_rate) for team in self._teams]
         self._priorities = np.array([priorities.get(team, 0) for team in self._teams], dtype=int)
         #: Budget each team has left to buy quota at the posted fixed prices.

@@ -43,6 +43,11 @@ from repro.simulation.workload import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.catalog import ScenarioSpec
 
+#: How much of the load behind sold quota leaves its pool by the next
+#: auction: teams take time to migrate, so a market period completes 90% of
+#: a move (see :func:`~repro.simulation.workload.apply_settlement_to_utilization`).
+MOVE_OUT_FRACTION = 0.9
+
 
 @dataclass
 class AuctionPeriodResult:
@@ -145,14 +150,12 @@ class MarketEconomySimulation:
         scenario: Scenario,
         *,
         drift_scale: float = 0.015,
-        move_out_fraction: float = 0.9,
         preliminary_runs: int = 0,
     ):
         if preliminary_runs < 0:
             raise ValueError("preliminary_runs must be non-negative")
         self.scenario = scenario
         self.drift_scale = drift_scale
-        self.move_out_fraction = move_out_fraction
         self.preliminary_runs = preliminary_runs
         self.history = EconomyHistory()
         self._auction_counter = 0
@@ -202,7 +205,7 @@ class MarketEconomySimulation:
         # the same covering bundles the baseline mechanisms would be fed, so
         # the shortage/surplus comparison is apples to apples.  Pure
         # inspection: no RNG is consumed, round traces are unaffected.
-        epoch_demands = demands_from_agents(self.scenario.agents, platform.index)
+        teams, demand = demands_from_agents(self.scenario.agents, platform.index)
 
         platform.open_bid_window()
         self._refresh_agent_state()
@@ -234,7 +237,7 @@ class MarketEconomySimulation:
         updated_index = apply_settlement_to_utilization(
             platform.index,
             settlement.total_allocated(),
-            move_out_fraction=self.move_out_fraction,
+            move_out_fraction=MOVE_OUT_FRACTION,
         )
         updated_index = organic_drift(updated_index, rng=self.scenario.rng, drift_scale=self.drift_scale)
         platform.update_pool_index(updated_index)
@@ -243,7 +246,7 @@ class MarketEconomySimulation:
             self._initial_index,
             "market",
             market_outcome_from_quota_delta(
-                self._initial_index, epoch_demands, self._initial_holdings, platform.quotas
+                self._initial_index, teams, demand, self._initial_holdings, platform.quotas
             ).blocks(),
         )
         period = AuctionPeriodResult(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -12,19 +12,23 @@ from repro.cluster.pools import PoolIndex
 
 def demands_from_agents(
     agents: Sequence[TeamAgent], index: PoolIndex
-) -> dict[str, dict[str, float]]:
-    """Each agent's home-cluster covering bundle, keyed by team name.
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Each agent's home-cluster covering bundle as one row of a ``(teams, R)`` matrix.
 
-    This is the demand fed to the traditional (baseline) allocators so that
-    the market and the baselines are compared on exactly the same underlying
-    needs.
+    Returns the teams with something to cover, in agent order, and their
+    demand matrix, row ``i`` for ``teams[i]``; a team that covers nothing
+    has no row.  This is the demand fed to the traditional (baseline)
+    allocators and to the market's coverage measure, so that the market and
+    the baselines are compared on exactly the same underlying needs.
     """
-    demands: dict[str, dict[str, float]] = {}
+    teams: list[str] = []
+    bundles: list[list[tuple[int, float]]] = []
     for agent in agents:
-        bundle = agent.demand.covering_bundle(agent.catalog, index)
+        bundle = agent.demand.covering_columns(agent.catalog, index)
         if bundle:
-            demands[agent.name] = bundle
-    return demands
+            teams.append(agent.name)
+            bundles.append(bundle)
+    return tuple(teams), index.rows(bundles)
 
 
 def priorities_from_agents(

@@ -76,9 +76,7 @@ class TestNextGeneration:
     def test_elites_survive_as_exact_clones(self):
         pop = self._population()
         scores = {g.name: float(i) for i, g in enumerate(pop)}
-        kids = next_generation(
-            pop, scores, np.random.default_rng(1), generation=1, elite_fraction=0.34
-        )
+        kids = next_generation(pop, scores, np.random.default_rng(1), generation=1)
         parent_traits = {g.name: g.traits for g in pop}
         clones = [k for k in kids if k.traits == parent_traits[k.parent]]
         # At least one elite clone per kind survives unchanged.
@@ -168,10 +166,6 @@ class TestTournamentConfig:
             TournamentConfig(name="t", description="d", generations=1)
         with pytest.raises(ValueError):
             TournamentConfig(name="t", description="d", replicates=0)
-        with pytest.raises(ValueError):
-            TournamentConfig(name="t", description="d", elite_fraction=0.0)
-        with pytest.raises(ValueError):
-            TournamentConfig(name="t", description="d", kind_mix={"lowball": -1.0})
 
     def test_catalog_presets_registered(self):
         names = tournament_names()

@@ -9,12 +9,13 @@ import pytest
 from repro.analysis import allocation
 from repro.analysis.allocation import (
     allocation_metrics,
-    demand_matrix,
     market_outcome_from_quota_delta,
     row_blocks,
     utilization_imbalance,
 )
+from repro.cluster.resources import cpu_ram_disk
 from repro.market.quotas import QuotaRegistry
+from repro.market.services import ServiceCatalog, ServiceRequest, ServiceSpec
 from repro.mechanisms import BaselineEconomySimulation, get_mechanism
 from repro.mechanisms.baseline import (
     BASELINE_MECHANISMS,
@@ -23,6 +24,7 @@ from repro.mechanisms.baseline import (
     proportional_grants,
 )
 from repro.simulation.scenario import small_scenario
+from repro.simulation.workload import demands_from_agents
 from tests.conftest import build_pool_index
 
 FIXED_PRICE, PRIORITY, PROPORTIONAL, LOTTERY = (
@@ -59,23 +61,18 @@ def grant_fractions(requested, granted):
 
 
 class TestDemandMatrix:
-    def test_validation(self, idle_index):
-        with pytest.raises(ValueError, match="team must be non-empty"):
-            demand_matrix(idle_index, [("", {"alpha/cpu": 1})])
-        for bad in (-1, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="'alpha/cpu'"):
-                demand_matrix(idle_index, [("t", {"alpha/cpu": bad})])
-        assert not demand_matrix(idle_index, [("t", {"alpha/cpu": 0.0})]).any()
-
-    def test_rows(self, idle_index):
-        demand = demand_matrix(idle_index, [("t", {"alpha/cpu": 10}), ("u", {})])
-        assert demand.shape == (2, len(idle_index))
-        assert demand[0, idle_index.index_of("alpha/cpu")] == 10.0
-        assert not demand[1].any()
-
-    def test_unknown_pool_rejected(self, idle_index):
-        with pytest.raises(KeyError):
-            demand_matrix(idle_index, [("t", {"nowhere/cpu": 10})])
+    def test_an_overflowing_covering_amount_is_refused(self):
+        scenario = small_scenario(seed=1, team_count=3, cluster_count=2)
+        catalog = ServiceCatalog()
+        catalog.register(ServiceSpec("huge", "u", cpu_ram_disk(1e308, 1.0, 0.0)))
+        agent = scenario.agents[1]
+        agent.catalog = catalog
+        agent.demand.requests = [ServiceRequest("huge", agent.demand.home_cluster, 10.0)]
+        message = "covering amount of cpu must be finite, got inf"
+        with pytest.raises(ValueError, match=message):
+            demands_from_agents(scenario.agents, scenario.pool_index)
+        with pytest.raises(ValueError, match=message):
+            BaselineEconomySimulation(scenario, FIXED_PRICE)
 
     def test_non_finite_budget_rejected_by_the_simulation(self):
         scenario = small_scenario(seed=1, team_count=3, cluster_count=2)
@@ -257,12 +254,12 @@ def stacked(outcome):
 
 class TestMarketOutcomes:
     def test_from_quota_delta(self, idle_index):
-        demands = {"t": {"alpha/cpu": 100}}
+        demand = idle_index.matrix([{"alpha/cpu": 100}])
         quotas = QuotaRegistry(idle_index)
         quotas.grant("t", {"alpha/cpu": 20.0})
         initial = quotas.matrix()
         quotas.grant("t", {"alpha/cpu": 60.0, "beta/cpu": 40.0})
-        outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
+        outcome = market_outcome_from_quota_delta(idle_index, ("t",), demand, initial, quotas)
         (granted,) = stacked(outcome)[1]
         assert granted[idle_index.index_of("alpha/cpu")] == pytest.approx(60.0)
         assert granted[idle_index.index_of("beta/cpu")] == pytest.approx(40.0)
@@ -276,7 +273,7 @@ class TestMarketOutcomes:
         initial = quotas.matrix()
         quotas.apply_delta("t", idle_index.vector({"alpha/cpu": -60.0}))
         outcome = market_outcome_from_quota_delta(
-            idle_index, {"t": {"alpha/cpu": 10}}, initial, quotas
+            idle_index, ("t",), idle_index.matrix([{"alpha/cpu": 10}]), initial, quotas
         )
         requested, granted = stacked(outcome)
         assert len(requested) == 1
@@ -286,7 +283,9 @@ class TestMarketOutcomes:
         quotas = QuotaRegistry(idle_index)
         initial = quotas.matrix()
         quotas.grant("newcomer", {"beta/cpu": 10.0})
-        outcome = market_outcome_from_quota_delta(idle_index, {}, initial, quotas)
+        outcome = market_outcome_from_quota_delta(
+            idle_index, (), np.zeros((0, len(idle_index))), initial, quotas
+        )
         requested, granted = stacked(outcome)
         assert not requested.any()
         assert granted.tolist() == [idle_index.vector({"beta/cpu": 10.0}).tolist()]
@@ -300,7 +299,9 @@ class TestMarketOutcomes:
             quotas.grant(team, {"beta/cpu": float(i + 1)})
         for i, team in enumerate(("x", "y", "z")):
             quotas.grant(team, {"alpha/ram": 5.0 + i})
-        outcome = market_outcome_from_quota_delta(idle_index, demands, initial, quotas)
+        outcome = market_outcome_from_quota_delta(
+            idle_index, tuple(demands), idle_index.matrix(list(demands.values())), initial, quotas
+        )
         blocks = list(outcome.blocks())
         assert [len(requested) for requested, _ in blocks] == [2, 1, 2, 1]
         requested, granted = stacked(outcome)

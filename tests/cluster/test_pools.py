@@ -1,5 +1,7 @@
 """Unit tests for ResourcePool and PoolIndex."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.fleet_gen import FleetSpec, generate_fleet
 from repro.cluster.pools import PoolIndex, ResourcePool, pools_from_topology
-from repro.cluster.resources import ResourceType, cpu_ram_disk
+from repro.cluster.resources import RESOURCE_TYPES, ResourceType, cpu_ram_disk
 from repro.cluster.topology import FleetTopology, Site
 from tests.conftest import build_pool_index
 
@@ -66,11 +68,6 @@ class TestPoolIndex:
 
     def test_names_follow_insertion_order(self, pool_index):
         assert pool_index.names[:3] == ["alpha/cpu", "alpha/ram", "alpha/disk"]
-
-    def test_has_cluster(self, pool_index):
-        assert pool_index.has_cluster("alpha") and pool_index.has_cluster("beta")
-        assert not pool_index.has_cluster("gamma")
-        assert not pool_index.has_cluster("alpha/cpu")
 
     def test_pools_of_cluster_and_type(self, pool_index):
         assert len(pool_index.pools_of_type(ResourceType.RAM)) == 2
@@ -190,15 +187,25 @@ class TestDerivedDataIsCallerOwned:
         pools = [make_pool("b"), make_pool("a"), make_pool("b", rtype=ResourceType.RAM)]
         assert PoolIndex(pools).clusters() == ["b", "a"]
 
-    def test_cluster_columns_match_the_name_lookup(self):
+    def test_place_and_rows_match_the_name_lookup(self):
         pools = [make_pool("b", rtype=ResourceType.DISK), make_pool("a"), make_pool("b")]
         index = PoolIndex(pools)
         for cluster in index.clusters():
-            expected = tuple(index._by_name.get(f"{cluster}/{rtype.value}") for rtype in ResourceType)
-            assert index.cluster_columns(cluster) == expected
-        assert index.cluster_columns("b") == (2, None, 0)
+            for position, rtype in enumerate(RESOURCE_TYPES):
+                name = f"{cluster}/{rtype.value}"
+                if name in index:
+                    assert index.place([(position, 5.0)], cluster) == [(index.index_of(name), 5.0)]
+                else:
+                    with pytest.raises(KeyError, match=re.escape(f"unknown pool '{name}'")):
+                        index.place([(position, 5.0)], cluster)
+        amount = 0.1 + 0.2
+        placed = index.place([(2, amount), (0, 3.0)], "b")
+        assert placed == [(0, amount), (2, 3.0)]  # in the order of the amounts
+        assert index.rows([placed, []]).tolist() == [[amount, 0.0, 3.0], [0.0, 0.0, 0.0]]
+        assert index.rows([]).shape == (0, 3)
         with pytest.raises(KeyError, match="unknown cluster 'c'"):
-            index.cluster_columns("c")
+            index.place([(0, 1.0)], "c")
+        assert index.place([], "c") == []
         derived = index.with_utilizations({"a/cpu": 0.9})
         assert derived._cluster_columns is index._cluster_columns
 

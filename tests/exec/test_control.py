@@ -505,8 +505,7 @@ class TestControlArguments:
                 with pytest.raises(ControlError, match=re.escape(count_error + "-1")):
                     fleet.scale(-1)
                 with pytest.raises(ControlError, match=re.escape(count_error + "'many'")):
-                    # The client's own int() stops a text count; send it raw.
-                    fleet._command({"type": "scale", "count": "many"}, expect="scaled")
+                    fleet.scale("many")
                 assert [row["worker"] for row in fleet.list()["workers"]] == ["w-client-args"]
             specs = [tiny_spec("tiny-args", seed=5)]
             report = ParallelRunner(backend=backend).run_specs(specs)

@@ -1,5 +1,7 @@
 """Unit tests for the service catalog, order book, and market summary."""
 
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +44,19 @@ class TestServiceSpec:
         with pytest.raises(ValueError):
             ServiceSpec(name="svc", unit="u", coverage=cpu_ram_disk(-1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "coverage",
+        [
+            cpu_ram_disk(math.inf, 1.0, 0.0),
+            cpu_ram_disk(1.0, math.nan, 0.0),
+            cpu_ram_disk(1.0, 1.0, -math.inf),
+        ],
+    )
+    def test_non_finite_coverage_rejected(self, coverage):
+        bad = next(value for value in coverage if not math.isfinite(value))
+        with pytest.raises(ValueError, match=re.escape(f"service 'svc' coverage must be finite, got {bad!r}")):
+            ServiceSpec(name="svc", unit="u", coverage=coverage)
+
     def test_service_request_validation(self):
         with pytest.raises(ValueError):
             ServiceRequest(service="gfs_storage", cluster="c0", quantity=0)
@@ -70,19 +85,21 @@ class TestServiceCatalog:
         with pytest.raises(KeyError):
             default_catalog().spec("mapreduce")
 
-    def test_covering_bundle_targets_requested_cluster(self, pool_index):
-        catalog = default_catalog()
-        bundle = catalog.covering_bundle(ServiceRequest("batch_compute", "alpha", 10), pool_index)
+    def test_covering_amounts_place_in_the_requested_cluster(self, pool_index):
+        amounts = default_catalog().covering_amounts([ServiceRequest("batch_compute", "alpha", 10)])
+        bundle = {pool_index.names[column]: qty for column, qty in pool_index.place(amounts, "alpha")}
         assert set(bundle) == {"alpha/cpu", "alpha/ram", "alpha/disk"}
         assert bundle["alpha/cpu"] == pytest.approx(10.0)  # 1 CPU per worker slot
 
-    def test_covering_bundle_unknown_cluster(self, pool_index):
-        with pytest.raises(KeyError):
-            default_catalog().covering_bundle(ServiceRequest("batch_compute", "nowhere", 1), pool_index)
+    def test_covering_amounts_placed_in_an_unknown_cluster(self, pool_index):
+        amounts = default_catalog().covering_amounts([ServiceRequest("batch_compute", "nowhere", 1)])
+        with pytest.raises(KeyError, match="unknown cluster 'nowhere'"):
+            pool_index.place(amounts, "nowhere")
 
-    def test_gfs_is_disk_dominant(self, pool_index):
-        bundle = default_catalog().covering_bundle(ServiceRequest("gfs_storage", "alpha", 1), pool_index)
-        assert bundle["alpha/disk"] > 100 * bundle["alpha/cpu"]
+    def test_gfs_is_disk_dominant(self):
+        amounts = default_catalog().covering_amounts([ServiceRequest("gfs_storage", "alpha", 1)])
+        cpu, _, disk = (qty for _, qty in amounts)
+        assert disk > 100 * cpu
 
     def test_covering_amounts_sum_in_request_order_by_first_appearance(self):
         catalog = ServiceCatalog()
@@ -96,6 +113,14 @@ class TestServiceCatalog:
         ram = 0.0 + 2.0 * 0.1 + 1.0 * 0.2 + 2.0 * 0.3
         assert catalog.covering_amounts(requests) == [(1, ram), (2, 0.0 + 1024.0 * 0.1 + 1024.0 * 0.3), (0, 0.0 + 0.5 * 0.2)]
         assert catalog.covering_amounts([]) == []
+
+    @pytest.mark.parametrize("quantities", [[10.0], [1.0, 1.0]], ids=["product", "sum"])
+    def test_covering_kernel_refuses_an_overflowing_amount(self, quantities):
+        catalog = ServiceCatalog()
+        catalog.register(ServiceSpec("huge", "u", cpu_ram_disk(1e308, 1.0, 0.0)))
+        requests = [ServiceRequest("huge", "c0", quantity) for quantity in quantities]
+        with pytest.raises(ValueError, match="covering amount of cpu must be finite, got inf"):
+            catalog.covering_amounts(requests)
 
     def test_register_replaces_spec(self):
         catalog = ServiceCatalog()

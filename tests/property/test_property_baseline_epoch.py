@@ -19,12 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import allocation
-from repro.analysis.allocation import (
-    allocation_metrics,
-    demand_matrix,
-    row_blocks,
-    utilization_imbalance,
-)
+from repro.analysis.allocation import allocation_metrics, row_blocks, utilization_imbalance
 from repro.cluster.pools import PoolIndex
 from repro.mechanisms.baseline import (
     BASELINE_MECHANISMS,
@@ -149,8 +144,9 @@ class ReferenceBaseline:
             np.random.default_rng(int(scenario.rng.integers(2**63))) if mechanism.draws else None
         )
         self._base_demand = {
-            team: self._initial_index.vector(bundle)
-            for team, bundle in demands_from_agents(scenario.agents, self._initial_index).items()
+            agent.name: self._initial_index.vector(agent.demand.bundle)
+            for agent in scenario.agents
+            if agent.demand.bundle
         }
         self._growth = {agent.name: float(agent.demand.growth_rate) for agent in scenario.agents}
         self._fixed_prices = self._initial_index.vector(scenario.platform.fixed_prices)
@@ -236,11 +232,13 @@ class ReferenceBaseline:
 
 @dataclass
 class Demand:
+    """A demand whose covering bundle is given: it may span several clusters."""
+
     bundle: dict[str, float]
     growth_rate: float
 
-    def covering_bundle(self, catalog, index):
-        return dict(self.bundle)
+    def covering_columns(self, catalog, index):
+        return [(index.index_of(name), qty) for name, qty in self.bundle.items()]
 
     def total_quantity(self):
         return float(sum(self.bundle.values()))
@@ -344,16 +342,18 @@ def check_epochs(case):
 def check_one_shot(case):
     scenario = build(case)
     index = scenario.pool_index
-    demands = demands_from_agents(scenario.agents, index)
+    teams, demand = demands_from_agents(scenario.agents, index)
     priorities = priorities_from_agents(scenario.agents, seed=scenario.rng)
     requests = [
-        QuotaRequest(team=team, quantities=dict(bundle), priority=priorities.get(team, 0))
-        for team, bundle in demands.items()
+        QuotaRequest(
+            team=agent.name, quantities=dict(agent.demand.bundle), priority=priorities.get(agent.name, 0)
+        )
+        for agent in scenario.agents
+        if agent.demand.bundle
     ]
+    assert teams == tuple(request.team for request in requests)
     outcomes = one_shot_outcomes(
-        scenario,
-        demand_matrix(index, list(demands.items())),
-        np.array([priorities.get(team, 0) for team in demands], dtype=int),
+        scenario, demand, np.array([priorities.get(team, 0) for team in teams], dtype=int)
     )
     assert [policy for policy, _, _ in outcomes] == [m.name for m in BASELINE_MECHANISMS]
     for policy, requested, granted in outcomes:

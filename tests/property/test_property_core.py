@@ -319,13 +319,20 @@ class TestCoveringBundleProperties:
     @settings(max_examples=200, deadline=None)
     @given(profile=demand_profiles())
     def test_covering_bundle_matches_per_request_loop(self, profile):
-        for cluster in [None, *_POOLS.clusters()]:
-            got = profile.covering_bundle(_CATALOG, _POOLS, cluster)
+        for cluster in [None, *_POOLS_3.clusters()]:
+            got = profile.covering_bundle(_CATALOG, _POOLS_3, cluster)
             expected = _per_request_covering(profile, _CATALOG, cluster)
             assert list(got) == list(expected)
             assert [(type(v), v.hex()) for v in got.values()] == [
                 (type(v), v.hex()) for v in expected.values()
             ]
+        # _POOLS holds no disk pool, and every default service covers disk.
+        for cluster in _POOLS.clusters():
+            if not profile.requests:
+                assert profile.covering_bundle(_CATALOG, _POOLS, cluster) == {}
+                continue
+            with pytest.raises(KeyError, match=f"unknown pool '{cluster}/disk'"):
+                profile.covering_bundle(_CATALOG, _POOLS, cluster)
 
     @settings(max_examples=50, deadline=None)
     @given(profile=demand_profiles())

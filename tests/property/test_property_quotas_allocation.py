@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.allocation import (
     allocation_metrics,
-    demand_matrix,
     market_outcome_from_quota_delta,
     row_blocks,
 )
@@ -34,7 +33,6 @@ from repro.market.quotas import QuotaError, QuotaRegistry
 from repro.simulation.catalog import get_scenario
 from repro.simulation.economy import MarketEconomySimulation
 from repro.simulation.runner import ScenarioRunResult
-from repro.simulation.workload import demands_from_agents
 from tests.conftest import build_pool_index
 
 INDEX = build_pool_index({"alpha": 0.9, "beta": 0.3, "gamma": 0.5}, capacity_scale=50.0)
@@ -169,6 +167,13 @@ def reference_market_metrics(index, demands, initial_holdings, final_holdings):
         if np.any(got > 0):
             record(team, np.zeros(len(index)), got)
     return reference_metrics(index, "market", requested, granted)
+
+
+def market_outcome(index, demands, initial, quotas):
+    """The outcome over ``{team: {pool: quantity}}`` demands: a row per non-empty demand."""
+    teams = tuple(team for team, quantities in demands.items() if quantities)
+    demand = index.matrix([demands[team] for team in teams])
+    return market_outcome_from_quota_delta(index, teams, demand, initial, quotas)
 
 
 def metrics_tuple(metrics):
@@ -319,7 +324,7 @@ def both_metrics(case):
         allocation_metrics(
             INDEX,
             "market",
-            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks(),
+            market_outcome(INDEX, demands, initial_matrix, matrix).blocks(),
         )
     )
     return actual, reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
@@ -355,7 +360,7 @@ class TestCoverageKernelMatchesSnapshotPath:
                 registry.apply_delta(team, delta, allow_negative=True)
         demands = {team: dict(zip(NAMES, rng.random(R) * 100.0)) for team in teams[::2]}
         blocks = list(
-            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks()
+            market_outcome(INDEX, demands, initial_matrix, matrix).blocks()
         )
         assert sum(len(requested) for requested, _ in blocks) > 2 * 256
         expected = reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
@@ -375,7 +380,7 @@ class TestCoverageKernelMatchesSnapshotPath:
             registry.grant("quiet", INDEX.vector({"alpha/ram": 1.0}))
         demands = {"held": {"alpha/cpu": 4.0}, "quiet": {}, "nobody": {"beta/cpu": 1.0}}
         blocks = list(
-            market_outcome_from_quota_delta(INDEX, demands, initial_matrix, matrix).blocks()
+            market_outcome(INDEX, demands, initial_matrix, matrix).blocks()
         )
         requested, granted = (np.vstack(rows) for rows in zip(*blocks))
         # Rows: "held", "nobody", then the acquirers "late" and "quiet";
@@ -390,34 +395,6 @@ class TestCoverageKernelMatchesSnapshotPath:
         ]
         expected = reference_market_metrics(INDEX, demands, initial_snapshot, reference.snapshot())
         assert metrics_tuple(allocation_metrics(INDEX, "market", blocks)) == expected
-
-    def test_demand_checks_name_the_team_or_the_quantity(self):
-        matrix = QuotaRegistry(INDEX)
-        initial = matrix.matrix()
-        for demands, message in (
-            ({"": {"alpha/cpu": 1.0}}, "team must be non-empty"),
-            (
-                {"t": {"alpha/cpu": 1.0, "beta/cpu": -2.0}},
-                "requested quantity of 'beta/cpu' must be finite and non-negative, got -2.0",
-            ),
-            (
-                {"t": {"alpha/cpu": math.inf}},
-                "requested quantity of 'alpha/cpu' must be finite and non-negative, got inf",
-            ),
-            (
-                {"t": {"alpha/cpu": math.nan}},
-                "requested quantity of 'alpha/cpu' must be finite and non-negative, got nan",
-            ),
-        ):
-            with pytest.raises(ValueError) as market:
-                allocation_metrics(
-                    INDEX,
-                    "market",
-                    market_outcome_from_quota_delta(INDEX, demands, initial, matrix).blocks(),
-                )
-            with pytest.raises(ValueError) as baseline:
-                demand_matrix(INDEX, list(demands.items()))
-            assert str(market.value) == str(baseline.value) == message
 
 
 # -- baseline outcomes ------------------------------------------------------------------------
@@ -496,7 +473,10 @@ def test_lazy_views_equal_the_eager_ones(preset: str, seed: int, auctions: int):
     eager: list[tuple] = []
 
     def epoch():
-        demands = demands_from_agents(scenario.agents, platform.index)
+        demands = {
+            agent.name: agent.demand.covering_bundle(agent.catalog, platform.index)
+            for agent in scenario.agents
+        }
         period = run_one()
         settlement = period.settlement
         trades = settled_trades(settlement)

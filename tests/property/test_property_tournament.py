@@ -16,7 +16,7 @@ pins down over randomly generated genomes rather than hand-picked examples:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.agents.tournament import (
@@ -70,6 +70,9 @@ def test_mutation_reproducible_from_seed(traits, seed):
     ),
     size=st.integers(min_value=1, max_value=60),
 )
+# Summed in insertion order, these weights total 0.8 one way and
+# 0.7999999999999999 the other, which moves a seat.
+@example(weights={"lowball": 0.1, "seller": 0.1, "market_tracker": 0.1, "premium_payer": 0.5}, size=10)
 def test_apportionment_sums_and_is_deterministic(weights, size):
     counts = apportion_kinds(weights, size)
     assert sum(counts.values()) == size
@@ -81,18 +84,16 @@ def test_apportionment_sums_and_is_deterministic(weights, size):
     seed=st.integers(0, 2**32 - 1),
     gen_seed=st.integers(0, 2**32 - 1),
     size=st.integers(min_value=2, max_value=24),
-    elite_fraction=st.floats(min_value=0.1, max_value=1.0),
 )
 @settings(max_examples=40)
-def test_generation_step_reproducible_from_seed(seed, gen_seed, size, elite_fraction):
+def test_generation_step_reproducible_from_seed(seed, gen_seed, size):
     """Clone/mutate/select replays exactly from (seed, base population)."""
     mix = {"lowball": 1.0, "seller": 1.0}
     pop = initial_roster(mix, size, np.random.default_rng(seed))
     assert pop == initial_roster(mix, size, np.random.default_rng(seed))
     scores = {g.name: float((i * 7) % 5) for i, g in enumerate(pop)}
-    kwargs = dict(generation=1, elite_fraction=elite_fraction)
-    a = next_generation(pop, scores, np.random.default_rng(gen_seed), **kwargs)
-    b = next_generation(pop, scores, np.random.default_rng(gen_seed), **kwargs)
+    a = next_generation(pop, scores, np.random.default_rng(gen_seed), generation=1)
+    b = next_generation(pop, scores, np.random.default_rng(gen_seed), generation=1)
     assert a == b
     assert len(a) == len(pop)
     assert {g.kind for g in a} == {g.kind for g in pop}

@@ -23,9 +23,14 @@ from repro.simulation.workload import (
 class TestWorkloadHelpers:
     def test_demands_from_agents(self):
         scenario = small_scenario(seed=1, team_count=10, cluster_count=4)
-        demands = demands_from_agents(scenario.agents, scenario.pool_index)
-        assert set(demands) <= {a.name for a in scenario.agents}
-        assert all(all(q > 0 for q in bundle.values()) for bundle in demands.values())
+        index = scenario.pool_index
+        teams, demand = demands_from_agents(scenario.agents, index)
+        bundles = {a.name: a.demand.covering_bundle(a.catalog, index) for a in scenario.agents}
+        assert teams == tuple(name for name, bundle in bundles.items() if bundle)
+        assert demand.shape == (len(teams), len(index))
+        for team, row in zip(teams, demand):
+            assert row.tobytes() == index.vector(bundles[team]).tobytes()
+            assert all(q > 0 for q in bundles[team].values())
 
     def test_priorities_are_in_range_and_deterministic(self):
         scenario = small_scenario(seed=1, team_count=20, cluster_count=4)

@@ -108,7 +108,8 @@ KEEP = {
     "market/quotas.py:QuotaRegistry.quota":
         "observation helper: the registry tests compare holdings with the dict reference",
     "market/services.py:ServiceSpec.covering_amount":
-        "reference: the property test checks ServiceCatalog.cover against it",
+        "reference: the property suite checks ServiceCatalog.covering_amounts and the"
+        " bundles strategies place against it",
     "simulation/scenario.py:small_scenario":
         "fixture: shared by the simulation, baseline and full-stack suites",
 }
