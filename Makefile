@@ -10,7 +10,7 @@ EXPERIMENT_DRIVERS := figure2 figure6 figure7 table1 scaling clock_rounds \
 
 # The packages `make devmode` runs under the interpreter's dev mode.
 DEVMODE_TESTS := tests/core tests/cluster tests/market tests/simulation tests/analysis \
-    tests/exec tests/agents tests/baselines tests/mechanisms
+    tests/exec tests/agents tests/baselines tests/mechanisms tests/property tests/bidlang
 
 .PHONY: test doctest bench smoke chaos equivalence devmode golden check
 
@@ -84,8 +84,8 @@ equivalence:
 	$(PYTHON) -m pytest tests/core/test_engine_equivalence.py tests/golden/test_golden_traces.py -q
 
 ## the auction core, cluster, market, simulation, analysis, execution, agent,
-## baseline and mechanism suites under `python -X dev` (extra runtime checks,
-## every warning shown)
+## baseline, mechanism, property and bid-language suites under `python -X dev`
+## (extra runtime checks, every warning shown)
 ## with an unclosed file or socket turned into an error: raised directly it is
 ## a ResourceWarning, and collected by the garbage collector pytest reports it
 ## as a PytestUnraisableExceptionWarning, so both are errors

@@ -60,7 +60,7 @@ def _bundle_cost(bundle: Pairs, prices: list[float]) -> float:
 def _buy_bid(agent: TeamAgent, view: MarketView, bundles: list[Pairs], limit: float, **metadata: object) -> Bid:
     return Bid(
         bidder=agent.name,
-        bundles=BundleSet(view.index, view.index.rows(bundles)),
+        bundles=BundleSet.from_columns(view.index, bundles),
         limit=float(max(limit, 0.0)),
         metadata={"strategy": type(agent.strategy).__name__, **metadata},
     )

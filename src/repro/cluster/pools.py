@@ -252,16 +252,35 @@ class PoolIndex:
         """The ``(k, R)`` array whose row ``i`` holds the ``(column, amount)`` pairs of ``bundles[i]``.
 
         Each amount is stored as given, one scalar assignment per pair, so a
-        row holds the caller's floats bit for bit.
+        row holds the caller's floats bit for bit.  A column outside
+        ``[0, R)`` raises ``IndexError`` and a column a bundle names twice
+        raises ``ValueError``, each naming the column and the bundle's
+        position, so every pair is stored where it says.
 
         Examples
         --------
-        >>> demo_pool_index().rows([[(0, 2.0)], [(3, 8.0), (2, 2.0)]]).tolist()
+        >>> index = demo_pool_index()
+        >>> index.rows([[(0, 2.0)], [(3, 8.0), (2, 2.0)]]).tolist()
         [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 8.0]]
+        >>> index.rows([[(0, 1.0)], [(-1, 2.0)]])
+        Traceback (most recent call last):
+            ...
+        IndexError: bundle 1 names column -1, outside [0, 4)
+        >>> index.rows([[(0, 2.0), (0, 5.0)]])
+        Traceback (most recent call last):
+            ...
+        ValueError: bundle 0 names column 0 twice
         """
-        matrix = np.zeros((len(bundles), len(self._names)))
-        for row, bundle in zip(matrix, bundles):
+        width = len(self._names)
+        matrix = np.zeros((len(bundles), width))
+        for position, (row, bundle) in enumerate(zip(matrix, bundles)):
+            seen: set[int] = set()
             for column, amount in bundle:
+                if not 0 <= column < width:
+                    raise IndexError(f"bundle {position} names column {column}, outside [0, {width})")
+                if column in seen:
+                    raise ValueError(f"bundle {position} names column {column} twice")
+                seen.add(column)
                 row[column] = amount
         return matrix
 

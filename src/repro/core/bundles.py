@@ -82,11 +82,12 @@ class BundleSet:
     ``bundles`` is either one ``(k, R)`` array or a sequence of bundles, each
     a length-``R`` array or a ``{pool name: quantity}`` mapping.
 
-    The set is immutable, so its sign structure (each row's kind, the set's
-    aggregate kind, whether anything is offered, whether every quantity is
-    finite) is derived once, from one ``max`` and one ``min`` pass over the
-    rows when the set is built; bid classification, validation and admission
-    read those cached facts.
+    The set is immutable, so the facts bid classification, validation and
+    admission read (the set's aggregate kind, whether anything is offered,
+    whether every quantity is finite) are derived once, when the set is
+    built: from one ``max`` and one ``min`` over the whole matrix here, and
+    from the amounts themselves in :meth:`from_columns`.  :meth:`kinds`
+    classifies each row when asked.
 
     Examples
     --------
@@ -128,22 +129,69 @@ class BundleSet:
             matrix = np.vstack(rows)
         matrix.setflags(write=False)
         self._matrix = matrix
-        # The sign structure, once, from each row's max and min: every entry
-        # is finite exactly when all of them are.  A set that is not finite
-        # takes them again with fmax/fmin, which skip NaN as bundle_kind's
-        # comparisons do (an all-NaN row reduces to NaN, which compares
-        # False); infinities compare as in bundle_kind.
-        row_max = matrix.max(axis=1).tolist()
-        row_min = matrix.min(axis=1).tolist()
-        self._finite = all(map(math.isfinite, row_max)) and all(map(math.isfinite, row_min))
+        # The set's facts from one max and one min over the whole matrix:
+        # every entry is finite exactly when both are.  A set that is not
+        # finite takes them again with fmax/fmin, which skip NaN as
+        # bundle_kind's comparisons do (an all-NaN matrix reduces to NaN,
+        # which compares False); infinities compare as in bundle_kind.  Each
+        # fact is the OR, over the rows, of the same fact of one row.
+        high = float(np.maximum.reduce(matrix, None))
+        low = float(np.minimum.reduce(matrix, None))
+        self._finite = math.isfinite(high) and math.isfinite(low)
         if not self._finite:
-            row_max = np.fmax.reduce(matrix, axis=1).tolist()
-            row_min = np.fmin.reduce(matrix, axis=1).tolist()
-        has_demand = [high > _KIND_TOL for high in row_max]
-        has_offer = [low < -_KIND_TOL for low in row_min]
-        self._kinds = tuple(_KIND_OF_FLAGS[flags] for flags in zip(has_demand, has_offer))
-        self._aggregate = _KIND_OF_FLAGS[(any(has_demand), any(has_offer))]
-        self._offers = any(low < 0 for low in row_min)
+            high = float(np.fmax.reduce(matrix, None))
+            low = float(np.fmin.reduce(matrix, None))
+        self._aggregate = _KIND_OF_FLAGS[(high > _KIND_TOL, low < -_KIND_TOL)]
+        self._offers = low < 0
+
+    @classmethod
+    def from_columns(cls, index: PoolIndex, bundles: Sequence[Sequence[tuple[int, float]]]) -> "BundleSet":
+        """The set whose row ``i`` holds the ``(column, amount)`` pairs of ``bundles[i]``.
+
+        The pairs are those :meth:`~repro.cluster.pools.PoolIndex.place`
+        returns; :meth:`~repro.cluster.pools.PoolIndex.rows` writes them, and
+        the set owns that matrix without a copy.  Its facts come from the
+        amounts in one pass, with no array reduction: the entries no pair
+        writes are ``+0.0`` and change none of them, and ``rows`` refuses a
+        column named twice, so each pair is an entry of the matrix.  The
+        facts equal those the constructor derives from the same matrix.
+
+        Examples
+        --------
+        >>> from repro.cluster.pools import demo_pool_index
+        >>> index = demo_pool_index()
+        >>> qs = BundleSet.from_columns(index, [[(0, 10.0), (1, 4.0)], [(2, 10.0)]])
+        >>> qs.matrix.tolist()
+        [[10.0, 4.0, 0.0, 0.0], [0.0, 0.0, 10.0, 0.0]]
+        >>> qs.aggregate_kind().value, qs.offers_any(), qs.all_finite()
+        ('buy', False, True)
+        >>> tiny = BundleSet.from_columns(index, [[(3, -1e-13)], []])   # an empty row
+        >>> tiny.aggregate_kind().value, tiny.offers_any()
+        ('empty', True)
+        """
+        if len(bundles) == 0:
+            raise ValueError("a BundleSet needs at least one bundle")
+        matrix = index.rows(bundles)
+        matrix.setflags(write=False)
+        demands = offers = negative = False
+        finite = True
+        for bundle in bundles:
+            for _, amount in bundle:
+                if amount > _KIND_TOL:
+                    demands = True
+                elif amount < 0:
+                    negative = True
+                    if amount < -_KIND_TOL:
+                        offers = True
+                if not math.isfinite(amount):
+                    finite = False
+        bundle_set = cls.__new__(cls)
+        bundle_set.index = index
+        bundle_set._matrix = matrix
+        bundle_set._finite = finite
+        bundle_set._aggregate = _KIND_OF_FLAGS[(demands, offers)]
+        bundle_set._offers = negative
+        return bundle_set
 
     # -- accessors ----------------------------------------------------------------
     @property
@@ -170,8 +218,8 @@ class BundleSet:
         return i, float(costs[i])
 
     def kinds(self) -> list[BundleKind]:
-        """Classification of every bundle in the set."""
-        return list(self._kinds)
+        """Classification of every bundle in the set, each row by :func:`bundle_kind`."""
+        return [bundle_kind(row) for row in self._matrix]
 
     def aggregate_kind(self) -> BundleKind:
         """Classification of the set as a whole (used for convergence analysis).

@@ -153,6 +153,13 @@ class TestStrategies:
         bundle_cost = float(bid.bundles.matrix[0] @ np.array([view.fixed_prices[n] for n in view.index.names]))
         assert bid.limit == pytest.approx(bundle_cost * 1.5, rel=1e-6)
 
+    def test_fixed_anchor_bid_holds_the_rows_of_its_pairs(self, fleet, view):
+        agent = make_agent(fleet, FixedPriceAnchorStrategy())
+        pairs = agent.demand.covering_columns(agent.catalog, view.index)
+        (bid,) = agent.prepare_bids(view)
+        assert len(pairs) == 3
+        assert bid.bundles.matrix.tobytes() == view.index.rows([pairs]).tobytes()
+
     def test_market_tracker_adapts_after_feedback(self, fleet, view):
         strategy = MarketTrackerStrategy(margins=AdaptiveMarginModel(initial_margin=0.5))
         agent = make_agent(fleet, strategy)

@@ -203,6 +203,12 @@ class TestDerivedDataIsCallerOwned:
         assert placed == [(0, amount), (2, 3.0)]  # in the order of the amounts
         assert index.rows([placed, []]).tolist() == [[amount, 0.0, 3.0], [0.0, 0.0, 0.0]]
         assert index.rows([]).shape == (0, 3)
+        with pytest.raises(IndexError, match=re.escape("bundle 1 names column -1, outside [0, 3)")):
+            index.rows([placed, [(-1, 2.0)]])  # not the last column, through a negative index
+        with pytest.raises(IndexError, match=re.escape("bundle 0 names column 3, outside [0, 3)")):
+            index.rows([[(3, 2.0)]])
+        with pytest.raises(ValueError, match="bundle 1 names column 0 twice"):
+            index.rows([placed, [(0, 2.0), (2, 1.0), (0, 5.0)]])  # not the last amount kept
         with pytest.raises(KeyError, match="unknown cluster 'c'"):
             index.place([(0, 1.0)], "c")
         assert index.place([], "c") == []

@@ -111,3 +111,56 @@ class TestBundleSet:
             BundleSet(pool_index, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="at least one bundle"):
             BundleSet(pool_index, np.zeros((0, len(pool_index))))
+
+
+class TestBundleSetFromColumns:
+    @pytest.mark.parametrize(
+        "amount, kind, offers, finite",
+        [
+            (float("nan"), BundleKind.EMPTY, False, False),  # neither demands nor offers
+            (float("inf"), BundleKind.BUY, False, False),
+            (float("-inf"), BundleKind.SELL, True, False),
+            (-0.0, BundleKind.EMPTY, False, True),  # nothing
+            (-1e-13, BundleKind.EMPTY, True, True),  # an offer, but below the kinds' tolerance
+        ],
+    )
+    def test_edge_amounts_give_the_array_paths_facts(self, pool_index, amount, kind, offers, finite):
+        for bundles, aggregate in (([[(1, amount)]], kind), ([[(1, amount)], [(0, 0.0), (2, 5.0)]], None)):
+            bundle_set = BundleSet.from_columns(pool_index, bundles)
+            assert bundle_set.matrix.tobytes() == pool_index.rows(bundles).tobytes()
+            from_array = BundleSet(pool_index, bundle_set.matrix)
+            if aggregate is not None:
+                assert bundle_set.aggregate_kind() is aggregate
+                assert bundle_set.offers_any() is offers
+                assert bundle_set.all_finite() is finite
+            assert bundle_set.aggregate_kind() is from_array.aggregate_kind()
+            assert bundle_set.offers_any() is from_array.offers_any()
+            assert bundle_set.all_finite() is from_array.all_finite()
+            assert bundle_set.kinds() == from_array.kinds()
+
+    def test_an_empty_bundle_is_an_empty_row(self, pool_index):
+        bundle_set = BundleSet.from_columns(pool_index, [[]])
+        assert bundle_set.matrix.tolist() == [[0.0] * len(pool_index)]
+        assert bundle_set.kinds() == [BundleKind.EMPTY]
+        assert bundle_set.aggregate_kind() is BundleKind.EMPTY
+        assert not bundle_set.offers_any()
+        assert bundle_set.all_finite()
+        mixed = BundleSet.from_columns(pool_index, [[], [(3, -2.0)]])
+        assert mixed.kinds() == [BundleKind.EMPTY, BundleKind.SELL]
+        assert mixed.aggregate_kind() is BundleKind.SELL
+
+    def test_requires_at_least_one_bundle(self, pool_index):
+        with pytest.raises(ValueError, match="at least one bundle"):
+            BundleSet.from_columns(pool_index, [])
+
+    def test_owns_the_written_matrix_read_only(self, pool_index):
+        bundle_set = BundleSet.from_columns(pool_index, [[(0, 1.0)]])
+        assert not bundle_set.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            bundle_set.matrix[0, 0] = 9.0
+
+    def test_refuses_the_columns_rows_refuses(self, pool_index):
+        with pytest.raises(ValueError, match="bundle 1 names column 2 twice"):
+            BundleSet.from_columns(pool_index, [[(0, 1.0)], [(2, 1.0), (2, 3.0)]])
+        with pytest.raises(IndexError, match=r"bundle 0 names column -1, outside \[0, 6\)"):
+            BundleSet.from_columns(pool_index, [[(-1, 1.0)]])

@@ -9,7 +9,9 @@ randomly generated bid populations rather than hand-picked examples:
 * winners never pay more than their limit and always get their cheapest bundle;
 * the premium gamma_u is non-negative whenever defined;
 * a bundle set's cached sign structure matches classifying each row on its
-  own, and a team's covering bundle matches covering each request in turn;
+  own, a set built from ``(column, amount)`` pairs has the array path's bytes
+  and facts, and a team's covering bundle matches covering each request in
+  turn;
 * the rows strategies write at pool columns, and the costs they sum by
   position, equal the name-keyed covering bundle's vector and cost bit for
   bit, and placing amounts keeps the name-keyed path's errors.
@@ -210,6 +212,23 @@ class TestBundleSetSignStructureProperties:
             assert bundle_set.all_finite() == finite
             problems = validate_bid(Bid("b", bundle_set, limit=0.0))
             assert ("bundle quantities contain non-finite values" in problems) == (not finite)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_matrices)
+    def test_sets_built_from_columns_match_the_array_path(self, rows):
+        matrix = np.array(rows, dtype=float)
+        reference = BundleSet(_POOLS, matrix)
+        every = [list(enumerate(row)) for row in rows]
+        nonzero = [[(j, x) for j, x in enumerate(row) if x != 0] for row in rows]
+        # Left out, a signed zero is stored as the +0.0 the row starts with.
+        for bundles, stored in ((every, matrix), (nonzero, np.where(matrix == 0, 0.0, matrix))):
+            bundle_set = BundleSet.from_columns(_POOLS, bundles)
+            assert bundle_set.matrix.tobytes() == stored.tobytes()
+            assert bundle_set.kinds() == reference.kinds()
+            assert bundle_set.aggregate_kind() is reference.aggregate_kind()
+            assert bundle_set.offers_any() is reference.offers_any()
+            assert bundle_set.all_finite() is reference.all_finite()
+            assert validate_bid(Bid("b", bundle_set, limit=0.0)) == validate_bid(Bid("b", reference, limit=0.0))
 
 
 _CATALOG = default_catalog()
